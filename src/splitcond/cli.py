@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .conditions import ConcreteScheme, condition_system, verify_scheme
 from .lyndon import bracket_str, bracketing, lyndon_words
-from .numeric import DegenerateFit, empirical_order
+from .numeric import DegenerateFit, NonFinite, empirical_order
 from .series import word_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -50,11 +50,17 @@ REGISTRY: dict[str, RegistryEntry] = {
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or an integer literal; anything else is rejected."""
-    if isinstance(text, int):
+    """Parse "p/q" or an integer literal; anything else is rejected.
+
+    JSON true/false arrive as bool, a subclass of int, and are rejected too.
+    """
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
+    denominator = text.strip().partition("/")[2]
+    if denominator and int(denominator) == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(text.strip())
 
 
@@ -72,6 +78,9 @@ def load_scheme_file(path: str) -> ConcreteScheme:
         data = json.load(handle)
     if not isinstance(data, dict) or "a" not in data or "b" not in data:
         raise ValueError(f"{path}: expected an object with keys 'a' and 'b'")
+    for key in ("a", "b"):
+        if not isinstance(data[key], list):
+            raise ValueError(f"{path}: '{key}' must be a list of rational literals")
     a = tuple(parse_rational(x) for x in data["a"])
     b = tuple(parse_rational(x) for x in data["b"])
     return ConcreteScheme(a, b, data.get("name"))
@@ -140,7 +149,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         scheme = resolve_scheme(args.scheme)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    registry_self_test()
     report = verify_scheme(scheme, args.order, args.route)
     if args.format == "json":
         payload = {
@@ -174,7 +182,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     grid = tuple(2.0**-k for k in range(args.grid_coarse, args.grid_fine + 1))
     try:
         report = empirical_order(scheme, args.dim, args.seed, grid)
-    except DegenerateFit as exc:
+    except (DegenerateFit, NonFinite) as exc:
         return _fail(str(exc))
     print(json.dumps(report.to_json_dict(), indent=2))
     return 0

@@ -8,10 +8,10 @@ decomposition of homogeneous Lie elements in the Lyndon basis.
 The decomposition exploits that the expansion of a Lyndon bracketing has its
 own word as the lexicographically smallest word, with coefficient 1, so
 reading coefficients off in lexicographic word order solves a triangular
-system.  Inputs are first split into Lie part and complement with the
-Dynkin-Specht-Wever projection (right-nested bracketing divided by the
-degree), which leaves Lie elements untouched; a nonzero complement is
-reported as NotALieElement carrying the residual.
+system.  The solve leaves a nonzero remainder exactly when the input is
+not a Lie element; only then is the Dynkin-Specht-Wever projection
+(right-nested bracketing divided by the degree), which leaves Lie elements
+untouched, built to report the complement as NotALieElement.
 """
 
 from __future__ import annotations
@@ -172,16 +172,6 @@ class LieDecomposition:
         return "{" + ", ".join(parts) + "}"
 
 
-def _dynkin_projection(f: NCSeries, degree: int) -> NCSeries:
-    # theta(w)/q with theta the right-nested bracketing map; fixes Lie
-    # elements of degree q and annihilates a complement.
-    projected = NCSeries.zero(f.truncation, f.alphabet_size)
-    for word, coeff in f.terms.items():
-        term = expand(right_nested_bracketing(word), f.truncation, f.alphabet_size)
-        projected = projected + term.scale(coeff)
-    return projected.scale(Fraction(1, degree))
-
-
 def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """Write a homogeneous degree-q series as a Lyndon-basis combination.
 
@@ -194,16 +184,10 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """
     if degree < 1:
         raise ValueError("decomposition degree must be >= 1")
-    for j in range(0, f.max_degree_present() + 1):
-        if j != degree and not f.homogeneous_part(j).is_zero():
-            raise ValueError(f"input is not homogeneous of degree {degree}")
+    if any(len(w) != degree for w in f.terms):
+        raise ValueError(f"input is not homogeneous of degree {degree}")
 
-    lie_part = _dynkin_projection(f, degree)
-    residual = f - lie_part
-    if not residual.is_zero():
-        raise NotALieElement(residual)
-
-    work = lie_part
+    work = f
     coefficients: dict[Word, Poly] = {}
     for word in lyndon_words_of_degree(f.alphabet_size, degree):
         coeff = work.coefficient(word)
@@ -212,6 +196,12 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         coefficients[word] = coeff
         work = work - expand(bracketing(word), f.truncation, f.alphabet_size).scale(coeff)
     if not work.is_zero():
-        # cannot happen: the projection output is Lie and the system is triangular
-        raise NotALieElement(work)
+        # the solve clears exactly the Lie elements.  The Dynkin projection
+        # theta(w)/q, theta the right-nested bracketing, fixes Lie elements
+        # of degree q and annihilates a complement: report that complement.
+        lie_part = NCSeries.zero(f.truncation, f.alphabet_size)
+        for word, coeff in f.terms.items():
+            bracket = right_nested_bracketing(word)
+            lie_part = lie_part + expand(bracket, f.truncation, f.alphabet_size).scale(coeff)
+        raise NotALieElement(f - lie_part.scale(Fraction(1, degree)))
     return LieDecomposition(degree, coefficients)

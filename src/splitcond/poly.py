@@ -7,23 +7,28 @@ scheme.
 
 Representation
 --------------
-A monomial is a tuple of (Symbol, exponent) pairs, sorted by the canonical
-symbol order a1 < b1 < a2 < b2 < ..., with all exponents > 0.  The empty
-tuple is the monomial 1.
+A monomial is a tuple of integer exponents indexed by symbol in the
+canonical order a1, b1, a2, b2, ... (a_j at index 2j-2, b_j at 2j-1), with
+trailing zeros removed.  The empty tuple is the monomial 1, and a monomial
+product is an elementwise sum, the shorter tuple padded with zeros.
 
 A polynomial maps monomials to nonzero Fraction coefficients:
 
-    a1*b2/2 - a2*b1   ->   {((a1,1),(b2,1)): 1/2, ((b1,1),(a2,1)): -1}
+    a1*b2/2 - a2*b1   ->   {(1, 0, 0, 1): 1/2, (0, 1, 1): -1}
 
 The zero polynomial has an empty term map.  All operations return results in
 this canonical form, so equality is plain dict comparison.  Poly values are
 immutable by convention: no method mutates ``self`` or its arguments.
+:class:`Symbol` names an index in evaluation points and printing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -48,41 +53,50 @@ class Symbol:
         if self.stage < 1:
             raise ValueError(f"stage index must be >= 1, got {self.stage}")
 
-    def sort_key(self) -> tuple[int, int]:
-        # canonical order a1 < b1 < a2 < b2 < ...
-        return (self.stage, SYMBOL_KINDS.index(self.kind))
+    @property
+    def index(self) -> int:
+        """Position in the canonical order a1 < b1 < a2 < b2 < ... of monomials."""
+        return 2 * (self.stage - 1) + SYMBOL_KINDS.index(self.kind)
+
+    @staticmethod
+    def at(index: int) -> "Symbol":
+        return Symbol(SYMBOL_KINDS[index % 2], index // 2 + 1)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.stage}"
 
 
-# A monomial: sorted tuple of (Symbol, exponent>0) pairs; () is the monomial 1.
-Monomial = tuple[tuple[Symbol, int], ...]
+# A monomial: exponents in symbol-index order, no trailing zeros; () is 1.
+Monomial = tuple[int, ...]
 
 Scalar = Union[int, Fraction]
+
+IntegerForm = tuple[int, dict[Monomial, int]]  # (d, {monomial: n}) for the Poly n / d
 
 _ONE_MONO: Monomial = ()
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[Symbol, int] = dict(m1)
-    for sym, e in m2:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items(), key=lambda item: item[0].sort_key()))
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    return tuple(map(add, m1, m2)) + m1[len(m2) :]
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def add_terms(left: Mapping, right: Mapping) -> dict:
+    """Term map of left + right, dropping the terms that cancel."""
+    out = dict(left)
+    for key, value in right.items():
+        if key in out:
+            value = out.pop(key) + value
+        if value:
+            out[key] = value
+    return out
 
 
 def _mono_str(m: Monomial) -> str:
     # factors display kind-major (a1*a2*...*b1*b2) like handwritten products
-    factors = sorted(m, key=lambda item: (item[0].kind, item[0].stage))
-    return "*".join(f"{sym}^{e}" if e > 1 else str(sym) for sym, e in factors)
+    order = [*range(0, len(m), 2), *range(1, len(m), 2)]
+    return "*".join(str(Symbol.at(i)) + f"^{m[i]}" * (m[i] > 1) for i in order if m[i])
 
 
 class Poly:
@@ -91,13 +105,15 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canonical: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                value = Fraction(coeff)
-                if value != 0:
-                    canonical[mono] = value
-        self.terms = canonical
+        values = {mono: Fraction(coeff) for mono, coeff in (terms or {}).items()}
+        self.terms: dict[Monomial, Fraction] = {m: c for m, c in values.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> "Poly":
+        # wraps an already canonical term map without copying or checking it
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
@@ -105,7 +121,7 @@ class Poly:
 
     @classmethod
     def symbol(cls, kind: str, stage: int) -> "Poly":
-        return cls({((Symbol(kind, stage), 1),): Fraction(1)})
+        return cls._of({(0,) * Symbol(kind, stage).index + (1,): Fraction(1)})
 
     @staticmethod
     def _coerce(value: "Poly" | Scalar) -> "Poly":
@@ -121,15 +137,12 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(out)
+        return Poly._of(add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({mono: -coeff for mono, coeff in self.terms.items()})
+        return Poly._of({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other: "Poly" | Scalar) -> "Poly":
         other = Poly._coerce(other)
@@ -141,15 +154,12 @@ class Poly:
         return Poly._coerce(other) - self
 
     def __mul__(self, other: "Poly" | Scalar) -> "Poly":
-        other = Poly._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            scaled = {mono: coeff * other for mono, coeff in self.terms.items()}
+            return Poly._of(scaled if other else {})
+        if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+        return sum_of_products([(self.integer_form(), other.integer_form())])
 
     __rmul__ = __mul__
 
@@ -163,20 +173,26 @@ class Poly:
 
     # -- queries -----------------------------------------------------------
 
+    def integer_form(self) -> IntegerForm:
+        """Common denominator d and integer numerators n with self = n / d."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return den, {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0."""
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return max(map(sum, self.terms), default=0)
 
     def symbols(self) -> list[Symbol]:
         """All symbols occurring in the polynomial, in canonical order."""
-        seen = {sym for mono in self.terms for sym, _ in mono}
-        return sorted(seen, key=Symbol.sort_key)
+        seen = {i for mono in self.terms for i, e in enumerate(mono) if e}
+        return [Symbol.at(i) for i in sorted(seen)]
 
     def constant(self) -> Fraction:
         """Coefficient of the monomial 1."""
@@ -186,17 +202,24 @@ class Poly:
         """Exact value of the polynomial at a rational point.
 
         Every symbol occurring in the polynomial must be assigned, otherwise
-        MissingAssignment is raised.
+        MissingAssignment is raised.  A value n/d of highest exponent t enters
+        as n^e * d^(t-e) over d^t, so the sum is formed in integers.
         """
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for sym, e in mono:
-                if sym not in point:
-                    raise MissingAssignment(f"no value assigned to symbol {sym}")
-                value *= Fraction(point[sym]) ** e
-            total += value
-        return total
+        top = list(map(max, zip_longest(*self.terms, fillvalue=0)))
+        values = {sym.index: Fraction(value) for sym, value in point.items()}
+        powers: list[list[int]] = []
+        for i, t in enumerate(top):
+            if t and i not in values:
+                raise MissingAssignment(f"no value assigned to symbol {Symbol.at(i)}")
+            n, d = values[i].as_integer_ratio() if t else (1, 1)
+            powers.append([n**e * d ** (t - e) for e in range(t + 1)])
+        den, nums = self.integer_form()
+        total = 0
+        for mono, num in nums.items():
+            for row, e in zip_longest(powers, mono, fillvalue=0):
+                num *= row[e]
+            total += num
+        return Fraction(total, den * math.prod(row[0] for row in powers))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -210,26 +233,18 @@ class Poly:
 
     # -- rendering -----------------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        # graded lexicographic, highest first: degree, then exponent vector
-        # over the symbols of this polynomial in canonical order.
-        syms = self.symbols()
-        index = {sym: i for i, sym in enumerate(syms)}
-
-        def key(item: tuple[Monomial, Fraction]):
-            mono, _ = item
-            vec = [0] * len(syms)
-            for sym, e in mono:
-                vec[index[sym]] = e
-            return (_mono_degree(mono), tuple(vec))
-
-        return sorted(self.terms.items(), key=key, reverse=True)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        # graded lexicographic, highest first: degree, then exponent vector
+        # in canonical symbol order, padded to a common length.
+        width = max(map(len, self.terms))
         pieces: list[str] = []
-        for mono, coeff in self._sorted_terms():
+        for mono, coeff in sorted(
+            self.terms.items(),
+            key=lambda item: (sum(item[0]), item[0] + (0,) * (width - len(item[0]))),
+            reverse=True,
+        ):
             body = _mono_str(mono)
             magnitude = abs(coeff)
             if not body:
@@ -248,8 +263,22 @@ class Poly:
         return f"Poly({self})"
 
 
-ZERO = Poly()
-ONE = Poly.const(1)
+def sum_of_products(pairs: list[tuple[IntegerForm, IntegerForm]]) -> Poly:
+    """Exact sum of p * q over pairs of Poly.integer_form() values.
+
+    Products accumulate as integers over one common denominator, so each
+    coefficient of the result is reduced once, not once per product.
+    """
+    den = math.lcm(*(dp * dq for (dp, _), (dq, _) in pairs))
+    acc: dict[Monomial, int] = {}
+    for (dp, p), (dq, q) in pairs:
+        scale = den // (dp * dq)
+        for m1, c1 in p.items():
+            c1 *= scale
+            for m2, c2 in q.items():
+                mono = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+    return Poly._of({m: Fraction(c, den) for m, c in acc.items() if c})
 
 
 def as_poly(value: Poly | Scalar) -> Poly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import Poly, Scalar, as_poly
+from .poly import IntegerForm, Poly, Scalar, add_terms, as_poly, sum_of_products
 
 Word = tuple[int, ...]
 
@@ -88,6 +88,14 @@ class NCSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _of(cls, truncation: int, alphabet_size: int, terms: dict[Word, Poly]) -> "NCSeries":
+        # wraps an already canonical term map without copying or checking it
+        series = object.__new__(cls)
+        series.truncation, series.alphabet_size = truncation, alphabet_size
+        series.terms = terms
+        return series
+
+    @classmethod
     def zero(cls, truncation: int, alphabet_size: int = 2) -> "NCSeries":
         return cls(truncation, alphabet_size)
 
@@ -132,9 +140,6 @@ class NCSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree_present(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def _check_compatible(self, other: "NCSeries") -> None:
         if self.truncation != other.truncation:
             raise TruncationMismatch(
@@ -151,13 +156,11 @@ class NCSeries:
         if not isinstance(other, NCSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out.get(word, Poly()) + coeff
-        return NCSeries(self.truncation, self.alphabet_size, out)
+        terms = add_terms(self.terms, other.terms)
+        return NCSeries._of(self.truncation, self.alphabet_size, terms)
 
     def __neg__(self) -> "NCSeries":
-        return NCSeries(
+        return NCSeries._of(
             self.truncation, self.alphabet_size, {w: -c for w, c in self.terms.items()}
         )
 
@@ -167,30 +170,16 @@ class NCSeries:
         return self + (-other)
 
     def scale(self, factor: Union[Poly, Scalar]) -> "NCSeries":
-        factor = as_poly(factor)
-        return NCSeries(
-            self.truncation,
-            self.alphabet_size,
-            {w: c * factor for w, c in self.terms.items()},
-        )
+        if not isinstance(factor, (int, Fraction)):
+            factor = as_poly(factor)
+        # a nonzero factor keeps every (nonzero) coefficient nonzero
+        scaled = {w: c * factor for w, c in self.terms.items()} if factor else {}
+        return NCSeries._of(self.truncation, self.alphabet_size, scaled)
 
     def __mul__(self, other: Union["NCSeries", Poly, Scalar]) -> "NCSeries":
         """Concatenation product with a series, or coefficient-wise scaling."""
         if isinstance(other, NCSeries):
-            self._check_compatible(other)
-            out: dict[Word, Poly] = {}
-            for u, cu in self.terms.items():
-                room = self.truncation - len(u)
-                for v, cv in other.terms.items():
-                    if len(v) > room:
-                        continue
-                    word = u + v
-                    prod = cu * cv
-                    if word in out:
-                        out[word] = out[word] + prod
-                    else:
-                        out[word] = prod
-            return NCSeries(self.truncation, self.alphabet_size, out)
+            return _product(self, other, self.truncation)
         if isinstance(other, (Poly, int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -256,19 +245,37 @@ class NCSeries:
         return f"NCSeries(N={self.truncation}, {self})"
 
 
+def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
+    """Concatenation product f * g, keeping only words of length <= cap."""
+    f._check_compatible(g)
+    right = sorted(g.terms.items(), key=lambda item: len(item[0]))
+    right = [(v, cv.integer_form()) for v, cv in right if len(v) <= cap]
+    pairs: dict[Word, list[tuple[IntegerForm, IntegerForm]]] = {}
+    for u, cu in f.terms.items():
+        left = cu.integer_form()
+        for v, cv in right:
+            if len(u) + len(v) > cap:
+                break
+            pairs.setdefault(u + v, []).append((left, cv))
+    out = {w: sum_of_products(p) for w, p in pairs.items()}
+    return NCSeries._of(f.truncation, f.alphabet_size, {w: c for w, c in out.items() if c})
+
+
 def exp(g: NCSeries) -> NCSeries:
     """Truncated exponential sum_{j<=N} g^j / j!.
 
     Requires a zero constant term, else the composition is undefined.
     Evaluated Horner style: 1 + g(1 + g/2(1 + g/3(...))), costing one series
-    product per degree.
+    product per degree.  The k-th accumulator is multiplied by k - 1 more
+    factors of degree >= 1, so only its words of length <= N - k + 1 are
+    formed.
     """
     if not g.constant_term.is_zero:
         raise NonzeroConstantTerm("exp() requires a series with zero constant term")
     unit = NCSeries.unit(g.truncation, g.alphabet_size)
     result = unit
     for k in range(g.truncation, 0, -1):
-        result = unit + (g * result).scale(Fraction(1, k))
+        result = unit + _product(g, result, g.truncation - k + 1).scale(Fraction(1, k))
     return result
 
 
@@ -277,12 +284,14 @@ def log(f: NCSeries) -> NCSeries:
 
     Mercator series in x = f - 1, evaluated Horner style:
     x(1 - x(1/2 - x(1/3 - ...))).  Inverse of exp() up to the truncation.
+    The k-th accumulator is multiplied by k more factors of x, so only its
+    words of length <= N - k are formed.
     """
     if f.constant_term != 1:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
-    x = f - NCSeries.unit(f.truncation, f.alphabet_size)
-    acc = NCSeries.zero(f.truncation, f.alphabet_size)
     unit = NCSeries.unit(f.truncation, f.alphabet_size)
+    x = f - unit
+    acc = NCSeries.zero(f.truncation, f.alphabet_size)
     for k in range(f.truncation, 0, -1):
-        acc = unit.scale(Fraction(1, k)) - (x * acc)
-    return x * acc
+        acc = unit.scale(Fraction(1, k)) - _product(x, acc, f.truncation - k)
+    return _product(x, acc, f.truncation)

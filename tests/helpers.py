@@ -77,6 +77,29 @@ def homogeneous_at_truncation(series: NCSeries, degree: int) -> NCSeries:
 
 
 # ---------------------------------------------------------------------------
+# uncapped Horner exp and log: every accumulator is formed through the full
+# truncation with plain series products, the reference for the library's
+# degree-capped loops
+
+
+def exp_uncapped(g: NCSeries) -> NCSeries:
+    unit = NCSeries.unit(g.truncation, g.alphabet_size)
+    result = unit
+    for k in range(g.truncation, 0, -1):
+        result = unit + (g * result).scale(Fraction(1, k))
+    return result
+
+
+def log_uncapped(f: NCSeries) -> NCSeries:
+    unit = NCSeries.unit(f.truncation, f.alphabet_size)
+    x = f - unit
+    acc = NCSeries.zero(f.truncation, f.alphabet_size)
+    for k in range(f.truncation, 0, -1):
+        acc = unit.scale(Fraction(1, k)) - (x * acc)
+    return x * acc
+
+
+# ---------------------------------------------------------------------------
 # counting and word oracles
 
 
@@ -238,17 +261,14 @@ def _float_system(system: ConditionSystem) -> tuple[list[list[tuple[float, tuple
     Variables are ordered a1..as, b1..bs.
     """
     stages = system.stages
-    index = {}
-    for j in range(stages):
-        index[Symbol("a", j + 1)] = j
-        index[Symbol("b", j + 1)] = stages + j
     polys = []
     for entry in system.entries:
         terms = []
         for mono, coeff in entry.polynomial.terms.items():
+            # a monomial lists exponents interleaved a1, b1, a2, b2, ...
             vec = [0] * (2 * stages)
-            for sym, e in mono:
-                vec[index[sym]] = e
+            for i, e in enumerate(mono):
+                vec[(i % 2) * stages + i // 2] = e
             terms.append((float(coeff), tuple(vec)))
         if entry.rhs != 0:
             terms.append((float(-entry.rhs), (0,) * (2 * stages)))

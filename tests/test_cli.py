@@ -193,7 +193,8 @@ def test_parse_rational():
     assert parse_rational("-1/24") == F(-1, 24)
     assert parse_rational("3") == F(3)
     assert parse_rational(2) == F(2)
-    for bad in ("0.5", "1/0x", "a", "", "1.5e3"):
+    assert parse_rational("0/5") == 0
+    for bad in ("0.5", "1/0x", "a", "", "1.5e3", True, False, "1/0", "-3/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
@@ -212,3 +213,30 @@ def test_scheme_file_rejects_floats(tmp_path):
     path.write_text(json.dumps({"name": "x", "a": [0.5], "b": [1]}), encoding="utf-8")
     with pytest.raises(ValueError):
         load_scheme_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"a": "12", "b": "10"},  # a string is not a list of stages
+        {"a": [True, "1/2"], "b": [False, "1"]},  # JSON booleans are not rationals
+        {"a": ["1/0"], "b": ["1"]},  # zero denominator
+    ],
+    ids=["string-stages", "booleans", "zero-denominator"],
+)
+def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), "-p", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_converge_overflow_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": ["100000"], "b": ["1"]}), encoding="utf-8")
+    code, out, err = run(capsys, "converge", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

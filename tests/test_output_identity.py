@@ -1,0 +1,61 @@
+"""Byte identity of emitted outputs against digests of earlier releases.
+
+Speed work on the coefficient ring and the series kernels must not change a
+single character of what the package emits.  The digests below were taken
+before those kernels were rewritten: the SHA-256 of the canonical JSON of
+ConditionSystem.to_records() for every s <= 3, p <= 4 on both routes, and of
+the printed leading error term of the registry's order-3 scheme.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from splitcond import condition_system, leading_error_term
+from splitcond.cli import REGISTRY
+
+SYSTEM_DIGESTS = {
+    ("taylor", 1, 1): "4838f62fc21c0f10ee9aeae4cecc183457d6338482199d51bd2064d3b4319b43",
+    ("taylor", 1, 2): "5375a88a5cc6cb848cae28886efcc6f90178a523d8c7d905ee0919a578b10cff",
+    ("taylor", 1, 3): "37a649aa159bb3487e8a01a4dcbd476869abd73123de5d7ad232b262d34e970f",
+    ("taylor", 1, 4): "7d45d1615a59487a168d6b2c6fa9c0265f3795558bdb86cba236364438c3b8a3",
+    ("taylor", 2, 1): "2e07e2ee0a6ef23c6933d9f6b522fb9ba83d8816b88ffb101a666cdd8b196bd3",
+    ("taylor", 2, 2): "860a756da41e6df997962bb2e702b2351a80a784317147babb2463c7814994ef",
+    ("taylor", 2, 3): "27b0b6327ea7a2e18a97c6a4703f481b3c7276cea36ff379f2996efd2d512815",
+    ("taylor", 2, 4): "a0c9f3a3bc09c11da2a5b8c7d3c9d62ae9217de499c1b901e28f04b005be4383",
+    ("taylor", 3, 1): "6a3b8853497ce30696fb51a1e701486a1107052bbdfa9a8a86e4085bae287129",
+    ("taylor", 3, 2): "dce40a07e83ea71f4423473e681d9ed945cde6f31d066f5c402ec4e13ca749ae",
+    ("taylor", 3, 3): "712cd9218abde7447ab0112da6eaf130022b0b0737453490abe1a3860ceb7a87",
+    ("taylor", 3, 4): "edbafb6c856177977f2771b11622e36d0519dc56de6b3e4436a97570402154e0",
+    ("bch", 1, 1): "4838f62fc21c0f10ee9aeae4cecc183457d6338482199d51bd2064d3b4319b43",
+    ("bch", 1, 2): "da42550a5caab48da9cb43080003dfcaf8254eab240fc46df77e7d779933a011",
+    ("bch", 1, 3): "a4037556b0111406fbeb826e25a0396219e73308dd3272909773e6ebf9c3e0ab",
+    ("bch", 1, 4): "b5527e2ce1afd0b30205c6bb10953ad4132117666fc2fe78864fc3f9117a8539",
+    ("bch", 2, 1): "2e07e2ee0a6ef23c6933d9f6b522fb9ba83d8816b88ffb101a666cdd8b196bd3",
+    ("bch", 2, 2): "a7973a505ec7c493cf050d6615af7c51b51122c7ca2450cb7dbc9d76545da77b",
+    ("bch", 2, 3): "973e33b3ddbca1d9c7ac1995d74be736044ea3f2919beb0680fd5deeae9a1aef",
+    ("bch", 2, 4): "01cb081f584710334e3b78e4b392154b4ee4a57ee11f9aba07b04a9a4281c88b",
+    ("bch", 3, 1): "6a3b8853497ce30696fb51a1e701486a1107052bbdfa9a8a86e4085bae287129",
+    ("bch", 3, 2): "988fd8ef408cceac7879c7c07125c7eec638de7af5fcb65095fc9711b0b7d5d0",
+    ("bch", 3, 3): "c8c0f8873f6c482bf96cc8621200ac60263f708532b7665f749690e08533f99d",
+    ("bch", 3, 4): "83da43779dfb36b94396a539170e0b4a75c5cb44d67300da917d2420257f5095",
+}
+
+LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bfcf5dcf6"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("route,stages,order", sorted(SYSTEM_DIGESTS))
+def test_condition_system_records_unchanged(route, stages, order):
+    records = condition_system(stages, order, route).to_records()
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canonical) == SYSTEM_DIGESTS[(route, stages, order)]
+
+
+def test_leading_error_term_text_unchanged():
+    text = str(leading_error_term(REGISTRY["paper-order3"].scheme, 3))
+    assert sha256(text) == LEADING_TERM_DIGEST

@@ -15,7 +15,7 @@ from splitcond import (
 )
 from splitcond.poly import Poly
 
-from helpers import first_nonzero_degree, random_series
+from helpers import exp_uncapped, first_nonzero_degree, log_uncapped, random_series
 
 
 def unit(n, m=2):
@@ -244,3 +244,17 @@ def test_constructor_validation():
         NCSeries(2, 0)
     with pytest.raises(ValueError):
         NCSeries(2, 2, {(5,): 1})
+
+
+def test_capped_horner_matches_uncapped_oracle():
+    # polynomial coefficients in several symbols, so products mix monomials
+    rng = random.Random(2024)
+    for n in range(1, 7):
+        for _ in range(3):
+            g = random_series(rng, n, symbolic=True, density=0.5)
+            assert exp(g) == exp_uncapped(g)
+            f = NCSeries.unit(n) + g
+            assert log(f) == log_uncapped(f)
+            h = g.scale(Poly.symbol("a", 1) + Poly.symbol("b", 2) * Fraction(1, 3))
+            assert exp(h) == exp_uncapped(h)
+            assert log(NCSeries.unit(n) + h) == log_uncapped(NCSeries.unit(n) + h)

@@ -23,7 +23,6 @@ from .conditions import (
     local_error_series,
     splitting_product,
     systems_equivalent,
-    taylor_derivative,
     verify_scheme,
 )
 from .lyndon import (
@@ -41,15 +40,6 @@ from .lyndon import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from .numeric import (
-    ConvergenceReport,
-    DegenerateFit,
-    DimensionMismatch,
-    NonFinite,
-    empirical_order,
-    matrix_exp,
-    scheme_step,
-)
 from .poly import MissingAssignment, Poly, Rational, Symbol, stage_point
 from .series import (
     AlphabetMismatch,
@@ -64,6 +54,27 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# the float layer imports numpy, so it loads on first use of one of its names
+_NUMERIC_NAMES = frozenset(
+    {
+        "ConvergenceReport",
+        "DegenerateFit",
+        "DimensionMismatch",
+        "NonFinite",
+        "empirical_order",
+        "matrix_exp",
+        "scheme_step",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC_NAMES:
+        from . import numeric
+
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AlphabetMismatch",
@@ -114,7 +125,6 @@ __all__ = [
     "stage_point",
     "standard_factorization",
     "systems_equivalent",
-    "taylor_derivative",
     "verify_scheme",
     "word_str",
 ]

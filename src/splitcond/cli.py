@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .conditions import ConcreteScheme, condition_system, verify_scheme
 from .lyndon import bracket_str, bracketing, lyndon_words
-from .numeric import DegenerateFit, NonFinite, empirical_order
 from .series import word_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -75,15 +74,21 @@ def scheme_to_json_dict(scheme: ConcreteScheme) -> dict:
 def load_scheme_file(path: str) -> ConcreteScheme:
     """Read a scheme from a JSON document {name, a: [...], b: [...]}."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or "a" not in data or "b" not in data:
         raise ValueError(f"{path}: expected an object with keys 'a' and 'b'")
     for key in ("a", "b"):
         if not isinstance(data[key], list):
             raise ValueError(f"{path}: '{key}' must be a list of rational literals")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"{path}: 'name' must be a string")
     a = tuple(parse_rational(x) for x in data["a"])
     b = tuple(parse_rational(x) for x in data["b"])
-    return ConcreteScheme(a, b, data.get("name"))
+    return ConcreteScheme(a, b, name)
 
 
 def resolve_scheme(name_or_path: str) -> ConcreteScheme:
@@ -179,6 +184,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
         scheme = resolve_scheme(args.scheme)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
+    from .numeric import DegenerateFit, NonFinite, empirical_order
+
     grid = tuple(2.0**-k for k in range(args.grid_coarse, args.grid_fine + 1))
     try:
         report = empirical_order(scheme, args.dim, args.seed, grid)

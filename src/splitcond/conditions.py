@@ -8,9 +8,9 @@ condition systems on the stage coefficients:
 
 * the logarithm route: take log of the splitting product, subtract A + B,
   and decompose each homogeneous degree over the Lyndon basis;
-* the Taylor route: expand the q-th t-derivative of the local error at t = 0
-  by the multinomial formula and read off the coefficients of the Lyndon
-  words themselves.
+* the Taylor route: the q-th t-derivative of the local error at t = 0 is
+  q! times its degree-q part, so read the coefficients of the Lyndon words
+  of degree q straight off the local-error series and scale them by q!.
 
 The two resulting systems are not textually identical but cut out the same
 solution sets; systems_equivalent() is the falsification harness for that.
@@ -131,47 +131,6 @@ def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     return splitting_product(scheme, truncation) - exp_of_sum(truncation)
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    # all tuples of `parts` nonnegative integers summing to `total`
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def taylor_derivative(scheme: SymbolicScheme, q: int) -> NCSeries:
-    """q-th t-derivative at 0 of the local error, via the multinomial formula.
-
-    sum over compositions k of q into s parts of
-        multinomial(q; k) * prod_j sum_l C(k_j, l) a_j^l b_j^{k_j-l} A^l B^{k_j-l}
-    minus (A+B)^q.  Homogeneous of degree q; equals q! times the degree-q
-    part of local_error_series.
-    """
-    if q < 0:
-        raise ValueError("derivative order must be >= 0")
-    if q == 0:
-        return NCSeries.zero(0)
-    s = scheme.stages
-    total = NCSeries.zero(q)
-    for k in _compositions(q, s):
-        multinomial = math.factorial(q)
-        for kj in k:
-            multinomial //= math.factorial(kj)
-        product = NCSeries.unit(q)
-        for j, kj in enumerate(k):
-            factor_terms: dict[Word, Poly] = {}
-            for l in range(kj + 1):
-                word = (0,) * l + (1,) * (kj - l)
-                coeff = (scheme.a[j] ** l) * (scheme.b[j] ** (kj - l)) * math.comb(kj, l)
-                factor_terms[word] = factor_terms.get(word, Poly()) + coeff
-            product = product * NCSeries(q, 2, factor_terms)
-        total = total + product.scale(multinomial)
-    ab = NCSeries.letter(0, q) + NCSeries.letter(1, q)
-    return total - ab**q
-
-
 @dataclass(frozen=True)
 class ConditionEntry:
     """One order condition: a polynomial attached to a degree and Lyndon word."""
@@ -186,6 +145,11 @@ class ConditionEntry:
 
     def __str__(self) -> str:
         return f"deg {self.degree}  {word_str(self.word)}  {self.polynomial} = {self.rhs}"
+
+
+def _all_within(residuals: Iterable[tuple[int, Word, Fraction]], tol: Scalar = 0) -> bool:
+    # the one satisfaction rule: every |residual| <= tol, so tol == 0 is exact
+    return all(abs(r) <= tol for _, _, r in residuals)
 
 
 @dataclass(frozen=True)
@@ -210,7 +174,7 @@ class ConditionSystem:
 
     def satisfied_by(self, scheme: ConcreteScheme, tol: Scalar = 0) -> bool:
         """Exact satisfaction when tol == 0; |residual| <= tol otherwise."""
-        return all(abs(r) <= tol for _, _, r in self.residuals(scheme))
+        return _all_within(self.residuals(scheme), tol)
 
     def to_records(self) -> list[dict[str, str | int]]:
         return [
@@ -230,15 +194,15 @@ class ConditionSystem:
 
 @functools.lru_cache(maxsize=None)
 def conditions_taylor(stages: int, p: int) -> ConditionSystem:
-    """Order conditions from Lyndon-word coefficients of the Taylor derivatives."""
+    """Order conditions from q!-scaled Lyndon-word coefficients of the local error."""
     if p < 1:
         raise ValueError("target order must be >= 1")
-    scheme = SymbolicScheme.generic(stages)
-    entries: list[ConditionEntry] = []
-    for q in range(1, p + 1):
-        derivative = taylor_derivative(scheme, q)
-        for word in lyndon_words_of_degree(2, q):
-            entries.append(ConditionEntry(q, word, derivative.coefficient(word)))
+    error = local_error_series(SymbolicScheme.generic(stages), p)
+    entries = [
+        ConditionEntry(q, word, error.coefficient(word) * math.factorial(q))
+        for q in range(1, p + 1)
+        for word in lyndon_words_of_degree(2, q)
+    ]
     return ConditionSystem(stages, p, "taylor", tuple(entries))
 
 
@@ -306,8 +270,7 @@ def verify_scheme(
     """Evaluate the order-p condition system at the scheme, exactly."""
     system = condition_system(scheme.stages, p, route)
     residuals = tuple(system.residuals(scheme))
-    satisfied = all(r == 0 for _, _, r in residuals)
-    return VerificationReport(scheme, p, route, satisfied, residuals)
+    return VerificationReport(scheme, p, route, _all_within(residuals), residuals)
 
 
 @dataclass(frozen=True)
@@ -356,13 +319,7 @@ def systems_equivalent(
         r1 = tuple(first.residuals(scheme))
         r2 = tuple(second.residuals(scheme))
         verdicts.append(
-            WitnessVerdict(
-                scheme,
-                all(abs(r) <= tol for _, _, r in r1),
-                all(abs(r) <= tol for _, _, r in r2),
-                r1,
-                r2,
-            )
+            WitnessVerdict(scheme, _all_within(r1, tol), _all_within(r2, tol), r1, r2)
         )
     return EquivalenceReport(tuple(verdicts))
 

@@ -189,14 +189,6 @@ class NCSeries:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "NCSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a nonnegative integer")
-        result = NCSeries.unit(self.truncation, self.alphabet_size)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCSeries):
             return NotImplemented

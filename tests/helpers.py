@@ -7,12 +7,13 @@ are checking.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from splitcond import ConcreteScheme, ConditionSystem, NCSeries
+from splitcond import ConcreteScheme, ConditionSystem, NCSeries, SymbolicScheme
 from splitcond.poly import Poly, Symbol
 
 
@@ -97,6 +98,52 @@ def log_uncapped(f: NCSeries) -> NCSeries:
     for k in range(f.truncation, 0, -1):
         acc = unit.scale(Fraction(1, k)) - (x * acc)
     return x * acc
+
+
+# ---------------------------------------------------------------------------
+# the multinomial Taylor-derivative formula, the reference for the Taylor
+# route's q!-scaled local-error coefficients
+
+
+def _compositions(total: int, parts: int):
+    # all tuples of `parts` nonnegative integers summing to `total`
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def taylor_derivative(scheme: SymbolicScheme, q: int) -> NCSeries:
+    """q-th t-derivative at 0 of the local error, via the multinomial formula.
+
+    sum over compositions k of q into s parts of
+        multinomial(q; k) * prod_j sum_l C(k_j, l) a_j^l b_j^{k_j-l} A^l B^{k_j-l}
+    minus (A+B)^q.  Homogeneous of degree q; equals q! times the degree-q
+    part of local_error_series.
+    """
+    if q == 0:
+        return NCSeries.zero(0)
+    total = NCSeries.zero(q)
+    for k in _compositions(q, scheme.stages):
+        multinomial = math.factorial(q)
+        for kj in k:
+            multinomial //= math.factorial(kj)
+        product = NCSeries.unit(q)
+        for j, kj in enumerate(k):
+            factor_terms = {}
+            for l in range(kj + 1):
+                word = (0,) * l + (1,) * (kj - l)
+                coeff = (scheme.a[j] ** l) * (scheme.b[j] ** (kj - l)) * math.comb(kj, l)
+                factor_terms[word] = factor_terms.get(word, Poly()) + coeff
+            product = product * NCSeries(q, 2, factor_terms)
+        total = total + product.scale(multinomial)
+    ab = NCSeries.letter(0, q) + NCSeries.letter(1, q)
+    ab_power = NCSeries.unit(q)
+    for _ in range(q):
+        ab_power = ab_power * ab
+    return total - ab_power
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from splitcond import (
     lyndon_words,
     lyndon_words_of_degree,
     systems_equivalent,
-    taylor_derivative,
     verify_scheme,
 )
 from splitcond.cli import REGISTRY
@@ -47,6 +46,7 @@ from helpers import (
     random_series,
     refine_witnesses,
     strictly_smallest_rotation,
+    taylor_derivative,
 )
 
 A, B = 0, 1

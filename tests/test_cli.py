@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import splitcond
 from splitcond.cli import (
     REGISTRY,
     load_scheme_file,
@@ -221,8 +226,9 @@ def test_scheme_file_rejects_floats(tmp_path):
         {"a": "12", "b": "10"},  # a string is not a list of stages
         {"a": [True, "1/2"], "b": [False, "1"]},  # JSON booleans are not rationals
         {"a": ["1/0"], "b": ["1"]},  # zero denominator
+        {"name": ["x"], "a": ["1"], "b": ["1"]},  # the name must be a string
     ],
-    ids=["string-stages", "booleans", "zero-denominator"],
+    ids=["string-stages", "booleans", "zero-denominator", "non-string-name"],
 )
 def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     path = tmp_path / "scheme.json"
@@ -240,3 +246,50 @@ def test_converge_overflow_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_deeply_nested_scheme_file(tmp_path, capsys):
+    depth = 100000
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + "[" * depth + "]" * depth + ', "b": ["1"]}', encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), "-p", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- imports -------------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import splitcond.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = splitcond.cli.main(["verify", "strang", "-p", "2"])
+facts = {"code": code, "numpy_after_verify": "numpy" in sys.modules}
+from splitcond import empirical_order
+facts["empirical_order"] = callable(empirical_order)
+try:
+    splitcond.no_such_name
+    facts["unknown_raises"] = False
+except AttributeError:
+    facts["unknown_raises"] = True
+print(json.dumps(facts))
+"""
+
+
+def test_exact_commands_do_not_import_numpy():
+    package_root = str(Path(splitcond.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "code": 0,
+        "numpy_after_verify": False,
+        "empirical_order": True,
+        "unknown_raises": True,
+    }

@@ -20,7 +20,6 @@ from splitcond import (
     local_error_series,
     splitting_product,
     systems_equivalent,
-    taylor_derivative,
     verify_scheme,
 )
 from splitcond.cli import REGISTRY
@@ -34,6 +33,7 @@ from helpers import (
     order2_witness,
     random_fraction,
     refine_witnesses,
+    taylor_derivative,
 )
 
 A, B = 0, 1
@@ -121,6 +121,14 @@ def test_taylor_derivative_matches_scaled_local_error_parts():
         for q in range(6):
             scaled = homogeneous_at_truncation(err, q).scale(math.factorial(q))
             assert scaled == taylor_derivative(scheme, q)
+
+
+@pytest.mark.parametrize("stages,p", [(4, 5), (2, 6)])
+def test_taylor_conditions_equal_derivative_formula_coefficients(stages, p):
+    scheme = SymbolicScheme.generic(stages)
+    derivatives = {q: taylor_derivative(scheme, q) for q in range(1, p + 1)}
+    for entry in conditions_taylor(stages, p).entries:
+        assert entry.polynomial == derivatives[entry.degree].coefficient(entry.word)
 
 
 # -- condition system generation -------------------------------------------------

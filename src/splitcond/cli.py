@@ -48,6 +48,18 @@ REGISTRY: dict[str, RegistryEntry] = {
 }
 
 
+_JSON_TYPE_NAMES = {
+    bool: "boolean", float: "number", list: "array", dict: "object", type(None): "null"
+}
+
+
+def _describe_entry(entry: object) -> str:
+    # short enough for a one-line error, whatever the entry holds
+    if not isinstance(entry, str):
+        return "a JSON " + _JSON_TYPE_NAMES.get(type(entry), type(entry).__name__)
+    return repr(entry) if len(entry) <= 40 else repr(entry[:40]) + "..."
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or an integer literal; anything else is rejected.
 
@@ -56,10 +68,10 @@ def parse_rational(text: str | int) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {_describe_entry(text)}")
     denominator = text.strip().partition("/")[2]
     if denominator and int(denominator) == 0:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
+        raise ValueError(f"zero denominator in rational literal: {_describe_entry(text)}")
     return Fraction(text.strip())
 
 

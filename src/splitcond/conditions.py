@@ -120,10 +120,13 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     return result
 
 
+def _sum_of_letters(truncation: int) -> NCSeries:
+    return NCSeries.letter(0, truncation) + NCSeries.letter(1, truncation)
+
+
 def exp_of_sum(truncation: int) -> NCSeries:
     """The reference flow e^{A+B} as a truncated series."""
-    ab = NCSeries.letter(0, truncation) + NCSeries.letter(1, truncation)
-    return exp(ab)
+    return exp(_sum_of_letters(truncation))
 
 
 def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:
@@ -207,36 +210,21 @@ def conditions_taylor(stages: int, p: int) -> ConditionSystem:
 
 
 @functools.lru_cache(maxsize=None)
-def _log_deviation(stages: int, truncation: int) -> NCSeries:
-    # log of the splitting product minus (A + B), the series whose
-    # homogeneous parts encode all order conditions at once
-    scheme = SymbolicScheme.generic(stages)
-    z = log(splitting_product(scheme, truncation))
-    ab = NCSeries.letter(0, truncation) + NCSeries.letter(1, truncation)
-    return z - ab
-
-
-@functools.lru_cache(maxsize=None)
-def _log_deviation_decomposition(stages: int, truncation: int, q: int) -> LieDecomposition:
-    deviation = _log_deviation(stages, truncation)
-    return lie_decompose(deviation.homogeneous_part(q), q)
-
-
-@functools.lru_cache(maxsize=None)
 def conditions_bch(stages: int, p: int) -> ConditionSystem:
-    """Order conditions from the Lyndon decomposition of the product logarithm.
+    """Order conditions from the Lyndon decomposition of log(product) - (A+B).
 
-    Degrees >= 2 of the logarithm are Lie elements, so the decomposition
-    cannot fail; the degree-1 part is affine in A and B and decomposes over
-    the single-letter Lyndon words.  Internal series are truncated at p + 1
-    so the leading error term of an order-p scheme falls out of the same
-    computation.
+    The degree-q part of the logarithm is the same at every truncation >= q,
+    so the series is built at truncation p.  Degrees >= 2 of the logarithm
+    are Lie elements, so the decomposition cannot fail; the degree-1 part is
+    affine in A and B and decomposes over the single-letter Lyndon words.
     """
     if p < 1:
         raise ValueError("target order must be >= 1")
+    product = splitting_product(SymbolicScheme.generic(stages), p)
+    deviation = log(product) - _sum_of_letters(p)
     entries: list[ConditionEntry] = []
     for q in range(1, p + 1):
-        decomposition = _log_deviation_decomposition(stages, p + 1, q)
+        decomposition = lie_decompose(deviation.homogeneous_part(q), q)
         for word in lyndon_words_of_degree(2, q):
             entries.append(ConditionEntry(q, word, decomposition.coefficient(word)))
     return ConditionSystem(stages, p, "bch", tuple(entries))
@@ -329,17 +317,14 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
 
     Requires the scheme to satisfy the order-p conditions (NotOrderP
     otherwise).  The degree-(p+1) part of the local error then equals the
-    degree-(p+1) part of log(product) - (A+B), which is decomposed
-    symbolically once per (stages, p) and evaluated at the scheme.
+    degree-(p+1) part of log(product) - (A+B), so both the check and the
+    term are the residuals of conditions_bch(stages, p + 1) at the scheme.
     """
-    report = verify_scheme(scheme, p, "bch")
-    if not report.satisfied:
+    if p < 1:
+        raise ValueError("target order must be >= 1")
+    residuals = conditions_bch(scheme.stages, p + 1).residuals(scheme)
+    if not _all_within(r for r in residuals if r[0] <= p):
         raise NotOrderP(f"{scheme} does not satisfy the order-{p} conditions")
-    symbolic = _log_deviation_decomposition(scheme.stages, p + 1, p + 1)
-    point = scheme.point()
-    coefficients = {}
-    for word, coeff in symbolic.coefficients.items():
-        value = coeff.evaluate(point)
-        if value != 0:
-            coefficients[word] = Poly.const(value)
-    return LieDecomposition(p + 1, coefficients)
+    return LieDecomposition(
+        p + 1, {w: Poly.const(r) for q, w, r in residuals if q > p and r != 0}
+    )

@@ -60,8 +60,6 @@ LIE_TROTTER = REGISTRY["lie-trotter"].scheme
 def _clear_condition_caches():
     conditions_module.conditions_taylor.cache_clear()
     conditions_module.conditions_bch.cache_clear()
-    conditions_module._log_deviation.cache_clear()
-    conditions_module._log_deviation_decomposition.cache_clear()
 
 
 def test_criterion_1_bch_golden_terms():

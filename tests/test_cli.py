@@ -220,6 +220,13 @@ def test_scheme_file_rejects_floats(tmp_path):
         load_scheme_file(str(path))
 
 
+def _nested_list(depth):
+    entry = "a"
+    for _ in range(depth):
+        entry = [entry]
+    return entry
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -227,8 +234,17 @@ def test_scheme_file_rejects_floats(tmp_path):
         {"a": [True, "1/2"], "b": [False, "1"]},  # JSON booleans are not rationals
         {"a": ["1/0"], "b": ["1"]},  # zero denominator
         {"name": ["x"], "a": ["1"], "b": ["1"]},  # the name must be a string
+        {"a": [_nested_list(900)], "b": ["1"]},  # a deep entry is not echoed
+        {"a": ["x" * 5000], "b": ["1"]},  # a long string entry is shortened
     ],
-    ids=["string-stages", "booleans", "zero-denominator", "non-string-name"],
+    ids=[
+        "string-stages",
+        "booleans",
+        "zero-denominator",
+        "non-string-name",
+        "deep-entry",
+        "long-string-entry",
+    ],
 )
 def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     path = tmp_path / "scheme.json"
@@ -237,6 +253,7 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 def test_converge_overflow_exits_2(tmp_path, capsys):

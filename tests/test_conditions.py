@@ -184,6 +184,16 @@ def test_bch_single_stage_order_3_entries():
     assert [e.polynomial for e in system.entries] == expected
 
 
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_bch_entries_do_not_depend_on_the_target_order(stages, p):
+    # the degree-q part of the logarithm is the same at every truncation >= q
+    shorter = conditions_bch(stages, p).entries
+    longer = conditions_bch(stages, p + 1).entries
+    assert longer[: len(shorter)] == shorter
+    assert all(e.degree == p + 1 for e in longer[len(shorter) :])
+
+
 def test_bch_three_stage_degree_3_entries_vanish_at_classical_solution():
     system = conditions_bch(3, 3)
     for entry in system.entries:
@@ -463,14 +473,40 @@ def test_leading_error_classical_order3():
     assert term.degree == 4
     assert set(term.coefficients) <= {(A, A, A, B), (A, A, B, B), (A, B, B, B)}
     assert term.coefficients  # the scheme has order exactly 3
-    # round trip: the decomposition reproduces the degree-4 local error
-    err = local_error_series(SymbolicScheme.from_concrete(PAPER3), 4)
-    assert term.reconstruct(4) == homogeneous_at_truncation(err, 4)
+
+
+def assert_leading_term_reconstructs_local_error(scheme, p):
+    # exact series form of taylor_q = q! * M_q * bch_q at q = p + 1: the
+    # leading term's Lie element is the degree-(p+1) part of the local error
+    term = leading_error_term(scheme, p)
+    err = local_error_series(SymbolicScheme.from_concrete(scheme), p + 1)
+    assert term.reconstruct(p + 1) == homogeneous_at_truncation(err, p + 1)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_leading_error_round_trip_registry(name):
+    entry = REGISTRY[name]
+    assert_leading_term_reconstructs_local_error(entry.scheme, entry.order)
+
+
+@pytest.mark.parametrize("seed", [211, 223])
+@pytest.mark.parametrize("stages", [2, 3])
+def test_leading_error_round_trip_order2_witnesses(stages, seed):
+    degree2 = next(
+        e for e in conditions_bch(stages, 2).entries if e.word == (A, B)
+    ).polynomial
+    witness = order2_witness(random.Random(seed), stages, degree2)
+    assert_leading_term_reconstructs_local_error(witness, 2)
 
 
 def test_leading_error_requires_the_claimed_order():
     with pytest.raises(NotOrderP):
         leading_error_term(STRANG, 3)
+
+
+def test_leading_error_rejects_order_below_1():
+    with pytest.raises(ValueError):
+        leading_error_term(STRANG, 0)
 
 
 def test_exp_of_lie_element_leading_term_has_unit_coefficient():

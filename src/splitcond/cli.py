@@ -14,11 +14,16 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditions import ConcreteScheme, condition_system, verify_scheme
+from .conditions import ROUTES, ConcreteScheme, condition_system, verify_scheme
 from .lyndon import bracket_str, bracketing, lyndon_words
 from .series import word_str
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
+
+# Digits allowed in one integer of a coefficient literal: far beyond any real
+# scheme, and under the interpreter's own int-conversion limit, whose error
+# message names interpreter settings instead of the input.
+MAX_LITERAL_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ def _describe_entry(entry: object) -> str:
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or an integer literal; anything else is rejected.
+    """Parse "p/q" or an integer literal in ASCII digits; anything else is rejected.
 
     JSON true/false arrive as bool, a subclass of int, and are rejected too.
     """
@@ -69,10 +74,18 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {_describe_entry(text)}")
-    denominator = text.strip().partition("/")[2]
+    numerator, _, denominator = text.strip().partition("/")
+    if max(len(numerator.lstrip("+-")), len(denominator)) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"literal over {MAX_LITERAL_DIGITS} digits: {_describe_entry(text)}")
     if denominator and int(denominator) == 0:
         raise ValueError(f"zero denominator in rational literal: {_describe_entry(text)}")
     return Fraction(text.strip())
+
+
+def _json_int(token: str) -> int:
+    if len(token.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal over {MAX_LITERAL_DIGITS} digits")
+    return int(token)
 
 
 def scheme_to_json_dict(scheme: ConcreteScheme) -> dict:
@@ -87,7 +100,7 @@ def load_scheme_file(path: str) -> ConcreteScheme:
     """Read a scheme from a JSON document {name, a: [...], b: [...]}."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_json_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or "a" not in data or "b" not in data:
@@ -223,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond = sub.add_parser("conditions", help="generate an order-condition system")
     p_cond.add_argument("-s", "--stages", type=int, required=True)
     p_cond.add_argument("-p", "--order", type=int, required=True)
-    p_cond.add_argument("--route", choices=("taylor", "bch"), default="bch")
+    p_cond.add_argument("--route", choices=ROUTES, default="bch")
     p_cond.add_argument("--format", choices=("text", "json"), default="text")
     p_cond.set_defaults(func=cmd_conditions)
 
     p_verify = sub.add_parser("verify", help="verify a scheme against order conditions")
     p_verify.add_argument("scheme", help="registry name or scheme JSON file")
     p_verify.add_argument("-p", "--order", type=int, required=True)
-    p_verify.add_argument("--route", choices=("taylor", "bch"), default="bch")
+    p_verify.add_argument("--route", choices=ROUTES, default="bch")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -12,14 +12,19 @@ canonical order a1, b1, a2, b2, ... (a_j at index 2j-2, b_j at 2j-1), with
 trailing zeros removed.  The empty tuple is the monomial 1, and a monomial
 product is an elementwise sum, the shorter tuple padded with zeros.
 
-A polynomial maps monomials to nonzero Fraction coefficients:
+A polynomial is integer numerators over one positive common denominator:
+a map from monomials to nonzero ints, and the denominator d, with no factor
+common to d and all the numerators:
 
-    a1*b2/2 - a2*b1   ->   {(1, 0, 0, 1): 1/2, (0, 1, 1): -1}
+    a1*b2/2 - a2*b1   ->   d = 2, {(1, 0, 0, 1): 1, (0, 1, 1): -2}
 
-The zero polynomial has an empty term map.  All operations return results in
-this canonical form, so equality is plain dict comparison.  Poly values are
-immutable by convention: no method mutates ``self`` or its arguments.
-:class:`Symbol` names an index in evaluation points and printing.
+The zero polynomial is d = 1 with an empty map.  All operations return
+results in this canonical form, so equality is plain comparison, and a
+product or sum reduces each result once, by one gcd, not each coefficient.
+``Poly.terms`` builds the {monomial: Fraction} view for printing and
+inspection.  Poly values are immutable by convention: no method mutates
+``self`` or its arguments.  :class:`Symbol` names an index in evaluation
+points and printing.
 """
 
 from __future__ import annotations
@@ -71,8 +76,6 @@ Monomial = tuple[int, ...]
 
 Scalar = Union[int, Fraction]
 
-IntegerForm = tuple[int, dict[Monomial, int]]  # (d, {monomial: n}) for the Poly n / d
-
 _ONE_MONO: Monomial = ()
 
 
@@ -80,17 +83,6 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if len(m1) < len(m2):
         m1, m2 = m2, m1
     return tuple(map(add, m1, m2)) + m1[len(m2) :]
-
-
-def add_terms(left: Mapping, right: Mapping) -> dict:
-    """Term map of left + right, dropping the terms that cancel."""
-    out = dict(left)
-    for key, value in right.items():
-        if key in out:
-            value = out.pop(key) + value
-        if value:
-            out[key] = value
-    return out
 
 
 def _mono_str(m: Monomial) -> str:
@@ -102,26 +94,30 @@ def _mono_str(m: Monomial) -> str:
 class Poly:
     """Sparse exact polynomial in the stage symbols, immutable by convention."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         values = {mono: Fraction(coeff) for mono, coeff in (terms or {}).items()}
-        self.terms: dict[Monomial, Fraction] = {m: c for m, c in values.items() if c}
+        # over the lcm of reduced denominators the form is already reduced
+        den = self._den = math.lcm(*(c.denominator for c in values.values()))
+        self._nums = {m: c.numerator * (den // c.denominator) for m, c in values.items() if c}
 
     @classmethod
-    def _of(cls, terms: dict[Monomial, Fraction]) -> "Poly":
-        # wraps an already canonical term map without copying or checking it
+    def _of(cls, den: int, nums: dict[Monomial, int]) -> "Poly":
+        # nums / den with den > 0 and no zero numerator; divides out the common factor
+        common = math.gcd(den, *nums.values())
         poly = object.__new__(cls)
-        poly.terms = terms
+        poly._den = den // common
+        poly._nums = {m: n // common for m, n in nums.items()} if common > 1 else nums
         return poly
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({_ONE_MONO: Fraction(value)})
+        return cls({_ONE_MONO: value})
 
     @classmethod
     def symbol(cls, kind: str, stage: int) -> "Poly":
-        return cls._of({(0,) * Symbol(kind, stage).index + (1,): Fraction(1)})
+        return cls._of(1, {(0,) * Symbol(kind, stage).index + (1,): 1})
 
     @staticmethod
     def _coerce(value: "Poly" | Scalar) -> "Poly":
@@ -137,66 +133,51 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Poly._of(add_terms(self.terms, other.terms))
+        return sum_of_products([(self, _ONE), (other, _ONE)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._of({mono: -coeff for mono, coeff in self.terms.items()})
+        return Poly._of(self._den, {mono: -num for mono, num in self._nums.items()})
 
     def __sub__(self, other: "Poly" | Scalar) -> "Poly":
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> "Poly":
-        return Poly._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other: "Poly" | Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            scaled = {mono: coeff * other for mono, coeff in self.terms.items()}
-            return Poly._of(scaled if other else {})
+            n, d = other.as_integer_ratio()
+            return Poly._of(self._den * d, {m: c * n for m, c in self._nums.items()} if n else {})
         if not isinstance(other, Poly):
             return NotImplemented
-        return sum_of_products([(self.integer_form(), other.integer_form())])
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Poly.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return math.prod([self] * exponent, start=_ONE)
 
     # -- queries -----------------------------------------------------------
 
-    def integer_form(self) -> IntegerForm:
-        """Common denominator d and integer numerators n with self = n / d."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return den, {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The nonzero coefficients as {monomial: Fraction}, built on each call."""
+        return {m: Fraction(n, self._den) for m, n in self._nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree 0."""
-        return max(map(sum, self.terms), default=0)
-
-    def symbols(self) -> list[Symbol]:
-        """All symbols occurring in the polynomial, in canonical order."""
-        seen = {i for mono in self.terms for i, e in enumerate(mono) if e}
-        return [Symbol.at(i) for i in sorted(seen)]
+        return bool(self._nums)
 
     def constant(self) -> Fraction:
         """Coefficient of the monomial 1."""
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self._nums.get(_ONE_MONO, 0), self._den)
 
     def evaluate(self, point: Mapping[Symbol, Scalar]) -> Fraction:
         """Exact value of the polynomial at a rational point.
@@ -205,7 +186,7 @@ class Poly:
         MissingAssignment is raised.  A value n/d of highest exponent t enters
         as n^e * d^(t-e) over d^t, so the sum is formed in integers.
         """
-        top = list(map(max, zip_longest(*self.terms, fillvalue=0)))
+        top = list(map(max, zip_longest(*self._nums, fillvalue=0)))
         values = {sym.index: Fraction(value) for sym, value in point.items()}
         powers: list[list[int]] = []
         for i, t in enumerate(top):
@@ -213,32 +194,31 @@ class Poly:
                 raise MissingAssignment(f"no value assigned to symbol {Symbol.at(i)}")
             n, d = values[i].as_integer_ratio() if t else (1, 1)
             powers.append([n**e * d ** (t - e) for e in range(t + 1)])
-        den, nums = self.integer_form()
         total = 0
-        for mono, num in nums.items():
+        for mono, num in self._nums.items():
             for row, e in zip_longest(powers, mono, fillvalue=0):
                 num *= row[e]
             total += num
-        return Fraction(total, den * math.prod(row[0] for row in powers))
+        return Fraction(total, self._den * math.prod(row[0] for row in powers))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._nums.items())))
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
         # graded lexicographic, highest first: degree, then exponent vector
         # in canonical symbol order, padded to a common length.
-        width = max(map(len, self.terms))
+        width = max(map(len, self._nums))
         pieces: list[str] = []
         for mono, coeff in sorted(
             self.terms.items(),
@@ -263,22 +243,26 @@ class Poly:
         return f"Poly({self})"
 
 
-def sum_of_products(pairs: list[tuple[IntegerForm, IntegerForm]]) -> Poly:
-    """Exact sum of p * q over pairs of Poly.integer_form() values.
+def sum_of_products(pairs: list[tuple[Poly, Poly]]) -> Poly:
+    """Exact sum of p * q over pairs of polynomials.
 
-    Products accumulate as integers over one common denominator, so each
-    coefficient of the result is reduced once, not once per product.
+    Products accumulate as integers over one common denominator, so the
+    result is reduced once, by one gcd, not once per product or coefficient.
     """
-    den = math.lcm(*(dp * dq for (dp, _), (dq, _) in pairs))
+    den = math.lcm(*(p._den * q._den for p, q in pairs))
     acc: dict[Monomial, int] = {}
-    for (dp, p), (dq, q) in pairs:
-        scale = den // (dp * dq)
-        for m1, c1 in p.items():
+    for p, q in pairs:
+        scale = den // (p._den * q._den)
+        right = q._nums.items()
+        for m1, c1 in p._nums.items():
             c1 *= scale
-            for m2, c2 in q.items():
+            for m2, c2 in right:
                 mono = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
                 acc[mono] = acc.get(mono, 0) + c1 * c2
-    return Poly._of({m: Fraction(c, den) for m, c in acc.items() if c})
+    return Poly._of(den, {m: c for m, c in acc.items() if c})
+
+
+_ONE = Poly.const(1)
 
 
 def as_poly(value: Poly | Scalar) -> Poly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import IntegerForm, Poly, Scalar, add_terms, as_poly, sum_of_products
+from .poly import Poly, Scalar, as_poly, sum_of_products
 
 Word = tuple[int, ...]
 
@@ -44,6 +44,17 @@ class ConstantTermNotOne(ValueError):
 
 class DegreeBeyondTruncation(ValueError):
     """Requested homogeneous degree exceeds the truncation degree."""
+
+
+def add_terms(left: Mapping, right: Mapping) -> dict:
+    """Term map of left + right, dropping the terms that cancel."""
+    out = dict(left)
+    for key, value in right.items():
+        if key in out:
+            value = out.pop(key) + value
+        if value:
+            out[key] = value
+    return out
 
 
 def word_str(word: Word) -> str:
@@ -184,10 +195,8 @@ class NCSeries:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other: Union[Poly, Scalar]) -> "NCSeries":
-        if isinstance(other, (Poly, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    # scalars commute with words, so a scalar on the left scales the same way
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCSeries):
@@ -210,17 +219,11 @@ class NCSeries:
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             poly = self.terms[word]
             sign = "+"
-            if len(poly.terms) == 1:
+            coeffs = list(poly.terms.values())
+            if len(coeffs) == 1 and coeffs[0] < 0:
                 # pull the sign out of single-term coefficients
-                ((_, coeff),) = poly.terms.items()
-                if coeff < 0:
-                    sign = "-"
-                    poly = -poly
-                pstr = str(poly)
-                wrapped = pstr
-            else:
-                pstr = str(poly)
-                wrapped = f"({pstr})"
+                sign, poly = "-", -poly
+            wrapped = str(poly) if len(coeffs) == 1 else f"({poly})"
             if not word:
                 pieces.append((sign, wrapped))
             elif poly == 1:
@@ -241,14 +244,12 @@ def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
     """Concatenation product f * g, keeping only words of length <= cap."""
     f._check_compatible(g)
     right = sorted(g.terms.items(), key=lambda item: len(item[0]))
-    right = [(v, cv.integer_form()) for v, cv in right if len(v) <= cap]
-    pairs: dict[Word, list[tuple[IntegerForm, IntegerForm]]] = {}
+    pairs: dict[Word, list[tuple[Poly, Poly]]] = {}
     for u, cu in f.terms.items():
-        left = cu.integer_form()
         for v, cv in right:
             if len(u) + len(v) > cap:
                 break
-            pairs.setdefault(u + v, []).append((left, cv))
+            pairs.setdefault(u + v, []).append((cu, cv))
     out = {w: sum_of_products(p) for w, p in pairs.items()}
     return NCSeries._of(f.truncation, f.alphabet_size, {w: c for w, c in out.items() if c})
 

@@ -78,6 +78,38 @@ def homogeneous_at_truncation(series: NCSeries, degree: int) -> NCSeries:
 
 
 # ---------------------------------------------------------------------------
+# the {monomial: Fraction} ring, one reduced Fraction per term: the reference
+# for Poly, which keeps integer numerators over one common denominator
+
+
+def oracle_add(p: dict, q: dict) -> dict:
+    total = dict(p)
+    for mono, coeff in q.items():
+        total[mono] = total.get(mono, Fraction(0)) + coeff
+    return {m: c for m, c in total.items() if c}
+
+
+def oracle_mul(p: dict, q: dict) -> dict:
+    total: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            width = max(len(m1), len(m2))
+            padded = [m + (0,) * (width - len(m)) for m in (m1, m2)]
+            mono = tuple(x + y for x, y in zip(*padded))
+            total[mono] = total.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in total.items() if c}
+
+
+def oracle_evaluate(p: dict, point: dict) -> Fraction:
+    total = Fraction(0)
+    for mono, coeff in p.items():
+        for index, e in enumerate(mono):
+            coeff *= Fraction(point[Symbol.at(index)]) ** e
+        total += coeff
+    return total
+
+
+# ---------------------------------------------------------------------------
 # uncapped Horner exp and log: every accumulator is formed through the full
 # truncation with plain series products, the reference for the library's
 # degree-capped loops

@@ -236,6 +236,9 @@ def _nested_list(depth):
         {"name": ["x"], "a": ["1"], "b": ["1"]},  # the name must be a string
         {"a": [_nested_list(900)], "b": ["1"]},  # a deep entry is not echoed
         {"a": ["x" * 5000], "b": ["1"]},  # a long string entry is shortened
+        {"a": ["1" * 5000], "b": ["1"]},  # over the interpreter's int-string limit
+        {"a": ["1/" + "3" * 5000], "b": ["1"]},
+        {"a": ["\u0663/\u0664"], "b": ["1"]},  # Arabic-Indic digits are not ASCII
     ],
     ids=[
         "string-stages",
@@ -244,6 +247,9 @@ def _nested_list(depth):
         "non-string-name",
         "deep-entry",
         "long-string-entry",
+        "huge-numerator",
+        "huge-denominator",
+        "non-ascii-digits",
     ],
 )
 def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
@@ -254,6 +260,7 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200
+    assert "sys." not in err
 
 
 def test_converge_overflow_exits_2(tmp_path, capsys):
@@ -273,6 +280,17 @@ def test_verify_rejects_deeply_nested_scheme_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_huge_json_integer(tmp_path, capsys):
+    # json.dumps cannot write this integer, so the document is spelled out
+    path = tmp_path / "huge.json"
+    path.write_text('{"a": [' + "1" * 5000 + '], "b": ["1"]}', encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), "-p", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "sys." not in err
 
 
 # -- imports -------------------------------------------------------------------

@@ -12,12 +12,15 @@ from splitcond import (
     NotALieElement,
     NotOrderP,
     SymbolicScheme,
+    bracketing,
     conditions_bch,
     conditions_taylor,
     exp_of_sum,
+    expand,
     leading_error_term,
     lie_decompose,
     local_error_series,
+    lyndon_words_of_degree,
     splitting_product,
     systems_equivalent,
     verify_scheme,
@@ -497,6 +500,56 @@ def test_leading_error_round_trip_order2_witnesses(stages, seed):
     ).polynomial
     witness = order2_witness(random.Random(seed), stages, degree2)
     assert_leading_term_reconstructs_local_error(witness, 2)
+
+
+# -- per-coefficient identity of the two routes ------------------------------
+
+
+def lyndon_basis_matrix(q):
+    """Lyndon words of degree q in lex order, and M[w][l]: coefficient of word
+    w in the expansion of the bracketing of l."""
+    words = sorted(lyndon_words_of_degree(2, q))
+    return words, [[expand(bracketing(l), q).coefficient(w) for l in words] for w in words]
+
+
+def assert_taylor_residuals_are_scaled_bch_residuals(scheme, p):
+    # at an order-p scheme the degree-(p+1) local error is the Lie element
+    # whose Lyndon-basis coordinates are the BCH residuals; its Lyndon-word
+    # coefficients, scaled by q!, are the Taylor residuals
+    q = p + 1
+    words, matrix = lyndon_basis_matrix(q)
+    taylor = {w: r for d, w, r in conditions_taylor(scheme.stages, q).residuals(scheme) if d == q}
+    bch = {w: r for d, w, r in conditions_bch(scheme.stages, q).residuals(scheme) if d == q}
+    assert any(bch.values())
+    expected = [
+        math.factorial(q) * sum(m.constant() * bch[l] for m, l in zip(row, words))
+        for row in matrix
+    ]
+    assert [taylor[w] for w in words] == expected
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_lyndon_basis_matrix_is_unitriangular(q):
+    _, matrix = lyndon_basis_matrix(q)
+    for i, row in enumerate(matrix):
+        assert row[i] == Poly.const(1)
+        assert all(m.is_zero for m in row[i + 1 :])
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_taylor_residuals_are_scaled_bch_residuals_registry(name):
+    entry = REGISTRY[name]
+    assert_taylor_residuals_are_scaled_bch_residuals(entry.scheme, entry.order)
+
+
+@pytest.mark.parametrize("seed", [211, 223])
+@pytest.mark.parametrize("stages", [2, 3])
+def test_taylor_residuals_are_scaled_bch_residuals_order2_witnesses(stages, seed):
+    degree2 = next(
+        e for e in conditions_bch(stages, 2).entries if e.word == (A, B)
+    ).polynomial
+    witness = order2_witness(random.Random(seed), stages, degree2)
+    assert_taylor_residuals_are_scaled_bch_residuals(witness, 2)
 
 
 def test_leading_error_requires_the_claimed_order():

@@ -3,8 +3,11 @@
 Speed work on the coefficient ring and the series kernels must not change a
 single character of what the package emits.  The digests below were taken
 before those kernels were rewritten: the SHA-256 of the canonical JSON of
-ConditionSystem.to_records() for every s <= 3, p <= 4 on both routes, and of
-the printed leading error term of the registry's order-3 scheme.
+ConditionSystem.to_records() for every s <= 3, p <= 4 on both routes and for
+the larger cells of the benchmark's derive grid, of the printed leading error
+term of the registry's order-3 scheme, and of two printed symbolic objects
+(a BCH condition system and a log series whose single-term coefficients
+carry their sign out to the word).
 """
 
 import hashlib
@@ -12,8 +15,10 @@ import json
 
 import pytest
 
-from splitcond import condition_system, leading_error_term
+from splitcond import SymbolicScheme, condition_system, leading_error_term
 from splitcond.cli import REGISTRY
+from splitcond.conditions import conditions_bch, splitting_product
+from splitcond.series import log
 
 SYSTEM_DIGESTS = {
     ("taylor", 1, 1): "4838f62fc21c0f10ee9aeae4cecc183457d6338482199d51bd2064d3b4319b43",
@@ -40,9 +45,17 @@ SYSTEM_DIGESTS = {
     ("bch", 3, 2): "988fd8ef408cceac7879c7c07125c7eec638de7af5fcb65095fc9711b0b7d5d0",
     ("bch", 3, 3): "c8c0f8873f6c482bf96cc8621200ac60263f708532b7665f749690e08533f99d",
     ("bch", 3, 4): "83da43779dfb36b94396a539170e0b4a75c5cb44d67300da917d2420257f5095",
+    ("taylor", 2, 5): "ab04643268f05848f1a808d7a64fc91aeeb68d7a5be75df4ee0594869a61ffe0",
+    ("taylor", 4, 6): "f7a9133c09ecc677d0f48d3962125271996a9ba128877e35c46798b509608848",
+    ("taylor", 5, 5): "b0160a40f58b8227581f639e926733b8e95b3051b11f32b8d4ed6e9e37fc06d4",
+    ("bch", 2, 5): "a0be2a0504fd4b43e94c281c6d4d3a0ba3b96682761627a3c8adfa1e452f46b0",
 }
 
 LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bfcf5dcf6"
+
+BCH_SYSTEM_3_3_TEXT_DIGEST = "936e8c82fe308279b9ff1f7674cb30e8deafc0086f364164f446d8e63f4c1044"
+
+LOG_SERIES_2_3_TEXT_DIGEST = "5b8064435ccaca488a28d16dfbf96e4f3701679f54816fae46d1fd0e104bdb7b"
 
 
 def sha256(text: str) -> str:
@@ -59,3 +72,12 @@ def test_condition_system_records_unchanged(route, stages, order):
 def test_leading_error_term_text_unchanged():
     text = str(leading_error_term(REGISTRY["paper-order3"].scheme, 3))
     assert sha256(text) == LEADING_TERM_DIGEST
+
+
+def test_bch_system_text_unchanged():
+    assert sha256(str(conditions_bch(3, 3))) == BCH_SYSTEM_3_3_TEXT_DIGEST
+
+
+def test_log_series_text_unchanged():
+    text = str(log(splitting_product(SymbolicScheme.generic(2), 3)))
+    assert sha256(text) == LOG_SERIES_2_3_TEXT_DIGEST

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from splitcond.poly import MissingAssignment, Poly, Symbol, stage_point
 
-from helpers import random_fraction, random_poly
+from helpers import oracle_add, oracle_evaluate, oracle_mul, random_fraction, random_poly
 
 
 def sym(kind, stage):
@@ -121,3 +122,62 @@ def test_rendering_canonical_order():
     assert str(Poly()) == "0"
     assert str(Poly.const(Fraction(-7, 24))) == "-7/24"
     assert str(a1**2 * b1) == "a1^2*b1"
+
+
+# -- exact cross-check against the {monomial: Fraction} ring -------------------
+
+
+def assert_canonical(p):
+    # the stored form, read directly: integer numerators over one positive
+    # denominator sharing no common factor, zero as 1 over no terms
+    assert p._den > 0
+    assert all(type(n) is int and n for n in p._nums.values())
+    assert math.gcd(p._den, *p._nums.values()) == 1
+    assert all(not m or m[-1] for m in p._nums)
+    assert Poly(p.terms) == p and hash(Poly(p.terms)) == hash(p)
+
+
+def ring_cases():
+    a1, b2 = sym("a", 1), sym("b", 2)
+    half, third, sixth = (Poly.const(Fraction(1, n)) for n in (2, 3, 6))
+    cancelling = a1 * Fraction(1, 6) + b2 * Fraction(3, 4)
+    cases = [
+        (half, half),
+        (sixth, third),
+        (cancelling, a1 * Fraction(1, 3) - b2 * Fraction(3, 4)),
+        (cancelling, -cancelling),
+        (Poly(), cancelling),
+    ]
+    rng = random.Random(31)
+    for _ in range(40):
+        p = random_poly(rng)
+        cases += [(p, random_poly(rng)), (p, p)]
+    return cases
+
+
+def test_ring_agrees_with_fraction_oracle():
+    rng = random.Random(37)
+    for p, q in ring_cases():
+        point = {Symbol(k, j): random_fraction(rng) for k in ("a", "b") for j in range(1, 5)}
+        minus_one = {(): Fraction(-1)}
+        results = [
+            (p + q, oracle_add(p.terms, q.terms)),
+            (p - q, oracle_add(p.terms, oracle_mul(minus_one, q.terms))),
+            (p * q, oracle_mul(p.terms, q.terms)),
+            (-p, oracle_mul(minus_one, p.terms)),
+            (p**3, oracle_mul(oracle_mul(p.terms, p.terms), p.terms)),
+            (p**0, {(): Fraction(1)}),
+        ]
+        for scalar in (0, 3, Fraction(-2, 3), Fraction(4, 9)):
+            constant = {(): Fraction(scalar)} if scalar else {}
+            scaled = oracle_mul(p.terms, constant)
+            results += [(p * scalar, scaled), (scalar * p, scaled)]
+            results += [
+                (p + scalar, oracle_add(p.terms, constant)),
+                (scalar - p, oracle_add(constant, oracle_mul(minus_one, p.terms))),
+            ]
+        for result, expected in results:
+            assert result.terms == expected
+            assert_canonical(result)
+        assert p.evaluate(point) == oracle_evaluate(p.terms, point)
+        assert (p * q).evaluate(point) == oracle_evaluate(oracle_mul(p.terms, q.terms), point)

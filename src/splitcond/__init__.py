@@ -40,7 +40,7 @@ from .lyndon import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from .poly import MissingAssignment, Poly, Rational, Symbol, stage_point
+from .poly import MissingAssignment, Poly
 from .series import (
     AlphabetMismatch,
     ConstantTermNotOne,
@@ -96,9 +96,7 @@ __all__ = [
     "NotALieElement",
     "NotOrderP",
     "Poly",
-    "Rational",
     "SingleLetter",
-    "Symbol",
     "SymbolicScheme",
     "TruncationMismatch",
     "VerificationReport",
@@ -122,7 +120,6 @@ __all__ = [
     "matrix_exp",
     "scheme_step",
     "splitting_product",
-    "stage_point",
     "standard_factorization",
     "systems_equivalent",
     "verify_scheme",

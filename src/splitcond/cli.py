@@ -123,14 +123,6 @@ def resolve_scheme(name_or_path: str) -> ConcreteScheme:
     return load_scheme_file(name_or_path)
 
 
-def registry_self_test() -> None:
-    """Every built-in scheme must pass verification at its declared order."""
-    for name, entry in REGISTRY.items():
-        report = verify_scheme(entry.scheme, entry.order, "bch")
-        if not report.satisfied:
-            raise AssertionError(f"registry scheme {name} fails at order {entry.order}")
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -203,6 +195,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     if args.dim < 1 or args.dim > 64:
         return _fail("--dim must be between 1 and 64")
+    if args.seed < 0:
+        return _fail("--seed must be >= 0")
     if not 3 <= args.grid_coarse < args.grid_fine <= 14:
         return _fail("grid exponents must satisfy 3 <= coarse < fine <= 14")
     try:

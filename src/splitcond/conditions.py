@@ -9,8 +9,9 @@ condition systems on the stage coefficients:
 * the logarithm route: take log of the splitting product, subtract A + B,
   and decompose each homogeneous degree over the Lyndon basis;
 * the Taylor route: the q-th t-derivative of the local error at t = 0 is
-  q! times its degree-q part, so read the coefficients of the Lyndon words
-  of degree q straight off the local-error series and scale them by q!.
+  q! times its degree-q part.  e^{A+B} has coefficient 1/q! at every word
+  of length q, so the condition at a Lyndon word w of degree q is
+  q! * F[w] - 1, read straight off the splitting product F.
 
 The two resulting systems are not textually identical but cut out the same
 solution sets; systems_equivalent() is the falsification harness for that.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .lyndon import LieDecomposition, lie_decompose, lyndon_words_of_degree
-from .poly import Poly, Scalar, Symbol, stage_point
+from .poly import Poly, Scalar
 from .series import NCSeries, Word, exp, log, word_str
 
 ROUTES = ("taylor", "bch")
@@ -62,8 +63,9 @@ class ConcreteScheme:
     def stages(self) -> int:
         return len(self.a)
 
-    def point(self) -> dict[Symbol, Fraction]:
-        return stage_point(self.a, self.b)
+    def point(self) -> tuple[Fraction, ...]:
+        """Stage coefficients in canonical symbol order a1, b1, a2, b2, ..."""
+        return tuple(x for pair in zip(self.a, self.b) for x in pair)
 
     def padded(self, stages: int) -> "ConcreteScheme":
         """Same scheme embedded in a larger stage count by zero coefficients."""
@@ -197,12 +199,16 @@ class ConditionSystem:
 
 @functools.lru_cache(maxsize=None)
 def conditions_taylor(stages: int, p: int) -> ConditionSystem:
-    """Order conditions from q!-scaled Lyndon-word coefficients of the local error."""
+    """Order conditions q! * F[w] - 1 at the Lyndon words w of the product F.
+
+    These are the q!-scaled Lyndon-word coefficients of the local error,
+    since e^{A+B} has coefficient 1/q! at every word of length q.
+    """
     if p < 1:
         raise ValueError("target order must be >= 1")
-    error = local_error_series(SymbolicScheme.generic(stages), p)
+    product = splitting_product(SymbolicScheme.generic(stages), p)
     entries = [
-        ConditionEntry(q, word, error.coefficient(word) * math.factorial(q))
+        ConditionEntry(q, word, product.coefficient(word) * math.factorial(q) - 1)
         for q in range(1, p + 1)
         for word in lyndon_words_of_degree(2, q)
     ]

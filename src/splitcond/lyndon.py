@@ -154,9 +154,6 @@ class LieDecomposition:
     def coefficient(self, word: Word) -> Poly:
         return self.coefficients.get(tuple(word), Poly())
 
-    def words(self) -> list[Word]:
-        return sorted(self.coefficients)
-
     def reconstruct(self, truncation: int, alphabet_size: int = 2) -> NCSeries:
         """Sum of coefficient * expanded bracketing over the basis words."""
         total = NCSeries.zero(truncation, alphabet_size)

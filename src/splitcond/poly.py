@@ -23,20 +23,17 @@ results in this canonical form, so equality is plain comparison, and a
 product or sum reduces each result once, by one gcd, not each coefficient.
 ``Poly.terms`` builds the {monomial: Fraction} view for printing and
 inspection.  Poly values are immutable by convention: no method mutates
-``self`` or its arguments.  :class:`Symbol` names an index in evaluation
-points and printing.
+``self`` or its arguments.  An evaluation point is a sequence of values in
+the same index order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add
-from typing import Iterable, Mapping, Union
-
-Rational = Fraction
+from typing import Mapping, Sequence, Union
 
 SYMBOL_KINDS = ("a", "b")
 
@@ -45,30 +42,9 @@ class MissingAssignment(LookupError):
     """Evaluation point does not assign a value to a symbol of the polynomial."""
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """One stage coefficient of a splitting scheme: a_j or b_j."""
-
-    kind: str
-    stage: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in SYMBOL_KINDS:
-            raise ValueError(f"symbol kind must be one of {SYMBOL_KINDS}, got {self.kind!r}")
-        if self.stage < 1:
-            raise ValueError(f"stage index must be >= 1, got {self.stage}")
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical order a1 < b1 < a2 < b2 < ... of monomials."""
-        return 2 * (self.stage - 1) + SYMBOL_KINDS.index(self.kind)
-
-    @staticmethod
-    def at(index: int) -> "Symbol":
-        return Symbol(SYMBOL_KINDS[index % 2], index // 2 + 1)
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.stage}"
+def _symbol_name(index: int) -> str:
+    # index 2j-2 is a_j, 2j-1 is b_j
+    return f"{SYMBOL_KINDS[index % 2]}{index // 2 + 1}"
 
 
 # A monomial: exponents in symbol-index order, no trailing zeros; () is 1.
@@ -88,7 +64,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 def _mono_str(m: Monomial) -> str:
     # factors display kind-major (a1*a2*...*b1*b2) like handwritten products
     order = [*range(0, len(m), 2), *range(1, len(m), 2)]
-    return "*".join(str(Symbol.at(i)) + f"^{m[i]}" * (m[i] > 1) for i in order if m[i])
+    return "*".join(_symbol_name(i) + f"^{m[i]}" * (m[i] > 1) for i in order if m[i])
 
 
 class Poly:
@@ -117,7 +93,13 @@ class Poly:
 
     @classmethod
     def symbol(cls, kind: str, stage: int) -> "Poly":
-        return cls._of(1, {(0,) * Symbol(kind, stage).index + (1,): 1})
+        """The stage coefficient a_stage or b_stage."""
+        if kind not in SYMBOL_KINDS:
+            raise ValueError(f"symbol kind must be one of {SYMBOL_KINDS}, got {kind!r}")
+        if stage < 1:
+            raise ValueError(f"stage index must be >= 1, got {stage}")
+        index = 2 * (stage - 1) + SYMBOL_KINDS.index(kind)
+        return cls._of(1, {(0,) * index + (1,): 1})
 
     @staticmethod
     def _coerce(value: "Poly" | Scalar) -> "Poly":
@@ -179,20 +161,22 @@ class Poly:
         """Coefficient of the monomial 1."""
         return Fraction(self._nums.get(_ONE_MONO, 0), self._den)
 
-    def evaluate(self, point: Mapping[Symbol, Scalar]) -> Fraction:
+    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         """Exact value of the polynomial at a rational point.
 
-        Every symbol occurring in the polynomial must be assigned, otherwise
-        MissingAssignment is raised.  A value n/d of highest exponent t enters
-        as n^e * d^(t-e) over d^t, so the sum is formed in integers.
+        ``values`` lists the point in canonical index order a1, b1, a2, b2,
+        ..., as ConcreteScheme.point() does.  It must reach every symbol of
+        the polynomial, otherwise MissingAssignment is raised.  A value n/d of
+        highest exponent t enters as n^e * d^(t-e) over d^t, so the sum is
+        formed in integers.
         """
         top = list(map(max, zip_longest(*self._nums, fillvalue=0)))
-        values = {sym.index: Fraction(value) for sym, value in point.items()}
+        if len(top) > len(values):
+            missing = next(i for i in range(len(values), len(top)) if top[i])
+            raise MissingAssignment(f"no value assigned to symbol {_symbol_name(missing)}")
         powers: list[list[int]] = []
-        for i, t in enumerate(top):
-            if t and i not in values:
-                raise MissingAssignment(f"no value assigned to symbol {Symbol.at(i)}")
-            n, d = values[i].as_integer_ratio() if t else (1, 1)
+        for t, value in zip(top, values):
+            n, d = value.as_integer_ratio() if t else (1, 1)
             powers.append([n**e * d ** (t - e) for e in range(t + 1)])
         total = 0
         for mono, num in self._nums.items():
@@ -271,14 +255,3 @@ def as_poly(value: Poly | Scalar) -> Poly:
     if coerced is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as a polynomial")
     return coerced
-
-
-def stage_point(
-    a: Iterable[Scalar], b: Iterable[Scalar]
-) -> dict[Symbol, Fraction]:
-    """Assignment {a1: ..., b1: ..., a2: ...} from two coefficient lists."""
-    point: dict[Symbol, Fraction] = {}
-    for kind, values in (("a", a), ("b", b)):
-        for j, value in enumerate(values, start=1):
-            point[Symbol(kind, j)] = Fraction(value)
-    return point

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from splitcond import ConcreteScheme, ConditionSystem, NCSeries, SymbolicScheme
-from splitcond.poly import Poly, Symbol
+from splitcond.poly import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +100,12 @@ def oracle_mul(p: dict, q: dict) -> dict:
     return {m: c for m, c in total.items() if c}
 
 
-def oracle_evaluate(p: dict, point: dict) -> Fraction:
+def oracle_evaluate(p: dict, point) -> Fraction:
+    # point: values in symbol-index order a1, b1, a2, b2, ...
     total = Fraction(0)
     for mono, coeff in p.items():
         for index, e in enumerate(mono):
-            coeff *= Fraction(point[Symbol.at(index)]) ** e
+            coeff *= Fraction(point[index]) ** e
         total += coeff
     return total
 
@@ -312,10 +313,8 @@ def order2_witness(rng: random.Random, stages: int, degree2_poly: Poly) -> Concr
         b_fixed = [random_fraction(rng) for _ in range(stages - 2)]
 
         def poly_at(bn_minus1: Fraction, bn: Fraction, poly: Poly) -> Fraction:
-            point = {Symbol("a", j + 1): a[j] for j in range(stages)}
-            values = b_fixed + [bn_minus1, bn]
-            point.update({Symbol("b", j + 1): values[j] for j in range(stages)})
-            return poly.evaluate(point)
+            b = b_fixed + [bn_minus1, bn]
+            return poly.evaluate(ConcreteScheme(tuple(a), tuple(b)).point())
 
         # affine in the two unknowns: c0 + c1*x + c2*y
         c0 = poly_at(Fraction(0), Fraction(0), degree2_poly)

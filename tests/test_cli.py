@@ -13,9 +13,9 @@ from splitcond.cli import (
     load_scheme_file,
     main,
     parse_rational,
-    registry_self_test,
     scheme_to_json_dict,
 )
+from splitcond.conditions import verify_scheme
 
 F = Fraction
 
@@ -172,6 +172,14 @@ def test_converge_bad_dimension(capsys):
     assert "dim" in err
 
 
+def test_converge_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "converge", "strang", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "seed" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_converge_json_is_deterministic(capsys):
     _, first, _ = run(capsys, "converge", "strang", "--dim", "3", "--seed", "5")
     _, second, _ = run(capsys, "converge", "strang", "--dim", "3", "--seed", "5")
@@ -189,8 +197,10 @@ def test_registry_contents():
     assert REGISTRY["paper-order3"].scheme.b == (F(2, 3), F(-2, 3), F(1))
 
 
-def test_registry_self_test_passes():
-    registry_self_test()
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_scheme_satisfies_declared_order(name):
+    entry = REGISTRY[name]
+    assert verify_scheme(entry.scheme, entry.order, "bch").satisfied
 
 
 def test_parse_rational():

@@ -134,6 +134,16 @@ def test_taylor_conditions_equal_derivative_formula_coefficients(stages, p):
         assert entry.polynomial == derivatives[entry.degree].coefficient(entry.word)
 
 
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_taylor_conditions_equal_scaled_local_error_coefficients(stages, p):
+    # q! * F[w] - 1 read off the product is q! times the local error at w
+    error = local_error_series(SymbolicScheme.generic(stages), p)
+    for entry in conditions_taylor(stages, p).entries:
+        expected = error.coefficient(entry.word) * math.factorial(entry.degree)
+        assert entry.polynomial == expected
+
+
 # -- condition system generation -------------------------------------------------
 
 

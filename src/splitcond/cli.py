@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -109,8 +110,9 @@ def load_scheme_file(path: str) -> ConcreteScheme:
         if not isinstance(data[key], list):
             raise ValueError(f"{path}: '{key}' must be a list of rational literals")
     name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f"{path}: 'name' must be a string")
+    # a control character in the name would break the one-line verdict
+    if name is not None and not (isinstance(name, str) and name.isprintable()):
+        raise ValueError(f"{path}: 'name' must be a string of printable characters")
     a = tuple(parse_rational(x) for x in data["a"])
     b = tuple(parse_rational(x) for x in data["b"])
     return ConcreteScheme(a, b, name)
@@ -263,7 +265,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; send the rest, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,32 +7,33 @@ scheme.
 
 Representation
 --------------
-A monomial is a tuple of integer exponents indexed by symbol in the
-canonical order a1, b1, a2, b2, ... (a_j at index 2j-2, b_j at 2j-1), with
-trailing zeros removed.  The empty tuple is the monomial 1, and a monomial
-product is an elementwise sum, the shorter tuple padded with zeros.
+A monomial is one int, a packed exponent vector (Monagan & Pearce, CASC
+2007): byte i holds the exponent of symbol index i in the order a1, b1, a2,
+b2, ... (a_j at 2j-2, b_j at 2j-1), 0 is the monomial 1, and a product is one
+int addition.  The top bit of each byte is a guard: an exponent is at most
+MAX_EXPONENT = 127, and the constructor and every product raise ValueError past it.
 
 A polynomial is integer numerators over one positive common denominator:
 a map from monomials to nonzero ints, and the denominator d, with no factor
 common to d and all the numerators:
 
-    a1*b2/2 - a2*b1   ->   d = 2, {(1, 0, 0, 1): 1, (0, 1, 1): -2}
+    a1*b2/2 - a2*b1   ->   d = 2, {0x01000001: 1, 0x010100: -2}
 
 The zero polynomial is d = 1 with an empty map.  All operations return
 results in this canonical form, so equality is plain comparison, and a
 product or sum reduces each result once, by one gcd, not each coefficient.
-``Poly.terms`` builds the {monomial: Fraction} view for printing and
-inspection.  Poly values are immutable by convention: no method mutates
-``self`` or its arguments.  An evaluation point is a sequence of values in
-the same index order.
+``Poly.terms`` builds the {exponent tuple: Fraction} view, each monomial's
+bytes with no trailing zeros, for printing and inspection.  Poly values are
+immutable by convention: no method mutates ``self`` or its arguments.  An
+evaluation point is a sequence of values in the same index order.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
-from operator import add
+from functools import reduce
+from operator import or_
 from typing import Mapping, Sequence, Union
 
 SYMBOL_KINDS = ("a", "b")
@@ -47,18 +48,24 @@ def _symbol_name(index: int) -> str:
     return f"{SYMBOL_KINDS[index % 2]}{index // 2 + 1}"
 
 
-# A monomial: exponents in symbol-index order, no trailing zeros; () is 1.
+# A monomial as shown: exponents in symbol-index order, no trailing zeros; () is 1.
 Monomial = tuple[int, ...]
 
 Scalar = Union[int, Fraction]
 
-_ONE_MONO: Monomial = ()
+MAX_EXPONENT = 127
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    return tuple(map(add, m1, m2)) + m1[len(m2) :]
+def _unpack(mono: int, width: int | None = None) -> bytes:
+    # byte i is the exponent of symbol index i; by default no trailing zeros
+    return mono.to_bytes((mono.bit_length() + 7) // 8 if width is None else width, "little")
+
+
+def _check_guard(monos: Mapping[int, object]) -> None:
+    # a product of factors within MAX_EXPONENT may set a guard bit, never carry past it
+    merged = reduce(or_, monos, 0)
+    if merged & int.from_bytes(b"\x80" * len(_unpack(merged)), "little"):
+        raise ValueError(f"monomial exponent over {MAX_EXPONENT}")
 
 
 def _mono_str(m: Monomial) -> str:
@@ -70,16 +77,23 @@ def _mono_str(m: Monomial) -> str:
 class Poly:
     """Sparse exact polynomial in the stage symbols, immutable by convention."""
 
-    __slots__ = ("_den", "_nums")
+    __slots__ = ("_den", "_nums", "_unpacked")  # _unpacked: evaluate's, on first use
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        values = {mono: Fraction(coeff) for mono, coeff in (terms or {}).items()}
+        values: dict[int, Fraction] = {}
+        for mono, coeff in (terms or {}).items():
+            try:  # keys that differ only by trailing zeros are one monomial
+                packed = int.from_bytes(bytes(tuple(mono)), "little")
+            except (TypeError, ValueError):
+                raise ValueError(f"not a tuple of integer exponents: {mono!r}") from None
+            values[packed] = values.get(packed, 0) + Fraction(coeff)
+        _check_guard(values)
         # over the lcm of reduced denominators the form is already reduced
         den = self._den = math.lcm(*(c.denominator for c in values.values()))
         self._nums = {m: c.numerator * (den // c.denominator) for m, c in values.items() if c}
 
     @classmethod
-    def _of(cls, den: int, nums: dict[Monomial, int]) -> "Poly":
+    def _of(cls, den: int, nums: dict[int, int]) -> "Poly":
         # nums / den with den > 0 and no zero numerator; divides out the common factor
         common = math.gcd(den, *nums.values())
         poly = object.__new__(cls)
@@ -89,7 +103,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({_ONE_MONO: value})
+        return cls({(): value})
 
     @classmethod
     def symbol(cls, kind: str, stage: int) -> "Poly":
@@ -99,7 +113,7 @@ class Poly:
         if stage < 1:
             raise ValueError(f"stage index must be >= 1, got {stage}")
         index = 2 * (stage - 1) + SYMBOL_KINDS.index(kind)
-        return cls._of(1, {(0,) * index + (1,): 1})
+        return cls._of(1, {1 << (8 * index): 1})
 
     @staticmethod
     def _coerce(value: "Poly" | Scalar) -> "Poly":
@@ -148,7 +162,7 @@ class Poly:
     @property
     def terms(self) -> dict[Monomial, Fraction]:
         """The nonzero coefficients as {monomial: Fraction}, built on each call."""
-        return {m: Fraction(n, self._den) for m, n in self._nums.items()}
+        return {tuple(_unpack(m)): Fraction(n, self._den) for m, n in self._nums.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -159,7 +173,7 @@ class Poly:
 
     def constant(self) -> Fraction:
         """Coefficient of the monomial 1."""
-        return Fraction(self._nums.get(_ONE_MONO, 0), self._den)
+        return Fraction(self._nums.get(0, 0), self._den)
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         """Exact value of the polynomial at a rational point.
@@ -168,19 +182,21 @@ class Poly:
         ..., as ConcreteScheme.point() does.  It must reach every symbol of
         the polynomial, otherwise MissingAssignment is raised.  A value n/d of
         highest exponent t enters as n^e * d^(t-e) over d^t, so the sum is
-        formed in integers.
+        formed in integers.  Exponent rows are unpacked on the first call only.
         """
-        top = list(map(max, zip_longest(*self._nums, fillvalue=0)))
+        if not hasattr(self, "_unpacked"):
+            width = len(_unpack(max(self._nums, default=0)))
+            rows = [(_unpack(m, width), n) for m, n in self._nums.items()]
+            self._unpacked = list(map(max, zip(*(row for row, _ in rows)))), rows
+        top, rows = self._unpacked
         if len(top) > len(values):
             missing = next(i for i in range(len(values), len(top)) if top[i])
             raise MissingAssignment(f"no value assigned to symbol {_symbol_name(missing)}")
-        powers: list[list[int]] = []
-        for t, value in zip(top, values):
-            n, d = value.as_integer_ratio() if t else (1, 1)
-            powers.append([n**e * d ** (t - e) for e in range(t + 1)])
+        ratios = [value.as_integer_ratio() if t else (1, 1) for t, value in zip(top, values)]
+        powers = [[n**e * d ** (t - e) for e in range(t + 1)] for t, (n, d) in zip(top, ratios)]
         total = 0
-        for mono, num in self._nums.items():
-            for row, e in zip_longest(powers, mono, fillvalue=0):
+        for mono, num in rows:
+            for row, e in zip(powers, mono):
                 num *= row[e]
             total += num
         return Fraction(total, self._den * math.prod(row[0] for row in powers))
@@ -198,16 +214,11 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._nums:
-            return "0"
         # graded lexicographic, highest first: degree, then exponent vector
-        # in canonical symbol order, padded to a common length.
-        width = max(map(len, self._nums))
+        # in canonical symbol order (of one degree, neither is a prefix of the other)
         pieces: list[str] = []
         for mono, coeff in sorted(
-            self.terms.items(),
-            key=lambda item: (sum(item[0]), item[0] + (0,) * (width - len(item[0]))),
-            reverse=True,
+            self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True
         ):
             body = _mono_str(mono)
             magnitude = abs(coeff)
@@ -217,11 +228,9 @@ class Poly:
                 text = body
             else:
                 text = f"{magnitude}*{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(pieces)
+            pieces.append(("+ " if coeff > 0 else "- ") + text)
+        joined = " ".join(pieces) or "+ 0"  # the zero polynomial prints as 0
+        return joined[2:] if joined[0] == "+" else "-" + joined[2:]
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -234,15 +243,16 @@ def sum_of_products(pairs: list[tuple[Poly, Poly]]) -> Poly:
     result is reduced once, by one gcd, not once per product or coefficient.
     """
     den = math.lcm(*(p._den * q._den for p, q in pairs))
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     for p, q in pairs:
         scale = den // (p._den * q._den)
         right = q._nums.items()
         for m1, c1 in p._nums.items():
             c1 *= scale
             for m2, c2 in right:
-                mono = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+                mono = m1 + m2
                 acc[mono] = acc.get(mono, 0) + c1 * c2
+    _check_guard(acc)
     return Poly._of(den, {m: c for m, c in acc.items() if c})
 
 

@@ -244,6 +244,7 @@ def _nested_list(depth):
         {"a": [True, "1/2"], "b": [False, "1"]},  # JSON booleans are not rationals
         {"a": ["1/0"], "b": ["1"]},  # zero denominator
         {"name": ["x"], "a": ["1"], "b": ["1"]},  # the name must be a string
+        {"name": "x\ny", "a": ["1"], "b": ["1"]},  # a newline would split the verdict
         {"a": [_nested_list(900)], "b": ["1"]},  # a deep entry is not echoed
         {"a": ["x" * 5000], "b": ["1"]},  # a long string entry is shortened
         {"a": ["1" * 5000], "b": ["1"]},  # over the interpreter's int-string limit
@@ -255,6 +256,7 @@ def _nested_list(depth):
         "booleans",
         "zero-denominator",
         "non-string-name",
+        "control-character-name",
         "deep-entry",
         "long-string-entry",
         "huge-numerator",
@@ -303,6 +305,33 @@ def test_verify_rejects_huge_json_integer(tmp_path, capsys):
     assert "sys." not in err
 
 
+def _subprocess_env():
+    package_root = str(Path(splitcond.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # the listing is far larger than a pipe buffer, so the writer meets the closed pipe
+    with subprocess.Popen(
+        [sys.executable, "-m", "splitcond.cli", "lyndon", "--max-len", "14"],
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"A\n"
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 2
+    assert err == b""
+
+
 # -- imports -------------------------------------------------------------------
 
 _IMPORT_PROBE = """
@@ -323,13 +352,11 @@ print(json.dumps(facts))
 
 
 def test_exact_commands_do_not_import_numpy():
-    package_root = str(Path(splitcond.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {

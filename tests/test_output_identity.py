@@ -3,11 +3,13 @@
 Speed work on the coefficient ring and the series kernels must not change a
 single character of what the package emits.  The digests below were taken
 before those kernels were rewritten: the SHA-256 of the canonical JSON of
-ConditionSystem.to_records() for every s <= 3, p <= 4 on both routes and for
-the larger cells of the benchmark's derive grid, of the printed leading error
-term of the registry's order-3 scheme, and of two printed symbolic objects
-(a BCH condition system and a log series whose single-term coefficients
-carry their sign out to the word).
+ConditionSystem.to_records() for every s <= 3, p <= 4 on both routes, for
+the larger cells of the benchmark's derive grid, and for BCH (4, 5), whose
+eight symbols fill eight exponent fields of a packed monomial (taken before
+monomials were packed into ints); of the printed leading error term of the
+registry's order-3 scheme; and of two printed symbolic objects (a BCH
+condition system and a log series whose single-term coefficients carry their
+sign out to the word).
 """
 
 import hashlib
@@ -49,6 +51,7 @@ SYSTEM_DIGESTS = {
     ("taylor", 4, 6): "f7a9133c09ecc677d0f48d3962125271996a9ba128877e35c46798b509608848",
     ("taylor", 5, 5): "b0160a40f58b8227581f639e926733b8e95b3051b11f32b8d4ed6e9e37fc06d4",
     ("bch", 2, 5): "a0be2a0504fd4b43e94c281c6d4d3a0ba3b96682761627a3c8adfa1e452f46b0",
+    ("bch", 4, 5): "cd8f5743f4982763b5de837f251a18a972ebd223f330adf7a220d8064f18ce22",
 }
 
 LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bfcf5dcf6"

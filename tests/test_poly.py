@@ -117,6 +117,49 @@ def test_symbol_validation():
     assert str(Poly.symbol("a", 2) * Poly.symbol("b", 1)) == "a2*b1"
 
 
+def test_constructor_canonicalises_monomial_keys():
+    a1 = sym("a", 1)
+    assert Poly({(1, 0): 1}) == Poly({(1,): 1}) == a1
+    assert hash(Poly({(1, 0): 1})) == hash(a1)
+    assert (Poly({(1, 0): 1}) - Poly({(1,): 1})).is_zero
+    assert Poly({(1, 0): 1, (1,): 1}) == 2 * a1
+    assert str(Poly({(1, 0): 1, (1,): 1})) == "2*a1"
+    assert Poly({(0, 0): Fraction(1, 3), (): Fraction(2, 3)}) == 1
+    assert Poly({(1, 0, 0): 1, (1,): -1}).terms == {}
+    for bad in [(1.5,), (-1,), (128,), (0, 300), (Fraction(2),), ("1",), 3]:
+        with pytest.raises(ValueError):
+            Poly({bad: 1})
+    assert Poly({(127, 0, 5): 1}).terms == {(127, 0, 5): Fraction(1)}
+
+
+def test_exponent_guard():
+    a1, b1 = sym("a", 1), sym("b", 1)
+    assert (a1**127).terms == {(127,): Fraction(1)}
+    with pytest.raises(ValueError):
+        a1**128
+    with pytest.raises(ValueError):
+        (a1**64) * (a1**64)
+    # squaring doubles the exponent; the guard fires at the first field past 127
+    power, exponent = a1, 1
+    while exponent < 64:
+        power, exponent = power * power, 2 * exponent
+        assert power.terms == {(exponent,): Fraction(1)}
+    with pytest.raises(ValueError):
+        power * power
+    # a full a1 field next to b1 does not carry into it, in products or evaluation
+    full = a1**127 * b1 * Fraction(-2, 3)
+    other = b1 * 5 + a1**0 + b1**126
+    assert full.terms == {(127, 1): Fraction(-2, 3)}
+    assert (full * other).terms == oracle_mul(full.terms, other.terms)
+    assert (full + other).terms == oracle_add(full.terms, other.terms)
+    point = [Fraction(-1, 2), Fraction(3, 2)]
+    assert (full * other).evaluate(point) == oracle_evaluate(
+        oracle_mul(full.terms, other.terms), point
+    )
+    with pytest.raises(ValueError):
+        full * b1**127
+
+
 def test_rendering_canonical_order():
     a1, b1, a2, b2 = sym("a", 1), sym("b", 1), sym("a", 2), sym("b", 2)
     assert str(a1 * b2 * Fraction(1, 2) - a2 * b1) == "1/2*a1*b2 - a2*b1"
@@ -135,7 +178,7 @@ def assert_canonical(p):
     assert p._den > 0
     assert all(type(n) is int and n for n in p._nums.values())
     assert math.gcd(p._den, *p._nums.values()) == 1
-    assert all(not m or m[-1] for m in p._nums)
+    assert all(not m or m[-1] for m in p.terms)
     assert Poly(p.terms) == p and hash(Poly(p.terms)) == hash(p)
 
 

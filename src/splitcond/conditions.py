@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lyndon import LieDecomposition, lie_decompose, lyndon_words_of_degree
+from .lyndon import LieDecomposition, _lyndon_coordinates, lyndon_words_of_degree
 from .poly import Poly, Scalar
 from .series import NCSeries, Word, exp, log, word_str
 
@@ -197,7 +197,8 @@ class ConditionSystem:
         return "\n".join([header] + [f"  {e}" for e in self.entries])
 
 
-@functools.lru_cache(maxsize=None)
+# a process verifies at a few (s, p) only: 16 systems per route bound the memory
+@functools.lru_cache(maxsize=16)
 def conditions_taylor(stages: int, p: int) -> ConditionSystem:
     """Order conditions q! * F[w] - 1 at the Lyndon words w of the product F.
 
@@ -215,14 +216,14 @@ def conditions_taylor(stages: int, p: int) -> ConditionSystem:
     return ConditionSystem(stages, p, "taylor", tuple(entries))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def conditions_bch(stages: int, p: int) -> ConditionSystem:
-    """Order conditions from the Lyndon decomposition of log(product) - (A+B).
+    """Order conditions: Lyndon-basis coordinates of log(product) - (A+B).
 
     The degree-q part of the logarithm is the same at every truncation >= q,
-    so the series is built at truncation p.  Degrees >= 2 of the logarithm
-    are Lie elements, so the decomposition cannot fail; the degree-1 part is
-    affine in A and B and decomposes over the single-letter Lyndon words.
+    so the series is built at truncation p.  Its degrees >= 2 are Lie elements
+    and its degree 1 is affine in A and B, so the coordinates are read at the
+    Lyndon words of each degree with no check that they rebuild the series.
     """
     if p < 1:
         raise ValueError("target order must be >= 1")
@@ -230,9 +231,9 @@ def conditions_bch(stages: int, p: int) -> ConditionSystem:
     deviation = log(product) - _sum_of_letters(p)
     entries: list[ConditionEntry] = []
     for q in range(1, p + 1):
-        decomposition = lie_decompose(deviation.homogeneous_part(q), q)
+        coordinates = _lyndon_coordinates(deviation, q)
         for word in lyndon_words_of_degree(2, q):
-            entries.append(ConditionEntry(q, word, decomposition.coefficient(word)))
+            entries.append(ConditionEntry(q, word, coordinates.coefficient(word)))
     return ConditionSystem(stages, p, "bch", tuple(entries))
 
 

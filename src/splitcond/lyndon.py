@@ -1,17 +1,15 @@
 """Lyndon words and the Lyndon basis of the free Lie algebra.
 
 Provides Duval's enumeration of Lyndon words, the standard right
-factorization (longest proper Lyndon suffix), the nested-commutator
-bracketing it induces, expansion of bracket trees into word series, and the
-decomposition of homogeneous Lie elements in the Lyndon basis.
+factorization (smallest proper suffix), the nested-commutator bracketing it
+induces, expansion of bracket trees into word series, and the Lyndon-basis
+coordinates of homogeneous Lie elements.
 
-The decomposition exploits that the expansion of a Lyndon bracketing has its
-own word as the lexicographically smallest word, with coefficient 1, so
-reading coefficients off in lexicographic word order solves a triangular
-system.  The solve leaves a nonzero remainder exactly when the input is
-not a Lie element; only then is the Dynkin-Specht-Wever projection
-(right-nested bracketing divided by the degree), which leaves Lie elements
-untouched, built to report the complement as NotALieElement.
+A Lyndon bracketing expands to its own word, with coefficient 1, plus larger
+words only (Reutenauer, Free Lie Algebras, 1993), so back-substitution at the
+Lyndon words alone reads the coordinates of a Lie element.  lie_decompose
+checks that they rebuild its input; if not, it reports the complement of the
+Dynkin-Specht-Wever projection (right-nested bracketing over the degree).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .poly import Poly
+from .poly import Poly, sum_of_products
 from .series import DegreeBeyondTruncation, NCSeries, Word, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
@@ -73,7 +71,7 @@ def lyndon_words_of_degree(alphabet_size: int, degree: int) -> list[Word]:
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
-    """Split a Lyndon word w = u·v with v the longest proper Lyndon suffix.
+    """Split a Lyndon word w = u·v, v the smallest (and longest Lyndon) proper suffix.
 
     Both factors are again Lyndon and u < v, so the split can be recursed to
     build the standard bracketing.
@@ -83,10 +81,8 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
         raise SingleLetter(f"cannot factor the single-letter word {word_str(word)}")
     if not is_lyndon(word):
         raise ValueError(f"{word_str(word)} is not a Lyndon word")
-    for cut in range(1, len(word)):
-        if is_lyndon(word[cut:]):
-            return word[:cut], word[cut:]
-    raise AssertionError("unreachable: every Lyndon word ends in a Lyndon suffix")
+    cut = min(range(1, len(word)), key=lambda i: word[i:])
+    return word[:cut], word[cut:]
 
 
 def bracketing(word: Word) -> BracketTree:
@@ -119,10 +115,6 @@ def foliage(tree: BracketTree) -> Word:
     return foliage(left) + foliage(right)
 
 
-def tree_degree(tree: BracketTree) -> int:
-    return len(foliage(tree))
-
-
 def bracket_str(tree: BracketTree) -> str:
     if isinstance(tree, int):
         return word_str((tree,))
@@ -132,9 +124,9 @@ def bracket_str(tree: BracketTree) -> str:
 
 def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
     """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx."""
-    if tree_degree(tree) > truncation:
+    if len(foliage(tree)) > truncation:
         raise DegreeBeyondTruncation(
-            f"bracket tree of degree {tree_degree(tree)} exceeds truncation {truncation}"
+            f"bracket tree of degree {len(foliage(tree))} exceeds truncation {truncation}"
         )
     if isinstance(tree, int):
         return NCSeries.letter(tree, truncation, alphabet_size)
@@ -169,12 +161,24 @@ class LieDecomposition:
         return "{" + ", ".join(parts) + "}"
 
 
+def _lyndon_coordinates(f: NCSeries, degree: int) -> LieDecomposition:
+    # back-substitution in lexicographic order, c_w = f[w] - sum_{l<w} E_l[w] c_l,
+    # read at the Lyndon words only; exact for Lie elements, unchecked otherwise
+    solved = [(f.terms, Poly.const(1))]  # f, then (E_l, -c_l) for each nonzero c_l
+    coefficients: dict[Word, Poly] = {}
+    for word in lyndon_words_of_degree(f.alphabet_size, degree):
+        coeff = sum_of_products([(terms[word], c) for terms, c in solved if word in terms])
+        if coeff:
+            coefficients[word] = coeff
+            solved.append((expand(bracketing(word), degree, f.alphabet_size).terms, -coeff))
+    return LieDecomposition(degree, coefficients)
+
+
 def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """Write a homogeneous degree-q series as a Lyndon-basis combination.
 
-    Processes Lyndon words of degree q in lexicographic order, reading off
-    the coefficient at the leading word and subtracting that basis expansion
-    (back-substitution through the triangular system).  Raises
+    Reads the coordinates by back-substitution over the Lyndon words of
+    degree q, then checks that they rebuild the input.  Raises
     NotALieElement, carrying the non-Lie residual, when the input is outside
     the free Lie algebra; for degree 2 the word AB alone leaves the
     symmetric residual (AB + BA)/2.
@@ -183,22 +187,15 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         raise ValueError("decomposition degree must be >= 1")
     if any(len(w) != degree for w in f.terms):
         raise ValueError(f"input is not homogeneous of degree {degree}")
-
-    work = f
-    coefficients: dict[Word, Poly] = {}
-    for word in lyndon_words_of_degree(f.alphabet_size, degree):
-        coeff = work.coefficient(word)
-        if coeff.is_zero:
-            continue
-        coefficients[word] = coeff
-        work = work - expand(bracketing(word), f.truncation, f.alphabet_size).scale(coeff)
-    if not work.is_zero():
-        # the solve clears exactly the Lie elements.  The Dynkin projection
-        # theta(w)/q, theta the right-nested bracketing, fixes Lie elements
-        # of degree q and annihilates a complement: report that complement.
+    if degree > f.truncation:
+        raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
+    decomposition = _lyndon_coordinates(f, degree)
+    if decomposition.reconstruct(f.truncation, f.alphabet_size) != f:
+        # the Dynkin projection theta(w)/q, theta the right-nested bracketing,
+        # fixes Lie elements of degree q and annihilates a complement: report that
         lie_part = NCSeries.zero(f.truncation, f.alphabet_size)
         for word, coeff in f.terms.items():
             bracket = right_nested_bracketing(word)
             lie_part = lie_part + expand(bracket, f.truncation, f.alphabet_size).scale(coeff)
         raise NotALieElement(f - lie_part.scale(Fraction(1, degree)))
-    return LieDecomposition(degree, coefficients)
+    return decomposition

@@ -180,26 +180,28 @@ class Poly:
 
         ``values`` lists the point in canonical index order a1, b1, a2, b2,
         ..., as ConcreteScheme.point() does.  It must reach every symbol of
-        the polynomial, otherwise MissingAssignment is raised.  A value n/d of
-        highest exponent t enters as n^e * d^(t-e) over d^t, so the sum is
-        formed in integers.  Exponent rows are unpacked on the first call only.
+        the polynomial, otherwise MissingAssignment is raised.  With D the lcm
+        of the value denominators, a row of degree e is an integer times D^(T-e)
+        over D^T, T the top degree.  Rows are unpacked once, to nonzero fields.
         """
         if not hasattr(self, "_unpacked"):
-            width = len(_unpack(max(self._nums, default=0)))
-            rows = [(_unpack(m, width), n) for m, n in self._nums.items()]
-            self._unpacked = list(map(max, zip(*(row for row, _ in rows)))), rows
-        top, rows = self._unpacked
-        if len(top) > len(values):
-            missing = next(i for i in range(len(values), len(top)) if top[i])
+            exps = [(_unpack(m), n) for m, n in self._nums.items()]
+            top = max((sum(r) for r, _ in exps), default=0)
+            rows = [([(i, e) for i, e in enumerate(r) if e], top - sum(r), n) for r, n in exps]
+            self._unpacked = top, max((len(r) for r, _ in exps), default=0), rows
+        top, width, rows = self._unpacked
+        if width > len(values):
+            missing = min(i for fields, _, _ in rows for i, _ in fields if i >= len(values))
             raise MissingAssignment(f"no value assigned to symbol {_symbol_name(missing)}")
-        ratios = [value.as_integer_ratio() if t else (1, 1) for t, value in zip(top, values)]
-        powers = [[n**e * d ** (t - e) for e in range(t + 1)] for t, (n, d) in zip(top, ratios)]
+        den = math.lcm(*(value.denominator for value in values[:width]))
+        scaled = [value.numerator * (den // value.denominator) for value in values[:width]]
+        gaps = [den**g for g in range(top + 1)]
         total = 0
-        for mono, num in rows:
-            for row, e in zip(powers, mono):
-                num *= row[e]
-            total += num
-        return Fraction(total, self._den * math.prod(row[0] for row in powers))
+        for fields, gap, num in rows:
+            for i, e in fields:
+                num *= scaled[i] ** e
+            total += num * gaps[gap]
+        return Fraction(total, self._den * gaps[top])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -13,7 +13,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from splitcond import ConcreteScheme, ConditionSystem, NCSeries, SymbolicScheme
+from splitcond import (
+    ConcreteScheme,
+    ConditionSystem,
+    LieDecomposition,
+    NCSeries,
+    NotALieElement,
+    SymbolicScheme,
+    bracketing,
+    expand,
+    log,
+    lyndon_words_of_degree,
+    splitting_product,
+)
+from splitcond.lyndon import right_nested_bracketing
 from splitcond.poly import Poly
 
 
@@ -211,6 +224,64 @@ def necklace_count(alphabet_size: int, length: int) -> int:
 def strictly_smallest_rotation(word: tuple[int, ...]) -> bool:
     """Brute-force Lyndon test: word precedes all of its proper rotations."""
     return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def longest_lyndon_suffix_factorization(word: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Split w = u·v with v the longest proper suffix that is a Lyndon word."""
+    cut = next(i for i in range(1, len(word)) if strictly_smallest_rotation(word[i:]))
+    return word[:cut], word[cut:]
+
+
+# ---------------------------------------------------------------------------
+# the dense Lyndon-basis solve: subtract each basis expansion from the whole
+# series and check the remainder, the reference for the library's
+# back-substitution at the Lyndon words
+
+
+def lie_decompose_by_subtraction(f: NCSeries, degree: int) -> LieDecomposition:
+    """Lyndon-basis coefficients of a homogeneous series by series subtraction.
+
+    In lexicographic order, reads the coefficient at each Lyndon word off the
+    remainder and subtracts that multiple of the word's expanded bracketing.
+    A nonzero final remainder raises NotALieElement with the complement of
+    the Dynkin projection theta(w)/q, theta the right-nested bracketing.
+    """
+    if degree < 1:
+        raise ValueError("decomposition degree must be >= 1")
+    if any(len(w) != degree for w in f.terms):
+        raise ValueError(f"input is not homogeneous of degree {degree}")
+    work = f
+    coefficients: dict[tuple[int, ...], Poly] = {}
+    for word in lyndon_words_of_degree(f.alphabet_size, degree):
+        coeff = work.coefficient(word)
+        if coeff.is_zero:
+            continue
+        coefficients[word] = coeff
+        work = work - expand(bracketing(word), f.truncation, f.alphabet_size).scale(coeff)
+    if not work.is_zero():
+        lie_part = NCSeries.zero(f.truncation, f.alphabet_size)
+        for word, coeff in f.terms.items():
+            bracket = right_nested_bracketing(word)
+            lie_part = lie_part + expand(bracket, f.truncation, f.alphabet_size).scale(coeff)
+        raise NotALieElement(f - lie_part.scale(Fraction(1, degree)))
+    return LieDecomposition(degree, coefficients)
+
+
+def conditions_bch_dense(scheme: SymbolicScheme, p: int) -> list[tuple[int, tuple, Poly]]:
+    """(degree, Lyndon word, coefficient) of log(product) - (A+B) through degree p.
+
+    Each homogeneous part of the dense logarithm is decomposed by series
+    subtraction, with the Lie check, in the entry order of conditions_bch.
+    """
+    deviation = (
+        log(splitting_product(scheme, p)) - NCSeries.letter(0, p) - NCSeries.letter(1, p)
+    )
+    entries = []
+    for q in range(1, p + 1):
+        coefficients = lie_decompose_by_subtraction(deviation.homogeneous_part(q), q)
+        for word in lyndon_words_of_degree(2, q):
+            entries.append((q, word, coefficients.coefficient(word)))
+    return entries
 
 
 # ---------------------------------------------------------------------------

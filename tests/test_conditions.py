@@ -13,6 +13,7 @@ from splitcond import (
     NotOrderP,
     SymbolicScheme,
     bracketing,
+    condition_system,
     conditions_bch,
     conditions_taylor,
     exp_of_sum,
@@ -30,6 +31,7 @@ from splitcond.poly import Poly
 
 from helpers import (
     combine_log_coefficients,
+    conditions_bch_dense,
     homogeneous_at_truncation,
     log_pair_coefficients,
     order1_witness,
@@ -677,3 +679,38 @@ def test_route_equivalence_extends_to_order_4():
     witnesses += refine_witnesses(bch_system, 5, seed=337)
     report = systems_equivalent(taylor_system, bch_system, witnesses, tol=1e-9)
     assert report.all_agree
+
+
+# -- the BCH route against the dense subtraction solve -------------------------
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("stages", [1, 2, 3, 4])
+def test_bch_entries_equal_the_dense_oracle(stages, p):
+    # back-substitution at the Lyndon words, unchecked, against the dense
+    # logarithm decomposed by series subtraction with its Lie check
+    entries = [(e.degree, e.word, e.polynomial) for e in conditions_bch(stages, p).entries]
+    assert entries == conditions_bch_dense(SymbolicScheme.generic(stages), p)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_bch_residuals_equal_the_dense_oracle_registry(name):
+    entry = REGISTRY[name]
+    for p in range(1, entry.order + 2):
+        residuals = verify_scheme(entry.scheme, p, route="bch").residuals
+        oracle = conditions_bch_dense(SymbolicScheme.from_concrete(entry.scheme), p)
+        assert [(q, w, Poly.const(r)) for q, w, r in residuals] == oracle
+
+
+def test_route_caches_are_bounded():
+    # 18 further systems on each route evict (2, 2); verifying there again
+    # rebuilds the system and gives the same residuals
+    for route, cached in (("taylor", conditions_taylor), ("bch", conditions_bch)):
+        before = verify_scheme(STRANG, 2, route)
+        for stages in range(3, 9):
+            for p in (1, 2, 3):
+                condition_system(stages, p, route)
+        assert cached.cache_info().currsize <= 16
+        misses = cached.cache_info().misses
+        assert verify_scheme(STRANG, 2, route) == before
+        assert cached.cache_info().misses == misses + 1

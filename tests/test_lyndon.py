@@ -22,8 +22,11 @@ from splitcond.poly import Poly
 
 from helpers import (
     homogeneous_at_truncation,
+    lie_decompose_by_subtraction,
+    longest_lyndon_suffix_factorization,
     necklace_count,
     random_poly,
+    random_series,
     strictly_smallest_rotation,
 )
 
@@ -87,6 +90,14 @@ def test_standard_factorization_properties():
         # right factor is the longest proper Lyndon suffix
         longer = [w[i:] for i in range(1, len(w) - len(right)) if is_lyndon(w[i:])]
         assert not longer
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_standard_factorization_is_the_longest_lyndon_suffix(alphabet):
+    # the smallest proper suffix against a brute-force Lyndon-suffix search
+    for w in lyndon_words(alphabet, 10):
+        if len(w) > 1:
+            assert standard_factorization(w) == longest_lyndon_suffix_factorization(w)
 
 
 def test_single_letter_has_no_factorization():
@@ -240,3 +251,34 @@ def test_three_letter_alphabet_round_trip():
                     combo = combo + expand(bracketing(w), degree, 3).scale(weight)
         decomposition = lie_decompose(combo, degree)
         assert decomposition.coefficients == weights
+
+
+def _decompose_outcome(decompose, f, degree):
+    # coefficients on success, the residual on NotALieElement
+    try:
+        return "lie", decompose(f, degree).coefficients
+    except NotALieElement as exc:
+        return "residual", exc.residual
+
+
+@pytest.mark.parametrize("alphabet,max_degree", [(2, 6), (3, 4)])
+def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
+    # random Lie combinations decompose alike; adding random words (almost
+    # never a Lie element) raises the same residual from both solves
+    rng = random.Random(149 + alphabet)
+    outcomes = set()
+    for degree in range(1, max_degree + 1):
+        basis = lyndon_words_of_degree(alphabet, degree)
+        for _ in range(4):
+            truncation = degree + rng.randint(0, 1)
+            combo = NCSeries.zero(truncation, alphabet)
+            for w in basis:
+                if rng.random() < 0.6:
+                    weight = random_poly(rng, stages=2, degree=2, terms=2)
+                    combo = combo + expand(bracketing(w), truncation, alphabet).scale(weight)
+            noise = random_series(rng, truncation, alphabet, density=0.3).homogeneous_part(degree)
+            for f in (combo, combo + noise):
+                got = _decompose_outcome(lie_decompose, f, degree)
+                assert got == _decompose_outcome(lie_decompose_by_subtraction, f, degree)
+                outcomes.add(got[0])
+    assert outcomes == {"lie", "residual"}

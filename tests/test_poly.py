@@ -96,6 +96,21 @@ def test_eval_missing_assignment():
     assert Poly.const(Fraction(1, 3)).evaluate([]) == Fraction(1, 3)
 
 
+def test_eval_non_homogeneous_with_constant_at_mixed_points():
+    # one common denominator over values with different denominators, zeros
+    # and negatives must give the {monomial: Fraction} oracle's value
+    rng = random.Random(29)
+    values = [0, 1, -1, 3, Fraction(-3, 4), Fraction(5, 6), Fraction(-2, 9), Fraction(7, 10)]
+    for _ in range(60):
+        p = random_poly(rng, stages=4, degree=4, terms=5)
+        p = p - p.constant() + Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        point = [rng.choice(values) for _ in range(8 + rng.randint(0, 2))]
+        assert p.evaluate(point) == oracle_evaluate(p.terms, point)
+    # of two missing symbols a row uses, the lower index (b2 before a3) is named
+    with pytest.raises(MissingAssignment, match="b2"):
+        (sym("a", 3) * sym("b", 2) + sym("a", 1)).evaluate([Fraction(1), 2])
+
+
 def test_is_zero():
     a1, b1, b2 = sym("a", 1), sym("b", 1), sym("b", 2)
     assert (a1 * b2 - a1 * b2).is_zero

@@ -6,8 +6,8 @@ order p when the local error (product minus exact exponential) vanishes
 through degree p.  This module turns that requirement into polynomial
 condition systems on the stage coefficients:
 
-* the logarithm route: take log of the splitting product, subtract A + B,
-  and decompose each homogeneous degree over the Lyndon basis;
+* the logarithm route: take log of the splitting product at the Lyndon words
+  and their suffixes only, subtract A + B, and read its Lyndon-basis coordinates;
 * the Taylor route: the q-th t-derivative of the local error at t = 0 is
   q! times its degree-q part.  e^{A+B} has coefficient 1/q! at every word
   of length q, so the condition at a Lyndon word w of degree q is
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lyndon import LieDecomposition, _lyndon_coordinates, lyndon_words_of_degree
+from .lyndon import LieDecomposition, _lyndon_coordinates, lyndon_words, lyndon_words_of_degree
 from .poly import Poly, Scalar
-from .series import NCSeries, Word, exp, log, word_str
+from .series import NCSeries, Word, _log, exp, word_str
 
 ROUTES = ("taylor", "bch")
 
@@ -222,13 +222,14 @@ def conditions_bch(stages: int, p: int) -> ConditionSystem:
 
     The degree-q part of the logarithm is the same at every truncation >= q,
     so the series is built at truncation p.  Its degrees >= 2 are Lie elements
-    and its degree 1 is affine in A and B, so the coordinates are read at the
-    Lyndon words of each degree with no check that they rebuild the series.
+    and its degree 1 is affine in A and B, so back-substitution at the Lyndon
+    words of each degree reads the coordinates unchecked.  It reads only
+    there, so the logarithm is formed only at Lyndon words and their suffixes.
     """
     if p < 1:
         raise ValueError("target order must be >= 1")
     product = splitting_product(SymbolicScheme.generic(stages), p)
-    deviation = log(product) - _sum_of_letters(p)
+    deviation = _log(product, lyndon_words(2, p)) - _sum_of_letters(p)
     entries: list[ConditionEntry] = []
     for q in range(1, p + 1):
         coordinates = _lyndon_coordinates(deviation, q)

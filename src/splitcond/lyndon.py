@@ -8,8 +8,8 @@ coordinates of homogeneous Lie elements.
 A Lyndon bracketing expands to its own word, with coefficient 1, plus larger
 words only (Reutenauer, Free Lie Algebras, 1993), so back-substitution at the
 Lyndon words alone reads the coordinates of a Lie element.  lie_decompose
-checks that they rebuild its input; if not, it reports the complement of the
-Dynkin-Specht-Wever projection (right-nested bracketing over the degree).
+first checks membership with the Dynkin-Specht-Wever projection (right-nested
+bracketing over the degree) and reports the complement it annihilates.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .poly import Poly, sum_of_products
-from .series import DegreeBeyondTruncation, NCSeries, Word, word_str
+from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
@@ -96,17 +96,6 @@ def bracketing(word: Word) -> BracketTree:
     return (bracketing(left), bracketing(right))
 
 
-def right_nested_bracketing(word: Word) -> BracketTree:
-    """Right-to-left nesting of an arbitrary word: ABC -> [A, [B, C]]."""
-    word = tuple(word)
-    if not word:
-        raise ValueError("cannot bracket the empty word")
-    tree: BracketTree = word[-1]
-    for letter in reversed(word[:-1]):
-        tree = (letter, tree)
-    return tree
-
-
 def foliage(tree: BracketTree) -> Word:
     """Left-to-right leaf sequence of a bracket tree."""
     if isinstance(tree, int):
@@ -174,14 +163,28 @@ def _lyndon_coordinates(f: NCSeries, degree: int) -> LieDecomposition:
     return LieDecomposition(degree, coefficients)
 
 
+def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
+    # theta, the right-nested bracketing, by left quotients of a homogeneous
+    # term map: theta(a) = a and theta(a·u) = a·theta(u) - theta(u)·a
+    if degree == 1:
+        return terms
+    out: dict[Word, Poly] = {}
+    for a in {w[0] for w in terms}:
+        theta = _dynkin({w[1:]: c for w, c in terms.items() if w[0] == a}, degree - 1)
+        out = add_terms(out, {(a,) + u: c for u, c in theta.items()})
+        out = add_terms(out, {u + (a,): -c for u, c in theta.items()})
+    return out
+
+
 def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """Write a homogeneous degree-q series as a Lyndon-basis combination.
 
-    Reads the coordinates by back-substitution over the Lyndon words of
-    degree q, then checks that they rebuild the input.  Raises
-    NotALieElement, carrying the non-Lie residual, when the input is outside
-    the free Lie algebra; for degree 2 the word AB alone leaves the
-    symmetric residual (AB + BA)/2.
+    The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested
+    bracketing, fixes the Lie elements of degree q and annihilates a
+    complement.  Raises NotALieElement, carrying the residual f - theta(f)/q,
+    when that residual is nonzero; for degree 2 the word AB alone leaves the
+    symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by
+    back-substitution over the Lyndon words of degree q.
     """
     if degree < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -189,13 +192,8 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         raise ValueError(f"input is not homogeneous of degree {degree}")
     if degree > f.truncation:
         raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
-    decomposition = _lyndon_coordinates(f, degree)
-    if decomposition.reconstruct(f.truncation, f.alphabet_size) != f:
-        # the Dynkin projection theta(w)/q, theta the right-nested bracketing,
-        # fixes Lie elements of degree q and annihilates a complement: report that
-        lie_part = NCSeries.zero(f.truncation, f.alphabet_size)
-        for word, coeff in f.terms.items():
-            bracket = right_nested_bracketing(word)
-            lie_part = lie_part + expand(bracket, f.truncation, f.alphabet_size).scale(coeff)
-        raise NotALieElement(f - lie_part.scale(Fraction(1, degree)))
-    return decomposition
+    lie_part = NCSeries._of(f.truncation, f.alphabet_size, _dynkin(f.terms, degree))
+    residual = f - lie_part.scale(Fraction(1, degree))
+    if not residual.is_zero():
+        raise NotALieElement(residual)
+    return _lyndon_coordinates(f, degree)

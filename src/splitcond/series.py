@@ -14,8 +14,9 @@ instead of silently re-truncating.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .poly import Poly, Scalar, as_poly, sum_of_products
 
@@ -240,8 +241,8 @@ class NCSeries:
         return f"NCSeries(N={self.truncation}, {self})"
 
 
-def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
-    """Concatenation product f * g, keeping only words of length <= cap."""
+def _product(f: NCSeries, g: NCSeries, cap: int, keep: set | None = None) -> NCSeries:
+    """Concatenation product f * g at the words of length <= cap, and in keep if given."""
     f._check_compatible(g)
     right = sorted(g.terms.items(), key=lambda item: len(item[0]))
     pairs: dict[Word, list[tuple[Poly, Poly]]] = {}
@@ -250,41 +251,40 @@ def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
             if len(u) + len(v) > cap:
                 break
             pairs.setdefault(u + v, []).append((cu, cv))
-    out = {w: sum_of_products(p) for w, p in pairs.items()}
+    out = {w: sum_of_products(p) for w, p in pairs.items() if keep is None or w in keep}
     return NCSeries._of(f.truncation, f.alphabet_size, {w: c for w, c in out.items() if c})
 
 
-def exp(g: NCSeries) -> NCSeries:
-    """Truncated exponential sum_{j<=N} g^j / j!.
+def _horner(x: NCSeries, coefficients: list, keep: set | None = None) -> NCSeries:
+    """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term.
 
-    Requires a zero constant term, else the composition is undefined.
-    Evaluated Horner style: 1 + g(1 + g/2(1 + g/3(...))), costing one series
-    product per degree.  The k-th accumulator is multiplied by k - 1 more
-    factors of degree >= 1, so only its words of length <= N - k + 1 are
-    formed.
+    The accumulator c_k + x(...) meets k more factors of x, so only its words
+    of length <= N - k are formed, and only those in keep (suffix-closed) if given.
     """
+    unit = NCSeries.unit(x.truncation, x.alphabet_size)
+    acc = NCSeries.zero(x.truncation, x.alphabet_size)
+    for k in range(x.truncation, -1, -1):
+        # exact on keep: x * acc at a word w reads acc only at proper suffixes of w
+        acc = unit.scale(coefficients[k]) + _product(x, acc, x.truncation - k, keep)
+    return acc
+
+
+def exp(g: NCSeries) -> NCSeries:
+    """Truncated exponential sum_{k<=N} g^k / k!; g needs a zero constant term."""
     if not g.constant_term.is_zero:
         raise NonzeroConstantTerm("exp() requires a series with zero constant term")
-    unit = NCSeries.unit(g.truncation, g.alphabet_size)
-    result = unit
-    for k in range(g.truncation, 0, -1):
-        result = unit + _product(g, result, g.truncation - k + 1).scale(Fraction(1, k))
-    return result
+    return _horner(g, [Fraction(1, math.factorial(k)) for k in range(g.truncation + 1)])
 
 
 def log(f: NCSeries) -> NCSeries:
-    """Truncated logarithm of a series with constant term exactly 1.
+    """Truncated logarithm sum_{k>=1} (-1)^(k+1) (f-1)^k / k; f needs constant term 1."""
+    return _log(f)
 
-    Mercator series in x = f - 1, evaluated Horner style:
-    x(1 - x(1/2 - x(1/3 - ...))).  Inverse of exp() up to the truncation.
-    The k-th accumulator is multiplied by k more factors of x, so only its
-    words of length <= N - k are formed.
-    """
+
+def _log(f: NCSeries, words: Iterable[Word] | None = None) -> NCSeries:
+    # log(f), formed only at the given words and their suffixes if words are given
     if f.constant_term != 1:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
-    unit = NCSeries.unit(f.truncation, f.alphabet_size)
-    x = f - unit
-    acc = NCSeries.zero(f.truncation, f.alphabet_size)
-    for k in range(f.truncation, 0, -1):
-        acc = unit.scale(Fraction(1, k)) - _product(x, acc, f.truncation - k)
-    return _product(x, acc, f.truncation)
+    keep = None if words is None else {w[i:] for w in words for i in range(len(w))}
+    mercator = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, f.truncation + 1)]
+    return _horner(f - NCSeries.unit(f.truncation, f.alphabet_size), mercator, keep)

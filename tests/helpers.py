@@ -26,7 +26,6 @@ from splitcond import (
     lyndon_words_of_degree,
     splitting_product,
 )
-from splitcond.lyndon import right_nested_bracketing
 from splitcond.poly import Poly
 
 
@@ -236,6 +235,17 @@ def longest_lyndon_suffix_factorization(word: tuple[int, ...]) -> tuple[tuple, t
 # the dense Lyndon-basis solve: subtract each basis expansion from the whole
 # series and check the remainder, the reference for the library's
 # back-substitution at the Lyndon words
+
+
+def right_nested_bracketing(word: tuple[int, ...]):
+    """Right-to-left nesting of an arbitrary word: ABC -> [A, [B, C]]."""
+    word = tuple(word)
+    if not word:
+        raise ValueError("cannot bracket the empty word")
+    tree = word[-1]
+    for letter in reversed(word[:-1]):
+        tree = (letter, tree)
+    return tree
 
 
 def lie_decompose_by_subtraction(f: NCSeries, degree: int) -> LieDecomposition:

@@ -1,5 +1,20 @@
+import inspect
+
+import pytest
+
 import splitcond
-from splitcond import poly
+from splitcond import (
+    DegreeBeyondTruncation,
+    NCSeries,
+    Poly,
+    SymbolicScheme,
+    condition_system,
+    conditions_bch,
+    conditions_taylor,
+    lie_decompose,
+    poly,
+)
+from splitcond.poly import as_poly
 
 
 def test_every_exported_name_resolves():
@@ -17,3 +32,36 @@ def test_removed_names_stay_removed():
         assert name not in splitcond.__all__
         assert not hasattr(splitcond, name)
         assert not hasattr(poly, name)
+
+
+def test_exp_and_log_take_one_series():
+    assert list(inspect.signature(splitcond.exp).parameters) == ["g"]
+    assert list(inspect.signature(splitcond.log).parameters) == ["f"]
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: conditions_taylor(2, 0), ValueError),
+        (lambda: conditions_bch(2, 0), ValueError),
+        (lambda: condition_system(2, 2, "foo"), ValueError),
+        (lambda: SymbolicScheme.generic(0), ValueError),
+        (lambda: lie_decompose(NCSeries(2, 2, {(0,): 1}), 0), ValueError),
+        (lambda: lie_decompose(NCSeries.zero(2), 3), DegreeBeyondTruncation),
+        (lambda: Poly.symbol("a", 1) ** -1, ValueError),
+        (lambda: as_poly("x"), TypeError),
+    ],
+    ids=[
+        "taylor-order-0",
+        "bch-order-0",
+        "unknown-route",
+        "zero-stages",
+        "decompose-degree-0",
+        "decompose-beyond-truncation",
+        "negative-power",
+        "string-as-poly",
+    ],
+)
+def test_invalid_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()

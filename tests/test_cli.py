@@ -250,6 +250,10 @@ def _nested_list(depth):
         {"a": ["1" * 5000], "b": ["1"]},  # over the interpreter's int-string limit
         {"a": ["1/" + "3" * 5000], "b": ["1"]},
         {"a": ["\u0663/\u0664"], "b": ["1"]},  # Arabic-Indic digits are not ASCII
+        [["1"], ["1"]],  # a top-level array, not an object
+        {"a": [], "b": []},  # a scheme needs a stage
+        {"a": ["1"], "b": ["1", "0"]},  # one b per a
+        b'{"a": ["\xff"], "b": ["1"]}',  # not UTF-8
     ],
     ids=[
         "string-stages",
@@ -262,17 +266,40 @@ def _nested_list(depth):
         "huge-numerator",
         "huge-denominator",
         "non-ascii-digits",
+        "top-level-array",
+        "no-stages",
+        "unequal-lengths",
+        "invalid-utf8",
     ],
 )
 def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     path = tmp_path / "scheme.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(json.dumps(document), encoding="utf-8")
     code, out, err = run(capsys, "verify", str(path), "-p", "1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200
     assert "sys." not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lyndon", "--max-len", "3", "--alphabet", "27"),
+        ("verify", "strang", "-p", "0"),
+        ("converge", "strang", "--grid-coarse", "6", "--grid-fine", "5"),
+    ],
+    ids=["alphabet-27", "verify-order-0", "inverted-grid"],
+)
+def test_rejected_arguments_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_converge_overflow_exits_2(tmp_path, capsys):

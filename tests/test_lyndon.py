@@ -47,6 +47,7 @@ def test_enumeration_is_lexicographic_and_lyndon():
         words = lyndon_words(alphabet, 8)
         assert words == sorted(words)
         assert all(strictly_smallest_rotation(w) for w in words)
+    assert not is_lyndon(())
 
 
 def test_duval_against_brute_force_length_10():
@@ -282,3 +283,24 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
                 assert got == _decompose_outcome(lie_decompose_by_subtraction, f, degree)
                 outcomes.add(got[0])
     assert outcomes == {"lie", "residual"}
+
+
+def test_lie_check_expands_no_bracketing(monkeypatch):
+    # the Dynkin projection checks membership; only the coordinate read expands
+    from splitcond import lyndon
+
+    rng = random.Random(163)
+    combo = NCSeries.zero(5)
+    for w in lyndon_words_of_degree(2, 5):
+        combo = combo + expand(bracketing(w), 5).scale(Fraction(rng.randint(1, 9), 7))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(lyndon, "expand", counted)
+    lyndon._lyndon_coordinates(combo, 5)
+    read_calls = len(calls)
+    assert lie_decompose(combo, 5).coefficients
+    assert len(calls) == 2 * read_calls

@@ -6,8 +6,10 @@ before those kernels were rewritten: the SHA-256 of the canonical JSON of
 ConditionSystem.to_records() for every s <= 3, p <= 4 on both routes, for
 the larger cells of the benchmark's derive grid, for BCH (4, 5), whose
 eight symbols fill eight exponent fields of a packed monomial (taken before
-monomials were packed into ints), and for BCH (4, 6), (5, 5) and (3, 6)
-(taken while the BCH route still solved by dense series subtraction); of the
+monomials were packed into ints), for BCH (4, 6), (5, 5) and (3, 6)
+(taken while the BCH route still solved by dense series subtraction), and
+for BCH (4, 7) and (6, 6) (taken while the route still formed the logarithm
+at every word); of the
 printed leading error term of the registry's order-3 scheme; and of two
 printed symbolic objects (a BCH condition system and a log series whose
 single-term coefficients carry their sign out to the word).
@@ -56,6 +58,8 @@ SYSTEM_DIGESTS = {
     ("bch", 4, 6): "8d70049ad212831a3935f5606d0edbc94da6c2965f5582017ad683c9c8e6037c",
     ("bch", 5, 5): "8ac9199d6baea3d3f64b3cc1261c98bb677c35513d51341fd21af89cb985b9a1",
     ("bch", 3, 6): "1d040b7ab0ca168368da89092bfb08ec3bfd4ab2d88e25b5b09e488d676fec42",
+    ("bch", 4, 7): "4b5bef2004b8587373174f51db80cc367d92ea398a28082eb5f9004bffca1cf9",
+    ("bch", 6, 6): "279d03d6d1944aaa62b3a931496f1c093e8894f17582f761074bb7af2f3b919f",
 }
 
 LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bfcf5dcf6"

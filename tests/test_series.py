@@ -12,8 +12,10 @@ from splitcond import (
     TruncationMismatch,
     exp,
     log,
+    word_str,
 )
 from splitcond.poly import Poly
+from splitcond.series import _log
 
 from helpers import exp_uncapped, first_nonzero_degree, log_uncapped, random_series
 
@@ -222,12 +224,16 @@ def test_scale_and_negate():
     f = random_series(rng, 3)
     assert f.scale(Fraction(1, 2)) + f.scale(Fraction(1, 2)) == f
     assert f + (-f) == NCSeries.zero(3)
+    # a scalar on either side of * scales, like scale()
+    for c in (Fraction(-2, 3), 5, Poly.symbol("a", 1)):
+        assert f * c == f.scale(c) and c * f == f.scale(c)
 
 
 def test_rendering():
     z = log(exp(letter(0, 2)) * exp(letter(1, 2)))
     assert str(z) == "A + B + 1/2*AB - 1/2*BA"
     assert str(NCSeries.zero(2)) == "0"
+    assert word_str(()) == "1"
     mixed = unit(2) + letter(0, 2, coeff=Poly.symbol("a", 1) + Poly.symbol("b", 1))
     assert str(mixed) == "1 + (a1 + b1)*A"
 
@@ -260,3 +266,23 @@ def test_capped_horner_matches_uncapped_oracle():
             h = g.scale(Poly.symbol("a", 1) + Poly.symbol("b", 2) * Fraction(1, 3))
             assert exp(h) == exp_uncapped(h)
             assert log(NCSeries.unit(n) + h) == log_uncapped(NCSeries.unit(n) + h)
+
+
+@pytest.mark.parametrize("alphabet,max_truncation", [(2, 6), (3, 6)])
+def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation):
+    # the Horner loop kept to the suffixes of a few target words is exact there
+    rng = random.Random(307 + alphabet)
+    for n in range(1, max_truncation + 1):
+        for _ in range(3):
+            f = NCSeries.unit(n, alphabet) + random_series(
+                rng, n, alphabet, symbolic=True, density=0.5
+            )
+            targets = [
+                tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, n)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            closure = {w[i:] for w in targets for i in range(len(w))}
+            filtered, full = _log(f, targets), log(f)
+            assert set(filtered.terms) <= closure
+            for w in closure:
+                assert filtered.coefficient(w) == full.coefficient(w)

@@ -26,6 +26,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 # message names interpreter settings instead of the input.
 MAX_LITERAL_DIGITS = 1000
 
+# Words the lyndon command may list; it builds the whole list before printing.
+MAX_LYNDON_WORDS = 10**6
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -130,11 +133,28 @@ def _fail(message: str) -> int:
     return 2
 
 
+def lyndon_count_bound(alphabet: int, max_len: int) -> int:
+    """Upper bound sum_{n <= max_len} k^n // n on the Lyndon words of length <= max_len.
+
+    Sum_{d | n} d L_k(d) = k^n gives n L_k(n) <= k^n.  The sum stops once it
+    passes MAX_LYNDON_WORDS, and over one letter after n = 1, where the later
+    terms are 0, so a huge max_len costs a few terms.
+    """
+    total = 0
+    for n in range(1, max_len + 1):
+        total += alphabet**n // n
+        if total > MAX_LYNDON_WORDS or alphabet == 1:
+            break
+    return total
+
+
 def cmd_lyndon(args: argparse.Namespace) -> int:
     if args.max_len < 1:
         return _fail("--max-len must be >= 1")
     if not 1 <= args.alphabet <= 26:
         return _fail("--alphabet must be between 1 and 26")
+    if lyndon_count_bound(args.alphabet, args.max_len) > MAX_LYNDON_WORDS:
+        return _fail(f"the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len")
     words = lyndon_words(args.alphabet, args.max_len)
     if args.format == "json":
         records = [

@@ -13,6 +13,11 @@ condition systems on the stage coefficients:
   of length q, so the condition at a Lyndon word w of degree q is
   q! * F[w] - 1, read straight off the splitting product F.
 
+F is formed right to left, acc <- e^{cX} acc with e^{cX} = sum_j c^j X^j / j!, and
+only where a route reads it: at the Lyndon words and their suffixes, or at every
+factor of them for the logarithm.  Both sets are suffix-closed, so F is exact on
+them, because (e^{cX} acc)[X^j v] reads acc only at the suffix v.
+
 The two resulting systems are not textually identical but cut out the same
 solution sets; systems_equivalent() is the falsification harness for that.
 Both routes emit, per degree q <= p and per Lyndon word of that degree, one
@@ -26,11 +31,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .lyndon import LieDecomposition, _lyndon_coordinates, lyndon_words, lyndon_words_of_degree
 from .poly import Poly, Scalar
-from .series import NCSeries, Word, _log, exp, word_str
+from .series import NCSeries, Word, _log, _product, exp, word_str
 
 ROUTES = ("taylor", "bch")
 
@@ -114,12 +120,20 @@ class SymbolicScheme:
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
-    """The series of e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}."""
-    result = NCSeries.unit(truncation)
-    for a_j, b_j in zip(scheme.a, scheme.b):
-        result = result * exp(NCSeries.letter(0, truncation, coeff=a_j))
-        result = result * exp(NCSeries.letter(1, truncation, coeff=b_j))
-    return result
+    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, multiplied right to left in closed form."""
+    return _splitting_product(scheme, truncation)
+
+
+def _splitting_product(scheme: SymbolicScheme, truncation: int, keep: set | None = None):
+    # only at the words of keep if given, which must hold () and be suffix-closed
+    factors = [(x, c) for pair in zip(scheme.a, scheme.b) for x, c in enumerate(pair)]
+    acc, degrees = NCSeries.unit(truncation), range(1, truncation + 1)
+    for letter, c in reversed(factors):
+        # c^j/j! = c^(j-1)/(j-1)! * c/j; NCSeries drops the zero terms of a zero stage
+        powers = accumulate(degrees, lambda x, j: x * c * Fraction(1, j), initial=Poly.const(1))
+        factor = NCSeries(truncation, 2, {(letter,) * j: x for j, x in enumerate(powers)})
+        acc = _product(factor, acc, truncation, keep)
+    return acc
 
 
 def _sum_of_letters(truncation: int) -> NCSeries:
@@ -207,7 +221,8 @@ def conditions_taylor(stages: int, p: int) -> ConditionSystem:
     """
     if p < 1:
         raise ValueError("target order must be >= 1")
-    product = splitting_product(SymbolicScheme.generic(stages), p)
+    keep = {w[i:] for w in lyndon_words(2, p) for i in range(len(w) + 1)}
+    product = _splitting_product(SymbolicScheme.generic(stages), p, keep)
     entries = [
         ConditionEntry(q, word, product.coefficient(word) * math.factorial(q) - 1)
         for q in range(1, p + 1)
@@ -228,8 +243,10 @@ def conditions_bch(stages: int, p: int) -> ConditionSystem:
     """
     if p < 1:
         raise ValueError("target order must be >= 1")
-    product = splitting_product(SymbolicScheme.generic(stages), p)
-    deviation = _log(product, lyndon_words(2, p)) - _sum_of_letters(p)
+    words = lyndon_words(2, p)
+    keep = {w[i:j] for w in words for j in range(len(w) + 1) for i in range(j + 1)}
+    product = _splitting_product(SymbolicScheme.generic(stages), p, keep)
+    deviation = _log(product, words) - _sum_of_letters(p)
     entries: list[ConditionEntry] = []
     for q in range(1, p + 1):
         coordinates = _lyndon_coordinates(deviation, q)

@@ -52,6 +52,8 @@ def lyndon_words(alphabet_size: int, max_degree: int) -> list[Word]:
         raise ValueError("alphabet size must be >= 1")
     if max_degree < 1:
         raise ValueError("max degree must be >= 1")
+    if alphabet_size == 1:
+        max_degree = 1  # A is the one Lyndon word over one letter
     out: list[Word] = []
     w = [-1]
     while w:

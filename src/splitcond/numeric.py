@@ -100,10 +100,17 @@ def scheme_step(
     step = np.eye(a_mat.shape[0])
     for a_j, b_j in zip(scheme.a, scheme.b):
         if a_j != 0:
-            step = step @ matrix_exp(float(a_j) * t * a_mat)
+            step = step @ matrix_exp(_as_float(a_j) * t * a_mat)
         if b_j != 0:
-            step = step @ matrix_exp(float(b_j) * t * b_mat)
+            step = step @ matrix_exp(_as_float(b_j) * t * b_mat)
     return step
+
+
+def _as_float(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise NonFinite("stage coefficient too large for a float") from None
 
 
 @dataclass(frozen=True)

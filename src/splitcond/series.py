@@ -250,9 +250,10 @@ def _product(f: NCSeries, g: NCSeries, cap: int, keep: set | None = None) -> NCS
         for v, cv in right:
             if len(u) + len(v) > cap:
                 break
-            pairs.setdefault(u + v, []).append((cu, cv))
-    out = {w: sum_of_products(p) for w, p in pairs.items() if keep is None or w in keep}
-    return NCSeries._of(f.truncation, f.alphabet_size, {w: c for w, c in out.items() if c})
+            if keep is None or u + v in keep:
+                pairs.setdefault(u + v, []).append((cu, cv))
+    out = {w: c for w, p in pairs.items() if (c := sum_of_products(p))}
+    return NCSeries._of(f.truncation, f.alphabet_size, out)
 
 
 def _horner(x: NCSeries, coefficients: list, keep: set | None = None) -> NCSeries:

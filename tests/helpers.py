@@ -21,10 +21,10 @@ from splitcond import (
     NotALieElement,
     SymbolicScheme,
     bracketing,
+    exp,
     expand,
     log,
     lyndon_words_of_degree,
-    splitting_product,
 )
 from splitcond.poly import Poly
 
@@ -143,6 +143,21 @@ def log_uncapped(f: NCSeries) -> NCSeries:
     for k in range(f.truncation, 0, -1):
         acc = unit.scale(Fraction(1, k)) - (x * acc)
     return x * acc
+
+
+# ---------------------------------------------------------------------------
+# the splitting product as a left-to-right product of series exponentials,
+# every word formed: the reference for the library's closed-form factors,
+# multiplied right to left at a suffix-closed set of words
+
+
+def splitting_product_by_exp(scheme: SymbolicScheme, truncation: int) -> NCSeries:
+    """The series of e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}."""
+    result = NCSeries.unit(truncation)
+    for a_j, b_j in zip(scheme.a, scheme.b):
+        result = result * exp(NCSeries.letter(0, truncation, coeff=a_j))
+        result = result * exp(NCSeries.letter(1, truncation, coeff=b_j))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +299,7 @@ def conditions_bch_dense(scheme: SymbolicScheme, p: int) -> list[tuple[int, tupl
     subtraction, with the Lie check, in the entry order of conditions_bch.
     """
     deviation = (
-        log(splitting_product(scheme, p)) - NCSeries.letter(0, p) - NCSeries.letter(1, p)
+        log(splitting_product_by_exp(scheme, p)) - NCSeries.letter(0, p) - NCSeries.letter(1, p)
     )
     entries = []
     for q in range(1, p + 1):

@@ -9,13 +9,16 @@ import pytest
 
 import splitcond
 from splitcond.cli import (
+    MAX_LYNDON_WORDS,
     REGISTRY,
     load_scheme_file,
+    lyndon_count_bound,
     main,
     parse_rational,
     scheme_to_json_dict,
 )
 from splitcond.conditions import verify_scheme
+from splitcond.lyndon import lyndon_words
 
 F = Fraction
 
@@ -52,6 +55,25 @@ def test_lyndon_bad_max_len(capsys):
     code, _, err = run(capsys, "lyndon", "--max-len", "0")
     assert code == 2
     assert "max-len" in err
+
+
+def test_lyndon_count_bound_on_extreme_values():
+    # only the bound is computed here: the refused listings are never built
+    assert lyndon_count_bound(26, 6) > MAX_LYNDON_WORDS
+    assert lyndon_count_bound(26, 10**18) > MAX_LYNDON_WORDS
+    assert lyndon_count_bound(2, 10**18) > MAX_LYNDON_WORDS
+    assert lyndon_count_bound(2, 23) <= MAX_LYNDON_WORDS < lyndon_count_bound(2, 24)
+    assert lyndon_count_bound(26, 4) <= MAX_LYNDON_WORDS < lyndon_count_bound(26, 5)
+    assert lyndon_count_bound(1, 10**18) == 1
+    for alphabet in (1, 2, 3, 4):
+        for max_len in range(1, 7):
+            assert len(lyndon_words(alphabet, max_len)) <= lyndon_count_bound(alphabet, max_len)
+
+
+def test_lyndon_one_letter_at_a_long_max_len(capsys):
+    code, out, _ = run(capsys, "lyndon", "--alphabet", "1", "--max-len", "10000000")
+    assert code == 0
+    assert out == "A\n"
 
 
 def test_lyndon_json(capsys):
@@ -290,10 +312,12 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     "argv",
     [
         ("lyndon", "--max-len", "3", "--alphabet", "27"),
+        ("lyndon", "--max-len", "6", "--alphabet", "26"),
+        ("lyndon", "--max-len", "24"),
         ("verify", "strang", "-p", "0"),
         ("converge", "strang", "--grid-coarse", "6", "--grid-fine", "5"),
     ],
-    ids=["alphabet-27", "verify-order-0", "inverted-grid"],
+    ids=["alphabet-27", "lyndon-26-6", "lyndon-2-24", "verify-order-0", "inverted-grid"],
 )
 def test_rejected_arguments_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -309,6 +333,16 @@ def test_converge_overflow_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_converge_coefficient_beyond_float_range_exits_2(tmp_path, capsys):
+    # 401 digits pass the literal check, but float() of them overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"a": ["1" + "0" * 400, "0"], "b": ["1", "0"]}), encoding="utf-8")
+    code, out, err = run(capsys, "converge", str(path), "--dim", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: stage coefficient too large for a float\n"
 
 
 def test_verify_rejects_deeply_nested_scheme_file(tmp_path, capsys):

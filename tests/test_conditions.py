@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,8 +26,10 @@ from splitcond import (
     splitting_product,
     systems_equivalent,
     verify_scheme,
+    word_str,
 )
 from splitcond.cli import REGISTRY
+from splitcond.conditions import _splitting_product
 from splitcond.poly import Poly
 
 from helpers import (
@@ -38,6 +41,7 @@ from helpers import (
     order2_witness,
     random_fraction,
     refine_witnesses,
+    splitting_product_by_exp,
     taylor_derivative,
 )
 
@@ -74,6 +78,55 @@ def test_splitting_product_symbolic_degree_1():
         2,
         {(): 1, (A,): sym("a", 1) + sym("a", 2), (B,): sym("b", 1) + sym("b", 2)},
     )
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_splitting_product_equals_the_exp_oracle(stages):
+    scheme = SymbolicScheme.generic(stages)
+    for truncation in range(1, 6):
+        assert splitting_product(scheme, truncation) == splitting_product_by_exp(
+            scheme, truncation
+        )
+    # the oracle cannot form a letter at truncation 0, where the product is 1
+    assert splitting_product(scheme, 0) == NCSeries.unit(0)
+
+
+def test_splitting_product_of_concrete_schemes_equals_the_exp_oracle():
+    # registry schemes padded with zero stages, and random rationals with zeros
+    schemes = [
+        entry.scheme.padded(entry.scheme.stages + extra)
+        for entry in REGISTRY.values()
+        for extra in (0, 1, 2)
+    ]
+    rng = random.Random(1010)
+    for stages in (1, 2, 3):
+        for _ in range(6):
+            draw = [rng.choice((F(0), random_fraction(rng))) for _ in range(2 * stages)]
+            a, b = draw[:stages], draw[stages:]
+            schemes.append(ConcreteScheme(a, b))
+    assert any(x < 0 for scheme in schemes for x in scheme.point())
+    assert any(x == 0 for scheme in schemes for x in scheme.point())
+    for scheme in schemes:
+        symbolic = SymbolicScheme.from_concrete(scheme)
+        for truncation in (1, 2, 5):
+            product = splitting_product(symbolic, truncation)
+            assert product == splitting_product_by_exp(symbolic, truncation), scheme
+            assert all(not c.is_zero for c in product.terms.values())
+
+
+@pytest.mark.parametrize("stages,truncation", [(1, 5), (2, 5), (3, 4)])
+def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, truncation):
+    scheme = SymbolicScheme.generic(stages)
+    full = splitting_product_by_exp(scheme, truncation)
+    words = [w for n in range(truncation + 1) for w in itertools.product((A, B), repeat=n)]
+    rng = random.Random(100 * stages + truncation)
+    for _ in range(10):
+        targets = rng.sample(words, rng.randint(1, 6))
+        closure = {w[i:] for w in targets for i in range(len(w) + 1)}
+        restricted = _splitting_product(scheme, truncation, closure)
+        assert set(restricted.terms) <= closure
+        for word in closure:
+            assert restricted.coefficient(word) == full.coefficient(word), word_str(word)
 
 
 def test_local_error_single_stage_degree_2():

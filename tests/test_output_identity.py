@@ -9,10 +9,13 @@ eight symbols fill eight exponent fields of a packed monomial (taken before
 monomials were packed into ints), for BCH (4, 6), (5, 5) and (3, 6)
 (taken while the BCH route still solved by dense series subtraction), and
 for BCH (4, 7) and (6, 6) (taken while the route still formed the logarithm
-at every word); of the
-printed leading error term of the registry's order-3 scheme; and of two
-printed symbolic objects (a BCH condition system and a log series whose
-single-term coefficients carry their sign out to the word).
+at every word), and for Taylor (6, 6), (3, 8) and (4, 8) (taken while the
+splitting product was still a left-to-right product of series exponentials
+formed at every word); of the
+printed leading error term of the registry's order-3 scheme; and of three
+printed symbolic objects (a BCH condition system, a log series whose
+single-term coefficients carry their sign out to the word, and the full
+three-stage splitting product through degree 5, taken with the Taylor pins).
 """
 
 import hashlib
@@ -60,6 +63,9 @@ SYSTEM_DIGESTS = {
     ("bch", 3, 6): "1d040b7ab0ca168368da89092bfb08ec3bfd4ab2d88e25b5b09e488d676fec42",
     ("bch", 4, 7): "4b5bef2004b8587373174f51db80cc367d92ea398a28082eb5f9004bffca1cf9",
     ("bch", 6, 6): "279d03d6d1944aaa62b3a931496f1c093e8894f17582f761074bb7af2f3b919f",
+    ("taylor", 6, 6): "e2a564e845f2cd92b43ce997f763a9480ec017cd7e55157923fd792c53fa5368",
+    ("taylor", 3, 8): "1da11f4f5baa7bdc70f8cbf178403d345934721f4ba3d2995074946264cae107",
+    ("taylor", 4, 8): "4195550df82997a064add215b0e8653435b393863821ac20ba3eb441514e7c5d",
 }
 
 LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bfcf5dcf6"
@@ -67,6 +73,8 @@ LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bf
 BCH_SYSTEM_3_3_TEXT_DIGEST = "936e8c82fe308279b9ff1f7674cb30e8deafc0086f364164f446d8e63f4c1044"
 
 LOG_SERIES_2_3_TEXT_DIGEST = "5b8064435ccaca488a28d16dfbf96e4f3701679f54816fae46d1fd0e104bdb7b"
+
+PRODUCT_3_5_TEXT_DIGEST = "db172ca0d31f55aa1d9d6eca88427f28ae76ea71f397ea783e1501ebcc856218"
 
 
 def sha256(text: str) -> str:
@@ -92,3 +100,8 @@ def test_bch_system_text_unchanged():
 def test_log_series_text_unchanged():
     text = str(log(splitting_product(SymbolicScheme.generic(2), 3)))
     assert sha256(text) == LOG_SERIES_2_3_TEXT_DIGEST
+
+
+def test_splitting_product_text_unchanged():
+    text = str(splitting_product(SymbolicScheme.generic(3), 5))
+    assert sha256(text) == PRODUCT_3_5_TEXT_DIGEST

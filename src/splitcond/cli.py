@@ -26,7 +26,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 # message names interpreter settings instead of the input.
 MAX_LITERAL_DIGITS = 1000
 
-# Words the lyndon command may list; it builds the whole list before printing.
+# Words the lyndon command may list; it builds the whole word list before printing.
 MAX_LYNDON_WORDS = 10**6
 
 
@@ -157,15 +157,13 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
         return _fail(f"the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len")
     words = lyndon_words(args.alphabet, args.max_len)
     if args.format == "json":
-        records = [
-            {
-                "word": word_str(w),
-                "bracketing": bracket_str(bracketing(w)),
-                "length": len(w),
-            }
-            for w in words
-        ]
-        print(json.dumps(records, indent=2))
+        # json.dumps(records, indent=2), written one record at a time
+        sep = "[\n  "
+        for w in words:
+            record = dict(word=word_str(w), bracketing=bracket_str(bracketing(w)), length=len(w))
+            sys.stdout.write(sep + json.dumps(record, indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
+        print("\n]")
     else:
         for w in words:
             if len(w) == 1:

@@ -1,42 +1,34 @@
 """Order conditions for exponential splitting schemes, by two routes.
 
-A scheme with stage coefficients a_1..a_s, b_1..b_s approximates e^{(A+B)t}
-by the product e^{a_1 A t} e^{b_1 B t} ... e^{a_s A t} e^{b_s B t}.  It has
-order p when the local error (product minus exact exponential) vanishes
-through degree p.  This module turns that requirement into polynomial
-condition systems on the stage coefficients:
+A scheme a_1..a_s, b_1..b_s has order p when F = e^{a_1 A t} e^{b_1 B t} ...
+e^{a_s A t} e^{b_s B t} matches e^{(A+B)t} through degree p.  Per degree q <= p and
+Lyndon word w of degree q, the Taylor route emits q! F[w] - 1 (e^{A+B} has coefficient
+1/q! at every word of length q), and the BCH route the Lyndon-basis coordinate at w
+of log(F) - (A + B); each must vanish.
 
-* the logarithm route: take log of the splitting product at the Lyndon words
-  and their suffixes only, subtract A + B, and read its Lyndon-basis coordinates;
-* the Taylor route: the q-th t-derivative of the local error at t = 0 is
-  q! times its degree-q part.  e^{A+B} has coefficient 1/q! at every word
-  of length q, so the condition at a Lyndon word w of degree q is
-  q! * F[w] - 1, read straight off the splitting product F.
-
-F is formed right to left, acc <- e^{cX} acc with e^{cX} = sum_j c^j X^j / j!, and
-only where a route reads it: at the Lyndon words and their suffixes, or at every
-factor of them for the logarithm.  Both sets are suffix-closed, so F is exact on
-them, because (e^{cX} acc)[X^j v] reads acc only at the suffix v.
-
-The two resulting systems are not textually identical but cut out the same
-solution sets; systems_equivalent() is the falsification harness for that.
-Both routes emit, per degree q <= p and per Lyndon word of that degree, one
-polynomial that must vanish.  No lower-order conditions are substituted
-during generation, so the polynomials trace directly back to the series.
+Both run one divided-power recurrence.  With stage values n = D c, D the lcm of their
+denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v]
+to sum_j C(|w|, j) n^j G[v], only on the Lyndon words and their suffixes (Taylor) or
+factors (BCH): suffix-closed sets, where G is exact.  log(F) is Horner's scheme over G
+with the integer constants L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua
+(J. Math. Phys. 2009).  One pass serves ints, for a concrete scheme, so verify_scheme
+and leading_error_term build no symbolic system, and Poly, with D = 1, for the
+condition systems.  systems_equivalent() checks that the two systems cut out the same
+solution sets on witnesses.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .lyndon import LieDecomposition, _lyndon_coordinates, lyndon_words, lyndon_words_of_degree
-from .poly import Poly, Scalar
-from .series import NCSeries, Word, _log, _product, exp, word_str
+from .lyndon import LieDecomposition, _back_substitute, _product_steps, _Tables
+from .poly import _ONE, Poly, Scalar, sum_of_products
+from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
 
@@ -120,29 +112,82 @@ class SymbolicScheme:
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
-    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, multiplied right to left in closed form."""
-    return _splitting_product(scheme, truncation)
+    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
+    words = (w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
+    g = _divided_product(scheme.a, scheme.b, _product_steps(words), _ONE, sum_of_products)
+    terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in g.items()}
+    return NCSeries(truncation, 2, terms)
 
 
-def _splitting_product(scheme: SymbolicScheme, truncation: int, keep: set | None = None):
-    # only at the words of keep if given, which must hold () and be suffix-closed
-    factors = [(x, c) for pair in zip(scheme.a, scheme.b) for x, c in enumerate(pair)]
-    acc, degrees = NCSeries.unit(truncation), range(1, truncation + 1)
-    for letter, c in reversed(factors):
-        # c^j/j! = c^(j-1)/(j-1)! * c/j; NCSeries drops the zero terms of a zero stage
-        powers = accumulate(degrees, lambda x, j: x * c * Fraction(1, j), initial=Poly.const(1))
-        factor = NCSeries(truncation, 2, {(letter,) * j: x for j, x in enumerate(powers)})
-        acc = _product(factor, acc, truncation, keep)
-    return acc
+def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot) -> dict:
+    # G[w] = |w|! D^|w| F[w] on the suffix-closed words of steps, for stage values
+    # n = D c; right to left, e^{cX} sends G[X^j v] to sum_j C(|w|, j) n^j G[v]
+    g = dict.fromkeys((w for rows in steps.values() for w, _ in rows), dot([]))
+    g[()], top = one, max(map(len, g), default=0)
+    for letter, n in reversed([(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n]):
+        powers = [n**j for j in range(top + 1)]
+        for w, runs in steps.get(letter, ()):
+            # longest first, so each G[v] read is still the one before this factor
+            g[w] = dot([(c, powers[j], g[v]) for c, j, v in runs])
+    return g
 
 
-def _sum_of_letters(truncation: int) -> NCSeries:
-    return NCSeries.letter(0, truncation) + NCSeries.letter(1, truncation)
+def _divided_log(g: dict, splits: list, p: int, one, dot) -> tuple[int, dict]:
+    # L |w|! D^|w| log(F)[w] on the words of splits: the capped Horner loop of
+    # log over G, with the integer constants L (-1)^(k+1) / k, L = lcm(1..p)
+    big = math.lcm(*range(1, p + 1))
+    acc = dict.fromkeys((w for w, _ in splits), dot([]))
+    for k in range(p, -1, -1):
+        for w, parts in splits:
+            if 0 < len(w) <= p - k:
+                # x * acc at w, x = G - 1: binomial-weighted splits w = uv, u != ()
+                acc[w] = dot([(c, g[u], acc[v]) for c, u, v in parts[1:]])
+        acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
+    return big, acc
+
+
+def _int_dot(terms: list[tuple[int, int, int]]) -> int:
+    total = 0
+    for c, x, y in terms:
+        total += c * x * y
+    return total
+
+
+def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot) -> list:
+    # (degree, word, numerator, scale) of each condition numerator / scale, at n = D c
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if p < 1:
+        raise ValueError("target order must be >= 1")
+    tables = _Tables(p, 2)
+    words = [(q, w) for q in range(1, p + 1) for w in tables.lyndon[q]]
+    if route == "taylor":
+        g = _divided_product(a, b, tables.suffix_steps, one, dot)
+        return [(q, w, g[w] - den**q, den**q) for q, w in words]
+    g = _divided_product(a, b, tables.factor_steps, one, dot)
+    big, acc = _divided_log(g, tables.log_steps, p, one, dot)
+    acc[(0,)], acc[(1,)] = acc[(0,)] - big * den, acc[(1,)] - big * den  # less A + B
+    read = [_back_substitute(acc, q, tables, one, dot) for q in range(p + 1)]
+    return [(q, w, read[q].get(w, dot([])), big * math.factorial(q) * den**q) for q, w in words]
+
+
+def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
+    # the route over ints: stage values scaled by D, the lcm of their denominators
+    den = math.lcm(*(c.denominator for c in scheme.point()))
+    a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
+    return [(q, w, Fraction(n, s)) for q, w, n, s in _route(a, b, den, p, route, 1, _int_dot)]
+
+
+def _system(stages: int, p: int, route: str) -> ConditionSystem:
+    symbols = SymbolicScheme.generic(stages)
+    entries = _route(symbols.a, symbols.b, 1, p, route, _ONE, sum_of_products)
+    return ConditionSystem(stages, p, route, tuple(
+        ConditionEntry(q, w, n * Fraction(1, s) if s > 1 else n) for q, w, n, s in entries))
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
     """The reference flow e^{A+B} as a truncated series."""
-    return exp(_sum_of_letters(truncation))
+    return exp(NCSeries.letter(0, truncation) + NCSeries.letter(1, truncation))
 
 
 def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:
@@ -186,10 +231,7 @@ class ConditionSystem:
                 f"scheme has {scheme.stages} stages, system expects {self.stages}"
             )
         point = scheme.point()
-        return [
-            (e.degree, e.word, e.polynomial.evaluate(point) - e.rhs)
-            for e in self.entries
-        ]
+        return [(e.degree, e.word, e.polynomial.evaluate(point) - e.rhs) for e in self.entries]
 
     def satisfied_by(self, scheme: ConcreteScheme, tol: Scalar = 0) -> bool:
         """Exact satisfaction when tol == 0; |residual| <= tol otherwise."""
@@ -211,7 +253,7 @@ class ConditionSystem:
         return "\n".join([header] + [f"  {e}" for e in self.entries])
 
 
-# a process verifies at a few (s, p) only: 16 systems per route bound the memory
+# a process derives at a few (s, p) only: 16 systems per route bound the memory
 @functools.lru_cache(maxsize=16)
 def conditions_taylor(stages: int, p: int) -> ConditionSystem:
     """Order conditions q! * F[w] - 1 at the Lyndon words w of the product F.
@@ -219,40 +261,17 @@ def conditions_taylor(stages: int, p: int) -> ConditionSystem:
     These are the q!-scaled Lyndon-word coefficients of the local error,
     since e^{A+B} has coefficient 1/q! at every word of length q.
     """
-    if p < 1:
-        raise ValueError("target order must be >= 1")
-    keep = {w[i:] for w in lyndon_words(2, p) for i in range(len(w) + 1)}
-    product = _splitting_product(SymbolicScheme.generic(stages), p, keep)
-    entries = [
-        ConditionEntry(q, word, product.coefficient(word) * math.factorial(q) - 1)
-        for q in range(1, p + 1)
-        for word in lyndon_words_of_degree(2, q)
-    ]
-    return ConditionSystem(stages, p, "taylor", tuple(entries))
+    return _system(stages, p, "taylor")
 
 
 @functools.lru_cache(maxsize=16)
 def conditions_bch(stages: int, p: int) -> ConditionSystem:
     """Order conditions: Lyndon-basis coordinates of log(product) - (A+B).
 
-    The degree-q part of the logarithm is the same at every truncation >= q,
-    so the series is built at truncation p.  Its degrees >= 2 are Lie elements
-    and its degree 1 is affine in A and B, so back-substitution at the Lyndon
-    words of each degree reads the coordinates unchecked.  It reads only
-    there, so the logarithm is formed only at Lyndon words and their suffixes.
+    Degrees >= 2 of the logarithm are Lie elements and degree 1 is affine in A
+    and B, so back-substitution at the Lyndon words reads them unchecked.
     """
-    if p < 1:
-        raise ValueError("target order must be >= 1")
-    words = lyndon_words(2, p)
-    keep = {w[i:j] for w in words for j in range(len(w) + 1) for i in range(j + 1)}
-    product = _splitting_product(SymbolicScheme.generic(stages), p, keep)
-    deviation = _log(product, words) - _sum_of_letters(p)
-    entries: list[ConditionEntry] = []
-    for q in range(1, p + 1):
-        coordinates = _lyndon_coordinates(deviation, q)
-        for word in lyndon_words_of_degree(2, q):
-            entries.append(ConditionEntry(q, word, coordinates.coefficient(word)))
-    return ConditionSystem(stages, p, "bch", tuple(entries))
+    return _system(stages, p, "bch")
 
 
 def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
@@ -280,9 +299,8 @@ class VerificationReport:
 def verify_scheme(
     scheme: ConcreteScheme, p: int, route: str = "bch"
 ) -> VerificationReport:
-    """Evaluate the order-p condition system at the scheme, exactly."""
-    system = condition_system(scheme.stages, p, route)
-    residuals = tuple(system.residuals(scheme))
+    """The order-p residuals at the scheme, exactly, by the route's pass over ints."""
+    residuals = tuple(_residuals(scheme, p, route))
     return VerificationReport(scheme, p, route, _all_within(residuals), residuals)
 
 
@@ -347,7 +365,7 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
     """
     if p < 1:
         raise ValueError("target order must be >= 1")
-    residuals = conditions_bch(scheme.stages, p + 1).residuals(scheme)
+    residuals = _residuals(scheme, p + 1, "bch")
     if not _all_within(r for r in residuals if r[0] <= p):
         raise NotOrderP(f"{scheme} does not satisfy the order-{p} conditions")
     return LieDecomposition(

@@ -2,8 +2,9 @@
 
 Provides Duval's enumeration of Lyndon words, the standard right
 factorization (smallest proper suffix), the nested-commutator bracketing it
-induces, expansion of bracket trees into word series, and the Lyndon-basis
-coordinates of homogeneous Lie elements.
+induces, expansion of bracket trees into word series, the Lyndon-basis
+coordinates of homogeneous Lie elements, and the word tables through a degree
+that the order-condition recurrence reads.
 
 A Lyndon bracketing expands to its own word, with coefficient 1, plus larger
 words only (Reutenauer, Free Lie Algebras, 1993), so back-substitution at the
@@ -14,11 +15,13 @@ bracketing over the degree) and reports the complement it annihilates.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Any, Iterator, Mapping, Union
 
-from .poly import Poly, sum_of_products
+from .poly import _ONE, Poly, sum_of_products
 from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
@@ -152,17 +155,61 @@ class LieDecomposition:
         return "{" + ", ".join(parts) + "}"
 
 
-def _lyndon_coordinates(f: NCSeries, degree: int) -> LieDecomposition:
-    # back-substitution in lexicographic order, c_w = f[w] - sum_{l<w} E_l[w] c_l,
-    # read at the Lyndon words only; exact for Lie elements, unchecked otherwise
-    solved = [(f.terms, Poly.const(1))]  # f, then (E_l, -c_l) for each nonzero c_l
-    coefficients: dict[Word, Poly] = {}
-    for word in lyndon_words_of_degree(f.alphabet_size, degree):
-        coeff = sum_of_products([(terms[word], c) for terms, c in solved if word in terms])
-        if coeff:
-            coefficients[word] = coeff
-            solved.append((expand(bracketing(word), degree, f.alphabet_size).terms, -coeff))
-    return LieDecomposition(degree, coefficients)
+def _splits(words) -> list:
+    # the words longest first, each with (C(|w|, i), w[:i], w[i:]) for 0 <= i <= |w|
+    words = sorted(words, key=len, reverse=True)
+    return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(len(w) + 1)]) for w in words]
+
+
+def _product_steps(words) -> dict[int, list]:
+    # per first letter X, the splits w = X^j v of each word as (C(|w|, j), j, v),
+    # j = 0 included: in divided powers, the terms of (e^{cX} G)[w]
+    steps: dict[int, list] = {}
+    for w, splits in _splits(w for w in words if w):
+        runs = [(c, len(u), v) for c, u, v in splits if u == w[:1] * len(u)]
+        steps.setdefault(w[0], []).append((w, runs))
+    return steps
+
+
+# one instance per (p, alphabet size); a process works at a few degrees only
+@functools.lru_cache(maxsize=16)
+class _Tables:
+    """Scheme-independent tables through degree p, each built on its first use."""
+
+    def __init__(self, p: int, alphabet_size: int):
+        words = lyndon_words(alphabet_size, p)
+        self.lyndon = [[w for w in words if len(w) == q] for q in range(p + 1)]  # by degree
+        self.suffixes = {w[i:] for w in words for i in range(len(w) + 1)}
+        self._brackets = {(x,): {(x,): 1} for x in range(alphabet_size)}
+
+    # the product on the Lyndon words and their suffixes, or on their factors, and the log
+    suffix_steps = functools.cached_property(lambda self: _product_steps(self.suffixes))
+    factor_steps = functools.cached_property(
+        lambda self: _product_steps({v[:i] for v in self.suffixes for i in range(len(v) + 1)})
+    )
+    log_steps = functools.cached_property(lambda self: _splits(self.suffixes))
+
+    def bracket(self, w: Word) -> dict[Word, int]:
+        # E_w, the standard bracketing of the Lyndon word w expanded over ints
+        if w not in self._brackets:
+            left, right = map(self.bracket, standard_factorization(w))
+            pairs = [(u, v, cu * cv) for u, cu in left.items() for v, cv in right.items()]
+            terms = {u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs}
+            self._brackets[w] = add_terms(*terms)
+        return self._brackets[w]
+
+
+def _back_substitute(values: Mapping[Word, Any], degree: int, tables, one, dot) -> dict:
+    # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in
+    # lexicographic order, over ints or Poly; exact for Lie elements, unchecked otherwise
+    solved: list[tuple[dict[Word, int], Any]] = []
+    out = {}
+    for word in tables.lyndon[degree]:
+        terms = [(-e[word], c, one) for e, c in solved if word in e]
+        if coeff := dot(terms + [(1, values[word], one)] if word in values else terms):
+            out[word] = coeff
+            solved.append((tables.bracket(word), coeff))
+    return out
 
 
 def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
@@ -198,4 +245,6 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)
-    return _lyndon_coordinates(f, degree)
+    tables = _Tables(degree, f.alphabet_size)
+    coefficients = _back_substitute(f.terms, degree, tables, _ONE, sum_of_products)
+    return LieDecomposition(degree, coefficients)

@@ -129,7 +129,7 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products([(self, _ONE), (other, _ONE)])
+        return sum_of_products([(1, self, _ONE), (1, other, _ONE)])
 
     __radd__ = __add__
 
@@ -148,7 +148,7 @@ class Poly:
             return Poly._of(self._den * d, {m: c * n for m, c in self._nums.items()} if n else {})
         if not isinstance(other, Poly):
             return NotImplemented
-        return sum_of_products([(self, other)])
+        return sum_of_products([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -238,16 +238,16 @@ class Poly:
         return f"Poly({self})"
 
 
-def sum_of_products(pairs: list[tuple[Poly, Poly]]) -> Poly:
-    """Exact sum of p * q over pairs of polynomials.
+def sum_of_products(terms: list[tuple[int, Poly, Poly]]) -> Poly:
+    """Exact sum of c * p * q over integer weights c and polynomials p, q.
 
     Products accumulate as integers over one common denominator, so the
     result is reduced once, by one gcd, not once per product or coefficient.
     """
-    den = math.lcm(*(p._den * q._den for p, q in pairs))
+    den = math.lcm(*(p._den * q._den for _, p, q in terms))
     acc: dict[int, int] = {}
-    for p, q in pairs:
-        scale = den // (p._den * q._den)
+    for weight, p, q in terms:
+        scale = weight * (den // (p._den * q._den))
         right = q._nums.items()
         for m1, c1 in p._nums.items():
             c1 *= scale

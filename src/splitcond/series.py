@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .poly import Poly, Scalar, as_poly, sum_of_products
 
@@ -241,32 +241,27 @@ class NCSeries:
         return f"NCSeries(N={self.truncation}, {self})"
 
 
-def _product(f: NCSeries, g: NCSeries, cap: int, keep: set | None = None) -> NCSeries:
-    """Concatenation product f * g at the words of length <= cap, and in keep if given."""
+def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
+    """Concatenation product f * g at the words of length <= cap."""
     f._check_compatible(g)
     right = sorted(g.terms.items(), key=lambda item: len(item[0]))
-    pairs: dict[Word, list[tuple[Poly, Poly]]] = {}
+    terms: dict[Word, list[tuple[int, Poly, Poly]]] = {}
     for u, cu in f.terms.items():
         for v, cv in right:
             if len(u) + len(v) > cap:
                 break
-            if keep is None or u + v in keep:
-                pairs.setdefault(u + v, []).append((cu, cv))
-    out = {w: c for w, p in pairs.items() if (c := sum_of_products(p))}
+            terms.setdefault(u + v, []).append((1, cu, cv))
+    out = {w: c for w, t in terms.items() if (c := sum_of_products(t))}
     return NCSeries._of(f.truncation, f.alphabet_size, out)
 
 
-def _horner(x: NCSeries, coefficients: list, keep: set | None = None) -> NCSeries:
-    """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term.
-
-    The accumulator c_k + x(...) meets k more factors of x, so only its words
-    of length <= N - k are formed, and only those in keep (suffix-closed) if given.
-    """
+def _horner(x: NCSeries, coefficients: list) -> NCSeries:
+    """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term."""
     unit = NCSeries.unit(x.truncation, x.alphabet_size)
     acc = NCSeries.zero(x.truncation, x.alphabet_size)
     for k in range(x.truncation, -1, -1):
-        # exact on keep: x * acc at a word w reads acc only at proper suffixes of w
-        acc = unit.scale(coefficients[k]) + _product(x, acc, x.truncation - k, keep)
+        # c_k + x(...) meets k more factors of x, so only its words to length N - k count
+        acc = unit.scale(coefficients[k]) + _product(x, acc, x.truncation - k)
     return acc
 
 
@@ -279,13 +274,7 @@ def exp(g: NCSeries) -> NCSeries:
 
 def log(f: NCSeries) -> NCSeries:
     """Truncated logarithm sum_{k>=1} (-1)^(k+1) (f-1)^k / k; f needs constant term 1."""
-    return _log(f)
-
-
-def _log(f: NCSeries, words: Iterable[Word] | None = None) -> NCSeries:
-    # log(f), formed only at the given words and their suffixes if words are given
     if f.constant_term != 1:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
-    keep = None if words is None else {w[i:] for w in words for i in range(len(w))}
     mercator = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, f.truncation + 1)]
-    return _horner(f - NCSeries.unit(f.truncation, f.alphabet_size), mercator, keep)
+    return _horner(f - NCSeries.unit(f.truncation, f.alphabet_size), mercator)

@@ -18,7 +18,8 @@ from splitcond.cli import (
     scheme_to_json_dict,
 )
 from splitcond.conditions import verify_scheme
-from splitcond.lyndon import lyndon_words
+from splitcond.lyndon import bracket_str, bracketing, lyndon_words
+from splitcond.series import word_str
 
 F = Fraction
 
@@ -81,6 +82,20 @@ def test_lyndon_json(capsys):
     assert code == 0
     records = json.loads(out)
     assert records[1] == {"word": "AB", "bracketing": "[A,B]", "length": 2}
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+def test_lyndon_json_stream_is_the_whole_document(capsys, alphabet):
+    # written record by record, byte-identical to dumping the whole list
+    for max_len in range(1, 9):
+        args = ("lyndon", "--alphabet", str(alphabet), "--max-len", str(max_len))
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        records = [
+            {"word": word_str(w), "bracketing": bracket_str(bracketing(w)), "length": len(w)}
+            for w in lyndon_words(alphabet, max_len)
+        ]
+        assert out == json.dumps(records, indent=2) + "\n"
 
 
 # -- conditions ----------------------------------------------------------------

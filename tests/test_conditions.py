@@ -17,6 +17,7 @@ from splitcond import (
     condition_system,
     conditions_bch,
     conditions_taylor,
+    exp,
     exp_of_sum,
     expand,
     leading_error_term,
@@ -29,8 +30,9 @@ from splitcond import (
     word_str,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import _splitting_product
-from splitcond.poly import Poly
+from splitcond.conditions import _divided_product
+from splitcond.lyndon import _product_steps
+from splitcond.poly import Poly, sum_of_products
 
 from helpers import (
     combine_log_coefficients,
@@ -123,10 +125,13 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
     for _ in range(10):
         targets = rng.sample(words, rng.randint(1, 6))
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-        restricted = _splitting_product(scheme, truncation, closure)
-        assert set(restricted.terms) <= closure
+        # the divided-power recurrence, G[w] = |w|! F[w] over Poly
+        steps = _product_steps(closure)
+        divided = _divided_product(scheme.a, scheme.b, steps, Poly.const(1), sum_of_products)
+        assert set(divided) == closure
         for word in closure:
-            assert restricted.coefficient(word) == full.coefficient(word), word_str(word)
+            expected = full.coefficient(word) * math.factorial(len(word))
+            assert divided[word] == expected, word_str(word)
 
 
 def test_local_error_single_stage_degree_2():
@@ -756,14 +761,117 @@ def test_bch_residuals_equal_the_dense_oracle_registry(name):
 
 
 def test_route_caches_are_bounded():
-    # 18 further systems on each route evict (2, 2); verifying there again
-    # rebuilds the system and gives the same residuals
+    # 18 further systems on each route evict (2, 2); asking for it again
+    # rebuilds the system, and the rebuilt one is equal
     for route, cached in (("taylor", conditions_taylor), ("bch", conditions_bch)):
-        before = verify_scheme(STRANG, 2, route)
+        before = condition_system(2, 2, route)
         for stages in range(3, 9):
             for p in (1, 2, 3):
                 condition_system(stages, p, route)
         assert cached.cache_info().currsize <= 16
         misses = cached.cache_info().misses
-        assert verify_scheme(STRANG, 2, route) == before
+        assert condition_system(2, 2, route) == before
         assert cached.cache_info().misses == misses + 1
+
+
+def test_table_cache_is_bounded():
+    # 20 further tables evict degree 3; the rebuilt tables give the same residuals
+    from splitcond.lyndon import _Tables
+
+    before = verify_scheme(STRANG, 3)
+    for p in range(1, 5):
+        for alphabet in range(3, 8):
+            _Tables(p, alphabet)
+    assert _Tables.cache_info().currsize <= 16
+    misses = _Tables.cache_info().misses
+    assert verify_scheme(STRANG, 3) == before
+    assert _Tables.cache_info().misses == misses + 1
+
+
+# -- the integer recurrence against the symbolic systems and the oracles ----------
+
+
+def random_concrete_schemes(seed, count):
+    # zero stages, negatives and mixed denominators, s <= 4
+    rng = random.Random(seed)
+    schemes = []
+    for _ in range(count):
+        stages = rng.randint(1, 4)
+        draw = [
+            rng.choice((F(0), random_fraction(rng), random_fraction(rng, span=40)))
+            for _ in range(2 * stages)
+        ]
+        schemes.append(ConcreteScheme(draw[:stages], draw[stages:]))
+    return schemes
+
+
+def test_integer_residuals_equal_the_symbolic_systems():
+    schemes = [entry.scheme.padded(entry.scheme.stages + extra)
+               for entry in REGISTRY.values() for extra in (0, 1)]
+    cells = [(scheme, p) for scheme in schemes for p in range(1, 7)]
+    rng = random.Random(1111)
+    cells += [(scheme, rng.randint(1, 6)) for scheme in random_concrete_schemes(1109, 200)]
+    points = [x for scheme, _ in cells for x in scheme.point()]
+    assert any(x == 0 for x in points) and any(x < 0 for x in points)
+    assert len({x.denominator for x in points}) > 10
+    for scheme, p in cells:
+        for route in ("taylor", "bch"):
+            expected = condition_system(scheme.stages, p, route).residuals(scheme)
+            assert list(verify_scheme(scheme, p, route).residuals) == expected, (scheme, p)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_leading_error_is_the_next_bch_degree(name):
+    scheme = REGISTRY[name].scheme
+    for extra in (0, 1, 2):
+        padded = scheme.padded(scheme.stages + extra)
+        p = REGISTRY[name].order
+        residuals = conditions_bch(padded.stages, p + 1).residuals(padded)
+        expected = {w: Poly.const(r) for q, w, r in residuals if q == p + 1 and r != 0}
+        assert leading_error_term(padded, p).coefficients == expected
+        assert expected
+
+
+def test_integer_residuals_equal_the_dense_oracles():
+    schemes = [entry.scheme.padded(entry.scheme.stages + 1) for entry in REGISTRY.values()]
+    schemes += random_concrete_schemes(1201, 12)
+    for scheme in schemes:
+        symbolic = SymbolicScheme.from_concrete(scheme)
+        product = splitting_product_by_exp(symbolic, 5)
+        for p in (1, 3, 5):
+            bch = verify_scheme(scheme, p, "bch").residuals
+            assert [(q, w, Poly.const(r)) for q, w, r in bch] == conditions_bch_dense(symbolic, p)
+            taylor = verify_scheme(scheme, p, "taylor").residuals
+            assert [(q, w, Poly.const(r)) for q, w, r in taylor] == [
+                (q, w, product.coefficient(w) * math.factorial(q) - 1)
+                for q in range(1, p + 1)
+                for w in lyndon_words_of_degree(2, q)
+            ]
+
+
+def test_verification_builds_no_symbolic_system():
+    before = (conditions_taylor.cache_info(), conditions_bch.cache_info())
+    for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
+        for p in (1, 2, 3, 4):
+            verify_scheme(scheme, p, "taylor")
+            verify_scheme(scheme, p, "bch")
+    leading_error_term(PAPER3.padded(5), 3)
+    leading_error_term(STRANG, 2)
+    assert (conditions_taylor.cache_info(), conditions_bch.cache_info()) == before
+
+
+# -- the exact identity of the two routes ---------------------------------------
+
+
+@pytest.mark.parametrize("stages,p", [(2, 4), (3, 4), (3, 5), (4, 5), (3, 6), (4, 6)])
+def test_exp_of_the_bch_series_is_the_splitting_product(stages, p):
+    # D = sum_l bch_l P_l over every entry, degree 1 included, P_l the expanded
+    # bracketing: exp(A + B + D) is the product F word for word, so its
+    # q!-scaled Lyndon-word coefficients, less 1, are the Taylor entries
+    deviation = NCSeries.zero(p)
+    for e in conditions_bch(stages, p).entries:
+        deviation = deviation + expand(bracketing(e.word), p).scale(e.polynomial)
+    flow = exp(NCSeries.letter(A, p) + NCSeries.letter(B, p) + deviation)
+    assert flow == splitting_product(SymbolicScheme.generic(stages), p)
+    for e in conditions_taylor(stages, p).entries:
+        assert flow.coefficient(e.word) * math.factorial(e.degree) - 1 == e.polynomial

@@ -18,7 +18,7 @@ from splitcond import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from splitcond.poly import Poly
+from splitcond.poly import Poly, sum_of_products
 
 from helpers import (
     homogeneous_at_truncation,
@@ -286,13 +286,17 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
 
 
 def test_lie_check_expands_no_bracketing(monkeypatch):
-    # the Dynkin projection checks membership; only the coordinate read expands
+    # the Dynkin projection checks membership, and the coordinate read uses
+    # the integer bracket tables, so neither expands a bracketing as a series;
+    # the routes' read is the same back-substitution, on the same tables
     from splitcond import lyndon
 
     rng = random.Random(163)
     combo = NCSeries.zero(5)
+    weights = {}
     for w in lyndon_words_of_degree(2, 5):
-        combo = combo + expand(bracketing(w), 5).scale(Fraction(rng.randint(1, 9), 7))
+        weights[w] = Poly.const(Fraction(rng.randint(1, 9), 7))
+        combo = combo + expand(bracketing(w), 5).scale(weights[w])
     calls = []
 
     def counted(*args):
@@ -300,7 +304,7 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
         return expand(*args)
 
     monkeypatch.setattr(lyndon, "expand", counted)
-    lyndon._lyndon_coordinates(combo, 5)
-    read_calls = len(calls)
-    assert lie_decompose(combo, 5).coefficients
-    assert len(calls) == 2 * read_calls
+    assert lie_decompose(combo, 5).coefficients == weights
+    tables, one = lyndon._Tables(5, 2), Poly.const(1)
+    assert lyndon._back_substitute(combo.terms, 5, tables, one, sum_of_products) == weights
+    assert calls == []

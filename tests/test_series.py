@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from splitcond import (
     log,
     word_str,
 )
-from splitcond.poly import Poly
-from splitcond.series import _log
+from splitcond.conditions import _divided_log
+from splitcond.lyndon import _splits
+from splitcond.poly import Poly, sum_of_products
 
 from helpers import exp_uncapped, first_nonzero_degree, log_uncapped, random_series
 
@@ -270,7 +272,8 @@ def test_capped_horner_matches_uncapped_oracle():
 
 @pytest.mark.parametrize("alphabet,max_truncation", [(2, 6), (3, 6)])
 def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation):
-    # the Horner loop kept to the suffixes of a few target words is exact there
+    # the divided-power Horner loop kept to the suffixes of a few target
+    # words is exact there: it gives L |w|! log(f)[w], L = lcm(1..n)
     rng = random.Random(307 + alphabet)
     for n in range(1, max_truncation + 1):
         for _ in range(3):
@@ -281,8 +284,13 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
                 tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, n)))
                 for _ in range(rng.randint(1, 4))
             ]
-            closure = {w[i:] for w in targets for i in range(len(w))}
-            filtered, full = _log(f, targets), log(f)
-            assert set(filtered.terms) <= closure
+            closure = {w[i:] for w in targets for i in range(len(w) + 1)}
+            factors = {w[i:j] for w in targets for j in range(len(w) + 1) for i in range(j)}
+            divided = {u: f.coefficient(u) * math.factorial(len(u)) for u in factors}
+            one, steps = Poly.const(1), _splits(closure)
+            big, filtered = _divided_log(divided, steps, n, one, sum_of_products)
+            full = log(f)
+            assert set(filtered) == closure
             for w in closure:
-                assert filtered.coefficient(w) == full.coefficient(w)
+                scale = Fraction(1, big * math.factorial(len(w)))
+                assert filtered[w] * scale == full.coefficient(w)

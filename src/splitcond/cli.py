@@ -12,8 +12,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conditions import ROUTES, ConcreteScheme, condition_system, verify_scheme
 from .lyndon import bracket_str, bracketing, lyndon_words
@@ -30,8 +30,7 @@ MAX_LITERAL_DIGITS = 1000
 MAX_LYNDON_WORDS = 10**6
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     scheme: ConcreteScheme
     order: int
 
@@ -101,24 +100,26 @@ def scheme_to_json_dict(scheme: ConcreteScheme) -> dict:
 
 
 def load_scheme_file(path: str) -> ConcreteScheme:
-    """Read a scheme from a JSON document {name, a: [...], b: [...]}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    """Read a scheme from a JSON document {name, a: [...], b: [...]}; errors name the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_int=_json_int)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
-    if not isinstance(data, dict) or "a" not in data or "b" not in data:
-        raise ValueError(f"{path}: expected an object with keys 'a' and 'b'")
-    for key in ("a", "b"):
-        if not isinstance(data[key], list):
-            raise ValueError(f"{path}: '{key}' must be a list of rational literals")
-    name = data.get("name")
-    # a control character in the name would break the one-line verdict
-    if name is not None and not (isinstance(name, str) and name.isprintable()):
-        raise ValueError(f"{path}: 'name' must be a string of printable characters")
-    a = tuple(parse_rational(x) for x in data["a"])
-    b = tuple(parse_rational(x) for x in data["b"])
-    return ConcreteScheme(a, b, name)
+        if not isinstance(data, dict) or "a" not in data or "b" not in data:
+            raise ValueError("expected an object with keys 'a' and 'b'")
+        for key in ("a", "b"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"'{key}' must be a list of rational literals")
+        name = data.get("name")
+        # a control character in the name would break the one-line verdict
+        if name is not None and not (isinstance(name, str) and name.isprintable()):
+            raise ValueError("'name' must be a string of printable characters")
+        a = tuple(parse_rational(x) for x in data["a"])
+        b = tuple(parse_rational(x) for x in data["b"])
+        return ConcreteScheme(a, b, name)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_scheme(name_or_path: str) -> ConcreteScheme:
@@ -189,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail("order must be >= 1")
     try:
         scheme = resolve_scheme(args.scheme)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     report = verify_scheme(scheme, args.order, args.route)
     if args.format == "json":
@@ -221,7 +222,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
         return _fail("grid exponents must satisfy 3 <= coarse < fine <= 14")
     try:
         scheme = resolve_scheme(args.scheme)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     from .numeric import DegenerateFit, NonFinite, empirical_order
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _back_substitute, _product_steps, _Tables
 from .poly import _ONE, Poly, Scalar, sum_of_products
@@ -37,25 +36,29 @@ class NotOrderP(ValueError):
     """Scheme does not satisfy the order-p conditions it was claimed to."""
 
 
-def _as_fraction_tuple(values: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
-@dataclass(frozen=True)
-class ConcreteScheme:
-    """A splitting scheme with explicit rational stage coefficients."""
-
+class _SchemeFields(NamedTuple):
     a: tuple[Fraction, ...]
     b: tuple[Fraction, ...]
     name: str | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction_tuple(self.a))
-        object.__setattr__(self, "b", _as_fraction_tuple(self.b))
-        if len(self.a) != len(self.b):
+
+class ConcreteScheme(_SchemeFields):
+    """A splitting scheme with explicit rational stage coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Iterable[Scalar], b: Iterable[Scalar], name: str | None = None):
+        a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+        if len(a) != len(b):
             raise ValueError("coefficient lists a and b must have equal length")
-        if not self.a:
+        if not a:
             raise ValueError("a scheme needs at least one stage")
+        return _SchemeFields.__new__(cls, a, b, name)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "ConcreteScheme":
+        # _replace builds through _make; route it through the checks of __new__
+        return cls(*iterable)
 
     @property
     def stages(self) -> int:
@@ -83,8 +86,7 @@ class ConcreteScheme:
         return f"{label}(a=[{a}], b=[{b}])"
 
 
-@dataclass(frozen=True)
-class SymbolicScheme:
+class SymbolicScheme(NamedTuple):
     """Stage coefficients as polynomials; generic() gives the symbols a_j, b_j."""
 
     a: tuple[Poly, ...]
@@ -195,8 +197,7 @@ def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     return splitting_product(scheme, truncation) - exp_of_sum(truncation)
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(NamedTuple):
     """One order condition: a polynomial attached to a degree and Lyndon word."""
 
     degree: int
@@ -216,8 +217,7 @@ def _all_within(residuals: Iterable[tuple[int, Word, Fraction]], tol: Scalar = 0
     return all(abs(r) <= tol for _, _, r in residuals)
 
 
-@dataclass(frozen=True)
-class ConditionSystem:
+class ConditionSystem(NamedTuple):
     """Ordered conditions whose simultaneous vanishing gives order p."""
 
     stages: int
@@ -282,8 +282,7 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
     return conditions_bch(stages, p)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one scheme against one condition system."""
 
     scheme: ConcreteScheme
@@ -304,8 +303,7 @@ def verify_scheme(
     return VerificationReport(scheme, p, route, _all_within(residuals), residuals)
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(NamedTuple):
     scheme: ConcreteScheme
     satisfied_first: bool
     satisfied_second: bool
@@ -317,8 +315,7 @@ class WitnessVerdict:
         return self.satisfied_first == self.satisfied_second
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Per-witness verdicts of two condition systems; a falsification harness."""
 
     verdicts: tuple[WitnessVerdict, ...]

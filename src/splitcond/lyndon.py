@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Union
+from typing import Any, Iterator, Mapping, NamedTuple, Union
 
 from .poly import _ONE, Poly, sum_of_products
 from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
@@ -130,8 +129,7 @@ def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeri
     return ls * rs - rs * ls
 
 
-@dataclass(frozen=True)
-class LieDecomposition:
+class LieDecomposition(NamedTuple):
     """Coefficients of a homogeneous Lie element over the Lyndon basis."""
 
     degree: int

@@ -9,8 +9,8 @@ grid of step sizes, and fits the slope on the log-log points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def _as_float(value: Fraction) -> float:
         raise NonFinite("stage coefficient too large for a float") from None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Local-error measurements and the fitted log-log slope."""
 
     scheme_name: str

@@ -291,6 +291,8 @@ def _nested_list(depth):
         {"a": [], "b": []},  # a scheme needs a stage
         {"a": ["1"], "b": ["1", "0"]},  # one b per a
         b'{"a": ["\xff"], "b": ["1"]}',  # not UTF-8
+        b"\xff\xfe",  # a UTF-16 byte-order mark
+        b'{"a": ["1"], "b": ',  # cut off mid-document
     ],
     ids=[
         "string-stages",
@@ -307,6 +309,8 @@ def _nested_list(depth):
         "no-stages",
         "unequal-lengths",
         "invalid-utf8",
+        "utf16-bom",
+        "truncated",
     ],
 )
 def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
@@ -319,8 +323,10 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ")
     assert len(err) < 200
     assert "sys." not in err
+    assert run(capsys, "converge", str(path)) == (2, "", err)
 
 
 @pytest.mark.parametrize(
@@ -410,12 +416,16 @@ def test_closed_stdout_exits_2_without_traceback():
 
 # -- imports -------------------------------------------------------------------
 
+# dataclasses pulls in inspect, ast, dis and tokenize: a third of the package import
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+heavy = ("dataclasses", "inspect")
 import splitcond.cli
+facts = {"heavy_after_import": [m for m in heavy if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
-    code = splitcond.cli.main(["verify", "strang", "-p", "2"])
-facts = {"code": code, "numpy_after_verify": "numpy" in sys.modules}
+    facts["code"] = splitcond.cli.main(["verify", "strang", "-p", "2"])
+facts["numpy_after_verify"] = "numpy" in sys.modules
+facts["heavy_after_verify"] = [m for m in heavy if m in sys.modules]
 from splitcond import empirical_order
 facts["empirical_order"] = callable(empirical_order)
 try:
@@ -436,8 +446,10 @@ def test_exact_commands_do_not_import_numpy():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
+        "heavy_after_import": [],
         "code": 0,
         "numpy_after_verify": False,
+        "heavy_after_verify": [],
         "empirical_order": True,
         "unknown_raises": True,
     }

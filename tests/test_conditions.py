@@ -237,6 +237,31 @@ def test_two_stage_order_3_system_shape():
         ]
 
 
+@pytest.mark.parametrize("stages", [2, 0])
+def test_builder_names_a_bad_route_first(stages):
+    with pytest.raises(ValueError, match="route must be one of.*'nope'"):
+        condition_system(stages, 3, "nope")
+
+
+@pytest.mark.parametrize("build", [conditions_taylor, conditions_bch])
+def test_builder_rejects_a_stage_count_below_1(build):
+    with pytest.raises(ValueError, match="stage count must be >= 1"):
+        build(0, 3)
+    with pytest.raises(ValueError, match="stage count must be >= 1"):
+        build(0, 0)
+
+
+@pytest.mark.parametrize("route", ["taylor", "bch"])
+def test_builder_rejects_an_order_below_1(route):
+    with pytest.raises(ValueError, match="target order must be >= 1"):
+        condition_system(2, 0, route)
+
+
+def test_route_builders_are_condition_system():
+    assert conditions_bch(3, 4) == condition_system(3, 4, "bch")
+    assert conditions_taylor(3, 4) == condition_system(3, 4, "taylor")
+
+
 def test_bch_two_stage_degree_2_entry_closed_form():
     system = conditions_bch(2, 2)
     ab_entry = next(e for e in system.entries if e.word == (A, B))
@@ -760,20 +785,6 @@ def test_bch_residuals_equal_the_dense_oracle_registry(name):
         assert [(q, w, Poly.const(r)) for q, w, r in residuals] == oracle
 
 
-def test_route_caches_are_bounded():
-    # 18 further systems on each route evict (2, 2); asking for it again
-    # rebuilds the system, and the rebuilt one is equal
-    for route, cached in (("taylor", conditions_taylor), ("bch", conditions_bch)):
-        before = condition_system(2, 2, route)
-        for stages in range(3, 9):
-            for p in (1, 2, 3):
-                condition_system(stages, p, route)
-        assert cached.cache_info().currsize <= 16
-        misses = cached.cache_info().misses
-        assert condition_system(2, 2, route) == before
-        assert cached.cache_info().misses == misses + 1
-
-
 def test_table_cache_is_bounded():
     # 20 further tables evict degree 3; the rebuilt tables give the same residuals
     from splitcond.lyndon import _Tables
@@ -849,15 +860,18 @@ def test_integer_residuals_equal_the_dense_oracles():
             ]
 
 
-def test_verification_builds_no_symbolic_system():
-    before = (conditions_taylor.cache_info(), conditions_bch.cache_info())
+def test_verification_builds_no_symbolic_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verification built a symbolic system")
+
+    monkeypatch.setattr("splitcond.conditions.sum_of_products", refuse)
+    monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
         for p in (1, 2, 3, 4):
             verify_scheme(scheme, p, "taylor")
             verify_scheme(scheme, p, "bch")
     leading_error_term(PAPER3.padded(5), 3)
     leading_error_term(STRANG, 2)
-    assert (conditions_taylor.cache_info(), conditions_bch.cache_info()) == before
 
 
 # -- the exact identity of the two routes ---------------------------------------

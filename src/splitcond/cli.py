@@ -175,9 +175,10 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:
-    if args.stages < 1 or args.order < 1:
-        return _fail("stages and order must be >= 1")
-    system = condition_system(args.stages, args.order, args.route)
+    try:
+        system = condition_system(args.stages, args.order, args.route)
+    except ValueError as exc:  # a stage count or an order out of range
+        return _fail(str(exc))
     if args.format == "json":
         print(json.dumps(system.to_records(), indent=2))
     else:
@@ -186,13 +187,11 @@ def cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 1:
-        return _fail("order must be >= 1")
     try:
         scheme = resolve_scheme(args.scheme)
-    except (OSError, ValueError) as exc:
+        report = verify_scheme(scheme, args.order, args.route)
+    except (OSError, ValueError) as exc:  # an unreadable scheme or an order out of range
         return _fail(str(exc))
-    report = verify_scheme(scheme, args.order, args.route)
     if args.format == "json":
         payload = {
             "scheme": scheme_to_json_dict(scheme),

@@ -12,9 +12,10 @@ to sum_j C(|w|, j) n^j G[v], only on the Lyndon words and their suffixes (Taylor
 factors (BCH): suffix-closed sets, where G is exact.  log(F) is Horner's scheme over G
 with the integer constants L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua
 (J. Math. Phys. 2009).  One pass serves ints, for a concrete scheme, so verify_scheme
-and leading_error_term build no symbolic system, and Poly, with D = 1, for the
-condition systems.  systems_equivalent() checks that the two systems cut out the same
-solution sets on witnesses.
+and leading_error_term build no symbolic system, and Poly's packed integer maps, with
+D = 1, for the condition systems, each entry wrapped into a Poly once.
+systems_equivalent() checks that the two systems cut out the same solution sets on
+witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _back_substitute, _product_steps, _Tables
-from .poly import _ONE, Poly, Scalar, sum_of_products
+from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, sum_of_products
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
@@ -71,12 +72,8 @@ class ConcreteScheme(_SchemeFields):
         """Same scheme embedded in a larger stage count by zero coefficients."""
         if stages < self.stages:
             raise ValueError("cannot pad to fewer stages")
-        extra = stages - self.stages
-        return ConcreteScheme(
-            self.a + (Fraction(0),) * extra,
-            self.b + (Fraction(0),) * extra,
-            self.name,
-        )
+        extra = (Fraction(0),) * (stages - self.stages)
+        return ConcreteScheme(self.a + extra, self.b + extra, self.name)
 
     def __str__(self) -> str:
         label = self.name or "scheme"
@@ -99,34 +96,30 @@ class SymbolicScheme(NamedTuple):
     def generic(cls, stages: int) -> "SymbolicScheme":
         if stages < 1:
             raise ValueError("stage count must be >= 1")
-        return cls(
-            tuple(Poly.symbol("a", j) for j in range(1, stages + 1)),
-            tuple(Poly.symbol("b", j) for j in range(1, stages + 1)),
-        )
+        return cls(*(tuple(Poly.symbol(k, j) for j in range(1, stages + 1)) for k in "ab"))
 
     @classmethod
     def from_concrete(cls, scheme: ConcreteScheme) -> "SymbolicScheme":
-        return cls(
-            tuple(Poly.const(x) for x in scheme.a),
-            tuple(Poly.const(x) for x in scheme.b),
-        )
+        return cls(tuple(map(Poly.const, scheme.a)), tuple(map(Poly.const, scheme.b)))
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
     words = (w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
-    g = _divided_product(scheme.a, scheme.b, _product_steps(words), _ONE, sum_of_products)
+    a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
+    g = _divided_product(a, b, _product_steps(words), _ONE, sum_of_products)
     terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in g.items()}
     return NCSeries(truncation, 2, terms)
 
 
 def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot) -> dict:
     # G[w] = |w|! D^|w| F[w] on the suffix-closed words of steps, for stage values
-    # n = D c; right to left, e^{cX} sends G[X^j v] to sum_j C(|w|, j) n^j G[v]
+    # n = D c as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX}
+    # sends G[X^j v] to sum_j C(|w|, j) n^j G[v], and e^{0X} = 1 is skipped
     g = dict.fromkeys((w for rows in steps.values() for w, _ in rows), dot([]))
-    g[()], top = one, max(map(len, g), default=0)
-    for letter, n in reversed([(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n]):
-        powers = [n**j for j in range(top + 1)]
+    g[()] = one
+    ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
+    for letter, powers in reversed(ladders):
         for w, runs in steps.get(letter, ()):
             # longest first, so each G[v] read is still the one before this factor
             g[w] = dot([(c, powers[j], g[v]) for c, j, v in runs])
@@ -154,31 +147,38 @@ def _int_dot(terms: list[tuple[int, int, int]]) -> int:
     return total
 
 
-def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot) -> list:
-    # (degree, word, numerator, scale) of each condition numerator / scale, at n = D c
+def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, ladder) -> list:
+    # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
+    # scale, at n = D c; the offset is a constant, and ladder(x, p) is [x^0 .. x^p]
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if not a:
         raise ValueError("stage count must be >= 1")
     if p < 1:
         raise ValueError("target order must be >= 1")
+    if p > MAX_EXPONENT:  # a packed exponent carries past its byte there
+        raise ValueError(f"target order must be <= {MAX_EXPONENT}")
     tables = _Tables(p, 2)
     words = [(q, w) for q in range(1, p + 1) for w in tables.lyndon[q]]
+    a, b = ([ladder(x, p) for x in xs] for xs in (a, b))
     if route == "taylor":
         g = _divided_product(a, b, tables.suffix_steps, one, dot)
-        return [(q, w, g[w] - den**q, den**q) for q, w in words]
+        return [(q, w, g[w], den**q, den**q) for q, w in words]
     g = _divided_product(a, b, tables.factor_steps, one, dot)
     big, acc = _divided_log(g, tables.log_steps, p, one, dot)
-    acc[(0,)], acc[(1,)] = acc[(0,)] - big * den, acc[(1,)] - big * den  # less A + B
     read = [_back_substitute(acc, q, tables, one, dot) for q in range(p + 1)]
-    return [(q, w, read[q].get(w, dot([])), big * math.factorial(q) * den**q) for q, w in words]
+    # less A + B, after the read: at degree 1 it reads the value itself
+    return [(q, w, read[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)
+            for q, w in words]
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
     # the route over ints: stage values scaled by D, the lcm of their denominators
     den = math.lcm(*(c.denominator for c in scheme.point()))
     a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
-    return [(q, w, Fraction(n, s)) for q, w, n, s in _route(a, b, den, p, route, 1, _int_dot)]
+    ladder = lambda n, top: [n**j for j in range(top + 1)]
+    entries = _route(a, b, den, p, route, 1, _int_dot, ladder)
+    return [(q, w, Fraction(n - o, s)) for q, w, n, o, s in entries]
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
@@ -252,10 +252,17 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
 
     A bad route is reported before a bad stage count, and that before a bad order.
     """
-    a, b = ([Poly.symbol(kind, j) for j in range(1, stages + 1)] for kind in ("a", "b"))
-    entries = _route(a, b, 1, p, route, _ONE, sum_of_products)
-    return ConditionSystem(stages, p, route, tuple(
-        ConditionEntry(q, w, Poly._of(n._den * s, n._nums)) for q, w, n, s in entries))
+    # over Poly's integer maps, with a_j at symbol index 2j-2 and b_j at 2j-1
+    a, b = range(0, 2 * stages, 2), range(1, 2 * stages, 2)
+    ladder = lambda i, top: [{e << 8 * i: 1} for e in range(top + 1)]
+    entries = []
+    for q, w, nums, offset, scale in _route(a, b, 1, p, route, {0: 1}, _dot, ladder):
+        if offset:  # a constant, subtracted once on the map
+            nums = {**nums, 0: nums.get(0, 0) - offset}
+            if not nums[0]:
+                del nums[0]
+        entries.append(ConditionEntry(q, w, Poly._of(scale, nums)))
+    return ConditionSystem(stages, p, route, tuple(entries))
 
 
 def conditions_taylor(stages: int, p: int) -> ConditionSystem:

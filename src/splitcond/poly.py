@@ -236,6 +236,19 @@ class Poly:
         return f"Poly({self})"
 
 
+def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]]) -> dict[int, int]:
+    # the sum of c * p * q over integer maps {packed monomial: nonzero int}, no zero entry
+    acc: dict[int, int] = {}
+    for weight, p, q in terms:
+        right = q.items()
+        for m1, c1 in p.items():
+            c1 *= weight
+            for m2, c2 in right:
+                mono = m1 + m2
+                acc[mono] = acc.get(mono, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
 def sum_of_products(terms: list[tuple[int, Poly, Poly]]) -> Poly:
     """Exact sum of c * p * q over integer weights c and polynomials p, q.
 
@@ -243,17 +256,9 @@ def sum_of_products(terms: list[tuple[int, Poly, Poly]]) -> Poly:
     result is reduced once, by one gcd, not once per product or coefficient.
     """
     den = math.lcm(*(p._den * q._den for _, p, q in terms))
-    acc: dict[int, int] = {}
-    for weight, p, q in terms:
-        scale = weight * (den // (p._den * q._den))
-        right = q._nums.items()
-        for m1, c1 in p._nums.items():
-            c1 *= scale
-            for m2, c2 in right:
-                mono = m1 + m2
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-    _check_guard(acc)
-    return Poly._of(den, {m: c for m, c in acc.items() if c})
+    nums = _dot([(c * (den // (p._den * q._den)), p._nums, q._nums) for c, p, q in terms])
+    _check_guard(nums)
+    return Poly._of(den, nums)
 
 
 _ONE = Poly.const(1)

@@ -337,8 +337,13 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
         ("lyndon", "--max-len", "24"),
         ("verify", "strang", "-p", "0"),
         ("converge", "strang", "--grid-coarse", "6", "--grid-fine", "5"),
+        ("conditions", "-s", "1", "-p", "200"),
+        ("verify", "strang", "-p", "200"),
     ],
-    ids=["alphabet-27", "lyndon-26-6", "lyndon-2-24", "verify-order-0", "inverted-grid"],
+    ids=[
+        "alphabet-27", "lyndon-26-6", "lyndon-2-24", "verify-order-0", "inverted-grid",
+        "conditions-order-200", "verify-order-200",
+    ],
 )
 def test_rejected_arguments_exit_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

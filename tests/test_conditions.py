@@ -30,7 +30,7 @@ from splitcond import (
     word_str,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import _divided_product
+from splitcond.conditions import _divided_product, _route
 from splitcond.lyndon import _product_steps
 from splitcond.poly import Poly, sum_of_products
 
@@ -127,11 +127,33 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
         # the divided-power recurrence, G[w] = |w|! F[w] over Poly
         steps = _product_steps(closure)
-        divided = _divided_product(scheme.a, scheme.b, steps, Poly.const(1), sum_of_products)
+        a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
+        divided = _divided_product(a, b, steps, Poly.const(1), sum_of_products)
         assert set(divided) == closure
         for word in closure:
             expected = full.coefficient(word) * math.factorial(len(word))
             assert divided[word] == expected, word_str(word)
+
+
+# the derive grid of the benchmark (perfbench/inputs.GRID_FULL), and bch (4, 7)
+DERIVE_GRID = [
+    (3, 4, "taylor"), (2, 5, "taylor"), (4, 6, "taylor"), (5, 5, "taylor"),
+    (3, 4, "bch"), (2, 5, "bch"), (2, 4, "bch"), (4, 7, "bch"),
+]
+
+
+@pytest.mark.parametrize("stages,p,route", DERIVE_GRID)
+def test_condition_system_equals_the_route_over_poly(stages, p, route):
+    # the path the integer maps replace: the route over Poly with sum_of_products
+    # as its kernel, the offset and the scale applied by Poly arithmetic
+    scheme = SymbolicScheme.generic(stages)
+    one = Poly.const(1)
+    ladder = lambda n, top: [n**j for j in range(top + 1)]
+    oracle = _route(scheme.a, scheme.b, 1, p, route, one, sum_of_products, ladder)
+    entries = condition_system(stages, p, route).entries
+    assert len(entries) == len(oracle)
+    for entry, (q, w, n, offset, scale) in zip(entries, oracle):
+        assert entry == ConditionEntry(q, w, (n - offset) * F(1, scale)), word_str(w)
 
 
 def test_local_error_single_stage_degree_2():
@@ -255,6 +277,35 @@ def test_builder_rejects_a_stage_count_below_1(build):
 def test_builder_rejects_an_order_below_1(route):
     with pytest.raises(ValueError, match="target order must be >= 1"):
         condition_system(2, 0, route)
+
+
+@pytest.mark.parametrize("route", ["taylor", "bch"])
+def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
+    # an exponent over 127 carries into the next symbol's byte; the guard comes
+    # before the word tables, which would enumerate Lyndon words through length p
+    class Refused(Exception):
+        pass
+
+    def refuse(*args):
+        raise Refused
+
+    monkeypatch.setattr("splitcond.conditions._Tables", refuse)
+    for p in (128, 200):
+        with pytest.raises(ValueError, match="^target order must be <= 127$"):
+            condition_system(1, p, route)
+        with pytest.raises(ValueError, match="^target order must be <= 127$"):
+            verify_scheme(STRANG, p, route)
+    with pytest.raises(ValueError, match="^target order must be <= 127$"):
+        leading_error_term(STRANG, 127)
+    # order 127 passes the guard, and the route and stage checks still come first
+    with pytest.raises(Refused):
+        condition_system(1, 127, route)
+    with pytest.raises(Refused):
+        verify_scheme(STRANG, 127, route)
+    with pytest.raises(ValueError, match="route must be one of"):
+        condition_system(1, 200, route + "?")
+    with pytest.raises(ValueError, match="stage count must be >= 1"):
+        condition_system(0, 200, route)
 
 
 def test_route_builders_are_condition_system():
@@ -865,6 +916,7 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
         raise AssertionError("verification built a symbolic system")
 
     monkeypatch.setattr("splitcond.conditions.sum_of_products", refuse)
+    monkeypatch.setattr("splitcond.conditions._dot", refuse)
     monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
         for p in (1, 2, 3, 4):

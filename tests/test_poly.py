@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from splitcond import ConcreteScheme
-from splitcond.poly import MissingAssignment, Poly
+from splitcond.poly import MissingAssignment, Poly, _dot
 
 from helpers import oracle_add, oracle_evaluate, oracle_mul, random_fraction, random_poly
 
@@ -241,3 +241,10 @@ def test_ring_agrees_with_fraction_oracle():
             assert_canonical(result)
         assert p.evaluate(point) == oracle_evaluate(p.terms, point)
         assert (p * q).evaluate(point) == oracle_evaluate(oracle_mul(p.terms, q.terms), point)
+
+
+def test_dot_leaves_no_cancelled_monomial():
+    # the kernel over integer maps: 2x*y - y*2x + 3 is {monomial 1: 3}
+    x, y, one = {1: 1}, {1 << 8: 1}, {0: 1}
+    assert _dot([(2, x, y), (-1, y, {1: 2}), (3, one, one)]) == {0: 3}
+    assert _dot([]) == {}

@@ -26,7 +26,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 # message names interpreter settings instead of the input.
 MAX_LITERAL_DIGITS = 1000
 
-# Words the lyndon command may list; it builds the whole word list before printing.
+# Lyndon words a command may build (a listing, or the tables of an order) before any output.
 MAX_LYNDON_WORDS = 10**6
 
 
@@ -175,7 +175,9 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:
-    try:
+    try:  # a bad stage count is reported first, then an order past the word-table guard
+        if args.stages >= 1 and lyndon_count_bound(2, args.order) > MAX_LYNDON_WORDS:
+            raise ValueError(f"order {args.order} may need over {MAX_LYNDON_WORDS} Lyndon words")
         system = condition_system(args.stages, args.order, args.route)
     except ValueError as exc:  # a stage count or an order out of range
         return _fail(str(exc))
@@ -189,6 +191,8 @@ def cmd_conditions(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         scheme = resolve_scheme(args.scheme)
+        if lyndon_count_bound(2, args.order) > MAX_LYNDON_WORDS:
+            raise ValueError(f"order {args.order} may need over {MAX_LYNDON_WORDS} Lyndon words")
         report = verify_scheme(scheme, args.order, args.route)
     except (OSError, ValueError) as exc:  # an unreadable scheme or an order out of range
         return _fail(str(exc))

@@ -114,34 +114,34 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
 
 def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot) -> dict:
     # G[w] = |w|! D^|w| F[w] on the suffix-closed words of steps, for stage values
-    # n = D c as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX}
-    # sends G[X^j v] to sum_j C(|w|, j) n^j G[v], and e^{0X} = 1 is skipped
+    # n = D c as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX} sends
+    # G[w] to G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1; e^{0X} = 1 is skipped
     g = dict.fromkeys((w for rows in steps.values() for w, _ in rows), dot([]))
     g[()] = one
     ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
     for letter, powers in reversed(ladders):
         for w, runs in steps.get(letter, ()):
             # longest first, so each G[v] read is still the one before this factor
-            g[w] = dot([(c, powers[j], g[v]) for c, j, v in runs])
+            g[w] = dot([(c, powers[j], g[v]) for c, j, v in runs], g[w])
     return g
 
 
-def _divided_log(g: dict, splits: list, p: int, one, dot) -> tuple[int, dict]:
-    # L |w|! D^|w| log(F)[w] on the words of splits: the capped Horner loop of
-    # log over G, with the integer constants L (-1)^(k+1) / k, L = lcm(1..p)
+def _divided_log(g: dict, splits: list, p: int, one, dot, last) -> tuple[int, dict]:
+    # L |w|! D^|w| log(F)[w] at the words of last: the capped Horner loop of log over G on
+    # the words of splits, constants L (-1)^(k+1) / k, L = lcm(1..p); k = 0 forms only last
     big = math.lcm(*range(1, p + 1))
     acc = dict.fromkeys((w for w, _ in splits), dot([]))
     for k in range(p, -1, -1):
         for w, parts in splits:
-            if 0 < len(w) <= p - k:
+            if 0 < len(w) <= p - k and (k or w in last):
                 # x * acc at w, x = G - 1: binomial-weighted splits w = uv, u != ()
                 acc[w] = dot([(c, g[u], acc[v]) for c, u, v in parts[1:]])
         acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
     return big, acc
 
 
-def _int_dot(terms: list[tuple[int, int, int]]) -> int:
-    total = 0
+def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
+    total = start
     for c, x, y in terms:
         total += c * x * y
     return total
@@ -165,7 +165,7 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, lad
         g = _divided_product(a, b, tables.suffix_steps, one, dot)
         return [(q, w, g[w], den**q, den**q) for q, w in words]
     g = _divided_product(a, b, tables.factor_steps, one, dot)
-    big, acc = _divided_log(g, tables.log_steps, p, one, dot)
+    big, acc = _divided_log(g, tables.log_steps, p, one, dot, tables.lyndon_set)
     read = [_back_substitute(acc, q, tables, one, dot) for q in range(p + 1)]
     # less A + B, after the read: at degree 1 it reads the value itself
     return [(q, w, read[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)

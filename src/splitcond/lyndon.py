@@ -160,12 +160,13 @@ def _splits(words) -> list:
 
 
 def _product_steps(words) -> dict[int, list]:
-    # per first letter X, the splits w = X^j v of each word as (C(|w|, j), j, v),
-    # j = 0 included: in divided powers, the terms of (e^{cX} G)[w]
+    # per first letter X, longest first, the splits w = X^j v with 1 <= j <= the leading
+    # run of X, as (C(|w|, j), j, v): in divided powers, (e^{cX} G)[w] less G[w] itself
     steps: dict[int, list] = {}
-    for w, splits in _splits(w for w in words if w):
-        runs = [(c, len(u), v) for c, u, v in splits if u == w[:1] * len(u)]
-        steps.setdefault(w[0], []).append((w, runs))
+    for w in sorted((w for w in words if w), key=len, reverse=True):
+        run = next((j for j, x in enumerate(w) if x != w[0]), len(w))
+        rows = [(math.comb(len(w), j), j, w[j:]) for j in range(1, run + 1)]
+        steps.setdefault(w[0], []).append((w, rows))
     return steps
 
 
@@ -177,6 +178,7 @@ class _Tables:
     def __init__(self, p: int, alphabet_size: int):
         words = lyndon_words(alphabet_size, p)
         self.lyndon = [[w for w in words if len(w) == q] for q in range(p + 1)]  # by degree
+        self.lyndon_set = frozenset(words)
         self.suffixes = {w[i:] for w in words for i in range(len(w) + 1)}
         self._brackets = {(x,): {(x,): 1} for x in range(alphabet_size)}
 
@@ -204,7 +206,7 @@ def _back_substitute(values: Mapping[Word, Any], degree: int, tables, one, dot) 
     out = {}
     for word in tables.lyndon[degree]:
         terms = [(-e[word], c, one) for e, c in solved if word in e]
-        if coeff := dot(terms + [(1, values[word], one)] if word in values else terms):
+        if coeff := dot(terms, values[word]) if word in values else dot(terms):
             out[word] = coeff
             solved.append((tables.bracket(word), coeff))
     return out

@@ -236,9 +236,13 @@ class Poly:
         return f"Poly({self})"
 
 
-def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]]) -> dict[int, int]:
-    # the sum of c * p * q over integer maps {packed monomial: nonzero int}, no zero entry
-    acc: dict[int, int] = {}
+_ZERO, _ONE = Poly(), Poly.const(1)
+
+
+def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> dict[int, int]:
+    # start + the sum of c * p * q over integer maps {packed monomial: nonzero int}, with
+    # no zero entry: start is copied whole, and the result is filtered only if a sum cancelled
+    acc: dict[int, int] = dict(start)
     for weight, p, q in terms:
         right = q.items()
         for m1, c1 in p.items():
@@ -246,22 +250,20 @@ def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]]) -> dict[int, i
             for m2, c2 in right:
                 mono = m1 + m2
                 acc[mono] = acc.get(mono, 0) + c1 * c2
-    return {m: c for m, c in acc.items() if c}
+    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def sum_of_products(terms: list[tuple[int, Poly, Poly]]) -> Poly:
-    """Exact sum of c * p * q over integer weights c and polynomials p, q.
+def sum_of_products(terms: list[tuple[int, Poly, Poly]], start: Poly = _ZERO) -> Poly:
+    """Exact start + sum of c * p * q over integer weights c and polynomials p, q.
 
-    Products accumulate as integers over one common denominator, so the
-    result is reduced once, by one gcd, not once per product or coefficient.
+    The start and the products accumulate as integers over one common denominator,
+    so the result is reduced once, by one gcd, not once per product or coefficient.
     """
-    den = math.lcm(*(p._den * q._den for _, p, q in terms))
-    nums = _dot([(c * (den // (p._den * q._den)), p._nums, q._nums) for c, p, q in terms])
+    den = math.lcm(start._den, *(p._den * q._den for _, p, q in terms))
+    base = {m: n * (den // start._den) for m, n in start._nums.items()}
+    nums = _dot([(c * (den // (p._den * q._den)), p._nums, q._nums) for c, p, q in terms], base)
     _check_guard(nums)
     return Poly._of(den, nums)
-
-
-_ONE = Poly.const(1)
 
 
 def as_poly(value: Poly | Scalar) -> Poly:

@@ -339,10 +339,12 @@ def test_verify_rejects_malformed_scheme_file(tmp_path, capsys, document):
         ("converge", "strang", "--grid-coarse", "6", "--grid-fine", "5"),
         ("conditions", "-s", "1", "-p", "200"),
         ("verify", "strang", "-p", "200"),
+        ("conditions", "-s", "1", "-p", "30"),
+        ("verify", "strang", "-p", "30"),
     ],
     ids=[
         "alphabet-27", "lyndon-26-6", "lyndon-2-24", "verify-order-0", "inverted-grid",
-        "conditions-order-200", "verify-order-200",
+        "conditions-order-200", "verify-order-200", "conditions-order-30", "verify-order-30",
     ],
 )
 def test_rejected_arguments_exit_2_with_one_error_line(capsys, argv):
@@ -350,6 +352,28 @@ def test_rejected_arguments_exit_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_orders_past_the_word_table_guard_exit_2_before_any_work(capsys, monkeypatch):
+    # the library enumerates every Lyndon word through the order first, so a
+    # missing guard would hang; here it fails at once instead
+    def refuse(*args):
+        raise AssertionError("the command started to build its word tables")
+
+    monkeypatch.setattr("splitcond.cli.condition_system", refuse)
+    monkeypatch.setattr("splitcond.cli.verify_scheme", refuse)
+    message = "error: order 24 may need over 1000000 Lyndon words\n"
+    assert run(capsys, "conditions", "-s", "2", "-p", "24") == (2, "", message)
+    assert run(capsys, "verify", "strang", "-p", "24") == (2, "", message)
+    assert run(capsys, "verify", "strang", "-p", "30")[0] == 2
+    with pytest.raises(AssertionError):  # order 23 passes the guard
+        run(capsys, "verify", "strang", "-p", "23")
+    # a bad stage count and an unreadable scheme are still reported first
+    monkeypatch.undo()
+    code, _, err = run(capsys, "conditions", "-s", "0", "-p", "30")
+    assert (code, err) == (2, "error: stage count must be >= 1\n")
+    code, _, err = run(capsys, "verify", "no-such-scheme.json", "-p", "30")
+    assert code == 2 and "no-such-scheme.json" in err
 
 
 def test_converge_overflow_exits_2(tmp_path, capsys):

@@ -30,9 +30,9 @@ from splitcond import (
     word_str,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import _divided_product, _route
-from splitcond.lyndon import _product_steps
-from splitcond.poly import Poly, sum_of_products
+from splitcond.conditions import _divided_log, _divided_product, _int_dot, _route
+from splitcond.lyndon import _product_steps, _splits, _Tables
+from splitcond.poly import Poly, _dot, sum_of_products
 
 from helpers import (
     combine_log_coefficients,
@@ -135,6 +135,31 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
             assert divided[word] == expected, word_str(word)
 
 
+def product_steps_by_splits(words):
+    # the table _product_steps replaces: every split w = uv of every word, kept
+    # where u is a power of the first letter, less the j = 0 split (u = ())
+    steps = {}
+    for w, splits in _splits(w for w in words if w):
+        runs = [(c, len(u), v) for c, u, v in splits if u == w[:1] * len(u)]
+        steps.setdefault(w[0], []).append((w, runs[1:]))
+    return steps
+
+
+def test_product_steps_equal_the_filter_over_all_splits():
+    rng = random.Random(1515)
+    for _ in range(60):
+        alphabet, top = rng.choice((2, 3)), rng.randint(1, 8)
+        targets = [
+            tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, top)))
+            for _ in range(rng.randint(1, 5))
+        ] + [(rng.randrange(alphabet),) * top]  # a word that is one run
+        closure = {w[i:] for w in targets for i in range(len(w) + 1)}
+        assert _product_steps(closure) == product_steps_by_splits(closure)
+    for p in (1, 4, 8):
+        tables = _Tables(p, 2)
+        assert tables.suffix_steps == product_steps_by_splits(tables.suffixes)
+
+
 # the derive grid of the benchmark (perfbench/inputs.GRID_FULL), and bch (4, 7)
 DERIVE_GRID = [
     (3, 4, "taylor"), (2, 5, "taylor"), (4, 6, "taylor"), (5, 5, "taylor"),
@@ -154,6 +179,23 @@ def test_condition_system_equals_the_route_over_poly(stages, p, route):
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
         assert entry == ConditionEntry(q, w, (n - offset) * F(1, scale)), word_str(w)
+
+
+@pytest.mark.parametrize("stages,p", [(s, p) for s, p, route in DERIVE_GRID if route == "bch"])
+def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
+    # the BCH route's log forms its last pass only at the Lyndon words; the full
+    # pass, at every suffix, must agree there, over ints and over integer maps
+    tables = _Tables(p, 2)
+    rng = random.Random(100 * stages + p)
+    ints = [[n**j for j in range(p + 1)] for n in (rng.randint(-9, 9) for _ in range(2 * stages))]
+    maps = [[{e << 8 * i: 1} for e in range(p + 1)] for i in range(2 * stages)]
+    for ladders, one, dot in [(ints, 1, _int_dot), (maps, {0: 1}, _dot)]:
+        g = _divided_product(ladders[::2], ladders[1::2], tables.factor_steps, one, dot)
+        _, full = _divided_log(g, tables.log_steps, p, one, dot, tables.suffixes)
+        _, last = _divided_log(g, tables.log_steps, p, one, dot, tables.lyndon_set)
+        assert tables.lyndon_set < set(full) == set(last)
+        for w in tables.lyndon_set:
+            assert last[w] == full[w], word_str(w)
 
 
 def test_local_error_single_stage_degree_2():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from splitcond import ConcreteScheme
-from splitcond.poly import MissingAssignment, Poly, _dot
+from splitcond.conditions import _int_dot
+from splitcond.poly import MissingAssignment, Poly, _dot, sum_of_products
 
 from helpers import oracle_add, oracle_evaluate, oracle_mul, random_fraction, random_poly
 
@@ -248,3 +249,24 @@ def test_dot_leaves_no_cancelled_monomial():
     x, y, one = {1: 1}, {1 << 8: 1}, {0: 1}
     assert _dot([(2, x, y), (-1, y, {1: 2}), (3, one, one)]) == {0: 3}
     assert _dot([]) == {}
+    # the start contract: start + sum c*p*q, as if start were the term 1 * start * 1
+    rng = random.Random(246)
+    for case in range(40):
+        polys = [random_poly(rng, stages=2, degree=3) for _ in range(3)]
+        start, p, q = (poly._nums for poly in polys)
+        kept, c = dict(start), rng.randint(-3, 3)
+        terms = [(c, p, q), (rng.randint(-3, 3), q, start)]
+        if case % 2:  # the terms cancel the start to zero
+            terms = [(-1, start, one), (c, p, q), (-c, q, p)]
+        got = _dot(terms, start)
+        assert got == _dot(terms + [(1, start, one)]) == oracle_add(start, _dot(terms))
+        assert 0 not in got.values() and start == kept
+        if case % 2:
+            assert got == {}
+        ints = [(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3)]
+        assert _int_dot(ints, case - 20) == case - 20 + _int_dot(ints)
+        # a Poly start over a denominator of 7, the products over one of 3
+        first = polys[0] * Fraction(1, 7) + Fraction(1, 7)
+        rest = [(c, polys[1], polys[2] * Fraction(1, 3) + Fraction(1, 3))]
+        assert sum_of_products(rest, first) == first + sum_of_products(rest)
+        assert sum_of_products([(-1, first, Poly.const(1))] + rest, first) == sum_of_products(rest)

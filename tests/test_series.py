@@ -288,7 +288,7 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             factors = {w[i:j] for w in targets for j in range(len(w) + 1) for i in range(j)}
             divided = {u: f.coefficient(u) * math.factorial(len(u)) for u in factors}
             one, steps = Poly.const(1), _splits(closure)
-            big, filtered = _divided_log(divided, steps, n, one, sum_of_products)
+            big, filtered = _divided_log(divided, steps, n, one, sum_of_products, closure)
             full = log(f)
             assert set(filtered) == closure
             for w in closure:

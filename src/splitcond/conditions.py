@@ -7,13 +7,13 @@ Lyndon word w of degree q, the Taylor route emits q! F[w] - 1 (e^{A+B} has coeff
 of log(F) - (A + B); each must vanish.
 
 Both run one divided-power recurrence.  With stage values n = D c, D the lcm of their
-denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v]
-to sum_j C(|w|, j) n^j G[v], only on the Lyndon words and their suffixes (Taylor) or
-factors (BCH): suffix-closed sets, where G is exact.  log(F) is Horner's scheme over G
-with the integer constants L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua
-(J. Math. Phys. 2009).  One pass serves ints, for a concrete scheme, so verify_scheme
-and leading_error_term build no symbolic system, and Poly's packed integer maps, with
-D = 1, for the condition systems, each entry wrapped into a Poly once.
+denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
+sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, a suffix-closed set.
+log(F) is Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p),
+as in Casas & Murua (J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1,
+F acc is that recurrence started from acc, so the systems never expand F; over ints, for
+a concrete scheme, G[u] is one int, and one sweep multiplies by G on the words' factors.
+So verify_scheme and leading_error_term build no symbolic system.
 systems_equivalent() checks that the two systems cut out the same solution sets on
 witnesses.
 """
@@ -126,16 +126,23 @@ def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot)
     return g
 
 
-def _divided_log(g: dict, splits: list, p: int, one, dot, last) -> tuple[int, dict]:
-    # L |w|! D^|w| log(F)[w] at the words of last: the capped Horner loop of log over G on
-    # the words of splits, constants L (-1)^(k+1) / k, L = lcm(1..p); k = 0 forms only last
-    big = math.lcm(*range(1, p + 1))
-    acc = dict.fromkeys((w for w, _ in splits), dot([]))
+def _divided_log(sweeps: list, p: int, one, dot, last) -> tuple[int, dict]:
+    # L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p): Horner's scheme acc <-
+    # c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k; F acc is the sweeps in turn,
+    # each adding sum c f[x] acc[v] over its rows to acc[w], longest first, only on last at
+    # k = 0's last sweep.  A lone sweep, G at every split w = uv, u != (), starts from zero
+    # and subtracts nothing: its "- acc" would cancel the split u = () it leaves out.
+    big, zero, lone = math.lcm(*range(1, p + 1)), dot([]), len(sweeps) == 1
+    acc = dict.fromkeys((w for _, rows in sweeps for w, _ in rows), zero)
     for k in range(p, -1, -1):
-        for w, parts in splits:
-            if 0 < len(w) <= p - k and (k or w in last):
-                # x * acc at w, x = G - 1: binomial-weighted splits w = uv, u != ()
-                acc[w] = dot([(c, g[u], acc[v]) for c, u, v in parts[1:]])
+        old = () if lone else list(acc.items())
+        for i, (f, rows) in enumerate(sweeps, 1 - len(sweeps)):  # i = 0 at the last
+            for w, runs in rows:
+                if 0 < len(w) <= p - k and (k or i or w in last):
+                    acc[w] = dot([(c, f[x], acc[v]) for c, x, v in runs], zero if lone else acc[w])
+        for w, y in old:
+            if y and w and (k or w in last):
+                acc[w] = dot([(-1, one, y)], acc[w])
         acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
     return big, acc
 
@@ -164,8 +171,11 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, lad
     if route == "taylor":
         g = _divided_product(a, b, tables.suffix_steps, one, dot)
         return [(q, w, g[w], den**q, den**q) for q, w in words]
-    g = _divided_product(a, b, tables.factor_steps, one, dot)
-    big, acc = _divided_log(g, tables.log_steps, p, one, dot, tables.lyndon_set)
+    if isinstance(one, int):  # G[u] is one int: one sweep by the expanded product
+        sweeps = [(_divided_product(a, b, tables.factor_steps, one, dot), tables.log_steps)]
+    else:  # a sweep per stage, e^{a_1 A} last, over the suffixes its letter leads
+        sweeps = [(n, tables.suffix_steps[x]) for ab in zip(a, b) for x, n in enumerate(ab)][::-1]
+    big, acc = _divided_log(sweeps, p, one, dot, tables.lyndon_set)
     read = [_back_substitute(acc, q, tables, one, dot) for q in range(p + 1)]
     # less A + B, after the read: at degree 1 it reads the value itself
     return [(q, w, read[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)

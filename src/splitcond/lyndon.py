@@ -154,9 +154,9 @@ class LieDecomposition(NamedTuple):
 
 
 def _splits(words) -> list:
-    # the words longest first, each with (C(|w|, i), w[:i], w[i:]) for 0 <= i <= |w|
-    words = sorted(words, key=len, reverse=True)
-    return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(len(w) + 1)]) for w in words]
+    # the words longest first, each with (C(|w|, i), w[:i], w[i:]) for 1 <= i <= |w|
+    return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(1, len(w) + 1)])
+            for w in sorted(words, key=len, reverse=True)]
 
 
 def _product_steps(words) -> dict[int, list]:
@@ -182,7 +182,7 @@ class _Tables:
         self.suffixes = {w[i:] for w in words for i in range(len(w) + 1)}
         self._brackets = {(x,): {(x,): 1} for x in range(alphabet_size)}
 
-    # the product on the Lyndon words and their suffixes, or on their factors, and the log
+    # the product on the Lyndon words and their suffixes or factors, and the int log's splits
     suffix_steps = functools.cached_property(lambda self: _product_steps(self.suffixes))
     factor_steps = functools.cached_property(
         lambda self: _product_steps({v[:i] for v in self.suffixes for i in range(len(v) + 1)})

@@ -26,6 +26,8 @@ from splitcond import (
     log,
     lyndon_words_of_degree,
 )
+from splitcond.conditions import _divided_product
+from splitcond.lyndon import _product_steps
 from splitcond.poly import Poly
 
 
@@ -158,6 +160,33 @@ def splitting_product_by_exp(scheme: SymbolicScheme, truncation: int) -> NCSerie
         result = result * exp(NCSeries.letter(0, truncation, coeff=a_j))
         result = result * exp(NCSeries.letter(1, truncation, coeff=b_j))
     return result
+
+
+# ---------------------------------------------------------------------------
+# the logarithm of the splitting product by Horner's scheme over the expanded
+# product: the reference for the condition systems' log, which multiplies by
+# the stages' one-letter exponentials instead
+
+
+def divided_log_by_expanded_product(a, b, words, p: int, one, dot, last):
+    """L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p), over the expanded F.
+
+    The logarithm the stage sweeps replace: G = |w|! D^|w| F[w] is formed on every
+    factor of the suffix-closed words, then Horner's scheme multiplies by G - 1 at
+    every split w = uv, u != (), on the words of length <= p - k; the last pass forms
+    only last.  a and b are the stage ladders [n^0 .. n^p], over ints or integer maps.
+    """
+    factors = {w[:i] for w in words for i in range(len(w) + 1)}
+    g = _divided_product(a, b, _product_steps(factors), one, dot)
+    big = math.lcm(*range(1, p + 1))
+    acc = dict.fromkeys(words, dot([]))
+    for k in range(p, -1, -1):
+        for w in sorted(words, key=len, reverse=True):
+            if 0 < len(w) <= p - k and (k or w in last):
+                splits = range(1, len(w) + 1)
+                acc[w] = dot([(math.comb(len(w), i), g[w[:i]], acc[w[i:]]) for i in splits])
+        acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
+    return big, acc
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from splitcond.poly import Poly, _dot, sum_of_products
 from helpers import (
     combine_log_coefficients,
     conditions_bch_dense,
+    divided_log_by_expanded_product,
     homogeneous_at_truncation,
     log_pair_coefficients,
     order1_witness,
@@ -136,12 +137,12 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
 
 
 def product_steps_by_splits(words):
-    # the table _product_steps replaces: every split w = uv of every word, kept
-    # where u is a power of the first letter, less the j = 0 split (u = ())
+    # the table _product_steps replaces: every split w = uv, u != (), of every
+    # word, kept where u is a power of the first letter
     steps = {}
     for w, splits in _splits(w for w in words if w):
         runs = [(c, len(u), v) for c, u, v in splits if u == w[:1] * len(u)]
-        steps.setdefault(w[0], []).append((w, runs[1:]))
+        steps.setdefault(w[0], []).append((w, runs))
     return steps
 
 
@@ -181,21 +182,103 @@ def test_condition_system_equals_the_route_over_poly(stages, p, route):
         assert entry == ConditionEntry(q, w, (n - offset) * F(1, scale)), word_str(w)
 
 
-@pytest.mark.parametrize("stages,p", [(s, p) for s, p, route in DERIVE_GRID if route == "bch"])
+BCH_CELLS = [(s, p) for s, p, route in DERIVE_GRID if route == "bch"]
+
+
+def stage_sweeps(a, b, steps):
+    # F acc as the stages' one-letter exponentials, e^{b_s B} first and e^{a_1 A}
+    # last, each over the words its letter leads; zero stages are kept
+    return [(n, steps.get(x, [])) for pair in zip(a, b) for x, n in enumerate(pair)][::-1]
+
+
+def int_ladders(values, p):
+    return [[n**j for j in range(p + 1)] for n in values]
+
+
+def map_ladders(stages, p):
+    # the symbols a_j, b_j as integer maps, at indices 2j-2 and 2j-1
+    return [[{e << 8 * i: 1} for e in range(p + 1)] for i in range(2 * stages)]
+
+
+@pytest.mark.parametrize("stages,p", BCH_CELLS)
 def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
     # the BCH route's log forms its last pass only at the Lyndon words; the full
-    # pass, at every suffix, must agree there, over ints and over integer maps
+    # pass, at every suffix, must agree there, over ints and over integer maps,
+    # by the one sweep of the expanded product and by the stage sweeps
     tables = _Tables(p, 2)
     rng = random.Random(100 * stages + p)
-    ints = [[n**j for j in range(p + 1)] for n in (rng.randint(-9, 9) for _ in range(2 * stages))]
-    maps = [[{e << 8 * i: 1} for e in range(p + 1)] for i in range(2 * stages)]
-    for ladders, one, dot in [(ints, 1, _int_dot), (maps, {0: 1}, _dot)]:
-        g = _divided_product(ladders[::2], ladders[1::2], tables.factor_steps, one, dot)
-        _, full = _divided_log(g, tables.log_steps, p, one, dot, tables.suffixes)
-        _, last = _divided_log(g, tables.log_steps, p, one, dot, tables.lyndon_set)
-        assert tables.lyndon_set < set(full) == set(last)
-        for w in tables.lyndon_set:
-            assert last[w] == full[w], word_str(w)
+    ints = int_ladders([rng.randint(-9, 9) for _ in range(2 * stages)], p)
+    for ladders, one, dot in [(ints, 1, _int_dot), (map_ladders(stages, p), {0: 1}, _dot)]:
+        a, b = ladders[::2], ladders[1::2]
+        g = _divided_product(a, b, tables.factor_steps, one, dot)
+        for sweeps in ([(g, tables.log_steps)], stage_sweeps(a, b, tables.suffix_steps)):
+            _, full = _divided_log(sweeps, p, one, dot, tables.suffixes)
+            _, last = _divided_log(sweeps, p, one, dot, tables.lyndon_set)
+            assert tables.lyndon_set < set(full) == set(last)
+            for w in tables.lyndon_set:
+                assert last[w] == full[w], word_str(w)
+
+
+def assert_stage_sweeps_equal_the_expanded_product(a, b, words, p, one, dot, last):
+    # the stage-sweep log against the log over the expanded product, entry by
+    # entry at the words of last
+    expected_big, expected = divided_log_by_expanded_product(a, b, words, p, one, dot, last)
+    sweeps = stage_sweeps(a, b, _product_steps(words))
+    big, got = _divided_log(sweeps, p, one, dot, last)
+    assert big == expected_big
+    assert set(got) == set(expected) == set(words)
+    for w in last:
+        assert got[w] == expected[w], word_str(w)
+
+
+@pytest.mark.parametrize("stages,p", BCH_CELLS)
+def test_stage_sweep_log_equals_the_log_over_the_expanded_product(stages, p):
+    tables = _Tables(p, 2)
+    rng = random.Random(1600 + 10 * stages + p)
+    values = [rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))) for _ in range(2 * stages)]
+    kinds = [(int_ladders(values, p), 1, _int_dot), (map_ladders(stages, p), {0: 1}, _dot)]
+    for ladders, one, dot in kinds:
+        for last in (tables.lyndon_set, tables.suffixes):
+            assert_stage_sweeps_equal_the_expanded_product(
+                ladders[::2], ladders[1::2], tables.suffixes, p, one, dot, last
+            )
+
+
+def test_stage_sweep_log_over_ints_with_zero_stages():
+    # zero stages are kept as sweeps whose ladder is [1, 0, ..., 0]; with every b
+    # zero (or every a), F acc = acc at the words that letter leads
+    rng = random.Random(1601)
+    for stages, p in [(1, 4), (2, 5), (3, 4), (4, 6)]:
+        tables = _Tables(p, 2)
+        draws = [
+            [rng.randint(-9, 9) for _ in range(stages)] + [0] * stages,  # every b zero
+            [0] * stages + [rng.randint(-9, 9) for _ in range(stages)],  # every a zero
+            [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)],
+            [0] * (2 * stages),
+        ]
+        for draw in draws:
+            ladders = int_ladders(draw[:stages], p), int_ladders(draw[stages:], p)
+            assert_stage_sweeps_equal_the_expanded_product(
+                *ladders, tables.suffixes, p, 1, _int_dot, tables.lyndon_set
+            )
+
+
+def test_stage_sweep_log_on_random_suffix_closed_sets():
+    rng = random.Random(1602)
+    for _ in range(40):
+        stages, p = rng.randint(1, 3), rng.randint(1, 6)
+        targets = [
+            tuple(rng.randrange(2) for _ in range(rng.randint(1, p)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        closure = {w[i:] for w in targets for i in range(len(w) + 1)}
+        last = set(targets) | set(rng.sample(sorted(closure), rng.randint(0, len(closure))))
+        values = [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)]
+        kinds = [(int_ladders(values, p), 1, _int_dot), (map_ladders(stages, p), {0: 1}, _dot)]
+        for ladders, one, dot in kinds:
+            assert_stage_sweeps_equal_the_expanded_product(
+                ladders[::2], ladders[1::2], closure, p, one, dot, last
+            )
 
 
 def test_local_error_single_stage_degree_2():
@@ -966,6 +1049,46 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
             verify_scheme(scheme, p, "bch")
     leading_error_term(PAPER3.padded(5), 3)
     leading_error_term(STRANG, 2)
+
+
+def test_bch_systems_read_no_expanded_product_table(monkeypatch):
+    # the systems' log multiplies by the stages over the suffix steps: it builds no
+    # factor steps for an expanded product and no split table for Horner over it
+    def refuse(tables):
+        raise AssertionError("a condition system read a table of the expanded product")
+
+    # a property, unlike the cached one it replaces, wins over an instance's cached value
+    monkeypatch.setattr(_Tables.__wrapped__, "factor_steps", property(refuse))
+    monkeypatch.setattr(_Tables.__wrapped__, "log_steps", property(refuse))
+    for stages, p in [(1, 1), (1, 4), (2, 5), (3, 4), (4, 5)]:
+        condition_system(stages, p, "bch")
+    with pytest.raises(AssertionError, match="expanded product"):
+        verify_scheme(PAPER3, 3, "bch")  # the int path keeps the one expanded sweep
+
+
+# the nonzero BCH residuals of paper-order3 through degree 5, exactly: the int
+# path's one sweep by the expanded product must keep them as the systems change
+PAPER3_BCH_RESIDUALS = {
+    (A, A, A, B): F(5, 2304),
+    (A, A, B, B): F(-1, 72),
+    (A, B, B, B): F(1, 216),
+    (A, A, A, A, B): F(-53, 207360),
+    (A, A, A, B, B): F(-71, 69120),
+    (A, A, B, A, B): F(-1, 23040),
+    (A, A, B, B, B): F(-1, 1620),
+    (A, B, A, B, B): F(1, 720),
+    (A, B, B, B, B): F(1, 6480),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_verify_scheme_keeps_the_paper_order3_residuals(p):
+    report = verify_scheme(PAPER3, p)
+    words = [w for q in range(1, p + 1) for w in lyndon_words_of_degree(2, q)]
+    assert [(q, w) for q, w, _ in report.residuals] == [(len(w), w) for w in words]
+    expected = {w: r for w, r in PAPER3_BCH_RESIDUALS.items() if len(w) <= p}
+    assert {w: r for _, w, r in report.residuals if r} == expected
+    assert report.satisfied == (p <= 3)
 
 
 # -- the exact identity of the two routes ---------------------------------------

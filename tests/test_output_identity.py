@@ -9,9 +9,10 @@ eight symbols fill eight exponent fields of a packed monomial (taken before
 monomials were packed into ints), for BCH (4, 6), (5, 5) and (3, 6)
 (taken while the BCH route still solved by dense series subtraction), and
 for BCH (4, 7) and (6, 6) (taken while the route still formed the logarithm
-at every word), and for Taylor (6, 6), (3, 8) and (4, 8) (taken while the
+at every word), for Taylor (6, 6), (3, 8) and (4, 8) (taken while the
 splitting product was still a left-to-right product of series exponentials
-formed at every word); of the
+formed at every word), and for BCH (5, 7) (taken while the logarithm still
+multiplied by the expanded splitting product); of the
 printed leading error term of the registry's order-3 scheme; and of three
 printed symbolic objects (a BCH condition system, a log series whose
 single-term coefficients carry their sign out to the word, and the full
@@ -63,6 +64,7 @@ SYSTEM_DIGESTS = {
     ("bch", 3, 6): "1d040b7ab0ca168368da89092bfb08ec3bfd4ab2d88e25b5b09e488d676fec42",
     ("bch", 4, 7): "4b5bef2004b8587373174f51db80cc367d92ea398a28082eb5f9004bffca1cf9",
     ("bch", 6, 6): "279d03d6d1944aaa62b3a931496f1c093e8894f17582f761074bb7af2f3b919f",
+    ("bch", 5, 7): "7871ac67c05b0d5e7d08bdb7024c350fb7b89f315e67d760f9bce92af4cd84e7",
     ("taylor", 6, 6): "e2a564e845f2cd92b43ce997f763a9480ec017cd7e55157923fd792c53fa5368",
     ("taylor", 3, 8): "1da11f4f5baa7bdc70f8cbf178403d345934721f4ba3d2995074946264cae107",
     ("taylor", 4, 8): "4195550df82997a064add215b0e8653435b393863821ac20ba3eb441514e7c5d",

@@ -16,10 +16,16 @@ from splitcond import (
     word_str,
 )
 from splitcond.conditions import _divided_log
-from splitcond.lyndon import _splits
+from splitcond.lyndon import _product_steps, _splits
 from splitcond.poly import Poly, sum_of_products
 
-from helpers import exp_uncapped, first_nonzero_degree, log_uncapped, random_series
+from helpers import (
+    exp_uncapped,
+    first_nonzero_degree,
+    log_uncapped,
+    random_fraction,
+    random_series,
+)
 
 
 def unit(n, m=2):
@@ -273,24 +279,36 @@ def test_capped_horner_matches_uncapped_oracle():
 @pytest.mark.parametrize("alphabet,max_truncation", [(2, 6), (3, 6)])
 def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation):
     # the divided-power Horner loop kept to the suffixes of a few target
-    # words is exact there: it gives L |w|! log(f)[w], L = lcm(1..n)
+    # words is exact there: it gives L |w|! log(f)[w], L = lcm(1..n); f - 1 is
+    # one sweep over every split, or, for a product of one-letter exponentials,
+    # one sweep per factor, the rightmost first
     rng = random.Random(307 + alphabet)
     for n in range(1, max_truncation + 1):
         for _ in range(3):
-            f = NCSeries.unit(n, alphabet) + random_series(
+            g = NCSeries.unit(n, alphabet) + random_series(
                 rng, n, alphabet, symbolic=True, density=0.5
             )
+            # every letter leads a factor, as in a splitting product
+            letters = rng.sample(range(alphabet), alphabet) + [rng.randrange(alphabet)]
+            coeffs = [Poly.symbol("a", j) * random_fraction(rng) for j in range(1, len(letters) + 1)]
+            stages = list(zip(letters, coeffs))
+            product = NCSeries.unit(n, alphabet)
+            for x, c in stages:
+                product = product * exp(letter(x, n, alphabet, c))
             targets = [
                 tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, n)))
                 for _ in range(rng.randint(1, 4))
             ]
             closure = {w[i:] for w in targets for i in range(len(w) + 1)}
             factors = {w[i:j] for w in targets for j in range(len(w) + 1) for i in range(j)}
-            divided = {u: f.coefficient(u) * math.factorial(len(u)) for u in factors}
-            one, steps = Poly.const(1), _splits(closure)
-            big, filtered = _divided_log(divided, steps, n, one, sum_of_products, closure)
-            full = log(f)
-            assert set(filtered) == closure
-            for w in closure:
-                scale = Fraction(1, big * math.factorial(len(w)))
-                assert filtered[w] * scale == full.coefficient(w)
+            divided = {u: g.coefficient(u) * math.factorial(len(u)) for u in factors}
+            steps = _product_steps(closure)
+            ladders = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in stages]
+            for f, sweeps in [(g, [(divided, _splits(closure))]), (product, ladders[::-1])]:
+                one = Poly.const(1)
+                big, filtered = _divided_log(sweeps, n, one, sum_of_products, closure)
+                full = log(f)
+                assert set(filtered) == closure
+                for w in closure:
+                    scale = Fraction(1, big * math.factorial(len(w)))
+                    assert filtered[w] * scale == full.coefficient(w)

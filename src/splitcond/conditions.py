@@ -8,14 +8,15 @@ of log(F) - (A + B); each must vanish.
 
 Both run one divided-power recurrence.  With stage values n = D c, D the lcm of their
 denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
-sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, a suffix-closed set.
+sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, a suffix-closed set,
+one kernel call (a sweep) per factor: _int_sweep over ints, poly._sweep over integer maps.
 log(F) is Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p),
-as in Casas & Murua (J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1,
-F acc is that recurrence started from acc, so the systems never expand F; over ints, for
-a concrete scheme, G[u] is one int, and one sweep multiplies by G on the words' factors.
-So verify_scheme and leading_error_term build no symbolic system.
-systems_equivalent() checks that the two systems cut out the same solution sets on
-witnesses.
+as in Casas & Murua (J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1 and
+each n^j a packed monomial, F acc is that recurrence started from acc, so the systems never
+expand F; over ints, for a concrete scheme, G[u] is one int, and one sweep per pass
+multiplies by G on the words' factors.  So verify_scheme and leading_error_term build no
+symbolic system, and every residual that vanishes is one shared Fraction(0).
+systems_equivalent() checks on witnesses that the two systems cut out the same solution sets.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _back_substitute, _product_steps, _Tables
-from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, sum_of_products
+from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, _sweep, sum_of_products
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
+_NIL = Fraction(0)  # every vanishing residual
 
 
 class NotOrderP(ValueError):
@@ -107,12 +109,12 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
     words = (w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
     a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
-    g = _divided_product(a, b, _product_steps(words), _ONE, sum_of_products)
+    g = _divided_product(a, b, _product_steps(words), _ONE, sum_of_products, _int_sweep)
     terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in g.items()}
     return NCSeries(truncation, 2, terms)
 
 
-def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot) -> dict:
+def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot, sweep) -> dict:
     # G[w] = |w|! D^|w| F[w] on the suffix-closed words of steps, for stage values
     # n = D c as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX} sends
     # G[w] to G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1; e^{0X} = 1 is skipped
@@ -120,26 +122,23 @@ def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot)
     g[()] = one
     ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
     for letter, powers in reversed(ladders):
-        for w, runs in steps.get(letter, ()):
-            # longest first, so each G[v] read is still the one before this factor
-            g[w] = dot([(c, powers[j], g[v]) for c, j, v in runs], g[w])
+        sweep(g, powers, steps.get(letter, ()))
     return g
 
 
-def _divided_log(sweeps: list, p: int, one, dot, last) -> tuple[int, dict]:
-    # L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p): Horner's scheme acc <-
-    # c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k; F acc is the sweeps in turn,
-    # each adding sum c f[x] acc[v] over its rows to acc[w], longest first, only on last at
-    # k = 0's last sweep.  A lone sweep, G at every split w = uv, u != (), starts from zero
-    # and subtracts nothing: its "- acc" would cancel the split u = () it leaves out.
+def _divided_log(sweeps: list, words, p: int, one, dot, sweep, last) -> tuple[int, dict]:
+    # L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p), over the suffix-closed
+    # words: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
+    # F acc is the sweeps in turn, each adding sum c f[x] acc[v] over its rows to acc[w],
+    # only on last at k = 0's last sweep.  A lone sweep (G at every split w = uv, u != (),
+    # or one stage) starts from zero and subtracts nothing: its rows leave out the u = ().
     big, zero, lone = math.lcm(*range(1, p + 1)), dot([]), len(sweeps) == 1
-    acc = dict.fromkeys((w for _, rows in sweeps for w, _ in rows), zero)
+    acc = dict.fromkeys(words, zero)
+    final = sweeps[:-1] + [(f, [r for r in rows if r[0] in last]) for f, rows in sweeps[-1:]]
     for k in range(p, -1, -1):
         old = () if lone else list(acc.items())
-        for i, (f, rows) in enumerate(sweeps, 1 - len(sweeps)):  # i = 0 at the last
-            for w, runs in rows:
-                if 0 < len(w) <= p - k and (k or i or w in last):
-                    acc[w] = dot([(c, f[x], acc[v]) for c, x, v in runs], zero if lone else acc[w])
+        for f, rows in sweeps if k else final:
+            sweep(acc, f, rows, p - k, lone)
         for w, y in old:
             if y and w and (k or w in last):
                 acc[w] = dot([(-1, one, y)], acc[w])
@@ -154,7 +153,18 @@ def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
     return total
 
 
-def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, ladder) -> list:
+def _int_sweep(acc: dict, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
+    # acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, [(c, x, v)]) with |w| <=
+    # top, over ints (or Poly, for splitting_product); rows longest first, so acc[v] is the old one
+    for w, runs in rows:
+        if len(w) <= top:
+            total = 0 if zero else acc[w]
+            for c, x, v in runs:
+                total += c * f[x] * acc[v]
+            acc[w] = total
+
+
+def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, sweep, ladder) -> list:
     # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
     # scale, at n = D c; the offset is a constant, and ladder(x, p) is [x^0 .. x^p]
     if route not in ROUTES:
@@ -169,13 +179,13 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, lad
     words = [(q, w) for q in range(1, p + 1) for w in tables.lyndon[q]]
     a, b = ([ladder(x, p) for x in xs] for xs in (a, b))
     if route == "taylor":
-        g = _divided_product(a, b, tables.suffix_steps, one, dot)
+        g = _divided_product(a, b, tables.suffix_steps, one, dot, sweep)
         return [(q, w, g[w], den**q, den**q) for q, w in words]
     if isinstance(one, int):  # G[u] is one int: one sweep by the expanded product
-        sweeps = [(_divided_product(a, b, tables.factor_steps, one, dot), tables.log_steps)]
+        sweeps = [(_divided_product(a, b, tables.factor_steps, one, dot, sweep), tables.log_steps)]
     else:  # a sweep per stage, e^{a_1 A} last, over the suffixes its letter leads
         sweeps = [(n, tables.suffix_steps[x]) for ab in zip(a, b) for x, n in enumerate(ab)][::-1]
-    big, acc = _divided_log(sweeps, p, one, dot, tables.lyndon_set)
+    big, acc = _divided_log(sweeps, tables.suffixes, p, one, dot, sweep, tables.lyndon_set)
     read = [_back_substitute(acc, q, tables, one, dot) for q in range(p + 1)]
     # less A + B, after the read: at degree 1 it reads the value itself
     return [(q, w, read[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)
@@ -187,8 +197,8 @@ def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Wo
     den = math.lcm(*(c.denominator for c in scheme.point()))
     a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
     ladder = lambda n, top: [n**j for j in range(top + 1)]
-    entries = _route(a, b, den, p, route, 1, _int_dot, ladder)
-    return [(q, w, Fraction(n - o, s)) for q, w, n, o, s in entries]
+    entries = _route(a, b, den, p, route, 1, _int_dot, _int_sweep, ladder)
+    return [(q, w, Fraction(d, s) if (d := n - o) else _NIL) for q, w, n, o, s in entries]
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
@@ -217,8 +227,8 @@ class ConditionEntry(NamedTuple):
 
 
 def _all_within(residuals: Iterable[tuple[int, Word, Fraction]], tol: Scalar = 0) -> bool:
-    # the one satisfaction rule: every |residual| <= tol, so tol == 0 is exact
-    return all(abs(r) <= tol for _, _, r in residuals)
+    # the one satisfaction rule: every |residual| <= tol, which at tol == 0 is r == 0
+    return all(abs(r) <= tol if tol else not r for _, _, r in residuals)
 
 
 class ConditionSystem(NamedTuple):
@@ -231,9 +241,7 @@ class ConditionSystem(NamedTuple):
 
     def residuals(self, scheme: ConcreteScheme) -> list[tuple[int, Word, Fraction]]:
         if scheme.stages != self.stages:
-            raise ValueError(
-                f"scheme has {scheme.stages} stages, system expects {self.stages}"
-            )
+            raise ValueError(f"scheme has {scheme.stages} stages, system expects {self.stages}")
         point = scheme.point()
         return [(e.degree, e.word, e.polynomial.evaluate(point) - e.rhs) for e in self.entries]
 
@@ -264,9 +272,9 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
     """
     # over Poly's integer maps, with a_j at symbol index 2j-2 and b_j at 2j-1
     a, b = range(0, 2 * stages, 2), range(1, 2 * stages, 2)
-    ladder = lambda i, top: [{e << 8 * i: 1} for e in range(top + 1)]
+    ladder = lambda i, top: [e << 8 * i for e in range(top + 1)]  # packed monomials
     entries = []
-    for q, w, nums, offset, scale in _route(a, b, 1, p, route, {0: 1}, _dot, ladder):
+    for q, w, nums, offset, scale in _route(a, b, 1, p, route, {0: 1}, _dot, _sweep, ladder):
         if offset:  # a constant, subtracted once on the map
             nums = {**nums, 0: nums.get(0, 0) - offset}
             if not nums[0]:
@@ -306,9 +314,7 @@ class VerificationReport(NamedTuple):
         return [(q, w, r) for q, w, r in self.residuals if r != 0]
 
 
-def verify_scheme(
-    scheme: ConcreteScheme, p: int, route: str = "bch"
-) -> VerificationReport:
+def verify_scheme(scheme: ConcreteScheme, p: int, route: str = "bch") -> VerificationReport:
     """The order-p residuals at the scheme, exactly, by the route's pass over ints."""
     residuals = tuple(_residuals(scheme, p, route))
     return VerificationReport(scheme, p, route, _all_within(residuals), residuals)
@@ -339,12 +345,8 @@ class EquivalenceReport(NamedTuple):
         return [v for v in self.verdicts if not v.agree]
 
 
-def systems_equivalent(
-    first: ConditionSystem,
-    second: ConditionSystem,
-    witnesses: Sequence[ConcreteScheme],
-    tol: Scalar = 0,
-) -> EquivalenceReport:
+def systems_equivalent(first: ConditionSystem, second: ConditionSystem,
+                       witnesses: Sequence[ConcreteScheme], tol: Scalar = 0) -> EquivalenceReport:
     """Check that every witness satisfies both systems or neither.
 
     With tol == 0 satisfaction is exact; a positive tol admits witnesses
@@ -355,11 +357,8 @@ def systems_equivalent(
         raise ValueError("systems compare only at equal stage count and order")
     verdicts = []
     for scheme in witnesses:
-        r1 = tuple(first.residuals(scheme))
-        r2 = tuple(second.residuals(scheme))
-        verdicts.append(
-            WitnessVerdict(scheme, _all_within(r1, tol), _all_within(r2, tol), r1, r2)
-        )
+        r1, r2 = tuple(first.residuals(scheme)), tuple(second.residuals(scheme))
+        verdicts.append(WitnessVerdict(scheme, _all_within(r1, tol), _all_within(r2, tol), r1, r2))
     return EquivalenceReport(tuple(verdicts))
 
 

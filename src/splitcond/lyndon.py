@@ -154,9 +154,9 @@ class LieDecomposition(NamedTuple):
 
 
 def _splits(words) -> list:
-    # the words longest first, each with (C(|w|, i), w[:i], w[i:]) for 1 <= i <= |w|
+    # the nonempty words longest first, each with (C(|w|, i), w[:i], w[i:]), 1 <= i <= |w|
     return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(1, len(w) + 1)])
-            for w in sorted(words, key=len, reverse=True)]
+            for w in sorted(filter(None, words), key=len, reverse=True)]
 
 
 def _product_steps(words) -> dict[int, list]:

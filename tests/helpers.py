@@ -163,21 +163,48 @@ def splitting_product_by_exp(scheme: SymbolicScheme, truncation: int) -> NCSerie
 
 
 # ---------------------------------------------------------------------------
+# the per-row loop the sweep kernels replace: one dot call per row of a sweep,
+# over ints, integer maps or Poly, from a fresh start at every row
+
+
+def sweep_by_dot(dot, lift=lambda x: x):
+    """acc[w] <- acc[w] + sum c lift(f[x]) acc[v] at each row (w, [(c, x, v)]), |w| <= top.
+
+    Rows come longest first; with zero each row starts from dot([]) instead of acc[w].
+    lift turns a factor into a dot operand, such as a packed monomial m into {m: 1}.
+    """
+
+    def sweep(acc, f, rows, top=math.inf, zero=False):
+        for w, runs in rows:
+            if len(w) <= top:
+                start = dot([]) if zero else acc[w]
+                acc[w] = dot([(c, lift(f[x]), acc[v]) for c, x, v in runs], start)
+
+    return sweep
+
+
+def monomial_map(mono: int) -> dict[int, int]:
+    """The packed monomial mono as the integer map {mono: 1}."""
+    return {mono: 1}
+
+
+# ---------------------------------------------------------------------------
 # the logarithm of the splitting product by Horner's scheme over the expanded
 # product: the reference for the condition systems' log, which multiplies by
 # the stages' one-letter exponentials instead
 
 
-def divided_log_by_expanded_product(a, b, words, p: int, one, dot, last):
+def divided_log_by_expanded_product(a, b, words, p: int, one, dot, last, lift=lambda x: x):
     """L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p), over the expanded F.
 
     The logarithm the stage sweeps replace: G = |w|! D^|w| F[w] is formed on every
     factor of the suffix-closed words, then Horner's scheme multiplies by G - 1 at
     every split w = uv, u != (), on the words of length <= p - k; the last pass forms
-    only last.  a and b are the stage ladders [n^0 .. n^p], over ints or integer maps.
+    only last.  a and b are the stage ladders [n^0 .. n^p], over ints or, lifted to
+    integer maps by lift, packed monomials.
     """
     factors = {w[:i] for w in words for i in range(len(w) + 1)}
-    g = _divided_product(a, b, _product_steps(factors), one, dot)
+    g = _divided_product(a, b, _product_steps(factors), one, dot, sweep_by_dot(dot, lift))
     big = math.lcm(*range(1, p + 1))
     acc = dict.fromkeys(words, dot([]))
     for k in range(p, -1, -1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -177,6 +178,23 @@ def test_verify_scheme_file_and_json_output(tmp_path, capsys):
     assert payload["scheme"]["name"] == "trotter-copy"
     code, _, _ = run(capsys, "verify", str(path), "-p", "2")
     assert code == 1
+
+
+# SHA-256 of the exit codes and stdout of `verify NAME -p P --route R --format json`
+# over the registry, p = 1..4 and both routes, taken while the exact check still
+# read abs(r) <= 0 and every residual was formed by Fraction(n - o, s)
+VERIFY_JSON_SHA256 = "bdae7ce06d0532c2b4ebbb57a752a41af77832d6904180844aaccc194051b927"
+
+
+def test_verify_json_is_unchanged_byte_for_byte(capsys):
+    out = []
+    for name in sorted(REGISTRY):
+        for p in (1, 2, 3, 4):
+            for route in ("bch", "taylor"):
+                code, text, _ = run(capsys, "verify", name, "-p", str(p), "--route", route,
+                                    "--format", "json")
+                out.append(f"{code}\n{text}")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -30,9 +30,9 @@ from splitcond import (
     word_str,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import _divided_log, _divided_product, _int_dot, _route
+from splitcond.conditions import _divided_log, _divided_product, _int_dot, _int_sweep, _route
 from splitcond.lyndon import _product_steps, _splits, _Tables
-from splitcond.poly import Poly, _dot, sum_of_products
+from splitcond.poly import MAX_EXPONENT, Poly, _dot, _sweep, sum_of_products
 
 from helpers import (
     combine_log_coefficients,
@@ -40,11 +40,13 @@ from helpers import (
     divided_log_by_expanded_product,
     homogeneous_at_truncation,
     log_pair_coefficients,
+    monomial_map,
     order1_witness,
     order2_witness,
     random_fraction,
     refine_witnesses,
     splitting_product_by_exp,
+    sweep_by_dot,
     taylor_derivative,
 )
 
@@ -129,7 +131,7 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
         # the divided-power recurrence, G[w] = |w|! F[w] over Poly
         steps = _product_steps(closure)
         a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
-        divided = _divided_product(a, b, steps, Poly.const(1), sum_of_products)
+        divided = _divided_product(a, b, steps, Poly.const(1), sum_of_products, _int_sweep)
         assert set(divided) == closure
         for word in closure:
             expected = full.coefficient(word) * math.factorial(len(word))
@@ -175,7 +177,8 @@ def test_condition_system_equals_the_route_over_poly(stages, p, route):
     scheme = SymbolicScheme.generic(stages)
     one = Poly.const(1)
     ladder = lambda n, top: [n**j for j in range(top + 1)]
-    oracle = _route(scheme.a, scheme.b, 1, p, route, one, sum_of_products, ladder)
+    sweep = sweep_by_dot(sum_of_products)
+    oracle = _route(scheme.a, scheme.b, 1, p, route, one, sum_of_products, sweep, ladder)
     entries = condition_system(stages, p, route).entries
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
@@ -196,8 +199,17 @@ def int_ladders(values, p):
 
 
 def map_ladders(stages, p):
-    # the symbols a_j, b_j as integer maps, at indices 2j-2 and 2j-1
-    return [[{e << 8 * i: 1} for e in range(p + 1)] for i in range(2 * stages)]
+    # the symbols a_j, b_j as packed monomials, at indices 2j-2 and 2j-1
+    return [[e << 8 * i for e in range(p + 1)] for i in range(2 * stages)]
+
+
+def kernels(values, stages, p):
+    # (ladders, one, dot, sweep, lift) over ints at the values, and over integer maps
+    # at the symbols, whose ladders hold packed monomials
+    return [
+        (int_ladders(values, p), 1, _int_dot, _int_sweep, lambda x: x),
+        (map_ladders(stages, p), {0: 1}, _dot, _sweep, monomial_map),
+    ]
 
 
 @pytest.mark.parametrize("stages,p", BCH_CELLS)
@@ -207,24 +219,30 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
     # by the one sweep of the expanded product and by the stage sweeps
     tables = _Tables(p, 2)
     rng = random.Random(100 * stages + p)
-    ints = int_ladders([rng.randint(-9, 9) for _ in range(2 * stages)], p)
-    for ladders, one, dot in [(ints, 1, _int_dot), (map_ladders(stages, p), {0: 1}, _dot)]:
+    values = [rng.randint(-9, 9) for _ in range(2 * stages)]
+    for ladders, one, dot, sweep, lift in kernels(values, stages, p):
         a, b = ladders[::2], ladders[1::2]
-        g = _divided_product(a, b, tables.factor_steps, one, dot)
-        for sweeps in ([(g, tables.log_steps)], stage_sweeps(a, b, tables.suffix_steps)):
-            _, full = _divided_log(sweeps, p, one, dot, tables.suffixes)
-            _, last = _divided_log(sweeps, p, one, dot, tables.lyndon_set)
+        g = _divided_product(a, b, tables.factor_steps, one, dot, sweep)
+        # the expanded product's factors are whole maps, so over maps its sweep is per row
+        lone = sweep if one == 1 else sweep_by_dot(dot)
+        for sweeps, kernel in [
+            ([(g, tables.log_steps)], lone),
+            (stage_sweeps(a, b, tables.suffix_steps), sweep),
+        ]:
+            words = tables.suffixes
+            _, full = _divided_log(sweeps, words, p, one, dot, kernel, tables.suffixes)
+            _, last = _divided_log(sweeps, words, p, one, dot, kernel, tables.lyndon_set)
             assert tables.lyndon_set < set(full) == set(last)
             for w in tables.lyndon_set:
                 assert last[w] == full[w], word_str(w)
 
 
-def assert_stage_sweeps_equal_the_expanded_product(a, b, words, p, one, dot, last):
+def assert_stage_sweeps_equal_the_expanded_product(a, b, words, p, one, dot, sweep, lift, last):
     # the stage-sweep log against the log over the expanded product, entry by
     # entry at the words of last
-    expected_big, expected = divided_log_by_expanded_product(a, b, words, p, one, dot, last)
+    expected_big, expected = divided_log_by_expanded_product(a, b, words, p, one, dot, last, lift)
     sweeps = stage_sweeps(a, b, _product_steps(words))
-    big, got = _divided_log(sweeps, p, one, dot, last)
+    big, got = _divided_log(sweeps, words, p, one, dot, sweep, last)
     assert big == expected_big
     assert set(got) == set(expected) == set(words)
     for w in last:
@@ -236,11 +254,10 @@ def test_stage_sweep_log_equals_the_log_over_the_expanded_product(stages, p):
     tables = _Tables(p, 2)
     rng = random.Random(1600 + 10 * stages + p)
     values = [rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))) for _ in range(2 * stages)]
-    kinds = [(int_ladders(values, p), 1, _int_dot), (map_ladders(stages, p), {0: 1}, _dot)]
-    for ladders, one, dot in kinds:
+    for ladders, one, dot, sweep, lift in kernels(values, stages, p):
         for last in (tables.lyndon_set, tables.suffixes):
             assert_stage_sweeps_equal_the_expanded_product(
-                ladders[::2], ladders[1::2], tables.suffixes, p, one, dot, last
+                ladders[::2], ladders[1::2], tables.suffixes, p, one, dot, sweep, lift, last
             )
 
 
@@ -258,8 +275,9 @@ def test_stage_sweep_log_over_ints_with_zero_stages():
         ]
         for draw in draws:
             ladders = int_ladders(draw[:stages], p), int_ladders(draw[stages:], p)
+            kernel = (1, _int_dot, _int_sweep, lambda x: x)
             assert_stage_sweeps_equal_the_expanded_product(
-                *ladders, tables.suffixes, p, 1, _int_dot, tables.lyndon_set
+                *ladders, tables.suffixes, p, *kernel, tables.lyndon_set
             )
 
 
@@ -274,11 +292,99 @@ def test_stage_sweep_log_on_random_suffix_closed_sets():
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
         last = set(targets) | set(rng.sample(sorted(closure), rng.randint(0, len(closure))))
         values = [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)]
-        kinds = [(int_ladders(values, p), 1, _int_dot), (map_ladders(stages, p), {0: 1}, _dot)]
-        for ladders, one, dot in kinds:
+        for ladders, one, dot, sweep, lift in kernels(values, stages, p):
             assert_stage_sweeps_equal_the_expanded_product(
-                ladders[::2], ladders[1::2], closure, p, one, dot, last
+                ladders[::2], ladders[1::2], closure, p, one, dot, sweep, lift, last
             )
+
+
+# -- the sweep kernels against the per-row loop they replace ---------------------
+
+
+def random_closure(rng, top=7):
+    targets = [
+        tuple(rng.randrange(2) for _ in range(rng.randint(1, top)))
+        for _ in range(rng.randint(1, 5))
+    ]
+    return {w[i:] for w in targets for i in range(len(w) + 1)}
+
+
+def random_map(rng):
+    # small monomials and coefficients, so that sums of shifted maps often cancel
+    monos = [0, 1, 2, 1 << 8, 1 << 16, (1 << 8) + 1]
+    return {m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monos, rng.randint(0, 4))}
+
+
+def sweep_cases(rng, count):
+    # random suffix-closed rows, with a top cut (sometimes none) and a zero start
+    for _ in range(count):
+        closure = random_closure(rng)
+        top = rng.choice((MAX_EXPONENT, rng.randint(0, 7)))
+        yield closure, top, rng.random() < 0.3
+
+
+def test_int_sweep_equals_the_per_row_dot_loop():
+    rng = random.Random(1701)
+    oracle = sweep_by_dot(_int_dot)
+    for closure, top, zero in sweep_cases(rng, 300):
+        # the product's rows by a stage ladder, zero stages drawn, or the expanded
+        # product's split rows by G
+        n = rng.choice((0, rng.randint(-9, 9)))
+        factors = {w[:i] for w in closure for i in range(len(w) + 1)}
+        for f, rows in [
+            ([n**j for j in range(8)], _product_steps(closure).get(rng.randrange(2), [])),
+            ({u: rng.choice((0, rng.randint(-99, 99))) for u in factors}, _splits(closure)),
+        ]:
+            acc = {w: rng.choice((0, rng.randint(-99, 99))) for w in closure}
+            expected = dict(acc)
+            oracle(expected, f, rows, top, zero)
+            _int_sweep(acc, f, rows, top, zero)
+            assert acc == expected
+
+
+def test_map_sweep_equals_the_per_row_dot_loop():
+    rng = random.Random(1702)
+    oracle = sweep_by_dot(_dot, monomial_map)
+    cancelled = 0
+    for closure, top, zero in sweep_cases(rng, 300):
+        rows = _product_steps(closure).get(rng.randrange(2), [])
+        f = [e << 8 * rng.randrange(3) for e in range(8)]
+        acc = {w: random_map(rng) for w in closure}
+        for w, runs in rows:
+            if not zero and rng.random() < 0.5:  # a start that cancels what the row adds
+                added = _dot([(c, monomial_map(f[j]), acc[v]) for c, j, v in runs])
+                acc[w] = _dot([(-1, {0: 1}, added)], random_map(rng))
+        for w, runs in rows:  # count the sums that cancel, from the old values
+            if len(w) <= top:
+                naive = {} if zero else dict(acc[w])
+                for c, j, v in runs:
+                    for m, n in acc[v].items():
+                        naive[m + f[j]] = naive.get(m + f[j], 0) + c * n
+                cancelled += 0 in naive.values()
+        expected = dict(acc)
+        oracle(expected, f, rows, top, zero)
+        _sweep(acc, f, rows, top, zero)
+        assert acc == expected
+        assert all(0 not in y.values() for y in acc.values())
+    assert cancelled > 50
+
+
+def test_map_sweep_never_mutates_a_shared_start():
+    # _divided_product seeds every word with one dot([]) object, so the kernel must
+    # write a new map at each row
+    rng = random.Random(1703)
+    for closure, top, zero in sweep_cases(rng, 100):
+        rows = _product_steps(closure).get(rng.randrange(2), [])
+        f = [e << 8 * rng.randrange(3) for e in range(8)]
+        shared = rng.choice(({}, random_map(rng)))
+        before = dict(shared)
+        acc = dict.fromkeys(closure, shared)
+        acc[()] = {0: 1}
+        _sweep(acc, f, rows, top, zero)
+        assert shared == before
+        touched = [acc[w] for w, _ in rows if len(w) <= top]
+        assert all(y is not shared for y in touched)
+        assert len({id(y) for y in touched}) == len(touched)
 
 
 def test_local_error_single_stage_degree_2():
@@ -662,6 +768,62 @@ def test_perturbed_rhs_is_flagged():
     assert report.disagreements()[0].scheme == PAPER3
 
 
+# -- the exact check: |r| <= tol, read as r == 0 at a zero tolerance --------------
+
+
+def test_a_zero_tolerance_of_any_type_means_exact_satisfaction():
+    near = ConcreteScheme(PAPER3.a[:-1] + (PAPER3.a[-1] + F(1, 10**40),), PAPER3.b)
+    bch, taylor = conditions_bch(3, 3), conditions_taylor(3, 3)
+    for tol in (0, F(0), 0.0, -0.0):
+        assert bch.satisfied_by(PAPER3, tol) and taylor.satisfied_by(PAPER3, tol)
+        assert not bch.satisfied_by(near, tol) and not taylor.satisfied_by(near, tol)
+        report = systems_equivalent(bch, taylor, [PAPER3, near], tol)
+        assert [(v.satisfied_first, v.satisfied_second) for v in report.verdicts] == [
+            (True, True),
+            (False, False),
+        ]
+
+
+def test_a_positive_tolerance_of_any_type_bounds_each_residual():
+    # at order 1 the residuals are sum(a) - 1 and sum(b) - 1: here -1/4 and 1/2, then 3/2
+    system, other = conditions_bch(2, 1), conditions_taylor(2, 1)
+    half = ConcreteScheme((F(1, 2), F(1, 4)), (F(1), F(1, 2)))
+    three_halves = ConcreteScheme((F(1, 2), F(1, 4)), (F(2), F(1, 2)))
+    cases = [
+        (half, 1, True), (three_halves, 1, False), (three_halves, 2, True),
+        (half, F(1, 2), True), (half, F(1, 3), False), (three_halves, F(3, 2), True),
+        (half, 0.5, True), (half, 0.25, False), (three_halves, 1.5, True), (half, 1e-300, False),
+    ]
+    for scheme, tol, expected in cases:
+        assert system.satisfied_by(scheme, tol) is expected, (scheme, tol)
+        verdict = systems_equivalent(system, other, [scheme], tol).verdicts[0]
+        assert verdict.satisfied_first is verdict.satisfied_second is expected
+
+
+@pytest.mark.parametrize("tol", [0, F(0), 0.0, -0.0, 1, F(1, 2), 0.5, 1e-300, -1, float("nan")])
+def test_satisfaction_is_every_abs_residual_within_tol(tol):
+    # the rule as it reads, on schemes that satisfy, nearly satisfy and miss order 3
+    system = conditions_bch(3, 3)
+    near = ConcreteScheme(PAPER3.a[:-1] + (PAPER3.a[-1] + F(1, 10**40),), PAPER3.b)
+    for scheme in (PAPER3, near, STRANG.padded(3), LIE_TROTTER.padded(3)):
+        residuals = system.residuals(scheme)
+        assert system.satisfied_by(scheme, tol) == all(abs(r) <= tol for _, _, r in residuals)
+
+
+def test_residuals_are_fractions_and_a_vanishing_one_prints_as_0():
+    schemes = [PAPER3, STRANG, LIE_TROTTER, PAPER3.padded(5)]
+    for scheme, route, p in itertools.product(schemes, ("taylor", "bch"), (1, 3, 4)):
+        residuals = verify_scheme(scheme, p, route).residuals
+        assert all(type(r) is Fraction for _, _, r in residuals)
+        for _, _, r in residuals:
+            if not r:
+                assert r == Fraction(0) and r.denominator == 1 and str(r) == "0"
+    vanishing = [r for _, _, r in verify_scheme(PAPER3, 4).residuals if not r]
+    assert len(vanishing) == 5
+    nonzero = {w for _, w, r in verify_scheme(PAPER3, 4).residuals if r}
+    assert set(leading_error_term(PAPER3, 3).coefficients) == nonzero
+
+
 def test_route_equivalence_on_refined_witnesses():
     rng = random.Random(103)
     combos = [(2, 2), (2, 3), (3, 3)]
@@ -1042,6 +1204,7 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
 
     monkeypatch.setattr("splitcond.conditions.sum_of_products", refuse)
     monkeypatch.setattr("splitcond.conditions._dot", refuse)
+    monkeypatch.setattr("splitcond.conditions._sweep", refuse)
     monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
         for p in (1, 2, 3, 4):

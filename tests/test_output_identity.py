@@ -13,18 +13,32 @@ at every word), for Taylor (6, 6), (3, 8) and (4, 8) (taken while the
 splitting product was still a left-to-right product of series exponentials
 formed at every word), and for BCH (5, 7) (taken while the logarithm still
 multiplied by the expanded splitting product); of the
-printed leading error term of the registry's order-3 scheme; and of three
+printed leading error term of the registry's order-3 scheme; of three
 printed symbolic objects (a BCH condition system, a log series whose
 single-term coefficients carry their sign out to the word, and the full
-three-stage splitting product through degree 5, taken with the Taylor pins).
+three-stage splitting product through degree 5, taken with the Taylor pins);
+and of the exact verification of 43 five-stage schemes, verify_scheme at
+p = 3 and 4 on both routes and leading_error_term at p = 3 (taken while the
+recurrence still made one kernel call per word).
 """
 
 import hashlib
+import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from splitcond import SymbolicScheme, condition_system, leading_error_term
+from splitcond import (
+    ConcreteScheme,
+    NotOrderP,
+    SymbolicScheme,
+    condition_system,
+    leading_error_term,
+    verify_scheme,
+    word_str,
+)
 from splitcond.cli import REGISTRY
 from splitcond.conditions import conditions_bch, splitting_product
 from splitcond.series import log
@@ -107,3 +121,69 @@ def test_log_series_text_unchanged():
 def test_splitting_product_text_unchanged():
     text = str(splitting_product(SymbolicScheme.generic(3), 5))
     assert sha256(text) == PRODUCT_3_5_TEXT_DIGEST
+
+
+# -- exact verification of concrete schemes ------------------------------------
+#
+# verify_scheme reports at p = 3 and 4 on both routes, and leading_error_term at
+# p = 3, for five-stage witnesses built here: the 24 orderings of the Strang
+# composition with weights (3, 4, 5, -6)/6 (order 3), the registry schemes padded
+# to five stages, and seeded order-2 Strang compositions.  The digests were taken
+# while the recurrence still made one kernel call per word and sweep.
+
+VERIFY_DIGESTS = {
+    (3, "taylor"): "516226a7e5753bd7a66bb5676dfe571ccf23a2c14f61d294fe40ec423ceaadd0",
+    (3, "bch"): "b4a237be41cd92fb4ba0fbf9b7811034dea32cb19fb080c50227963ad34f5d9b",
+    (4, "taylor"): "115c88bb92f6c4dbaa13a5fa97923eb1b9f02c6126f3e3ca90bf6b412cc1abc0",
+    (4, "bch"): "a01c6fe8db4e10a2c2b2f46f3e1cfdd30687c31f625b362ca2185d28347d2cdc",
+}
+
+LEADING_TERMS_DIGEST = "0345700f7c06ff4a66c3e04ee5b2c1f01d1dc3c668c68eaca60d31a466d24d61"
+
+
+def strang_composition(weights) -> ConcreteScheme:
+    # the merged product S(w1)...S(wk) of Strang steps, k + 1 stages
+    w = [Fraction(x) for x in weights]
+    a = [w[0] / 2] + [(x + y) / 2 for x, y in zip(w, w[1:])] + [w[-1] / 2]
+    return ConcreteScheme(a, w + [Fraction(0)])
+
+
+def verification_witnesses() -> list[ConcreteScheme]:
+    weights = [Fraction(x, 6) for x in (3, 4, 5, -6)]
+    schemes = [strang_composition(w) for w in itertools.permutations(weights)]
+    schemes += [entry.scheme.padded(5) for entry in REGISTRY.values()]
+    rng, numerators = random.Random(1701), [n for n in range(-6, 7) if n]
+    while len(schemes) < 24 + len(REGISTRY) + 16:
+        w = [Fraction(rng.choice(numerators), rng.randint(1, 6)) for _ in range(3)]
+        w.append(1 - sum(w))
+        if w[-1] and sum(x**3 for x in w):
+            schemes.append(strang_composition(w))
+    return schemes
+
+
+def report_record(report) -> dict:
+    return {
+        "a": [str(x) for x in report.scheme.a],
+        "b": [str(x) for x in report.scheme.b],
+        "order": report.order,
+        "route": report.route,
+        "satisfied": report.satisfied,
+        "residuals": [[q, word_str(w), str(r)] for q, w, r in report.residuals],
+    }
+
+
+@pytest.mark.parametrize("order,route", sorted(VERIFY_DIGESTS))
+def test_verify_scheme_reports_unchanged(order, route):
+    records = [report_record(verify_scheme(s, order, route)) for s in verification_witnesses()]
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canonical) == VERIFY_DIGESTS[(order, route)]
+
+
+def test_leading_error_terms_unchanged():
+    texts = []
+    for scheme in verification_witnesses():
+        try:
+            texts.append(str(leading_error_term(scheme, 3)))
+        except NotOrderP:
+            texts.append("not order 3")
+    assert sha256("\n".join(texts)) == LEADING_TERMS_DIGEST

@@ -25,6 +25,7 @@ from helpers import (
     log_uncapped,
     random_fraction,
     random_series,
+    sweep_by_dot,
 )
 
 
@@ -304,11 +305,35 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             divided = {u: g.coefficient(u) * math.factorial(len(u)) for u in factors}
             steps = _product_steps(closure)
             ladders = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in stages]
+            sweep = sweep_by_dot(sum_of_products)
             for f, sweeps in [(g, [(divided, _splits(closure))]), (product, ladders[::-1])]:
-                one = Poly.const(1)
-                big, filtered = _divided_log(sweeps, n, one, sum_of_products, closure)
+                one, dot = Poly.const(1), sum_of_products
+                big, filtered = _divided_log(sweeps, closure, n, one, dot, sweep, closure)
                 full = log(f)
                 assert set(filtered) == closure
                 for w in closure:
                     scale = Fraction(1, big * math.factorial(len(w)))
                     assert filtered[w] * scale == full.coefficient(w)
+
+
+@pytest.mark.parametrize("letters", [(0,), (1,), (0, 0), (1, 1, 1)])
+def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
+    # no sweep is led by the other letter, yet the log forms its words from the word
+    # set it is given; a single stage sweep, like the expanded product's, starts from
+    # zero and subtracts nothing, since its rows leave out the split u = ()
+    rng = random.Random(311 + len(letters))
+    n = 4
+    coeffs = [Poly.symbol("a", j) * random_fraction(rng) for j in range(1, len(letters) + 1)]
+    product = NCSeries.unit(n)
+    for x, c in zip(letters, coeffs):
+        product = product * exp(letter(x, n, 2, c))
+    targets = [(0, 0, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0, 0)]
+    closure = {w[i:] for w in targets for i in range(len(w) + 1)}
+    steps = _product_steps(closure)
+    sweeps = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in zip(letters, coeffs)]
+    one, sweep = Poly.const(1), sweep_by_dot(sum_of_products)
+    big, got = _divided_log(sweeps[::-1], closure, n, one, sum_of_products, sweep, closure)
+    full = log(product)
+    assert set(got) == closure
+    for w in closure:
+        assert got[w] * Fraction(1, big * math.factorial(len(w))) == full.coefficient(w), w

@@ -15,7 +15,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .conditions import ROUTES, ConcreteScheme, condition_system, verify_scheme
+from .conditions import (
+    MAX_LYNDON_WORDS, ROUTES, ConcreteScheme, check_cost, condition_system, verify_scheme
+)
 from .lyndon import bracket_str, bracketing, lyndon_words
 from .series import word_str
 
@@ -25,9 +27,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 # scheme, and under the interpreter's own int-conversion limit, whose error
 # message names interpreter settings instead of the input.
 MAX_LITERAL_DIGITS = 1000
-
-# Lyndon words a command may build (a listing, or the tables of an order) before any output.
-MAX_LYNDON_WORDS = 10**6
 
 
 class RegistryEntry(NamedTuple):
@@ -175,11 +174,11 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:
-    try:  # a bad stage count is reported first, then an order past the word-table guard
-        if args.stages >= 1 and lyndon_count_bound(2, args.order) > MAX_LYNDON_WORDS:
-            raise ValueError(f"order {args.order} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    try:  # a bad stage count is reported first, then work over the cost budget
+        if args.stages >= 1:
+            check_cost(args.order, args.route, args.stages)
         system = condition_system(args.stages, args.order, args.route)
-    except ValueError as exc:  # a stage count or an order out of range
+    except ValueError as exc:  # a stage count or an order out of range, or too costly
         return _fail(str(exc))
     if args.format == "json":
         print(json.dumps(system.to_records(), indent=2))
@@ -191,10 +190,9 @@ def cmd_conditions(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         scheme = resolve_scheme(args.scheme)
-        if lyndon_count_bound(2, args.order) > MAX_LYNDON_WORDS:
-            raise ValueError(f"order {args.order} may need over {MAX_LYNDON_WORDS} Lyndon words")
+        check_cost(args.order, args.route)
         report = verify_scheme(scheme, args.order, args.route)
-    except (OSError, ValueError) as exc:  # an unreadable scheme or an order out of range
+    except (OSError, ValueError) as exc:  # an unreadable scheme, or an order out of range
         return _fail(str(exc))
     if args.format == "json":
         payload = {

@@ -8,15 +8,17 @@ of log(F) - (A + B); each must vanish.
 
 Both run one divided-power recurrence.  With stage values n = D c, D the lcm of their
 denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
-sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, a suffix-closed set,
-one kernel call (a sweep) per factor: _int_sweep over ints, poly._sweep over integer maps.
-log(F) is Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p),
-as in Casas & Murua (J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1 and
-each n^j a packed monomial, F acc is that recurrence started from acc, so the systems never
-expand F; over ints, for a concrete scheme, G[u] is one int, and one sweep per pass
-multiplies by G on the words' factors.  So verify_scheme and leading_error_term build no
-symbolic system, and every residual that vanishes is one shared Fraction(0).
-systems_equivalent() checks on witnesses that the two systems cut out the same solution sets.
+sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by
+lyndon._Tables, so each accumulator is a list indexed by slot, and each factor is one kernel
+call (a sweep): _int_sweep over ints, poly._sweep over integer maps.  log(F) is Horner's
+scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua
+(J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1 and each n^j a packed
+monomial, F acc is that recurrence started from acc, so the systems never expand F; over
+ints, for a concrete scheme, G[u] is one int, and one sweep per pass, from zero, multiplies
+by G - 1 on the words' factors.  So verify_scheme and leading_error_term build no symbolic
+system, and every residual that vanishes is one shared Fraction(0).  check_cost() sizes a
+command from word counts alone; systems_equivalent() checks on witnesses that the two
+systems cut out the same solution sets.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .lyndon import LieDecomposition, _back_substitute, _product_steps, _Tables
+from .lyndon import LieDecomposition, _back_substitute, _numbered, _product_steps, _Tables
 from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, _sweep, sum_of_products
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
 _NIL = Fraction(0)  # every vanishing residual
+
+# What check_cost lets a command plan before it builds anything: Lyndon words, and
+# bytes of packed keys (2s a monomial, q a word of length q) in its output and tables.
+MAX_LYNDON_WORDS, MAX_COST = 10**6, 10**8
 
 
 class NotOrderP(ValueError):
@@ -107,42 +113,41 @@ class SymbolicScheme(NamedTuple):
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
-    words = (w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
+    words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
     a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
-    g = _divided_product(a, b, _product_steps(words), _ONE, sum_of_products, _int_sweep)
-    terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in g.items()}
+    g = _divided_product(a, b, _product_steps(words), len(words), _ONE, sum_of_products, _int_sweep)
+    terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in zip(words, g)}
     return NCSeries(truncation, 2, terms)
 
 
-def _divided_product(a: Sequence, b: Sequence, steps: dict[int, list], one, dot, sweep) -> dict:
-    # G[w] = |w|! D^|w| F[w] on the suffix-closed words of steps, for stage values
-    # n = D c as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX} sends
-    # G[w] to G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1; e^{0X} = 1 is skipped
-    g = dict.fromkeys((w for rows in steps.values() for w, _ in rows), dot([]))
-    g[()] = one
+def _divided_product(a: Sequence, b: Sequence, steps: dict, size: int, one, dot, sweep) -> list:
+    # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, for stage values n = D c
+    # as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX} sends G[w] to
+    # G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1; e^{0X} = 1 is skipped
+    g = [dot([])] * size
+    g[-1] = one
     ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
     for letter, powers in reversed(ladders):
         sweep(g, powers, steps.get(letter, ()))
     return g
 
 
-def _divided_log(sweeps: list, words, p: int, one, dot, sweep, last) -> tuple[int, dict]:
-    # L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p), over the suffix-closed
-    # words: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
-    # F acc is the sweeps in turn, each adding sum c f[x] acc[v] over its rows to acc[w],
-    # only on last at k = 0's last sweep.  A lone sweep (G at every split w = uv, u != (),
-    # or one stage) starts from zero and subtracts nothing: its rows leave out the u = ().
-    big, zero, lone = math.lcm(*range(1, p + 1)), dot([]), len(sweeps) == 1
-    acc = dict.fromkeys(words, zero)
-    final = sweeps[:-1] + [(f, [r for r in rows if r[0] in last]) for f, rows in sweeps[-1:]]
+def _divided_log(sweeps, final, last, size: int, p: int, one, dot, sweep, zero=False) -> tuple:
+    # L |w|! D^|w| log(F)[w] at the slots of last, L = lcm(1..p), over size suffix-closed slots,
+    # () last: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
+    # F acc is the sweeps (factor, rows) in turn, at k = 0 the last on the rows final.  With
+    # zero each sweep starts from zero, its rows forming F acc - acc, and nothing is subtracted
+    big, nil = math.lcm(*range(1, p + 1)), dot([])
+    acc = [nil] * size
     for k in range(p, -1, -1):
-        old = () if lone else list(acc.items())
-        for f, rows in sweeps if k else final:
-            sweep(acc, f, rows, p - k, lone)
-        for w, y in old:
-            if y and w and (k or w in last):
-                acc[w] = dot([(-1, one, y)], acc[w])
-        acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
+        old = acc[:]
+        for f, rows in sweeps if k else sweeps[:-1] + [(sweeps[-1][0], final)]:
+            sweep(acc, f, rows, p - k, zero)
+        for w in () if zero else range(size - 1) if k else last:  # less acc, but at ()
+            if old[w]:
+                acc[w] = dot([(-1, one, old[w])], acc[w])
+        c = (-1) ** (k + 1) * big // k if k else 0
+        acc[-1] = c if isinstance(one, int) else dot([(c, one, one)])
     return big, acc
 
 
@@ -153,11 +158,11 @@ def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
     return total
 
 
-def _int_sweep(acc: dict, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
-    # acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, [(c, x, v)]) with |w| <=
-    # top, over ints (or Poly, for splitting_product); rows longest first, so acc[v] is the old one
-    for w, runs in rows:
-        if len(w) <= top:
+def _int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
+    # acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with |w|
+    # <= top, over ints (or Poly, for splitting_product); rows longest first: acc[v] is the old one
+    for w, n, runs in rows:
+        if n <= top:
             total = 0 if zero else acc[w]
             for c, x, v in runs:
                 total += c * f[x] * acc[v]
@@ -176,20 +181,24 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, swe
     if p > MAX_EXPONENT:  # a packed exponent carries past its byte there
         raise ValueError(f"target order must be <= {MAX_EXPONENT}")
     tables = _Tables(p, 2)
-    words = [(q, w) for q in range(1, p + 1) for w in tables.lyndon[q]]
+    size, slots = len(tables.suffixes), tables.lyndon_slots
     a, b = ([ladder(x, p) for x in xs] for xs in (a, b))
     if route == "taylor":
-        g = _divided_product(a, b, tables.suffix_steps, one, dot, sweep)
-        return [(q, w, g[w], den**q, den**q) for q, w in words]
-    if isinstance(one, int):  # G[u] is one int: one sweep by the expanded product
-        sweeps = [(_divided_product(a, b, tables.factor_steps, one, dot, sweep), tables.log_steps)]
+        g = _divided_product(a, b, tables.suffix_steps, size, one, dot, sweep)
+        return [(q, w, g[i], den**q, den**q)
+                for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
+    if isinstance(one, int):  # G[u] is one int: one sweep by the expanded product, from zero
+        g = _divided_product(a, b, tables.factor_steps, len(tables.factors), one, dot, sweep)
+        sweeps, final, zero = [(g, tables.log_steps)], tables.last_log_steps, True
     else:  # a sweep per stage, e^{a_1 A} last, over the suffixes its letter leads
         sweeps = [(n, tables.suffix_steps[x]) for ab in zip(a, b) for x, n in enumerate(ab)][::-1]
-    big, acc = _divided_log(sweeps, tables.suffixes, p, one, dot, sweep, tables.lyndon_set)
-    read = [_back_substitute(acc, q, tables, one, dot) for q in range(p + 1)]
+        final, zero = tables.last_stage_steps, False
+    big, acc = _divided_log(sweeps, final, tables.last, size, p, one, dot, sweep, zero)
+    reads = [_back_substitute(map(acc.__getitem__, slots[q]), q, tables, one, dot)
+             for q in range(p + 1)]
     # less A + B, after the read: at degree 1 it reads the value itself
-    return [(q, w, read[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)
-            for q, w in words]
+    return [(q, w, reads[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)
+            for q in range(1, p + 1) for w in tables.lyndon[q]]
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
@@ -378,3 +387,34 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
     return LieDecomposition(
         p + 1, {w: Poly.const(r) for q, w, r in residuals if q > p and r != 0}
     )
+
+
+def check_cost(p: int, route: str, stages: int | None = None) -> int:
+    """Estimated bytes of an order-p command, enumerating no word; ValueError over budget.
+
+    Counts the Lyndon words of each bidegree (i, j), and refuses over MAX_LYNDON_WORDS
+    of them.  Each costs its route's table entries, q a word of length q = i + j (the
+    taylor product's q suffixes, or the bch log's q(q+1)/2 splits and the C(q, i) words
+    of its bracket), and, for the system of a generic scheme with stages, its entry's
+    C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms, 2s bytes each.  Refuses over MAX_COST.
+    """
+    count: dict[tuple[int, int], int] = {}
+    for q in range(1, p + 1):  # Witt's formula, by the identity it inverts: the C(q, i)
+        for i in range(q + 1):  # words are the q/d rotations of Lyndon words' d-th powers
+            g = math.gcd(i, q - i)
+            rest = sum(q // d * count[i // d, (q - i) // d] for d in range(2, g + 1) if g % d == 0)
+            count[i, q - i] = (math.comb(q, i) - rest) // q
+        if sum(count.values()) > MAX_LYNDON_WORDS:
+            raise ValueError(f"order {p} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    cost = 0
+    for (i, j), n in count.items():
+        q = i + j
+        cost += n * q * (q if route == "taylor" else math.comb(q, i) + q * (q + 1) // 2)
+        if stages:
+            terms = math.comb(i + stages - 1, i) * math.comb(j + stages - 1, j) + 1
+            cost += n * 2 * stages * terms
+    if cost > MAX_COST:
+        where = f"at s = {stages}" if stages else f"on the {route} route"
+        budget = f"over the budget of {MAX_COST:.0e}"
+        raise ValueError(f"order {p} {where} may need about {cost:.1e} bytes, {budget}")
+    return cost

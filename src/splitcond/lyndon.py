@@ -4,7 +4,8 @@ Provides Duval's enumeration of Lyndon words, the standard right
 factorization (smallest proper suffix), the nested-commutator bracketing it
 induces, expansion of bracket trees into word series, the Lyndon-basis
 coordinates of homogeneous Lie elements, and the word tables through a degree
-that the order-condition recurrence reads.
+that the order-condition recurrence reads: the words are numbered once, longest
+first, and every table is rows of slots, so the recurrence indexes lists.
 
 A Lyndon bracketing expands to its own word, with coefficient 1, plus larger
 words only (Reutenauer, Free Lie Algebras, 1993), so back-substitution at the
@@ -18,9 +19,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, NamedTuple, Union
+from typing import Any, Iterator, NamedTuple, Union
 
-from .poly import _ONE, Poly, sum_of_products
+from .poly import _ONE, _ZERO, Poly, sum_of_products
 from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
@@ -153,41 +154,70 @@ class LieDecomposition(NamedTuple):
         return "{" + ", ".join(parts) + "}"
 
 
-def _splits(words) -> list:
-    # the nonempty words longest first, each with (C(|w|, i), w[:i], w[i:]), 1 <= i <= |w|
-    return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(1, len(w) + 1)])
-            for w in sorted(filter(None, words), key=len, reverse=True)]
+def _numbered(words) -> dict[Word, int]:
+    # each word to its slot, longest first so () is last: the map lists them in slot order
+    return {w: i for i, w in enumerate(sorted(words, key=len, reverse=True))}
 
 
-def _product_steps(words) -> dict[int, list]:
-    # per first letter X, longest first, the splits w = X^j v with 1 <= j <= the leading
-    # run of X, as (C(|w|, j), j, v): in divided powers, (e^{cX} G)[w] less G[w] itself
-    steps: dict[int, list] = {}
-    for w in sorted((w for w in words if w), key=len, reverse=True):
-        run = next((j for j, x in enumerate(w) if x != w[0]), len(w))
-        rows = [(math.comb(len(w), j), j, w[j:]) for j in range(1, run + 1)]
-        steps.setdefault(w[0], []).append((w, rows))
+def _product_steps(slot: dict[Word, int]) -> dict[int, list]:
+    # per first letter X, rows (w, |w|, [(C(|w|, j), j, v)]) of the numbered suffix-closed
+    # words' slots at w = X^j v, j <= the leading run of X: in divided powers, (e^{cX} G)[w]
+    # less G[w]
+    words, steps = list(slot), {}
+    tail = [slot[w[1:]] for w in words[:-1]]  # the slot of each word less its first letter
+    for i, w in enumerate(words[:-1]):
+        n, j, v, rows = len(w), 0, i, []
+        while j < n and w[j] == w[0]:
+            j, v = j + 1, tail[v]
+            rows.append((math.comb(n, j), j, v))
+        steps.setdefault(w[0], []).append((i, n, rows))
     return steps
+
+
+def _splits(slot: dict[Word, int], factor: dict[Word, int]) -> list:
+    # rows (w, |w|, [(C(|w|, i), u, v)]) of the numbered words' slots at every split w = uv,
+    # u != (), u a slot of the numbered factors
+    words, rows = list(slot), []
+    tail = [slot[w[1:]] for w in words[:-1]]
+    for i, w in enumerate(words[:-1]):
+        n, v, runs = len(w), i, []
+        for j in range(1, n + 1):
+            v = tail[v]
+            runs.append((math.comb(n, j), factor[w[:j]], v))
+        rows.append((i, n, runs))
+    return rows
 
 
 # one instance per (p, alphabet size); a process works at a few degrees only
 @functools.lru_cache(maxsize=16)
 class _Tables:
-    """Scheme-independent tables through degree p, each built on its first use."""
+    """Scheme-independent tables through degree p, each built on its first use.
+
+    The Lyndon words' suffixes are numbered once, longest first, () last (suffixes maps each
+    to its slot), and so are their factors, for the int path's expanded product; a table is
+    rows (w, |w|, [(c, j or u, v)]) of slots, so the recurrence's accumulators are lists.
+    """
 
     def __init__(self, p: int, alphabet_size: int):
         words = lyndon_words(alphabet_size, p)
         self.lyndon = [[w for w in words if len(w) == q] for q in range(p + 1)]  # by degree
-        self.lyndon_set = frozenset(words)
-        self.suffixes = {w[i:] for w in words for i in range(len(w) + 1)}
+        self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
+        self.lyndon_slots = [[self.suffixes[w] for w in ws] for ws in self.lyndon]
+        self.last = frozenset(map(self.suffixes.get, words))  # what the log's last pass forms
         self._brackets = {(x,): {(x,): 1} for x in range(alphabet_size)}
 
-    # the product on the Lyndon words and their suffixes or factors, and the int log's splits
+    # the product on the suffixes or their factors, the int log's splits, and those splits
+    # and the systems' sweep by e^{a_1 A} at the Lyndon words: all the log's last pass forms
     suffix_steps = functools.cached_property(lambda self: _product_steps(self.suffixes))
-    factor_steps = functools.cached_property(
-        lambda self: _product_steps({v[:i] for v in self.suffixes for i in range(len(v) + 1)})
+    factors = functools.cached_property(
+        lambda self: _numbered({v[:i] for v in self.suffixes for i in range(len(v) + 1)})
     )
-    log_steps = functools.cached_property(lambda self: _splits(self.suffixes))
+    factor_steps = functools.cached_property(lambda self: _product_steps(self.factors))
+    log_steps = functools.cached_property(lambda self: _splits(self.suffixes, self.factors))
+    last_log_steps = functools.cached_property(
+        lambda self: [row for row in self.log_steps if row[0] in self.last])
+    last_stage_steps = functools.cached_property(
+        lambda self: [row for row in self.suffix_steps[0] if row[0] in self.last])
 
     def bracket(self, w: Word) -> dict[Word, int]:
         # E_w, the standard bracketing of the Lyndon word w expanded over ints
@@ -199,14 +229,13 @@ class _Tables:
         return self._brackets[w]
 
 
-def _back_substitute(values: Mapping[Word, Any], degree: int, tables, one, dot) -> dict:
-    # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in
-    # lexicographic order, over ints or Poly; exact for Lie elements, unchecked otherwise
+def _back_substitute(values, degree: int, tables, one, dot) -> dict:
+    # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in lexicographic
+    # order, the values f[w] in that order; over ints or Poly, unchecked: exact for Lie elements
     solved: list[tuple[dict[Word, int], Any]] = []
     out = {}
-    for word in tables.lyndon[degree]:
-        terms = [(-e[word], c, one) for e, c in solved if word in e]
-        if coeff := dot(terms, values[word]) if word in values else dot(terms):
+    for word, value in zip(tables.lyndon[degree], values):
+        if coeff := dot([(-e[word], c, one) for e, c in solved if word in e], value):
             out[word] = coeff
             solved.append((tables.bracket(word), coeff))
     return out
@@ -246,5 +275,6 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     if not residual.is_zero():
         raise NotALieElement(residual)
     tables = _Tables(degree, f.alphabet_size)
-    coefficients = _back_substitute(f.terms, degree, tables, _ONE, sum_of_products)
+    values = [f.terms.get(w, _ZERO) for w in tables.lyndon[degree]]
+    coefficients = _back_substitute(values, degree, tables, _ONE, sum_of_products)
     return LieDecomposition(degree, coefficients)

@@ -253,19 +253,19 @@ def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> d
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _sweep(acc: dict, f: list[int], rows: list, top: int = MAX_EXPONENT, zero=False) -> None:
-    # acc[w] <- acc[w] ({} if zero) + sum c x^f[j] acc[v] at each row (w, [(c, j, v)]) with
-    # |w| <= top, over integer maps, f[j] a packed monomial added to each key; rows longest
-    # first, and each row gets a new map, so no start, shared or not, is mutated
-    for w, runs in rows:
-        if len(w) <= top:
+def _sweep(acc: list, f: list[int], rows: list, top: int = MAX_EXPONENT, zero=False) -> None:
+    # acc[w] <- acc[w] ({} if zero) + sum c x^f[j] acc[v] at each row (w, |w|, [(c, j, v)])
+    # with |w| <= top, over integer maps, f[j] a packed monomial added to each key; rows
+    # longest first, and each row gets a new map, so no start, shared or not, is mutated
+    for w, n, runs in rows:
+        if n <= top:
             total = {} if zero else dict(acc[w])
             for c, j, v in runs:
                 shift = f[j]
-                for m, n in acc[v].items():
+                for m, x in acc[v].items():
                     m += shift
-                    total[m] = total.get(m, 0) + c * n
-            acc[w] = {m: n for m, n in total.items() if n} if 0 in total.values() else total
+                    total[m] = total.get(m, 0) + c * x
+            acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
 
 
 def sum_of_products(terms: list[tuple[int, Poly, Poly]], start: Poly = _ZERO) -> Poly:

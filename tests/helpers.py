@@ -26,8 +26,6 @@ from splitcond import (
     log,
     lyndon_words_of_degree,
 )
-from splitcond.conditions import _divided_product
-from splitcond.lyndon import _product_steps
 from splitcond.poly import Poly
 
 
@@ -163,20 +161,56 @@ def splitting_product_by_exp(scheme: SymbolicScheme, truncation: int) -> NCSerie
 
 
 # ---------------------------------------------------------------------------
-# the per-row loop the sweep kernels replace: one dot call per row of a sweep,
-# over ints, integer maps or Poly, from a fresh start at every row
+# the recurrence's tables and accumulators keyed by word tuples: the reference
+# for the library's tables over numbered slots, and for its lists indexed by slot
+
+
+def product_steps_by_word(words) -> dict[int, list]:
+    """Per first letter X, longest first, (w, [(C(|w|, j), j, v)]) over w = X^j v.
+
+    1 <= j <= the leading run of X: in divided powers, (e^{cX} G)[w] less G[w].
+    """
+    steps: dict[int, list] = {}
+    for w in sorted((w for w in words if w), key=len, reverse=True):
+        run = next((j for j, x in enumerate(w) if x != w[0]), len(w))
+        rows = [(math.comb(len(w), j), j, w[j:]) for j in range(1, run + 1)]
+        steps.setdefault(w[0], []).append((w, rows))
+    return steps
+
+
+def splits_by_word(words) -> list:
+    """The nonempty words longest first, each with (C(|w|, i), w[:i], w[i:]), 1 <= i <= |w|."""
+    return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(1, len(w) + 1)])
+            for w in sorted(filter(None, words), key=len, reverse=True)]
+
+
+def rows_by_word(rows, words, factors=None) -> list:
+    """Slot rows (w, |w|, [(c, x, v)]) read back as (w, [(c, x, v)]) over word tuples.
+
+    w and v are slots of words, numbered in order; x is a slot of factors when factors
+    is given, and is kept as it stands (a power of a ladder) otherwise.  Checks each
+    row's length.
+    """
+    words, factors, out = list(words), factors and list(factors), []
+    for w, n, runs in rows:
+        assert len(words[w]) == n, (words[w], n)
+        out.append((words[w], [(c, x if factors is None else factors[x], words[v])
+                               for c, x, v in runs]))
+    return out
 
 
 def sweep_by_dot(dot, lift=lambda x: x):
-    """acc[w] <- acc[w] + sum c lift(f[x]) acc[v] at each row (w, [(c, x, v)]), |w| <= top.
+    """acc[w] <- acc[w] + sum c lift(f[x]) acc[v] at each row (w, |w|, [(c, x, v)]), |w| <= top.
 
-    Rows come longest first; with zero each row starts from dot([]) instead of acc[w].
-    lift turns a factor into a dot operand, such as a packed monomial m into {m: 1}.
+    The per-row loop the sweep kernels replace: one dot call per row, over ints,
+    integer maps or Poly, acc a list indexed by slot.  Rows come longest first; with
+    zero each row starts from dot([]) instead of acc[w].  lift turns a factor into a
+    dot operand, such as a packed monomial m into {m: 1}.
     """
 
     def sweep(acc, f, rows, top=math.inf, zero=False):
-        for w, runs in rows:
-            if len(w) <= top:
+        for w, n, runs in rows:
+            if n <= top:
                 start = dot([]) if zero else acc[w]
                 acc[w] = dot([(c, lift(f[x]), acc[v]) for c, x, v in runs], start)
 
@@ -188,10 +222,27 @@ def monomial_map(mono: int) -> dict[int, int]:
     return {mono: 1}
 
 
+def divided_product_by_word(a, b, words, one, dot, lift=lambda x: x) -> dict:
+    """G[w] = |w|! D^|w| F[w] on the suffix-closed words, keyed by word.
+
+    Right to left over the nonzero stage ladders [n^0 .. n^top], one dot call per
+    word and stage, from product_steps_by_word.
+    """
+    steps = product_steps_by_word(words)
+    g = dict.fromkeys(words, dot([]))
+    g[()] = one
+    ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
+    for letter, powers in reversed(ladders):
+        for w, runs in steps.get(letter, []):
+            g[w] = dot([(c, lift(powers[j]), g[v]) for c, j, v in runs], g[w])
+    return g
+
+
 # ---------------------------------------------------------------------------
 # the logarithm of the splitting product by Horner's scheme over the expanded
-# product: the reference for the condition systems' log, which multiplies by
-# the stages' one-letter exponentials instead
+# product, keyed by word: the reference for the condition systems' log, which
+# multiplies by the stages' one-letter exponentials instead, and for the int
+# path's log over numbered slots
 
 
 def divided_log_by_expanded_product(a, b, words, p: int, one, dot, last, lift=lambda x: x):
@@ -201,17 +252,16 @@ def divided_log_by_expanded_product(a, b, words, p: int, one, dot, last, lift=la
     factor of the suffix-closed words, then Horner's scheme multiplies by G - 1 at
     every split w = uv, u != (), on the words of length <= p - k; the last pass forms
     only last.  a and b are the stage ladders [n^0 .. n^p], over ints or, lifted to
-    integer maps by lift, packed monomials.
+    integer maps by lift, packed monomials.  Returns L and a map keyed by word.
     """
     factors = {w[:i] for w in words for i in range(len(w) + 1)}
-    g = _divided_product(a, b, _product_steps(factors), one, dot, sweep_by_dot(dot, lift))
+    g = divided_product_by_word(a, b, factors, one, dot, lift)
     big = math.lcm(*range(1, p + 1))
     acc = dict.fromkeys(words, dot([]))
     for k in range(p, -1, -1):
-        for w in sorted(words, key=len, reverse=True):
-            if 0 < len(w) <= p - k and (k or w in last):
-                splits = range(1, len(w) + 1)
-                acc[w] = dot([(math.comb(len(w), i), g[w[:i]], acc[w[i:]]) for i in splits])
+        for w, splits in splits_by_word(words):
+            if len(w) <= p - k and (k or w in last):
+                acc[w] = dot([(c, g[u], acc[v]) for c, u, v in splits])
         acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
     return big, acc
 

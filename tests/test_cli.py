@@ -384,14 +384,62 @@ def test_orders_past_the_word_table_guard_exit_2_before_any_work(capsys, monkeyp
     assert run(capsys, "conditions", "-s", "2", "-p", "24") == (2, "", message)
     assert run(capsys, "verify", "strang", "-p", "24") == (2, "", message)
     assert run(capsys, "verify", "strang", "-p", "30")[0] == 2
-    with pytest.raises(AssertionError):  # order 23 passes the guard
-        run(capsys, "verify", "strang", "-p", "23")
+    assert run(capsys, "verify", "strang", "-p", "23")[0] == 2  # under 24, over the cost budget
+    with pytest.raises(AssertionError):  # order 14 passes the guard
+        run(capsys, "verify", "strang", "-p", "14")
     # a bad stage count and an unreadable scheme are still reported first
     monkeypatch.undo()
     code, _, err = run(capsys, "conditions", "-s", "0", "-p", "30")
     assert (code, err) == (2, "error: stage count must be >= 1\n")
     code, _, err = run(capsys, "verify", "no-such-scheme.json", "-p", "30")
     assert code == 2 and "no-such-scheme.json" in err
+
+
+# commands under the word guard that ran for minutes or ran out of memory before the cost
+# guard: each must exit 2 with one error line, before it builds anything
+COSTLY_COMMANDS = [
+    ("conditions", "-s", "20000", "-p", "2"),
+    ("conditions", "-s", "2000", "-p", "2"),
+    ("conditions", "-s", "3", "-p", "23", "--route", "taylor"),
+    ("verify", "strang", "-p", "18"),
+    ("verify", "strang", "-p", "22", "--route", "taylor"),
+]
+
+
+@pytest.mark.parametrize("argv", COSTLY_COMMANDS, ids=" ".join)
+def test_costly_commands_exit_2_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the command started to build")
+
+    monkeypatch.setattr("splitcond.cli.condition_system", refuse)
+    monkeypatch.setattr("splitcond.cli.verify_scheme", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: order ") and err.count("\n") == 1
+    assert "bytes, over the budget of 1e+08\n" in err
+
+
+def test_commands_within_the_cost_budget_reach_the_work(capsys, monkeypatch):
+    # the largest cells the documentation names, and the edges of the verify budget
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr("splitcond.cli.condition_system", reached)
+    monkeypatch.setattr("splitcond.cli.verify_scheme", reached)
+    for argv in [
+        ("conditions", "-s", "8", "-p", "8", "--route", "taylor"),
+        ("conditions", "-s", "6", "-p", "8"),
+        ("conditions", "-s", "100", "-p", "2"),
+        ("verify", "strang", "-p", "14"),
+        ("verify", "strang", "-p", "21", "--route", "taylor"),
+    ]:
+        with pytest.raises(Reached):
+            run(capsys, *argv)
+    for argv in [("verify", "strang", "-p", "15"), ("conditions", "-s", "10", "-p", "8")]:
+        assert run(capsys, *argv)[0] == 2
 
 
 def test_converge_overflow_exits_2(tmp_path, capsys):

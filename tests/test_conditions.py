@@ -30,8 +30,17 @@ from splitcond import (
     word_str,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import _divided_log, _divided_product, _int_dot, _int_sweep, _route
-from splitcond.lyndon import _product_steps, _splits, _Tables
+from splitcond.conditions import (
+    MAX_COST,
+    MAX_LYNDON_WORDS,
+    _divided_log,
+    _divided_product,
+    _int_dot,
+    _int_sweep,
+    _route,
+    check_cost,
+)
+from splitcond.lyndon import _numbered, _product_steps, _splits, _Tables, lyndon_words
 from splitcond.poly import MAX_EXPONENT, Poly, _dot, _sweep, sum_of_products
 
 from helpers import (
@@ -43,8 +52,11 @@ from helpers import (
     monomial_map,
     order1_witness,
     order2_witness,
+    product_steps_by_word,
     random_fraction,
     refine_witnesses,
+    rows_by_word,
+    splits_by_word,
     splitting_product_by_exp,
     sweep_by_dot,
     taylor_derivative,
@@ -128,10 +140,13 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
     for _ in range(10):
         targets = rng.sample(words, rng.randint(1, 6))
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-        # the divided-power recurrence, G[w] = |w|! F[w] over Poly
-        steps = _product_steps(closure)
+        # the divided-power recurrence, G[w] = |w|! F[w] over Poly, at numbered slots
+        slots = _numbered(closure)
+        steps = _product_steps(slots)
         a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
-        divided = _divided_product(a, b, steps, Poly.const(1), sum_of_products, _int_sweep)
+        one = Poly.const(1)
+        divided = _divided_product(a, b, steps, len(slots), one, sum_of_products, _int_sweep)
+        divided = dict(zip(slots, divided))
         assert set(divided) == closure
         for word in closure:
             expected = full.coefficient(word) * math.factorial(len(word))
@@ -142,7 +157,7 @@ def product_steps_by_splits(words):
     # the table _product_steps replaces: every split w = uv, u != (), of every
     # word, kept where u is a power of the first letter
     steps = {}
-    for w, splits in _splits(w for w in words if w):
+    for w, splits in splits_by_word(w for w in words if w):
         runs = [(c, len(u), v) for c, u, v in splits if u == w[:1] * len(u)]
         steps.setdefault(w[0], []).append((w, runs))
     return steps
@@ -157,10 +172,46 @@ def test_product_steps_equal_the_filter_over_all_splits():
             for _ in range(rng.randint(1, 5))
         ] + [(rng.randrange(alphabet),) * top]  # a word that is one run
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-        assert _product_steps(closure) == product_steps_by_splits(closure)
+        assert steps_by_word(closure) == product_steps_by_splits(closure)
     for p in (1, 4, 8):
         tables = _Tables(p, 2)
-        assert tables.suffix_steps == product_steps_by_splits(tables.suffixes)
+        assert steps_by_word(tables.suffixes) == product_steps_by_splits(tables.suffixes)
+
+
+def steps_by_word(words):
+    # _product_steps over the numbered words, read back through the slots
+    slots = _numbered(words)
+    return {x: rows_by_word(rows, slots) for x, rows in _product_steps(slots).items()}
+
+
+@pytest.mark.parametrize("p,alphabet", [(1, 2), (2, 2), (4, 2), (6, 2), (8, 2), (4, 3)])
+def test_slot_tables_read_back_equal_the_word_keyed_tables(p, alphabet):
+    # each table over numbered slots, read back through the slot map, equals the
+    # word-keyed table it replaces
+    tables = _Tables(p, alphabet)
+    words = list(tables.suffixes)
+    lyndon = {w for ws in tables.lyndon for w in ws}
+    suffixes = {w[i:] for w in lyndon for i in range(len(w) + 1)}
+    factors = {v[:i] for v in suffixes for i in range(len(v) + 1)}
+    for slot, closure in [(tables.suffixes, suffixes), (tables.factors, factors)]:
+        numbered = list(slot)
+        assert sorted(numbered) == sorted(closure) and numbered[-1] == ()
+        assert [len(w) for w in numbered] == sorted(map(len, numbered), reverse=True)
+        assert list(slot.values()) == list(range(len(slot)))
+    assert [[words[i] for i in slots] for slots in tables.lyndon_slots] == tables.lyndon
+    assert sorted(words[i] for i in tables.last) == sorted(lyndon)
+    read = {x: rows_by_word(rows, words) for x, rows in tables.suffix_steps.items()}
+    assert read == product_steps_by_word(words)
+    read = {x: rows_by_word(rows, tables.factors) for x, rows in tables.factor_steps.items()}
+    assert read == product_steps_by_word(tables.factors)
+    splits = splits_by_word(words)
+    assert rows_by_word(tables.log_steps, words, tables.factors) == splits
+    assert rows_by_word(tables.last_log_steps, words, tables.factors) == [
+        (w, runs) for w, runs in splits if w in lyndon
+    ]
+    assert rows_by_word(tables.last_stage_steps, words) == [
+        (w, runs) for w, runs in product_steps_by_word(words)[0] if w in lyndon
+    ]
 
 
 # the derive grid of the benchmark (perfbench/inputs.GRID_FULL), and bch (4, 7)
@@ -218,22 +269,25 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
     # pass, at every suffix, must agree there, over ints and over integer maps,
     # by the one sweep of the expanded product and by the stage sweeps
     tables = _Tables(p, 2)
+    lyndon_set = {w for ws in tables.lyndon for w in ws}
+    words, size = tables.suffixes, len(tables.suffixes)
     rng = random.Random(100 * stages + p)
     values = [rng.randint(-9, 9) for _ in range(2 * stages)]
     for ladders, one, dot, sweep, lift in kernels(values, stages, p):
         a, b = ladders[::2], ladders[1::2]
-        g = _divided_product(a, b, tables.factor_steps, one, dot, sweep)
+        g = _divided_product(a, b, tables.factor_steps, len(tables.factors), one, dot, sweep)
         # the expanded product's factors are whole maps, so over maps its sweep is per row
         lone = sweep if one == 1 else sweep_by_dot(dot)
-        for sweeps, kernel in [
-            ([(g, tables.log_steps)], lone),
-            (stage_sweeps(a, b, tables.suffix_steps), sweep),
+        for sweeps, final, kernel, zero in [
+            ([(g, tables.log_steps)], tables.last_log_steps, lone, True),
+            (stage_sweeps(a, b, tables.suffix_steps), tables.last_stage_steps, sweep, False),
         ]:
-            words = tables.suffixes
-            _, full = _divided_log(sweeps, words, p, one, dot, kernel, tables.suffixes)
-            _, last = _divided_log(sweeps, words, p, one, dot, kernel, tables.lyndon_set)
-            assert tables.lyndon_set < set(full) == set(last)
-            for w in tables.lyndon_set:
+            every = range(size - 1)
+            _, full = _divided_log(sweeps, sweeps[-1][1], every, size, p, one, dot, kernel, zero)
+            _, last = _divided_log(sweeps, final, tables.last, size, p, one, dot, kernel, zero)
+            full, last = dict(zip(words, full)), dict(zip(words, last))
+            assert lyndon_set < set(full) == set(last)
+            for w in lyndon_set:
                 assert last[w] == full[w], word_str(w)
 
 
@@ -241,8 +295,13 @@ def assert_stage_sweeps_equal_the_expanded_product(a, b, words, p, one, dot, swe
     # the stage-sweep log against the log over the expanded product, entry by
     # entry at the words of last
     expected_big, expected = divided_log_by_expanded_product(a, b, words, p, one, dot, last, lift)
-    sweeps = stage_sweeps(a, b, _product_steps(words))
-    big, got = _divided_log(sweeps, words, p, one, dot, sweep, last)
+    slot = _numbered(words)
+    numbered = list(slot)
+    sweeps = stage_sweeps(a, b, _product_steps(slot))
+    final = [row for row in sweeps[-1][1] if numbered[row[0]] in last]
+    at = [i for i, w in enumerate(numbered) if w in last]
+    big, got = _divided_log(sweeps, final, at, len(slot), p, one, dot, sweep)
+    got = dict(zip(numbered, got))
     assert big == expected_big
     assert set(got) == set(expected) == set(words)
     for w in last:
@@ -254,8 +313,9 @@ def test_stage_sweep_log_equals_the_log_over_the_expanded_product(stages, p):
     tables = _Tables(p, 2)
     rng = random.Random(1600 + 10 * stages + p)
     values = [rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))) for _ in range(2 * stages)]
+    lyndon_set = {w for ws in tables.lyndon for w in ws}
     for ladders, one, dot, sweep, lift in kernels(values, stages, p):
-        for last in (tables.lyndon_set, tables.suffixes):
+        for last in (lyndon_set, tables.suffixes):
             assert_stage_sweeps_equal_the_expanded_product(
                 ladders[::2], ladders[1::2], tables.suffixes, p, one, dot, sweep, lift, last
             )
@@ -267,6 +327,7 @@ def test_stage_sweep_log_over_ints_with_zero_stages():
     rng = random.Random(1601)
     for stages, p in [(1, 4), (2, 5), (3, 4), (4, 6)]:
         tables = _Tables(p, 2)
+        lyndon_set = {w for ws in tables.lyndon for w in ws}
         draws = [
             [rng.randint(-9, 9) for _ in range(stages)] + [0] * stages,  # every b zero
             [0] * stages + [rng.randint(-9, 9) for _ in range(stages)],  # every a zero
@@ -277,7 +338,7 @@ def test_stage_sweep_log_over_ints_with_zero_stages():
             ladders = int_ladders(draw[:stages], p), int_ladders(draw[stages:], p)
             kernel = (1, _int_dot, _int_sweep, lambda x: x)
             assert_stage_sweeps_equal_the_expanded_product(
-                *ladders, tables.suffixes, p, *kernel, tables.lyndon_set
+                *ladders, tables.suffixes, p, *kernel, lyndon_set
             )
 
 
@@ -330,13 +391,14 @@ def test_int_sweep_equals_the_per_row_dot_loop():
         # the product's rows by a stage ladder, zero stages drawn, or the expanded
         # product's split rows by G
         n = rng.choice((0, rng.randint(-9, 9)))
-        factors = {w[:i] for w in closure for i in range(len(w) + 1)}
+        words = _numbered(closure)
+        factors = _numbered({w[:i] for w in closure for i in range(len(w) + 1)})
         for f, rows in [
-            ([n**j for j in range(8)], _product_steps(closure).get(rng.randrange(2), [])),
-            ({u: rng.choice((0, rng.randint(-99, 99))) for u in factors}, _splits(closure)),
+            ([n**j for j in range(8)], _product_steps(words).get(rng.randrange(2), [])),
+            ([rng.choice((0, rng.randint(-99, 99))) for u in factors], _splits(words, factors)),
         ]:
-            acc = {w: rng.choice((0, rng.randint(-99, 99))) for w in closure}
-            expected = dict(acc)
+            acc = [rng.choice((0, rng.randint(-99, 99))) for w in words]
+            expected = list(acc)
             oracle(expected, f, rows, top, zero)
             _int_sweep(acc, f, rows, top, zero)
             assert acc == expected
@@ -347,25 +409,26 @@ def test_map_sweep_equals_the_per_row_dot_loop():
     oracle = sweep_by_dot(_dot, monomial_map)
     cancelled = 0
     for closure, top, zero in sweep_cases(rng, 300):
-        rows = _product_steps(closure).get(rng.randrange(2), [])
+        words = _numbered(closure)
+        rows = _product_steps(words).get(rng.randrange(2), [])
         f = [e << 8 * rng.randrange(3) for e in range(8)]
-        acc = {w: random_map(rng) for w in closure}
-        for w, runs in rows:
+        acc = [random_map(rng) for w in words]
+        for w, n, runs in rows:
             if not zero and rng.random() < 0.5:  # a start that cancels what the row adds
                 added = _dot([(c, monomial_map(f[j]), acc[v]) for c, j, v in runs])
                 acc[w] = _dot([(-1, {0: 1}, added)], random_map(rng))
-        for w, runs in rows:  # count the sums that cancel, from the old values
-            if len(w) <= top:
+        for w, n, runs in rows:  # count the sums that cancel, from the old values
+            if n <= top:
                 naive = {} if zero else dict(acc[w])
                 for c, j, v in runs:
                     for m, n in acc[v].items():
                         naive[m + f[j]] = naive.get(m + f[j], 0) + c * n
                 cancelled += 0 in naive.values()
-        expected = dict(acc)
+        expected = list(acc)
         oracle(expected, f, rows, top, zero)
         _sweep(acc, f, rows, top, zero)
         assert acc == expected
-        assert all(0 not in y.values() for y in acc.values())
+        assert all(0 not in y.values() for y in acc)
     assert cancelled > 50
 
 
@@ -374,15 +437,16 @@ def test_map_sweep_never_mutates_a_shared_start():
     # write a new map at each row
     rng = random.Random(1703)
     for closure, top, zero in sweep_cases(rng, 100):
-        rows = _product_steps(closure).get(rng.randrange(2), [])
+        words = _numbered(closure)
+        rows = _product_steps(words).get(rng.randrange(2), [])
         f = [e << 8 * rng.randrange(3) for e in range(8)]
         shared = rng.choice(({}, random_map(rng)))
         before = dict(shared)
-        acc = dict.fromkeys(closure, shared)
-        acc[()] = {0: 1}
+        acc = [shared] * len(words)
+        acc[-1] = {0: 1}
         _sweep(acc, f, rows, top, zero)
         assert shared == before
-        touched = [acc[w] for w, _ in rows if len(w) <= top]
+        touched = [acc[w] for w, n, _ in rows if n <= top]
         assert all(y is not shared for y in touched)
         assert len({id(y) for y in touched}) == len(touched)
 
@@ -1269,3 +1333,53 @@ def test_exp_of_the_bch_series_is_the_splitting_product(stages, p):
     assert flow == splitting_product(SymbolicScheme.generic(stages), p)
     for e in conditions_taylor(stages, p).entries:
         assert flow.coefficient(e.word) * math.factorial(e.degree) - 1 == e.polynomial
+
+
+# -- the cost guard: estimates only, the refused work is never started -------------
+
+
+def term_bound(word, stages):
+    # the terms of an entry at a word with i A's and j B's: bihomogeneous of degree
+    # (i, j) in the a's and b's past its constant
+    i, j = word.count(A), word.count(B)
+    return math.comb(i + stages - 1, stages - 1) * math.comb(j + stages - 1, stages - 1) + 1
+
+
+def test_cost_estimate_counts_the_lyndon_words_by_bidegree():
+    # Witt's counts against the enumerated words: the taylor tables cost |w|^2 a
+    # word, the bch tables |w| (C(|w|, i) + |w| (|w| + 1) / 2), an entry 2s bytes a term
+    for p in range(1, 10):
+        words = lyndon_words(2, p)
+        assert check_cost(p, "taylor") == sum(len(w) ** 2 for w in words)
+        bch = sum(len(w) * (math.comb(len(w), w.count(A)) + len(w) * (len(w) + 1) // 2)
+                  for w in words)
+        assert check_cost(p, "bch") == bch
+        for stages in (1, 2, 5):
+            terms = sum(2 * stages * term_bound(w, stages) for w in words)
+            assert check_cost(p, "taylor", stages) - check_cost(p, "taylor") == terms
+
+
+@pytest.mark.parametrize("stages,p", [(1, 6), (2, 5), (3, 4), (4, 4)])
+def test_cost_estimate_bounds_the_terms_of_each_entry(stages, p):
+    for route in ("taylor", "bch"):
+        for entry in condition_system(stages, p, route).entries:
+            assert len(entry.polynomial.terms) <= term_bound(entry.word, stages), entry
+
+
+def test_cost_estimate_on_extreme_values():
+    # computed, never run: each refusal names the order and a one-line reason
+    for p, route, stages in [(2, "bch", 20000), (2, "taylor", 2000), (23, "taylor", 3),
+                             (2, "bch", 10**18), (15, "bch", None), (22, "taylor", None),
+                             (23, "bch", 1), (9, "bch", 8), (10, "taylor", 8)]:
+        with pytest.raises(ValueError, match=f"^order {p} .* bytes, over the budget of 1e\\+08$"):
+            check_cost(p, route, stages)
+    for p in (24, 30, 127, 128, 10**18):
+        for stages in (None, 1, 10**18):
+            with pytest.raises(ValueError, match=f"^order {p} may need over 1000000 Lyndon words$"):
+                check_cost(p, "bch", stages)
+    with pytest.raises(ValueError, match="bytes"):  # over the cost budget, under 24
+        check_cost(23, "taylor", None)
+    assert MAX_LYNDON_WORDS == 10**6
+    for p, route, stages in [(8, "taylor", 8), (8, "bch", 6), (14, "bch", None),
+                             (21, "taylor", None), (2, "bch", 100), (0, "bch", 3), (-5, "bch", None)]:
+        assert 0 <= check_cost(p, route, stages) <= MAX_COST

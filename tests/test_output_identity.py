@@ -17,9 +17,13 @@ printed leading error term of the registry's order-3 scheme; of three
 printed symbolic objects (a BCH condition system, a log series whose
 single-term coefficients carry their sign out to the word, and the full
 three-stage splitting product through degree 5, taken with the Taylor pins);
-and of the exact verification of 43 five-stage schemes, verify_scheme at
+of the exact verification of 43 five-stage schemes, verify_scheme at
 p = 3 and 4 on both routes and leading_error_term at p = 3 (taken while the
-recurrence still made one kernel call per word).
+recurrence still made one kernel call per word); and of verify_scheme at
+p = 1, 2, 5 and 6 on both routes over the registry and the 24 Strang
+orderings, and of the printed generic 2- and 3-stage splitting products at
+truncations 4 to 6 (taken while the recurrence still keyed its tables by
+word tuples).
 """
 
 import hashlib
@@ -187,3 +191,46 @@ def test_leading_error_terms_unchanged():
         except NotOrderP:
             texts.append("not order 3")
     assert sha256("\n".join(texts)) == LEADING_TERMS_DIGEST
+
+
+# verify_scheme reports at p = 1, 2, 5 and 6 on both routes, over the registry
+# schemes as they stand and the 24 Strang orderings, and the printed generic
+# splitting products at truncations 4 to 6: the low orders, the top-degree cut
+# and the product were pinned while the recurrence still keyed its tables by
+# word tuples.
+
+EDGE_VERIFY_DIGESTS = {
+    (1, "taylor"): "18a00779111024081d0cc23ba5931ead627cfff79e84dd4292a5840227d5d626",
+    (1, "bch"): "28a5fdb83cdbc82d1cb866d76ffbb6af53a08094bc047cfcb5603d95514631f6",
+    (2, "taylor"): "1d5c99d9f105368bf955b10c093f98cb890737edd430b175e3163404d1e0dd33",
+    (2, "bch"): "a8b30e2022f483ef5a0b73f54c7dd9554b55019d79454019512b376a79053382",
+    (5, "taylor"): "42791c7c8e2a342fc8a17702017164a5cfcf71bebcb74093bda28a491dbd86ee",
+    (5, "bch"): "f2510cf5e113849b47007064c2aacbc15f986014caf2772c16cb17283ac2a43d",
+    (6, "taylor"): "05b3894cb720f6252d00832d008d5ab2be4cfd589b5153e4964f14f5160ba4ee",
+    (6, "bch"): "f40eda6ea15e6f15588acf131410d9e0c08fe994219ee7147884373278d2d776",
+}
+
+PRODUCT_TEXT_DIGESTS = {
+    (2, 4): "b5224fe20e49e5e21b1b570b57b1d0ef1b144822669219dda266379dc6de65c0",
+    (2, 5): "776713c358bef352ab026b39fa3c2dd31f495f3b27eba60b190ee949db8cb365",
+    (2, 6): "944d5cf5fa5cbf765ad311c94fae5f2a1328ea733f86ca47d95bbba69ac7489e",
+    (3, 4): "136987fe8bdab04ad2196338c2260631bfaff0027bc41bf16533b8aed06e3f31",
+    (3, 5): "db172ca0d31f55aa1d9d6eca88427f28ae76ea71f397ea783e1501ebcc856218",
+    (3, 6): "fb82f0576b10832fb6f7cdcffd702855f7e7185651cc06ce0c05d99c1df8561f",
+}
+
+
+@pytest.mark.parametrize("order,route", sorted(EDGE_VERIFY_DIGESTS))
+def test_verify_scheme_reports_at_the_edge_orders_unchanged(order, route):
+    weights = [Fraction(x, 6) for x in (3, 4, 5, -6)]
+    schemes = [entry.scheme for entry in REGISTRY.values()]
+    schemes += [strang_composition(w) for w in itertools.permutations(weights)]
+    records = [report_record(verify_scheme(s, order, route)) for s in schemes]
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canonical) == EDGE_VERIFY_DIGESTS[(order, route)]
+
+
+@pytest.mark.parametrize("stages,truncation", sorted(PRODUCT_TEXT_DIGESTS))
+def test_generic_splitting_products_unchanged(stages, truncation):
+    text = str(splitting_product(SymbolicScheme.generic(stages), truncation))
+    assert sha256(text) == PRODUCT_TEXT_DIGESTS[(stages, truncation)]

@@ -16,7 +16,7 @@ from splitcond import (
     word_str,
 )
 from splitcond.conditions import _divided_log
-from splitcond.lyndon import _product_steps, _splits
+from splitcond.lyndon import _numbered, _product_steps, _splits
 from splitcond.poly import Poly, sum_of_products
 
 from helpers import (
@@ -302,13 +302,18 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             ]
             closure = {w[i:] for w in targets for i in range(len(w) + 1)}
             factors = {w[i:j] for w in targets for j in range(len(w) + 1) for i in range(j)}
-            divided = {u: g.coefficient(u) * math.factorial(len(u)) for u in factors}
-            steps = _product_steps(closure)
+            words, factors = _numbered(closure), _numbered(factors)
+            divided = [g.coefficient(u) * math.factorial(len(u)) for u in factors]
+            steps = _product_steps(words)
             ladders = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in stages]
-            sweep = sweep_by_dot(sum_of_products)
-            for f, sweeps in [(g, [(divided, _splits(closure))]), (product, ladders[::-1])]:
-                one, dot = Poly.const(1), sum_of_products
-                big, filtered = _divided_log(sweeps, closure, n, one, dot, sweep, closure)
+            sweep, every = sweep_by_dot(sum_of_products), range(len(words) - 1)
+            for f, sweeps, zero in [
+                (g, [(divided, _splits(words, factors))], True),
+                (product, ladders[::-1], False),
+            ]:
+                one, dot, final = Poly.const(1), sum_of_products, sweeps[-1][1]
+                big, got = _divided_log(sweeps, final, every, len(words), n, one, dot, sweep, zero)
+                filtered = dict(zip(words, got))
                 full = log(f)
                 assert set(filtered) == closure
                 for w in closure:
@@ -319,8 +324,8 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
 @pytest.mark.parametrize("letters", [(0,), (1,), (0, 0), (1, 1, 1)])
 def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     # no sweep is led by the other letter, yet the log forms its words from the word
-    # set it is given; a single stage sweep, like the expanded product's, starts from
-    # zero and subtracts nothing, since its rows leave out the split u = ()
+    # set it is given; a single stage sweep, like the expanded product's, may also start
+    # from zero and subtract nothing, since its rows leave out the split u = ()
     rng = random.Random(311 + len(letters))
     n = 4
     coeffs = [Poly.symbol("a", j) * random_fraction(rng) for j in range(1, len(letters) + 1)]
@@ -329,11 +334,15 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
         product = product * exp(letter(x, n, 2, c))
     targets = [(0, 0, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0, 0)]
     closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-    steps = _product_steps(closure)
+    words = _numbered(closure)
+    steps = _product_steps(words)
     sweeps = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in zip(letters, coeffs)]
     one, sweep = Poly.const(1), sweep_by_dot(sum_of_products)
-    big, got = _divided_log(sweeps[::-1], closure, n, one, sum_of_products, sweep, closure)
     full = log(product)
-    assert set(got) == closure
-    for w in closure:
-        assert got[w] * Fraction(1, big * math.factorial(len(w))) == full.coefficient(w), w
+    for zero in {False, len(letters) == 1}:
+        args = (sweeps[0][1], range(len(words) - 1), len(words), n, one, sum_of_products, sweep)
+        big, got = _divided_log(sweeps[::-1], *args, zero)
+        got = dict(zip(words, got))
+        assert set(got) == closure
+        for w in closure:
+            assert got[w] * Fraction(1, big * math.factorial(len(w))) == full.coefficient(w), w

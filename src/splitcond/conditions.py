@@ -10,15 +10,15 @@ Both run one divided-power recurrence.  With stage values n = D c, D the lcm of 
 denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
 sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by
 lyndon._Tables, so each accumulator is a list indexed by slot, and each factor is one kernel
-call (a sweep): _int_sweep over ints, poly._sweep over integer maps.  log(F) is Horner's
+call (a sweep), poly._int_sweep over ints or poly._sweep over integer maps.  log(F) is Horner's
 scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua
 (J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1 and each n^j a packed
-monomial, F acc is that recurrence started from acc, so the systems never expand F; over
-ints, for a concrete scheme, G[u] is one int, and one sweep per pass, from zero, multiplies
-by G - 1 on the words' factors.  So verify_scheme and leading_error_term build no symbolic
-system, and every residual that vanishes is one shared Fraction(0).  check_cost() sizes a
-command from word counts alone; systems_equivalent() checks on witnesses that the two
-systems cut out the same solution sets.
+monomial, F acc is that recurrence started from acc, so the systems never expand F; over ints,
+for a concrete scheme, G[u] is one int, and one sweep per pass, from zero, multiplies by G - 1
+on the words' factors.  The Lyndon read is one more sweep, in place by the unit, per degree that
+does not vanish.  So verify_scheme and leading_error_term build no symbolic system, and every
+vanishing residual is one shared Fraction(0).  check_cost() sizes a command from word counts
+alone; systems_equivalent() checks on witnesses that two systems cut out the same solution sets.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .lyndon import LieDecomposition, _back_substitute, _numbered, _product_steps, _Tables
-from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, _sweep, sum_of_products
+from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
+from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, _int_sweep, _sweep, sum_of_products
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
@@ -137,8 +137,7 @@ def _divided_log(sweeps, final, last, size: int, p: int, one, dot, sweep, zero=F
     # () last: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
     # F acc is the sweeps (factor, rows) in turn, at k = 0 the last on the rows final.  With
     # zero each sweep starts from zero, its rows forming F acc - acc, and nothing is subtracted
-    big, nil = math.lcm(*range(1, p + 1)), dot([])
-    acc = [nil] * size
+    big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
     for k in range(p, -1, -1):
         old = acc[:]
         for f, rows in sweeps if k else sweeps[:-1] + [(sweeps[-1][0], final)]:
@@ -146,8 +145,7 @@ def _divided_log(sweeps, final, last, size: int, p: int, one, dot, sweep, zero=F
         for w in () if zero else range(size - 1) if k else last:  # less acc, but at ()
             if old[w]:
                 acc[w] = dot([(-1, one, old[w])], acc[w])
-        c = (-1) ** (k + 1) * big // k if k else 0
-        acc[-1] = c if isinstance(one, int) else dot([(c, one, one)])
+        acc[-1] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
     return big, acc
 
 
@@ -158,20 +156,9 @@ def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
     return total
 
 
-def _int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
-    # acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with |w|
-    # <= top, over ints (or Poly, for splitting_product); rows longest first: acc[v] is the old one
-    for w, n, runs in rows:
-        if n <= top:
-            total = 0 if zero else acc[w]
-            for c, x, v in runs:
-                total += c * f[x] * acc[v]
-            acc[w] = total
-
-
 def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, sweep, ladder) -> list:
     # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
-    # scale, at n = D c; the offset is a constant, and ladder(x, p) is [x^0 .. x^p]
+    # scale, at n = D c; the offset is A + B's, a constant, and ladder(x, p) is [x^0 .. x^p]
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if not a:
@@ -194,11 +181,11 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, swe
         sweeps = [(n, tables.suffix_steps[x]) for ab in zip(a, b) for x, n in enumerate(ab)][::-1]
         final, zero = tables.last_stage_steps, False
     big, acc = _divided_log(sweeps, final, tables.last, size, p, one, dot, sweep, zero)
-    reads = [_back_substitute(map(acc.__getitem__, slots[q]), q, tables, one, dot)
-             for q in range(p + 1)]
-    # less A + B, after the read: at degree 1 it reads the value itself
-    return [(q, w, reads[q].get(w, dot([])), big * den * (q == 1), big * math.factorial(q) * den**q)
-            for q in range(1, p + 1) for w in tables.lyndon[q]]
+    for q in range(2, p + 1):  # the Lyndon read, in place, by the unit n^0, at the degrees
+        if any(map(acc.__getitem__, slots[q])):  # that do not vanish; degree 1 reads itself
+            sweep(acc, a[0][:1], tables.read_steps(q))
+    return [(q, w, acc[i], big * den * (q == 1), big * math.factorial(q) * den**q)
+            for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
@@ -305,7 +292,7 @@ def conditions_bch(stages: int, p: int) -> ConditionSystem:
     """Order conditions: Lyndon-basis coordinates of log(product) - (A+B).
 
     Degrees >= 2 of the logarithm are Lie elements and degree 1 is affine in A
-    and B, so back-substitution at the Lyndon words reads them unchecked.
+    and B, so the triangular solve at the Lyndon words reads them unchecked.
     """
     return condition_system(stages, p, "bch")
 
@@ -392,11 +379,11 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
 def check_cost(p: int, route: str, stages: int | None = None) -> int:
     """Estimated bytes of an order-p command, enumerating no word; ValueError over budget.
 
-    Counts the Lyndon words of each bidegree (i, j), and refuses over MAX_LYNDON_WORDS
-    of them.  Each costs its route's table entries, q a word of length q = i + j (the
-    taylor product's q suffixes, or the bch log's q(q+1)/2 splits and the C(q, i) words
-    of its bracket), and, for the system of a generic scheme with stages, its entry's
-    C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms, 2s bytes each.  Refuses over MAX_COST.
+    Counts the Lyndon words of each bidegree (i, j), and refuses over MAX_LYNDON_WORDS of
+    them.  Each costs its route's tables, q a word of length q = i + j: the taylor product's
+    q suffixes at 3q (both routes then peak at 1.4-3.5 bytes a counted byte at their edges),
+    or the bch log's q(q+1)/2 splits and the C(q, i) words of its bracket.  An s-stage system
+    adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s bytes each.  Refuses over MAX_COST.
     """
     count: dict[tuple[int, int], int] = {}
     for q in range(1, p + 1):  # Witt's formula, by the identity it inverts: the C(q, i)
@@ -409,7 +396,7 @@ def check_cost(p: int, route: str, stages: int | None = None) -> int:
     cost = 0
     for (i, j), n in count.items():
         q = i + j
-        cost += n * q * (q if route == "taylor" else math.comb(q, i) + q * (q + 1) // 2)
+        cost += n * q * (3 * q if route == "taylor" else math.comb(q, i) + q * (q + 1) // 2)
         if stages:
             terms = math.comb(i + stages - 1, i) * math.comb(j + stages - 1, j) + 1
             cost += n * 2 * stages * terms

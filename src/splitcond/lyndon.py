@@ -8,10 +8,10 @@ that the order-condition recurrence reads: the words are numbered once, longest
 first, and every table is rows of slots, so the recurrence indexes lists.
 
 A Lyndon bracketing expands to its own word, with coefficient 1, plus larger
-words only (Reutenauer, Free Lie Algebras, 1993), so back-substitution at the
-Lyndon words alone reads the coordinates of a Lie element.  lie_decompose
-first checks membership with the Dynkin-Specht-Wever projection (right-nested
-bracketing over the degree) and reports the complement it annihilates.
+words only (Reutenauer, Free Lie Algebras, 1993), so a unitriangular solve at
+the Lyndon words, per degree one table of rows that a sweep kernel runs in place,
+reads the coordinates of a Lie element.  lie_decompose first checks membership
+by the Dynkin-Specht-Wever projection and reports the complement it annihilates.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Any, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
-from .poly import _ONE, _ZERO, Poly, sum_of_products
+from .poly import _ZERO, Poly, _int_sweep
 from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
@@ -204,7 +204,7 @@ class _Tables:
         self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
         self.lyndon_slots = [[self.suffixes[w] for w in ws] for ws in self.lyndon]
         self.last = frozenset(map(self.suffixes.get, words))  # what the log's last pass forms
-        self._brackets = {(x,): {(x,): 1} for x in range(alphabet_size)}
+        self._brackets, self._reads = {(x,): {(x,): 1} for x in range(alphabet_size)}, {}
 
     # the product on the suffixes or their factors, the int log's splits, and those splits
     # and the systems' sweep by e^{a_1 A} at the Lyndon words: all the log's last pass forms
@@ -228,17 +228,17 @@ class _Tables:
             self._brackets[w] = add_terms(*terms)
         return self._brackets[w]
 
-
-def _back_substitute(values, degree: int, tables, one, dot) -> dict:
-    # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in lexicographic
-    # order, the values f[w] in that order; over ints or Poly, unchecked: exact for Lie elements
-    solved: list[tuple[dict[Word, int], Any]] = []
-    out = {}
-    for word, value in zip(tables.lyndon[degree], values):
-        if coeff := dot([(-e[word], c, one) for e, c in solved if word in e], value):
-            out[word] = coeff
-            solved.append((tables.bracket(word), coeff))
-    return out
+    def read_steps(self, q: int) -> list:
+        # rows (w, q, [(-E_l[w], 0, l)]) at degree q's Lyndon slots in lexicographic order,
+        # l < w Lyndon: swept in place with factor 0 the unit, c_w = f[w] - sum E_l[w] c_l
+        if q not in self._reads:
+            rows, kin = [], {}  # E_l holds l once and larger words of l's letters only
+            for w, i in zip(self.lyndon[q], self.lyndon_slots[q]):
+                earlier = kin.setdefault(tuple(sorted(w)), [])  # (E_l, l) so far, w's letters
+                rows.append((i, q, [(-e[w], 0, l) for e, l in earlier if w in e]))
+                earlier.append((self.bracket(w), i))
+            self._reads[q] = rows
+        return self._reads[q]
 
 
 def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
@@ -261,8 +261,8 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     bracketing, fixes the Lie elements of degree q and annihilates a
     complement.  Raises NotALieElement, carrying the residual f - theta(f)/q,
     when that residual is nonzero; for degree 2 the word AB alone leaves the
-    symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by
-    back-substitution over the Lyndon words of degree q.
+    symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the
+    triangular solve over the Lyndon words of degree q, _Tables.read_steps.
     """
     if degree < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -275,6 +275,7 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     if not residual.is_zero():
         raise NotALieElement(residual)
     tables = _Tables(degree, f.alphabet_size)
-    values = [f.terms.get(w, _ZERO) for w in tables.lyndon[degree]]
-    coefficients = _back_substitute(values, degree, tables, _ONE, sum_of_products)
-    return LieDecomposition(degree, coefficients)
+    words = dict(zip(tables.lyndon[degree], tables.lyndon_slots[degree]))
+    acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
+    _int_sweep(acc, [1], tables.read_steps(degree) if any(acc.values()) else ())
+    return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})

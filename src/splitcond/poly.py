@@ -253,10 +253,22 @@ def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> d
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
+def _int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
+    # acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with
+    # |w| <= top, over ints or Poly: rows longest first read the old acc[v], and the Lyndon
+    # read's rows, in lexicographic order, read solved values
+    for w, n, runs in rows:
+        if n <= top:
+            total = 0 if zero else acc[w]
+            for c, x, v in runs:
+                total += c * f[x] * acc[v]
+            acc[w] = total
+
+
 def _sweep(acc: list, f: list[int], rows: list, top: int = MAX_EXPONENT, zero=False) -> None:
     # acc[w] <- acc[w] ({} if zero) + sum c x^f[j] acc[v] at each row (w, |w|, [(c, j, v)])
-    # with |w| <= top, over integer maps, f[j] a packed monomial added to each key; rows
-    # longest first, and each row gets a new map, so no start, shared or not, is mutated
+    # with |w| <= top, over integer maps, f[j] a packed monomial added to each key; rows in
+    # _int_sweep's orders, and each row gets a new map, so no start, shared or not, is mutated
     for w, n, runs in rows:
         if n <= top:
             total = {} if zero else dict(acc[w])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Any
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from splitcond import (
     lyndon_words_of_degree,
 )
 from splitcond.poly import Poly
+from splitcond.series import Word
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +238,28 @@ def divided_product_by_word(a, b, words, one, dot, lift=lambda x: x) -> dict:
         for w, runs in steps.get(letter, []):
             g[w] = dot([(c, lift(powers[j]), g[v]) for c, j, v in runs], g[w])
     return g
+
+
+# ---------------------------------------------------------------------------
+# the Lyndon read as a word-keyed back-substitution: the reference for the read's
+# slot rows, swept in place by the kernels
+
+
+def back_substitute_by_word(values, degree: int, tables, one, dot) -> dict:
+    """The nonzero Lyndon coordinates of one degree, keyed by word.
+
+    The solve the read's rows replace, as it stood in the library, with the ring's
+    one and dot; E_l comes from tables.bracket.
+    """
+    # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in lexicographic
+    # order, the values f[w] in that order; over ints or Poly, unchecked: exact for Lie elements
+    solved: list[tuple[dict[Word, int], Any]] = []
+    out = {}
+    for word, value in zip(tables.lyndon[degree], values):
+        if coeff := dot([(-e[word], c, one) for e, c in solved if word in e], value):
+            out[word] = coeff
+            solved.append((tables.bracket(word), coeff))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -434,11 +434,15 @@ def test_commands_within_the_cost_budget_reach_the_work(capsys, monkeypatch):
         ("conditions", "-s", "6", "-p", "8"),
         ("conditions", "-s", "100", "-p", "2"),
         ("verify", "strang", "-p", "14"),
-        ("verify", "strang", "-p", "21", "--route", "taylor"),
+        ("verify", "strang", "-p", "19", "--route", "taylor"),
     ]:
         with pytest.raises(Reached):
             run(capsys, *argv)
-    for argv in [("verify", "strang", "-p", "15"), ("conditions", "-s", "10", "-p", "8")]:
+    for argv in [
+        ("verify", "strang", "-p", "15"),
+        ("verify", "strang", "-p", "20", "--route", "taylor"),
+        ("conditions", "-s", "10", "-p", "8"),
+    ]:
         assert run(capsys, *argv)[0] == 2
 
 

@@ -18,9 +18,12 @@ from splitcond import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from splitcond.poly import Poly, sum_of_products
+from splitcond.conditions import _int_dot
+from splitcond.lyndon import _Tables
+from splitcond.poly import Poly, _dot, _int_sweep, _sweep, sum_of_products
 
 from helpers import (
+    back_substitute_by_word,
     homogeneous_at_truncation,
     lie_decompose_by_subtraction,
     longest_lyndon_suffix_factorization,
@@ -288,7 +291,7 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
 def test_lie_check_expands_no_bracketing(monkeypatch):
     # the Dynkin projection checks membership, and the coordinate read uses
     # the integer bracket tables, so neither expands a bracketing as a series;
-    # the routes' read is the same back-substitution, on the same tables
+    # the word-keyed back-substitution on the same tables reads the same weights
     from splitcond import lyndon
 
     rng = random.Random(163)
@@ -307,5 +310,62 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
     assert lie_decompose(combo, 5).coefficients == weights
     tables, one = lyndon._Tables(5, 2), Poly.const(1)
     values = [combo.terms.get(w, Poly()) for w in tables.lyndon[5]]
-    assert lyndon._back_substitute(values, 5, tables, one, sum_of_products) == weights
+    assert back_substitute_by_word(values, 5, tables, one, sum_of_products) == weights
     assert calls == []
+
+
+def random_read_values(rng, count):
+    # one draw of Lyndon values per ring, zeros included: ints, Poly, and integer maps
+    # over small monomials, so that sums in the read often cancel
+    ints = [rng.choice((0, rng.randint(-99, 99))) for _ in range(count)]
+    polys = [random_poly(rng, stages=2, degree=2, terms=2) for _ in range(count)]
+    monos = (0, 1, 1 << 8, (1 << 8) + 1)
+    maps = [{m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monos, rng.randint(0, 3))}
+            for _ in range(count)]
+    return ints, polys, maps
+
+
+def test_read_rows_equal_the_word_keyed_back_substitution():
+    # the read is linear and unchecked, so at any values of the Lyndon slots, Lie
+    # element or not, the rows swept in place give the old solve's coordinates exactly,
+    # through _int_sweep over ints and Poly and through _sweep over integer maps, and
+    # leave every other slot as it was
+    rng = random.Random(1901)
+    tables = _Tables(7, 2)
+    words = list(tables.suffixes)
+    for q in range(1, 8):
+        slots, rows = tables.lyndon_slots[q], tables.read_steps(q)
+        assert [words[w] for w, n, runs in rows] == sorted(words[w] for w, n, runs in rows)
+        assert all(n == q and w in slots for w, n, runs in rows)
+        for _ in range(6):
+            ints, polys, maps = random_read_values(rng, len(slots))
+            for values, one, dot, sweep, unit, zero in [
+                (ints, 1, _int_dot, _int_sweep, [1], 0),
+                (polys, Poly.const(1), sum_of_products, _int_sweep, [Poly.const(1)], Poly()),
+                (maps, {0: 1}, _dot, _sweep, [0], {}),
+            ]:
+                acc = [zero] * len(words)
+                for i, value in zip(slots, values):
+                    acc[i] = value
+                before = list(acc)
+                sweep(acc, unit, rows)
+                read = {words[i]: acc[i] for i in slots if acc[i]}
+                assert read == back_substitute_by_word(values, q, tables, one, dot), (q, values)
+                assert all(acc[i] is before[i] for i in range(len(words)) if i not in slots)
+
+
+def test_an_evicted_table_is_freed_with_its_rows():
+    # the read's rows live on the table, so a table the cache drops is garbage
+    # once it is unreferenced, rows and all
+    import gc
+    import weakref
+
+    _Tables.cache_clear()
+    tables = _Tables(6, 2)
+    for q in range(2, 7):  # built once, then kept
+        assert tables.read_steps(q) is tables.read_steps(q)
+    ref = weakref.ref(tables)
+    del tables
+    _Tables.cache_clear()
+    gc.collect()
+    assert ref() is None

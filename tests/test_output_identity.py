@@ -23,7 +23,10 @@ recurrence still made one kernel call per word); and of verify_scheme at
 p = 1, 2, 5 and 6 on both routes over the registry and the 24 Strang
 orderings, and of the printed generic 2- and 3-stage splitting products at
 truncations 4 to 6 (taken while the recurrence still keyed its tables by
-word tuples).
+word tuples); and of the printed Lyndon decompositions of the generic
+two-stage log through degree 6, and of verify_scheme on the BCH route at
+p = 6 to 10 over the registry's Strang and order-3 schemes (taken while the
+Lyndon read was still a word-keyed back-substitution).
 """
 
 import hashlib
@@ -40,6 +43,7 @@ from splitcond import (
     SymbolicScheme,
     condition_system,
     leading_error_term,
+    lie_decompose,
     verify_scheme,
     word_str,
 )
@@ -234,3 +238,41 @@ def test_verify_scheme_reports_at_the_edge_orders_unchanged(order, route):
 def test_generic_splitting_products_unchanged(stages, truncation):
     text = str(splitting_product(SymbolicScheme.generic(stages), truncation))
     assert sha256(text) == PRODUCT_TEXT_DIGESTS[(stages, truncation)]
+
+
+# The Lyndon read: the printed lie_decompose of each homogeneous part of the generic
+# two-stage log through degree 6 (the read over Poly), and verify_scheme on the BCH
+# route at p = 6 to 10 over the registry's Strang and order-3 schemes (Strang's even
+# degrees vanish, so its read skips them).  Pinned while the read was still a
+# word-keyed back-substitution.
+
+LIE_DECOMPOSITION_TEXT_DIGESTS = {
+    1: "019266987ab9bac47f2a8af43bffaad5fc5c3295b6e50a5ddd43748ef5c0be47",
+    2: "9897da3f2d163fd6d51b1a2cf8e435acb8d906bfecf219c5c790ebd7422ea6ed",
+    3: "99a80fd94ee3ea0a6c6ba91cc305f713a4799b4783151a8ce29eff77c98af767",
+    4: "e65d32ec9374893837060fbc9fe752c1e5a21aef1a0a58918fc212d8cc2c28e1",
+    5: "89ef6864a997e873859a5334e3b91d8c53294221db30f28c1938778c7c9f6ed5",
+    6: "75a3e4be85cbe5fcd3d12c4c01b45b3eddac0fd8cdd2fad181ec7367176f5db2",
+}
+
+HIGH_ORDER_VERIFY_DIGESTS = {
+    6: "33631f99165ab03da74391ed01edb320ac2e8185c7c2b7626fe738485d686a46",
+    7: "7f5c6ec581fa028b3fa0347a2dde413f2f4ab505f80483071bfc643ce9365e90",
+    8: "ba60cb5ba04de9df5edb8d039353afd56f27d28f9fd21d8cd787af28487d69a5",
+    9: "169aa485ab19faad686ba735a0486476181d2162822494e3dab826b755af9716",
+    10: "770cdb221a03a47f39a2cf455d0134b12326e4ac2a978fb149065c9821d35193",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(LIE_DECOMPOSITION_TEXT_DIGESTS))
+def test_lie_decompositions_of_the_generic_log_unchanged(degree):
+    f = log(splitting_product(SymbolicScheme.generic(2), 6)).homogeneous_part(degree)
+    assert sha256(str(lie_decompose(f, degree))) == LIE_DECOMPOSITION_TEXT_DIGESTS[degree]
+
+
+@pytest.mark.parametrize("order", sorted(HIGH_ORDER_VERIFY_DIGESTS))
+def test_bch_verify_reports_at_high_orders_unchanged(order):
+    schemes = [REGISTRY[name].scheme for name in ("strang", "paper-order3")]
+    records = [report_record(verify_scheme(s, order, "bch")) for s in schemes]
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canonical) == HIGH_ORDER_VERIFY_DIGESTS[order]

@@ -189,10 +189,11 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, swe
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
-    # the route over ints: stage values scaled by D, the lcm of their denominators
+    # the route over ints: stage values scaled by D, the lcm of their denominators; a zero
+    # stage's ladder is [n^0, 0], the read's unit and a top that _divided_product skips
     den = math.lcm(*(c.denominator for c in scheme.point()))
     a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
-    ladder = lambda n, top: [n**j for j in range(top + 1)]
+    ladder = lambda n, top: [n**j for j in range(top + 1)] if n else [1, 0]
     entries = _route(a, b, den, p, route, 1, _int_dot, _int_sweep, ladder)
     return [(q, w, Fraction(d, s) if (d := n - o) else _NIL) for q, w, n, o, s in entries]
 
@@ -381,7 +382,7 @@ def check_cost(p: int, route: str, stages: int | None = None) -> int:
 
     Counts the Lyndon words of each bidegree (i, j), and refuses over MAX_LYNDON_WORDS of
     them.  Each costs its route's tables, q a word of length q = i + j: the taylor product's
-    q suffixes at 3q (both routes then peak at 1.4-3.5 bytes a counted byte at their edges),
+    q suffixes at 3q (both routes then peak at 1.5-2.3 bytes a counted byte at their edges),
     or the bch log's q(q+1)/2 splits and the C(q, i) words of its bracket.  An s-stage system
     adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s bytes each.  Refuses over MAX_COST.
     """

@@ -7,11 +7,11 @@ coordinates of homogeneous Lie elements, and the word tables through a degree
 that the order-condition recurrence reads: the words are numbered once, longest
 first, and every table is rows of slots, so the recurrence indexes lists.
 
-A Lyndon bracketing expands to its own word, with coefficient 1, plus larger
-words only (Reutenauer, Free Lie Algebras, 1993), so a unitriangular solve at
-the Lyndon words, per degree one table of rows that a sweep kernel runs in place,
-reads the coordinates of a Lie element.  lie_decompose first checks membership
-by the Dynkin-Specht-Wever projection and reports the complement it annihilates.
+A Lyndon bracketing expands to its own word once plus larger words of its letters
+only (Reutenauer, Free Lie Algebras, 1993), so per degree a unitriangular solve in
+blocks of one letter content, rows a sweep kernel runs in place, reads the coordinates
+of a Lie element.  A bracket is expanded only where a row reads it, and kept only below
+the table's top degree.  lie_decompose first checks membership by the Dynkin projection.
 """
 
 from __future__ import annotations
@@ -220,24 +220,28 @@ class _Tables:
         lambda self: [row for row in self.suffix_steps[0] if row[0] in self.last])
 
     def bracket(self, w: Word) -> dict[Word, int]:
-        # E_w, the standard bracketing of the Lyndon word w expanded over ints
-        if w not in self._brackets:
+        # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
+        # kept below the table's top degree p only: no longer bracket takes a degree-p factor
+        if (e := self._brackets.get(w)) is None:
             left, right = map(self.bracket, standard_factorization(w))
             pairs = [(u, v, cu * cv) for u, cu in left.items() for v, cv in right.items()]
-            terms = {u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs}
-            self._brackets[w] = add_terms(*terms)
-        return self._brackets[w]
+            e = add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
+        return self._brackets.setdefault(w, e) if len(w) < len(self.lyndon) - 1 else e
 
     def read_steps(self, q: int) -> list:
-        # rows (w, q, [(-E_l[w], 0, l)]) at degree q's Lyndon slots in lexicographic order,
-        # l < w Lyndon: swept in place with factor 0 the unit, c_w = f[w] - sum E_l[w] c_l
+        # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
+        # Lyndon of w's letters (E_l holds no other word), in place by the unit 0: c_w -= E_l[w] c_l
         if q not in self._reads:
-            rows, kin = [], {}  # E_l holds l once and larger words of l's letters only
+            blocks, runs = {}, {i: [] for i in self.lyndon_slots[q]}  # (w, slot)s by letters
             for w, i in zip(self.lyndon[q], self.lyndon_slots[q]):
-                earlier = kin.setdefault(tuple(sorted(w)), [])  # (E_l, l) so far, w's letters
-                rows.append((i, q, [(-e[w], 0, l) for e, l in earlier if w in e]))
-                earlier.append((self.bracket(w), i))
-            self._reads[q] = rows
+                blocks.setdefault(tuple(sorted(w)), []).append((w, i))
+            for block in blocks.values():
+                for k, (l, i) in enumerate(block[:-1]):
+                    e = self.bracket(l)  # at degree p, dropped once its entries are in the rows
+                    for w, j in block[k + 1 :]:
+                        if w in e:
+                            runs[j].append((-e[w], 0, i))
+            self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
 

@@ -245,20 +245,22 @@ def divided_product_by_word(a, b, words, one, dot, lift=lambda x: x) -> dict:
 # slot rows, swept in place by the kernels
 
 
-def back_substitute_by_word(values, degree: int, tables, one, dot) -> dict:
+def back_substitute_by_word(values, degree: int, alphabet_size: int, one, dot) -> dict:
     """The nonzero Lyndon coordinates of one degree, keyed by word.
 
-    The solve the read's rows replace, as it stood in the library, with the ring's
-    one and dot; E_l comes from tables.bracket.
+    The solve the read's rows replace, with the ring's one and dot, over every
+    earlier Lyndon word; E_l is the series expansion of l's standard bracketing, so
+    no bracket table of the library enters.
     """
     # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in lexicographic
-    # order, the values f[w] in that order; over ints or Poly, unchecked: exact for Lie elements
+    # order, the values f[w] in that order; unchecked: exact for Lie elements
     solved: list[tuple[dict[Word, int], Any]] = []
     out = {}
-    for word, value in zip(tables.lyndon[degree], values):
+    for word, value in zip(lyndon_words_of_degree(alphabet_size, degree), values):
         if coeff := dot([(-e[word], c, one) for e, c in solved if word in e], value):
             out[word] = coeff
-            solved.append((tables.bracket(word), coeff))
+            terms = expand(bracketing(word), degree, alphabet_size).terms
+            solved.append(({w: int(c.constant()) for w, c in terms.items()}, coeff))
     return out
 
 

@@ -1261,6 +1261,20 @@ def test_integer_residuals_equal_the_dense_oracles():
             ]
 
 
+def test_a_zero_stage_pair_leaves_every_report_unchanged():
+    # e^{0A} e^{0B} = 1 at the front, in the middle or at the end: the int path skips a
+    # zero stage unbuilt, and at the front, with a1 = 0, the read still sweeps by the unit
+    schemes = [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(1301, 6)
+    for scheme in schemes:
+        a, b, s = scheme.a, scheme.b, scheme.stages
+        for k in sorted({0, (s + 1) // 2, s}):
+            padded = ConcreteScheme(a[:k] + (F(0),) + a[k:], b[:k] + (F(0),) + b[k:])
+            for p, route in itertools.product(range(1, 7), ("taylor", "bch")):
+                before, after = verify_scheme(scheme, p, route), verify_scheme(padded, p, route)
+                assert after.residuals == before.residuals, (scheme, k, p, route)
+                assert after.satisfied == before.satisfied
+
+
 def test_verification_builds_no_symbolic_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("verification built a symbolic system")

@@ -291,7 +291,7 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
 def test_lie_check_expands_no_bracketing(monkeypatch):
     # the Dynkin projection checks membership, and the coordinate read uses
     # the integer bracket tables, so neither expands a bracketing as a series;
-    # the word-keyed back-substitution on the same tables reads the same weights
+    # the word-keyed back-substitution, over series expansions, reads the same weights
     from splitcond import lyndon
 
     rng = random.Random(163)
@@ -308,10 +308,9 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
 
     monkeypatch.setattr(lyndon, "expand", counted)
     assert lie_decompose(combo, 5).coefficients == weights
-    tables, one = lyndon._Tables(5, 2), Poly.const(1)
-    values = [combo.terms.get(w, Poly()) for w in tables.lyndon[5]]
-    assert back_substitute_by_word(values, 5, tables, one, sum_of_products) == weights
     assert calls == []
+    values = [combo.terms.get(w, Poly()) for w in lyndon_words_of_degree(2, 5)]
+    assert back_substitute_by_word(values, 5, 2, Poly.const(1), sum_of_products) == weights
 
 
 def random_read_values(rng, count):
@@ -329,29 +328,55 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
     # the read is linear and unchecked, so at any values of the Lyndon slots, Lie
     # element or not, the rows swept in place give the old solve's coordinates exactly,
     # through _int_sweep over ints and Poly and through _sweep over integer maps, and
-    # leave every other slot as it was
+    # leave every other slot as it was; on a fresh table of each top degree p, so that
+    # the degrees below p read kept brackets and degree p brackets it drops, over two
+    # letters and over three, whose Lyndon words share their letters from degree 3 on
     rng = random.Random(1901)
-    tables = _Tables(7, 2)
-    words = list(tables.suffixes)
-    for q in range(1, 8):
-        slots, rows = tables.lyndon_slots[q], tables.read_steps(q)
-        assert [words[w] for w, n, runs in rows] == sorted(words[w] for w, n, runs in rows)
-        assert all(n == q and w in slots for w, n, runs in rows)
-        for _ in range(6):
-            ints, polys, maps = random_read_values(rng, len(slots))
-            for values, one, dot, sweep, unit, zero in [
-                (ints, 1, _int_dot, _int_sweep, [1], 0),
-                (polys, Poly.const(1), sum_of_products, _int_sweep, [Poly.const(1)], Poly()),
-                (maps, {0: 1}, _dot, _sweep, [0], {}),
-            ]:
-                acc = [zero] * len(words)
-                for i, value in zip(slots, values):
-                    acc[i] = value
-                before = list(acc)
-                sweep(acc, unit, rows)
-                read = {words[i]: acc[i] for i in slots if acc[i]}
-                assert read == back_substitute_by_word(values, q, tables, one, dot), (q, values)
-                assert all(acc[i] is before[i] for i in range(len(words)) if i not in slots)
+    for p, alphabet in [(p, 2) for p in range(2, 8)] + [(p, 3) for p in range(2, 6)]:
+        tables = _Tables.__wrapped__(p, alphabet)
+        words = list(tables.suffixes)
+        for q in range(1, p + 1):
+            slots, rows = tables.lyndon_slots[q], tables.read_steps(q)
+            assert [words[w] for w, n, runs in rows] == sorted(words[w] for w, n, runs in rows)
+            assert all(n == q and w in slots and runs for w, n, runs in rows)
+            for _ in range(6 if q == p else 2):
+                ints, polys, maps = random_read_values(rng, len(slots))
+                for values, one, dot, sweep, unit, zero in [
+                    (ints, 1, _int_dot, _int_sweep, [1], 0),
+                    (polys, Poly.const(1), sum_of_products, _int_sweep, [Poly.const(1)], Poly()),
+                    (maps, {0: 1}, _dot, _sweep, [0], {}),
+                ]:
+                    acc = [zero] * len(words)
+                    for i, value in zip(slots, values):
+                        acc[i] = value
+                    before = list(acc)
+                    sweep(acc, unit, rows)
+                    read = {words[i]: acc[i] for i in slots if acc[i]}
+                    expected = back_substitute_by_word(values, q, alphabet, one, dot)
+                    assert read == expected, (p, alphabet, q, values)
+                    assert all(acc[i] is before[i] for i in range(len(words)) if i not in slots)
+
+
+def test_the_read_expands_only_the_brackets_its_rows_read():
+    # over two letters through degree 4 no two Lyndon words of one degree share their
+    # letters, so every row is empty and left out, and no bracket is expanded; at p = 5
+    # the rows read AAABB and AABBB, of degree p, so only their factors are kept.  On any
+    # table, read top degree first or last, no bracket of the top degree is kept
+    for p in (1, 2, 3, 4):
+        tables = _Tables.__wrapped__(p, 2)
+        assert all(tables.read_steps(q) == [] for q in range(1, p + 1))
+        assert sorted(tables._brackets) == [(A,), (B,)]
+    kept = [(A,), (A, A, B, B), (A, B), (A, B, B), (A, B, B, B), (B,)]
+    for p, alphabet in [(p, 2) for p in range(5, 9)] + [(p, 3) for p in range(2, 6)]:
+        for degrees in (range(1, p + 1), range(p, 0, -1)):
+            tables = _Tables.__wrapped__(p, alphabet)
+            for q in degrees:
+                tables.read_steps(q)
+                assert all(len(w) < p for w in tables._brackets), (p, alphabet, q)
+        if (p, alphabet) == (5, 2):
+            assert sorted(tables._brackets) == kept
+        if (p, alphabet) == (6, 2):  # of 23 when every bracket was kept
+            assert len(tables._brackets) == 10
 
 
 def test_an_evicted_table_is_freed_with_its_rows():

@@ -26,7 +26,10 @@ truncations 4 to 6 (taken while the recurrence still keyed its tables by
 word tuples); and of the printed Lyndon decompositions of the generic
 two-stage log through degree 6, and of verify_scheme on the BCH route at
 p = 6 to 10 over the registry's Strang and order-3 schemes (taken while the
-Lyndon read was still a word-keyed back-substitution).
+Lyndon read was still a word-keyed back-substitution); and of the printed
+Lyndon decompositions of a seeded three-letter Lie combination at degrees 3
+to 5, and of verify_scheme on the BCH route at p = 11 to 13 over the same two
+schemes (taken while the read still expanded and kept every bracket).
 """
 
 import hashlib
@@ -39,16 +42,21 @@ import pytest
 
 from splitcond import (
     ConcreteScheme,
+    NCSeries,
     NotOrderP,
     SymbolicScheme,
+    bracketing,
     condition_system,
+    expand,
     leading_error_term,
     lie_decompose,
+    lyndon_words_of_degree,
     verify_scheme,
     word_str,
 )
 from splitcond.cli import REGISTRY
 from splitcond.conditions import conditions_bch, splitting_product
+from splitcond.poly import Poly
 from splitcond.series import log
 
 SYSTEM_DIGESTS = {
@@ -270,9 +278,48 @@ def test_lie_decompositions_of_the_generic_log_unchanged(degree):
     assert sha256(str(lie_decompose(f, degree))) == LIE_DECOMPOSITION_TEXT_DIGESTS[degree]
 
 
-@pytest.mark.parametrize("order", sorted(HIGH_ORDER_VERIFY_DIGESTS))
+# The read's letter blocks and its top degree: the printed lie_decompose of a seeded
+# three-letter Lie combination at degrees 3 to 5, where Lyndon words first share their
+# letters, and verify_scheme on the BCH route at p = 11 to 13 over the same two registry
+# schemes, whose top degree fills large blocks.  Pinned while the read still expanded
+# and kept the bracketing of every Lyndon word.
+
+THREE_LETTER_LIE_TEXT_DIGESTS = {
+    3: "1ae1a52ad2849edb15f21eb5b856768542c5a2ac7baf171f4eb0e5de724d5fae",
+    4: "39f86bb66d95bda710ffe866bce2c610d8b924446367f1a3d5b611d8954d806a",
+    5: "4ec1ccd2cefc770cad6a0fd2144be31571b541f9a2272e2621e60caa51a6f082",
+}
+
+TOP_DEGREE_VERIFY_DIGESTS = {
+    11: "6b3dce7c7cd0f2bc07faf7ce9072edc12da353a47c6feacc93c095d7c463523e",
+    12: "cc22b5879d924d15a9fbcb2fd4677b1390e4b919ba962c6a62512a491f025440",
+    13: "551b28493820e0442adc73cfea95482badac25bdb7f1769bba458632ff658e87",
+}
+
+
+def three_letter_lie_element(degree: int) -> NCSeries:
+    # weights in -9/9 .. 9/9, zeros included, some of them times a symbol
+    rng, total = random.Random(2003 + degree), NCSeries.zero(degree, 3)
+    for w in lyndon_words_of_degree(3, degree):
+        weight = Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        if rng.random() < 0.3:
+            weight = weight * Poly.symbol(rng.choice("ab"), rng.randint(1, 2))
+        total = total + expand(bracketing(w), degree, 3).scale(weight)
+    return total
+
+
+@pytest.mark.parametrize("degree", sorted(THREE_LETTER_LIE_TEXT_DIGESTS))
+def test_lie_decompositions_over_three_letters_unchanged(degree):
+    text = str(lie_decompose(three_letter_lie_element(degree), degree))
+    assert sha256(text) == THREE_LETTER_LIE_TEXT_DIGESTS[degree]
+
+
+BCH_VERIFY_DIGESTS = {**HIGH_ORDER_VERIFY_DIGESTS, **TOP_DEGREE_VERIFY_DIGESTS}
+
+
+@pytest.mark.parametrize("order", sorted(BCH_VERIFY_DIGESTS))
 def test_bch_verify_reports_at_high_orders_unchanged(order):
     schemes = [REGISTRY[name].scheme for name in ("strang", "paper-order3")]
     records = [report_record(verify_scheme(s, order, "bch")) for s in schemes]
     canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
-    assert sha256(canonical) == HIGH_ORDER_VERIFY_DIGESTS[order]
+    assert sha256(canonical) == BCH_VERIFY_DIGESTS[order]

@@ -7,15 +7,15 @@ Lyndon word w of degree q, the Taylor route emits q! F[w] - 1 (e^{A+B} has coeff
 of log(F) - (A + B); each must vanish.
 
 Both run one divided-power recurrence.  With stage values n = D c, D the lcm of their
-denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
-sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by
-lyndon._Tables, so each accumulator is a list indexed by slot, and each factor is one kernel
-call (a sweep), poly._int_sweep over ints or poly._sweep over integer maps.  log(F) is Horner's
-scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua
-(J. Math. Phys. 2009).  Over Poly's packed integer maps, with D = 1 and each n^j a packed
-monomial, F acc is that recurrence started from acc, so the systems never expand F; over ints,
-for a concrete scheme, G[u] is one int, and one sweep per pass, from zero, multiplies by G - 1
-on the words' factors.  The Lyndon read is one more sweep, in place by the unit, per degree that
+denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to sum_j
+C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by lyndon._Tables, so
+each accumulator is a list indexed by slot, and each factor is one kernel call (a sweep).
+log(F) is Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in
+Casas & Murua (J. Math. Phys. 2009).  A _Ring record names the ring: over _MAPS, Poly's packed
+integer maps, with D = 1 and each n^j a packed monomial, F acc is that recurrence started from
+acc, so the systems never expand F; over _INTS, for a concrete scheme, G[u] is one int, and one
+sweep per pass, from zero, multiplies by G - 1 on the words' factors; _POLYS, Poly itself, forms
+splitting_product.  The Lyndon read is one more sweep, in place by the unit, per degree that
 does not vanish.  So verify_scheme and leading_error_term build no symbolic system, and every
 vanishing residual is one shared Fraction(0).  check_cost() sizes a command from word counts
 alone; systems_equivalent() checks on witnesses that two systems cut out the same solution sets.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
 from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, _int_sweep, _sweep, sum_of_products
@@ -111,54 +111,67 @@ class SymbolicScheme(NamedTuple):
         return cls(tuple(map(Poly.const, scheme.a)), tuple(map(Poly.const, scheme.b)))
 
 
+def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
+    for c, x, y in terms:
+        start += c * x * y
+    return start
+
+
+# a ring's unit and kernels, ladder(x, top) = [x^0 .. x^top], and whether the log sweeps by G
+_Ring = NamedTuple("_Ring", [("one", object), ("dot", Callable), ("sweep", Callable),
+                             ("ladder", Callable), ("expanded", bool)])
+# a zero stage's int ladder is [1, 0]: the read's unit, and a top that _divided_product skips
+_INTS = _Ring(1, _int_dot, _int_sweep,
+              lambda n, top: [n**j for j in range(top + 1)] if n else [1, 0], True)
+_MAPS = _Ring({0: 1}, _dot, _sweep, lambda i, top: [e << 8 * i for e in range(top + 1)], False)
+_POLYS = _INTS._replace(one=_ONE, dot=sum_of_products, expanded=False)
+
+
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
+    if truncation < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {truncation}")
+    if len(scheme.a) != len(scheme.b):
+        raise ValueError("coefficient lists a and b must have equal length")
     words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
-    a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
-    g = _divided_product(a, b, _product_steps(words), len(words), _ONE, sum_of_products, _int_sweep)
+    a, b = ([_POLYS.ladder(n, truncation) for n in x] for x in (scheme.a, scheme.b))
+    g = _divided_product(_POLYS, a, b, _product_steps(words), len(words))
     terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in zip(words, g)}
     return NCSeries(truncation, 2, terms)
 
 
-def _divided_product(a: Sequence, b: Sequence, steps: dict, size: int, one, dot, sweep) -> list:
+def _divided_product(ring: _Ring, a: Sequence, b: Sequence, steps: dict, size: int) -> list:
     # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, for stage values n = D c
     # as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX} sends G[w] to
     # G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1; e^{0X} = 1 is skipped
-    g = [dot([])] * size
-    g[-1] = one
+    g, sweep = [ring.dot([])] * (size - 1) + [ring.one], ring.sweep
     ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
     for letter, powers in reversed(ladders):
         sweep(g, powers, steps.get(letter, ()))
     return g
 
 
-def _divided_log(sweeps, final, last, size: int, p: int, one, dot, sweep, zero=False) -> tuple:
+def _divided_log(ring: _Ring, sweeps, final, last, size: int, p: int) -> tuple:
     # L |w|! D^|w| log(F)[w] at the slots of last, L = lcm(1..p), over size suffix-closed slots,
     # () last: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
-    # F acc is the sweeps (factor, rows) in turn, at k = 0 the last on the rows final.  With
-    # zero each sweep starts from zero, its rows forming F acc - acc, and nothing is subtracted
+    # F acc is the sweeps (factor, rows) in turn, at k = 0 the last on the rows final.  Expanded,
+    # each sweep starts from zero, its rows forming F acc - acc, and nothing is subtracted
+    one, dot, sweep, _, expanded = ring
     big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
     for k in range(p, -1, -1):
         old = acc[:]
         for f, rows in sweeps if k else sweeps[:-1] + [(sweeps[-1][0], final)]:
-            sweep(acc, f, rows, p - k, zero)
-        for w in () if zero else range(size - 1) if k else last:  # less acc, but at ()
+            sweep(acc, f, rows, p - k, expanded)
+        for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
             if old[w]:
                 acc[w] = dot([(-1, one, old[w])], acc[w])
         acc[-1] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
     return big, acc
 
 
-def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
-    total = start
-    for c, x, y in terms:
-        total += c * x * y
-    return total
-
-
-def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, sweep, ladder) -> list:
+def _route(ring: _Ring, a: Sequence, b: Sequence, den: int, p: int, route: str) -> list:
     # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
-    # scale, at n = D c; the offset is A + B's, a constant, and ladder(x, p) is [x^0 .. x^p]
+    # scale, over the ring, at n = D c; the offset is A + B's, a constant
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if not a:
@@ -169,32 +182,30 @@ def _route(a: Sequence, b: Sequence, den: int, p: int, route: str, one, dot, swe
         raise ValueError(f"target order must be <= {MAX_EXPONENT}")
     tables = _Tables(p, 2)
     size, slots = len(tables.suffixes), tables.lyndon_slots
-    a, b = ([ladder(x, p) for x in xs] for xs in (a, b))
+    a, b = ([ring.ladder(x, p) for x in xs] for xs in (a, b))
     if route == "taylor":
-        g = _divided_product(a, b, tables.suffix_steps, size, one, dot, sweep)
+        g = _divided_product(ring, a, b, tables.suffix_steps, size)
         return [(q, w, g[i], den**q, den**q)
                 for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
-    if isinstance(one, int):  # G[u] is one int: one sweep by the expanded product, from zero
-        g = _divided_product(a, b, tables.factor_steps, len(tables.factors), one, dot, sweep)
-        sweeps, final, zero = [(g, tables.log_steps)], tables.last_log_steps, True
+    if ring.expanded:  # G[u] is one int: one sweep by the expanded product, from zero
+        g = _divided_product(ring, a, b, tables.factor_steps, len(tables.factors))
+        sweeps, final = [(g, tables.log_steps)], tables.last_log_steps
     else:  # a sweep per stage, e^{a_1 A} last, over the suffixes its letter leads
         sweeps = [(n, tables.suffix_steps[x]) for ab in zip(a, b) for x, n in enumerate(ab)][::-1]
-        final, zero = tables.last_stage_steps, False
-    big, acc = _divided_log(sweeps, final, tables.last, size, p, one, dot, sweep, zero)
+        final = tables.last_stage_steps
+    big, acc = _divided_log(ring, sweeps, final, tables.last, size, p)
     for q in range(2, p + 1):  # the Lyndon read, in place, by the unit n^0, at the degrees
         if any(map(acc.__getitem__, slots[q])):  # that do not vanish; degree 1 reads itself
-            sweep(acc, a[0][:1], tables.read_steps(q))
+            ring.sweep(acc, a[0][:1], tables.read_steps(q))
     return [(q, w, acc[i], big * den * (q == 1), big * math.factorial(q) * den**q)
             for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
-    # the route over ints: stage values scaled by D, the lcm of their denominators; a zero
-    # stage's ladder is [n^0, 0], the read's unit and a top that _divided_product skips
+    # the route over ints: stage values scaled by D, the lcm of their denominators
     den = math.lcm(*(c.denominator for c in scheme.point()))
     a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
-    ladder = lambda n, top: [n**j for j in range(top + 1)] if n else [1, 0]
-    entries = _route(a, b, den, p, route, 1, _int_dot, _int_sweep, ladder)
+    entries = _route(_INTS, a, b, den, p, route)
     return [(q, w, Fraction(d, s) if (d := n - o) else _NIL) for q, w, n, o, s in entries]
 
 
@@ -269,9 +280,8 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
     """
     # over Poly's integer maps, with a_j at symbol index 2j-2 and b_j at 2j-1
     a, b = range(0, 2 * stages, 2), range(1, 2 * stages, 2)
-    ladder = lambda i, top: [e << 8 * i for e in range(top + 1)]  # packed monomials
     entries = []
-    for q, w, nums, offset, scale in _route(a, b, 1, p, route, {0: 1}, _dot, _sweep, ladder):
+    for q, w, nums, offset, scale in _route(_MAPS, a, b, 1, p, route):
         if offset:  # a constant, subtracted once on the map
             nums = {**nums, 0: nums.get(0, 0) - offset}
             if not nums[0]:

@@ -224,19 +224,19 @@ def monomial_map(mono: int) -> dict[int, int]:
     return {mono: 1}
 
 
-def divided_product_by_word(a, b, words, one, dot, lift=lambda x: x) -> dict:
+def divided_product_by_word(ring, a, b, words, lift=lambda x: x) -> dict:
     """G[w] = |w|! D^|w| F[w] on the suffix-closed words, keyed by word.
 
-    Right to left over the nonzero stage ladders [n^0 .. n^top], one dot call per
-    word and stage, from product_steps_by_word.
+    Right to left over the nonzero stage ladders [n^0 .. n^top], one call of the
+    ring's dot per word and stage, from product_steps_by_word.
     """
     steps = product_steps_by_word(words)
-    g = dict.fromkeys(words, dot([]))
-    g[()] = one
+    g = dict.fromkeys(words, ring.dot([]))
+    g[()] = ring.one
     ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
     for letter, powers in reversed(ladders):
         for w, runs in steps.get(letter, []):
-            g[w] = dot([(c, lift(powers[j]), g[v]) for c, j, v in runs], g[w])
+            g[w] = ring.dot([(c, lift(powers[j]), g[v]) for c, j, v in runs], g[w])
     return g
 
 
@@ -245,10 +245,10 @@ def divided_product_by_word(a, b, words, one, dot, lift=lambda x: x) -> dict:
 # slot rows, swept in place by the kernels
 
 
-def back_substitute_by_word(values, degree: int, alphabet_size: int, one, dot) -> dict:
+def back_substitute_by_word(ring, values, degree: int, alphabet_size: int) -> dict:
     """The nonzero Lyndon coordinates of one degree, keyed by word.
 
-    The solve the read's rows replace, with the ring's one and dot, over every
+    The solve the read's rows replace, with the ring's unit and dot, over every
     earlier Lyndon word; E_l is the series expansion of l's standard bracketing, so
     no bracket table of the library enters.
     """
@@ -257,7 +257,7 @@ def back_substitute_by_word(values, degree: int, alphabet_size: int, one, dot) -
     solved: list[tuple[dict[Word, int], Any]] = []
     out = {}
     for word, value in zip(lyndon_words_of_degree(alphabet_size, degree), values):
-        if coeff := dot([(-e[word], c, one) for e, c in solved if word in e], value):
+        if coeff := ring.dot([(-e[word], c, ring.one) for e, c in solved if word in e], value):
             out[word] = coeff
             terms = expand(bracketing(word), degree, alphabet_size).terms
             solved.append(({w: int(c.constant()) for w, c in terms.items()}, coeff))
@@ -271,18 +271,19 @@ def back_substitute_by_word(values, degree: int, alphabet_size: int, one, dot) -
 # path's log over numbered slots
 
 
-def divided_log_by_expanded_product(a, b, words, p: int, one, dot, last, lift=lambda x: x):
+def divided_log_by_expanded_product(ring, a, b, words, p: int, last, lift=lambda x: x):
     """L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p), over the expanded F.
 
     The logarithm the stage sweeps replace: G = |w|! D^|w| F[w] is formed on every
     factor of the suffix-closed words, then Horner's scheme multiplies by G - 1 at
     every split w = uv, u != (), on the words of length <= p - k; the last pass forms
     only last.  a and b are the stage ladders [n^0 .. n^p], over ints or, lifted to
-    integer maps by lift, packed monomials.  Returns L and a map keyed by word.
+    integer maps by lift, packed monomials; only the ring's unit and dot are used.
+    Returns L and a map keyed by word.
     """
     factors = {w[:i] for w in words for i in range(len(w) + 1)}
-    g = divided_product_by_word(a, b, factors, one, dot, lift)
-    big = math.lcm(*range(1, p + 1))
+    g = divided_product_by_word(ring, a, b, factors, lift)
+    big, one, dot = math.lcm(*range(1, p + 1)), ring.one, ring.dot
     acc = dict.fromkeys(words, dot([]))
     for k in range(p, -1, -1):
         for w, splits in splits_by_word(words):

@@ -12,7 +12,9 @@ from splitcond import (
     conditions_bch,
     conditions_taylor,
     lie_decompose,
+    local_error_series,
     poly,
+    splitting_product,
 )
 from splitcond.poly import as_poly
 
@@ -39,6 +41,10 @@ def test_exp_and_log_take_one_series():
     assert list(inspect.signature(splitcond.log).parameters) == ["f"]
 
 
+# a1 against b1, b2: the lists of a and b differ in length
+UNEQUAL_STAGES = (Poly.symbol("a", 1),), (Poly.symbol("b", 1), Poly.symbol("b", 2))
+
+
 @pytest.mark.parametrize(
     "call,error",
     [
@@ -50,6 +56,8 @@ def test_exp_and_log_take_one_series():
         (lambda: lie_decompose(NCSeries.zero(2), 3), DegreeBeyondTruncation),
         (lambda: Poly.symbol("a", 1) ** -1, ValueError),
         (lambda: as_poly("x"), TypeError),
+        (lambda: splitting_product(SymbolicScheme.generic(1), -1), ValueError),
+        (lambda: local_error_series(SymbolicScheme(*UNEQUAL_STAGES), 1), ValueError),
     ],
     ids=[
         "taylor-order-0",
@@ -60,6 +68,8 @@ def test_exp_and_log_take_one_series():
         "decompose-beyond-truncation",
         "negative-power",
         "string-as-poly",
+        "product-negative-truncation",
+        "product-unequal-stages",
     ],
 )
 def test_invalid_arguments_raise(call, error):

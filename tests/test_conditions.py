@@ -31,11 +31,13 @@ from splitcond import (
 )
 from splitcond.cli import REGISTRY
 from splitcond.conditions import (
+    _INTS,
+    _MAPS,
+    _POLYS,
     MAX_COST,
     MAX_LYNDON_WORDS,
     _divided_log,
     _divided_product,
-    _int_dot,
     _route,
     check_cost,
 )
@@ -142,9 +144,8 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
         # the divided-power recurrence, G[w] = |w|! F[w] over Poly, at numbered slots
         slots = _numbered(closure)
         steps = _product_steps(slots)
-        a, b = ([[n**j for j in range(truncation + 1)] for n in x] for x in (scheme.a, scheme.b))
-        one = Poly.const(1)
-        divided = _divided_product(a, b, steps, len(slots), one, sum_of_products, _int_sweep)
+        a, b = ([_POLYS.ladder(n, truncation) for n in x] for x in (scheme.a, scheme.b))
+        divided = _divided_product(_POLYS, a, b, steps, len(slots))
         divided = dict(zip(slots, divided))
         assert set(divided) == closure
         for word in closure:
@@ -225,10 +226,8 @@ def test_condition_system_equals_the_route_over_poly(stages, p, route):
     # the path the integer maps replace: the route over Poly with sum_of_products
     # as its kernel, the offset and the scale applied by Poly arithmetic
     scheme = SymbolicScheme.generic(stages)
-    one = Poly.const(1)
-    ladder = lambda n, top: [n**j for j in range(top + 1)]
-    sweep = sweep_by_dot(sum_of_products)
-    oracle = _route(scheme.a, scheme.b, 1, p, route, one, sum_of_products, sweep, ladder)
+    ring = _POLYS._replace(sweep=sweep_by_dot(sum_of_products))
+    oracle = _route(ring, scheme.a, scheme.b, 1, p, route)
     entries = condition_system(stages, p, route).entries
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
@@ -245,20 +244,22 @@ def stage_sweeps(a, b, steps):
 
 
 def int_ladders(values, p):
+    # every power, a zero stage's too: a stage sweep reads n^j up to its run, where
+    # _INTS.ladder keeps [1, 0] for a zero stage, which only the expanded product skips
     return [[n**j for j in range(p + 1)] for n in values]
 
 
 def map_ladders(stages, p):
     # the symbols a_j, b_j as packed monomials, at indices 2j-2 and 2j-1
-    return [[e << 8 * i for e in range(p + 1)] for i in range(2 * stages)]
+    return [_MAPS.ladder(i, p) for i in range(2 * stages)]
 
 
-def kernels(values, stages, p):
-    # (ladders, one, dot, sweep, lift) over ints at the values, and over integer maps
-    # at the symbols, whose ladders hold packed monomials
+def rings(values, stages, p):
+    # (ladders, ring, lift) over ints at the values, and over integer maps at the
+    # symbols, whose ladders hold packed monomials
     return [
-        (int_ladders(values, p), 1, _int_dot, _int_sweep, lambda x: x),
-        (map_ladders(stages, p), {0: 1}, _dot, _sweep, monomial_map),
+        (int_ladders(values, p), _INTS, lambda x: x),
+        (map_ladders(stages, p), _MAPS, monomial_map),
     ]
 
 
@@ -272,34 +273,35 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
     words, size = tables.suffixes, len(tables.suffixes)
     rng = random.Random(100 * stages + p)
     values = [rng.randint(-9, 9) for _ in range(2 * stages)]
-    for ladders, one, dot, sweep, lift in kernels(values, stages, p):
+    for ladders, ring, lift in rings(values, stages, p):
         a, b = ladders[::2], ladders[1::2]
-        g = _divided_product(a, b, tables.factor_steps, len(tables.factors), one, dot, sweep)
+        g = _divided_product(ring, a, b, tables.factor_steps, len(tables.factors))
         # the expanded product's factors are whole maps, so over maps its sweep is per row
-        lone = sweep if one == 1 else sweep_by_dot(dot)
-        for sweeps, final, kernel, zero in [
-            ([(g, tables.log_steps)], tables.last_log_steps, lone, True),
-            (stage_sweeps(a, b, tables.suffix_steps), tables.last_stage_steps, sweep, False),
+        lone = ring.sweep if ring is _INTS else sweep_by_dot(ring.dot)
+        by_g, by_stage = ring._replace(sweep=lone, expanded=True), ring._replace(expanded=False)
+        for sweeps, final, log_ring in [
+            ([(g, tables.log_steps)], tables.last_log_steps, by_g),
+            (stage_sweeps(a, b, tables.suffix_steps), tables.last_stage_steps, by_stage),
         ]:
             every = range(size - 1)
-            _, full = _divided_log(sweeps, sweeps[-1][1], every, size, p, one, dot, kernel, zero)
-            _, last = _divided_log(sweeps, final, tables.last, size, p, one, dot, kernel, zero)
+            _, full = _divided_log(log_ring, sweeps, sweeps[-1][1], every, size, p)
+            _, last = _divided_log(log_ring, sweeps, final, tables.last, size, p)
             full, last = dict(zip(words, full)), dict(zip(words, last))
             assert lyndon_set < set(full) == set(last)
             for w in lyndon_set:
                 assert last[w] == full[w], word_str(w)
 
 
-def assert_stage_sweeps_equal_the_expanded_product(a, b, words, p, one, dot, sweep, lift, last):
+def assert_stage_sweeps_equal_the_expanded_product(ring, a, b, words, p, lift, last):
     # the stage-sweep log against the log over the expanded product, entry by
     # entry at the words of last
-    expected_big, expected = divided_log_by_expanded_product(a, b, words, p, one, dot, last, lift)
+    expected_big, expected = divided_log_by_expanded_product(ring, a, b, words, p, last, lift)
     slot = _numbered(words)
     numbered = list(slot)
     sweeps = stage_sweeps(a, b, _product_steps(slot))
     final = [row for row in sweeps[-1][1] if numbered[row[0]] in last]
     at = [i for i, w in enumerate(numbered) if w in last]
-    big, got = _divided_log(sweeps, final, at, len(slot), p, one, dot, sweep)
+    big, got = _divided_log(ring._replace(expanded=False), sweeps, final, at, len(slot), p)
     got = dict(zip(numbered, got))
     assert big == expected_big
     assert set(got) == set(expected) == set(words)
@@ -313,10 +315,10 @@ def test_stage_sweep_log_equals_the_log_over_the_expanded_product(stages, p):
     rng = random.Random(1600 + 10 * stages + p)
     values = [rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))) for _ in range(2 * stages)]
     lyndon_set = {w for ws in tables.lyndon for w in ws}
-    for ladders, one, dot, sweep, lift in kernels(values, stages, p):
+    for ladders, ring, lift in rings(values, stages, p):
         for last in (lyndon_set, tables.suffixes):
             assert_stage_sweeps_equal_the_expanded_product(
-                ladders[::2], ladders[1::2], tables.suffixes, p, one, dot, sweep, lift, last
+                ring, ladders[::2], ladders[1::2], tables.suffixes, p, lift, last
             )
 
 
@@ -335,9 +337,8 @@ def test_stage_sweep_log_over_ints_with_zero_stages():
         ]
         for draw in draws:
             ladders = int_ladders(draw[:stages], p), int_ladders(draw[stages:], p)
-            kernel = (1, _int_dot, _int_sweep, lambda x: x)
             assert_stage_sweeps_equal_the_expanded_product(
-                *ladders, tables.suffixes, p, *kernel, lyndon_set
+                _INTS, *ladders, tables.suffixes, p, lambda x: x, lyndon_set
             )
 
 
@@ -352,9 +353,9 @@ def test_stage_sweep_log_on_random_suffix_closed_sets():
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
         last = set(targets) | set(rng.sample(sorted(closure), rng.randint(0, len(closure))))
         values = [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)]
-        for ladders, one, dot, sweep, lift in kernels(values, stages, p):
+        for ladders, ring, lift in rings(values, stages, p):
             assert_stage_sweeps_equal_the_expanded_product(
-                ladders[::2], ladders[1::2], closure, p, one, dot, sweep, lift, last
+                ring, ladders[::2], ladders[1::2], closure, p, lift, last
             )
 
 
@@ -385,7 +386,7 @@ def sweep_cases(rng, count):
 
 def test_int_sweep_equals_the_per_row_dot_loop():
     rng = random.Random(1701)
-    oracle = sweep_by_dot(_int_dot)
+    oracle = sweep_by_dot(_INTS.dot)
     for closure, top, zero in sweep_cases(rng, 300):
         # the product's rows by a stage ladder, zero stages drawn, or the expanded
         # product's split rows by G
@@ -432,7 +433,7 @@ def test_map_sweep_equals_the_per_row_dot_loop():
 
 
 def test_map_sweep_never_mutates_a_shared_start():
-    # _divided_product seeds every word with one dot([]) object, so the kernel must
+    # _divided_product seeds every word with one ring.dot([]) object, so the kernel must
     # write a new map at each row
     rng = random.Random(1703)
     for closure, top, zero in sweep_cases(rng, 100):
@@ -1279,9 +1280,9 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("verification built a symbolic system")
 
-    monkeypatch.setattr("splitcond.conditions.sum_of_products", refuse)
-    monkeypatch.setattr("splitcond.conditions._dot", refuse)
-    monkeypatch.setattr("splitcond.conditions._sweep", refuse)
+    # the symbolic rings, read by name at each call, refuse every kernel call
+    monkeypatch.setattr("splitcond.conditions._MAPS", _MAPS._replace(dot=refuse, sweep=refuse))
+    monkeypatch.setattr("splitcond.conditions._POLYS", _POLYS._replace(dot=refuse, sweep=refuse))
     monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
         for p in (1, 2, 3, 4):

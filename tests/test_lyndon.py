@@ -18,9 +18,9 @@ from splitcond import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from splitcond.conditions import _int_dot
+from splitcond.conditions import _INTS, _MAPS, _POLYS
 from splitcond.lyndon import _Tables
-from splitcond.poly import Poly, _dot, _int_sweep, _sweep, sum_of_products
+from splitcond.poly import Poly
 
 from helpers import (
     back_substitute_by_word,
@@ -310,7 +310,7 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
     assert lie_decompose(combo, 5).coefficients == weights
     assert calls == []
     values = [combo.terms.get(w, Poly()) for w in lyndon_words_of_degree(2, 5)]
-    assert back_substitute_by_word(values, 5, 2, Poly.const(1), sum_of_products) == weights
+    assert back_substitute_by_word(_POLYS, values, 5, 2) == weights
 
 
 def random_read_values(rng, count):
@@ -341,18 +341,16 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
             assert all(n == q and w in slots and runs for w, n, runs in rows)
             for _ in range(6 if q == p else 2):
                 ints, polys, maps = random_read_values(rng, len(slots))
-                for values, one, dot, sweep, unit, zero in [
-                    (ints, 1, _int_dot, _int_sweep, [1], 0),
-                    (polys, Poly.const(1), sum_of_products, _int_sweep, [Poly.const(1)], Poly()),
-                    (maps, {0: 1}, _dot, _sweep, [0], {}),
+                for values, ring, unit in [
+                    (ints, _INTS, [1]), (polys, _POLYS, [Poly.const(1)]), (maps, _MAPS, [0])
                 ]:
-                    acc = [zero] * len(words)
+                    acc = [ring.dot([])] * len(words)
                     for i, value in zip(slots, values):
                         acc[i] = value
                     before = list(acc)
-                    sweep(acc, unit, rows)
+                    ring.sweep(acc, unit, rows)
                     read = {words[i]: acc[i] for i in slots if acc[i]}
-                    expected = back_substitute_by_word(values, q, alphabet, one, dot)
+                    expected = back_substitute_by_word(ring, values, q, alphabet)
                     assert read == expected, (p, alphabet, q, values)
                     assert all(acc[i] is before[i] for i in range(len(words)) if i not in slots)
 

@@ -98,6 +98,8 @@ SYSTEM_DIGESTS = {
     ("taylor", 6, 6): "e2a564e845f2cd92b43ce997f763a9480ec017cd7e55157923fd792c53fa5368",
     ("taylor", 3, 8): "1da11f4f5baa7bdc70f8cbf178403d345934721f4ba3d2995074946264cae107",
     ("taylor", 4, 8): "4195550df82997a064add215b0e8653435b393863821ac20ba3eb441514e7c5d",
+    # the first BCH pin at p = 8: the read keeps degree-7 brackets and drops degree-8 ones
+    ("bch", 4, 8): "ebbe7fd8a7ccbcec223868c59a3e7a19ba6e45f7235a053412c5c3540f79790b",
 }
 
 LEADING_TERM_DIGEST = "c2e3e4243b113f0f119499131cc5891d08c10083ed7ffe524f6fe81bfcf5dcf6"

@@ -15,7 +15,7 @@ from splitcond import (
     log,
     word_str,
 )
-from splitcond.conditions import _divided_log
+from splitcond.conditions import _POLYS, _divided_log
 from splitcond.lyndon import _numbered, _product_steps, _splits
 from splitcond.poly import Poly, sum_of_products
 
@@ -306,13 +306,14 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             divided = [g.coefficient(u) * math.factorial(len(u)) for u in factors]
             steps = _product_steps(words)
             ladders = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in stages]
-            sweep, every = sweep_by_dot(sum_of_products), range(len(words) - 1)
-            for f, sweeps, zero in [
+            ring = _POLYS._replace(sweep=sweep_by_dot(sum_of_products))
+            every = range(len(words) - 1)
+            for f, sweeps, expanded in [
                 (g, [(divided, _splits(words, factors))], True),
                 (product, ladders[::-1], False),
             ]:
-                one, dot, final = Poly.const(1), sum_of_products, sweeps[-1][1]
-                big, got = _divided_log(sweeps, final, every, len(words), n, one, dot, sweep, zero)
+                log_ring, final = ring._replace(expanded=expanded), sweeps[-1][1]
+                big, got = _divided_log(log_ring, sweeps, final, every, len(words), n)
                 filtered = dict(zip(words, got))
                 full = log(f)
                 assert set(filtered) == closure
@@ -337,11 +338,11 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     words = _numbered(closure)
     steps = _product_steps(words)
     sweeps = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in zip(letters, coeffs)]
-    one, sweep = Poly.const(1), sweep_by_dot(sum_of_products)
+    ring = _POLYS._replace(sweep=sweep_by_dot(sum_of_products))
     full = log(product)
-    for zero in {False, len(letters) == 1}:
-        args = (sweeps[0][1], range(len(words) - 1), len(words), n, one, sum_of_products, sweep)
-        big, got = _divided_log(sweeps[::-1], *args, zero)
+    for expanded in {False, len(letters) == 1}:
+        args = (sweeps[::-1], sweeps[0][1], range(len(words) - 1), len(words), n)
+        big, got = _divided_log(ring._replace(expanded=expanded), *args)
         got = dict(zip(words, got))
         assert set(got) == closure
         for w in closure:

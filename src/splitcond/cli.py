@@ -285,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # a residual may outgrow the interpreter's int-to-str limit, which guards the parsing
+    # that MAX_LITERAL_DIGITS already caps; builds older than 3.10.7 have no such limit
+    getattr(sys, "set_int_max_str_digits", lambda n: None)(0)
     try:
         code = main()
         sys.stdout.flush()

@@ -6,17 +6,18 @@ Lyndon word w of degree q, the Taylor route emits q! F[w] - 1 (e^{A+B} has coeff
 1/q! at every word of length q), and the BCH route the Lyndon-basis coordinate at w
 of log(F) - (A + B); each must vanish.
 
-Both run one divided-power recurrence.  With stage values n = D c, D the lcm of their
-denominators, G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to sum_j
-C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by lyndon._Tables, so
-each accumulator is a list indexed by slot, and each factor is one kernel call (a sweep).
+Both run one divided-power recurrence over the scheme's point, the stage values n = D c in
+symbol order a1, b1, a2, ..., D the lcm of their denominators: a factor e^{cX} per nonzero value,
+a zero one being 1.  G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
+sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by lyndon._Tables,
+so each accumulator is a list indexed by slot, and each factor is one kernel call (a sweep).
 log(F) is Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in
 Casas & Murua (J. Math. Phys. 2009).  A _Ring record names the ring: over _MAPS, Poly's packed
 integer maps, with D = 1 and each n^j a packed monomial, F acc is that recurrence started from
 acc, so the systems never expand F; over _INTS, for a concrete scheme, G[u] is one int, and one
-sweep per pass, from zero, multiplies by G - 1 on the words' factors; _POLYS, Poly itself, forms
-splitting_product.  The Lyndon read is one more sweep, in place by the unit, per degree that
-does not vanish.  So verify_scheme and leading_error_term build no symbolic system, and every
+sweep per pass, from zero, multiplies by G - 1 on the words' factors; _INTS on Poly values forms
+splitting_product.  The Lyndon read is one more sweep, in place by the ring's unit, per degree
+that does not vanish.  So verify_scheme and leading_error_term build no symbolic system, and every
 vanishing residual is one shared Fraction(0).  check_cost() sizes a command from word counts
 alone; systems_equivalent() checks on witnesses that two systems cut out the same solution sets.
 """
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
-from .poly import _ONE, MAX_EXPONENT, Poly, Scalar, _dot, _int_sweep, _sweep, sum_of_products
+from .poly import MAX_EXPONENT, Poly, Scalar, _dot, _int_sweep, _sweep
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
@@ -120,11 +121,10 @@ def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
 # a ring's unit and kernels, ladder(x, top) = [x^0 .. x^top], and whether the log sweeps by G
 _Ring = NamedTuple("_Ring", [("one", object), ("dot", Callable), ("sweep", Callable),
                              ("ladder", Callable), ("expanded", bool)])
-# a zero stage's int ladder is [1, 0]: the read's unit, and a top that _divided_product skips
-_INTS = _Ring(1, _int_dot, _int_sweep,
-              lambda n, top: [n**j for j in range(top + 1)] if n else [1, 0], True)
-_MAPS = _Ring({0: 1}, _dot, _sweep, lambda i, top: [e << 8 * i for e in range(top + 1)], False)
-_POLYS = _INTS._replace(one=_ONE, dot=sum_of_products, expanded=False)
+# over ints or Poly values; over integer maps a value k >= 1 names the symbol at index k - 1, so
+# none is zero and a range of them is built lazily, its powers the packed monomials e << 8(k - 1)
+_INTS = _Ring(1, _int_dot, _int_sweep, lambda n, top: [n**j for j in range(top + 1)], True)
+_MAPS = _Ring({0: 1}, _dot, _sweep, lambda k, top: [e << 8 * k - 8 for e in range(top + 1)], False)
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
@@ -134,20 +134,20 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     if len(scheme.a) != len(scheme.b):
         raise ValueError("coefficient lists a and b must have equal length")
     words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
-    a, b = ([_POLYS.ladder(n, truncation) for n in x] for x in (scheme.a, scheme.b))
-    g = _divided_product(_POLYS, a, b, _product_steps(words), len(words))
+    point = itertools.chain(*zip(scheme.a, scheme.b))  # a1, b1, a2, ...; e^{0X} = 1 never enters
+    factors = [(i % 2, _INTS.ladder(n, truncation)) for i, n in enumerate(point) if n]
+    g = _divided_product(_INTS, factors, _product_steps(words), len(words))
     terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in zip(words, g)}
     return NCSeries(truncation, 2, terms)
 
 
-def _divided_product(ring: _Ring, a: Sequence, b: Sequence, steps: dict, size: int) -> list:
-    # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, for stage values n = D c
-    # as ladders [n^0 .. n^top], top the longest word; right to left, e^{cX} sends G[w] to
-    # G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1; e^{0X} = 1 is skipped
-    g, sweep = [ring.dot([])] * (size - 1) + [ring.one], ring.sweep
-    ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
-    for letter, powers in reversed(ladders):
-        sweep(g, powers, steps.get(letter, ()))
+def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list:
+    # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, over the factor word, its
+    # stage values n = D c as ladders [n^0 .. n^top], top the longest word; right to left,
+    # e^{cX} sends G[w] to G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1
+    g = [ring.dot([])] * (size - 1) + [ring.one]
+    for letter, powers in reversed(factors):
+        ring.sweep(g, powers, steps.get(letter, ()))
     return g
 
 
@@ -169,12 +169,12 @@ def _divided_log(ring: _Ring, sweeps, final, last, size: int, p: int) -> tuple:
     return big, acc
 
 
-def _route(ring: _Ring, a: Sequence, b: Sequence, den: int, p: int, route: str) -> list:
+def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
     # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
-    # scale, over the ring, at n = D c; the offset is A + B's, a constant
+    # scale, over the ring, at the stage values n = D c of point; A + B's offset is a constant
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if not a:
+    if not point:
         raise ValueError("stage count must be >= 1")
     if p < 1:
         raise ValueError("target order must be >= 1")
@@ -182,30 +182,31 @@ def _route(ring: _Ring, a: Sequence, b: Sequence, den: int, p: int, route: str) 
         raise ValueError(f"target order must be <= {MAX_EXPONENT}")
     tables = _Tables(p, 2)
     size, slots = len(tables.suffixes), tables.lyndon_slots
-    a, b = ([ring.ladder(x, p) for x in xs] for xs in (a, b))
+    # the factor word: e^{nX} per stage value n != 0, X = A at even indices and B at odd
+    factors = [(i % 2, ring.ladder(n, p)) for i, n in enumerate(point) if n]
     if route == "taylor":
-        g = _divided_product(ring, a, b, tables.suffix_steps, size)
+        g = _divided_product(ring, factors, tables.suffix_steps, size)
         return [(q, w, g[i], den**q, den**q)
                 for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
     if ring.expanded:  # G[u] is one int: one sweep by the expanded product, from zero
-        g = _divided_product(ring, a, b, tables.factor_steps, len(tables.factors))
+        g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
         sweeps, final = [(g, tables.log_steps)], tables.last_log_steps
-    else:  # a sweep per stage, e^{a_1 A} last, over the suffixes its letter leads
-        sweeps = [(n, tables.suffix_steps[x]) for ab in zip(a, b) for x, n in enumerate(ab)][::-1]
+    else:  # a sweep per factor, over the suffixes its letter leads; every symbol enters, so
+        sweeps = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]  # e^{a_1 A} is last
         final = tables.last_stage_steps
     big, acc = _divided_log(ring, sweeps, final, tables.last, size, p)
-    for q in range(2, p + 1):  # the Lyndon read, in place, by the unit n^0, at the degrees
+    for q in range(2, p + 1):  # the Lyndon read, in place, by the unit, at the degrees
         if any(map(acc.__getitem__, slots[q])):  # that do not vanish; degree 1 reads itself
-            ring.sweep(acc, a[0][:1], tables.read_steps(q))
+            ring.sweep(acc, ring.ladder(1, 0), tables.read_steps(q))
     return [(q, w, acc[i], big * den * (q == 1), big * math.factorial(q) * den**q)
             for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
     # the route over ints: stage values scaled by D, the lcm of their denominators
-    den = math.lcm(*(c.denominator for c in scheme.point()))
-    a, b = ([c.numerator * (den // c.denominator) for c in x] for x in (scheme.a, scheme.b))
-    entries = _route(_INTS, a, b, den, p, route)
+    point = scheme.point()
+    den = math.lcm(*(c.denominator for c in point))
+    entries = _route(_INTS, [c.numerator * (den // c.denominator) for c in point], den, p, route)
     return [(q, w, Fraction(d, s) if (d := n - o) else _NIL) for q, w, n, o, s in entries]
 
 
@@ -278,10 +279,8 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
 
     A bad route is reported before a bad stage count, and that before a bad order.
     """
-    # over Poly's integer maps, with a_j at symbol index 2j-2 and b_j at 2j-1
-    a, b = range(0, 2 * stages, 2), range(1, 2 * stages, 2)
-    entries = []
-    for q, w, nums, offset, scale in _route(_MAPS, a, b, 1, p, route):
+    entries = []  # over integer maps, the symbols a1, b1, a2, ... named 1, 2, 3, ...
+    for q, w, nums, offset, scale in _route(_MAPS, range(1, 2 * stages + 1), 1, p, route):
         if offset:  # a constant, subtracted once on the map
             nums = {**nums, 0: nums.get(0, 0) - offset}
             if not nums[0]:

@@ -59,9 +59,11 @@ def add_terms(left: Mapping, right: Mapping) -> dict:
 
 
 def word_str(word: Word) -> str:
-    """Render a word as a letter string, e.g. (0, 0, 1) -> "AAB"."""
+    """Render a word as a letter string, e.g. (0, 0, 1) -> "AAB"; letters are 0-25."""
     if not word:
         return "1"
+    if bad := [i for i in word if not 0 <= i < len(_LETTER_NAMES)]:
+        raise ValueError(f"letter index {bad[0]} outside 0-25")
     return "".join(_LETTER_NAMES[i] for i in word)
 
 
@@ -78,8 +80,8 @@ class NCSeries:
     ):
         if truncation < 0:
             raise ValueError(f"truncation degree must be >= 0, got {truncation}")
-        if alphabet_size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {alphabet_size}")
+        if not 1 <= alphabet_size <= len(_LETTER_NAMES):
+            raise ValueError(f"alphabet size must be between 1 and 26, got {alphabet_size}")
         self.truncation = truncation
         self.alphabet_size = alphabet_size
         canonical: dict[Word, Poly] = {}

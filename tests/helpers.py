@@ -27,8 +27,18 @@ from splitcond import (
     log,
     lyndon_words_of_degree,
 )
-from splitcond.poly import Poly
+from splitcond.conditions import _INTS
+from splitcond.poly import _ONE, Poly, sum_of_products
 from splitcond.series import Word
+
+# the recurrence's ring over Poly values, kernels by Poly arithmetic: the oracle the
+# library's int and integer-map rings are checked against
+POLYS = _INTS._replace(one=_ONE, dot=sum_of_products, expanded=False)
+
+
+def symbol_point(stages: int) -> list[Poly]:
+    """The symbols in canonical index order a1, b1, a2, b2, ... as Poly values."""
+    return [Poly.symbol(kind, j) for j in range(1, stages + 1) for kind in "ab"]
 
 
 # ---------------------------------------------------------------------------

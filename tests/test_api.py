@@ -14,7 +14,10 @@ from splitcond import (
     lie_decompose,
     local_error_series,
     poly,
+    bracket_str,
+    bracketing,
     splitting_product,
+    word_str,
 )
 from splitcond.poly import as_poly
 
@@ -58,6 +61,11 @@ UNEQUAL_STAGES = (Poly.symbol("a", 1),), (Poly.symbol("b", 1), Poly.symbol("b", 
         (lambda: as_poly("x"), TypeError),
         (lambda: splitting_product(SymbolicScheme.generic(1), -1), ValueError),
         (lambda: local_error_series(SymbolicScheme(*UNEQUAL_STAGES), 1), ValueError),
+        (lambda: NCSeries.letter(26, 1, 27), ValueError),
+        (lambda: NCSeries.zero(1, 27), ValueError),
+        (lambda: word_str((26,)), ValueError),
+        (lambda: word_str((0, -1)), ValueError),
+        (lambda: bracket_str(bracketing((0, 26))), ValueError),
     ],
     ids=[
         "taylor-order-0",
@@ -70,6 +78,11 @@ UNEQUAL_STAGES = (Poly.symbol("a", 1),), (Poly.symbol("b", 1), Poly.symbol("b", 
         "string-as-poly",
         "product-negative-truncation",
         "product-unequal-stages",
+        "series-letter-past-z",
+        "series-alphabet-over-26",
+        "word-letter-past-z",
+        "word-negative-letter",
+        "bracket-letter-past-z",
     ],
 )
 def test_invalid_arguments_raise(call, error):

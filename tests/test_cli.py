@@ -513,6 +513,36 @@ def test_closed_stdout_exits_2_without_traceback():
     assert err == b""
 
 
+def test_verify_prints_residuals_past_the_int_to_str_limit(tmp_path):
+    # every literal is within MAX_LITERAL_DIGITS, yet at p = 5 the residuals run past the
+    # interpreter's 4,300-digit int-to-str limit, which the command line lifts
+    zeros = "0" * 998
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"a": [f"1/7{zeros}1", f"1/3{zeros}7"], "b": ["1", "0"]}))
+    argv = [sys.executable, "-m", "splitcond.cli", "verify", str(path), "-p", "5"]
+    text = subprocess.run(argv, env=_subprocess_env(), capture_output=True, text=True)
+    report = verify_scheme(load_scheme_file(str(path)), 5)
+    assert (text.returncode, text.stderr) == (1, "")
+    verdict, *lines = text.stdout.splitlines()
+    assert verdict.endswith(" at order 5 via bch: NOT satisfied")
+    done = subprocess.run(argv + ["--format", "json"], env=_subprocess_env(), capture_output=True)
+    assert (done.returncode, done.stderr) == (1, b"")
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit:  # the residuals print in this process too, for the comparison alone
+        limit = sys.get_int_max_str_digits()
+        set_limit(0)
+    try:
+        assert max(len(str(r)) for _, _, r in report.residuals) > 4300
+        assert json.loads(done.stdout)["residuals"] == [
+            {"degree": q, "word": word_str(w), "residual": str(r)} for q, w, r in report.residuals
+        ]
+        assert lines == [f"  deg {q}  {word_str(w)}  residual {r}"
+                         for q, w, r in report.nonzero_residuals()]
+    finally:
+        if set_limit:
+            set_limit(limit)
+
+
 # -- imports -------------------------------------------------------------------
 
 # dataclasses pulls in inspect, ast, dis and tokenize: a third of the package import

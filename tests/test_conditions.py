@@ -33,18 +33,19 @@ from splitcond.cli import REGISTRY
 from splitcond.conditions import (
     _INTS,
     _MAPS,
-    _POLYS,
     MAX_COST,
     MAX_LYNDON_WORDS,
+    _NIL,
     _divided_log,
     _divided_product,
     _route,
     check_cost,
 )
 from splitcond.lyndon import _numbered, _product_steps, _splits, _Tables, lyndon_words
-from splitcond.poly import MAX_EXPONENT, Poly, _dot, _int_sweep, _sweep, sum_of_products
+from splitcond.poly import MAX_EXPONENT, Poly, _dot, _int_sweep, _sweep, as_poly, sum_of_products
 
 from helpers import (
+    POLYS,
     combine_log_coefficients,
     conditions_bch_dense,
     divided_log_by_expanded_product,
@@ -60,6 +61,7 @@ from helpers import (
     splits_by_word,
     splitting_product_by_exp,
     sweep_by_dot,
+    symbol_point,
     taylor_derivative,
 )
 
@@ -144,8 +146,9 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
         # the divided-power recurrence, G[w] = |w|! F[w] over Poly, at numbered slots
         slots = _numbered(closure)
         steps = _product_steps(slots)
-        a, b = ([_POLYS.ladder(n, truncation) for n in x] for x in (scheme.a, scheme.b))
-        divided = _divided_product(_POLYS, a, b, steps, len(slots))
+        symbols = enumerate(symbol_point(stages))
+        factors = [(i % 2, POLYS.ladder(n, truncation)) for i, n in symbols]
+        divided = _divided_product(POLYS, factors, steps, len(slots))
         divided = dict(zip(slots, divided))
         assert set(divided) == closure
         for word in closure:
@@ -224,10 +227,10 @@ DERIVE_GRID = [
 @pytest.mark.parametrize("stages,p,route", DERIVE_GRID)
 def test_condition_system_equals_the_route_over_poly(stages, p, route):
     # the path the integer maps replace: the route over Poly with sum_of_products
-    # as its kernel, the offset and the scale applied by Poly arithmetic
-    scheme = SymbolicScheme.generic(stages)
-    ring = _POLYS._replace(sweep=sweep_by_dot(sum_of_products))
-    oracle = _route(ring, scheme.a, scheme.b, 1, p, route)
+    # as its kernel, the offset and the scale applied by Poly arithmetic; the read's
+    # unit, the int 1, is lifted to a Poly
+    ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products, as_poly))
+    oracle = _route(ring, symbol_point(stages), 1, p, route)
     entries = condition_system(stages, p, route).entries
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
@@ -244,14 +247,13 @@ def stage_sweeps(a, b, steps):
 
 
 def int_ladders(values, p):
-    # every power, a zero stage's too: a stage sweep reads n^j up to its run, where
-    # _INTS.ladder keeps [1, 0] for a zero stage, which only the expanded product skips
+    # every power, a zero stage's too: a stage sweep reads n^j up to its run
     return [[n**j for j in range(p + 1)] for n in values]
 
 
 def map_ladders(stages, p):
-    # the symbols a_j, b_j as packed monomials, at indices 2j-2 and 2j-1
-    return [_MAPS.ladder(i, p) for i in range(2 * stages)]
+    # the symbols a_j, b_j, given as 2j-1 and 2j, as ladders of packed monomials
+    return [_MAPS.ladder(k, p) for k in range(1, 2 * stages + 1)]
 
 
 def rings(values, stages, p):
@@ -275,7 +277,9 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
     values = [rng.randint(-9, 9) for _ in range(2 * stages)]
     for ladders, ring, lift in rings(values, stages, p):
         a, b = ladders[::2], ladders[1::2]
-        g = _divided_product(ring, a, b, tables.factor_steps, len(tables.factors))
+        # every value enters the factor word; a zero one's sweep adds nothing
+        factors = [(i % 2, n) for i, n in enumerate(ladders)]
+        g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
         # the expanded product's factors are whole maps, so over maps its sweep is per row
         lone = ring.sweep if ring is _INTS else sweep_by_dot(ring.dot)
         by_g, by_stage = ring._replace(sweep=lone, expanded=True), ring._replace(expanded=False)
@@ -1263,8 +1267,8 @@ def test_integer_residuals_equal_the_dense_oracles():
 
 
 def test_a_zero_stage_pair_leaves_every_report_unchanged():
-    # e^{0A} e^{0B} = 1 at the front, in the middle or at the end: the int path skips a
-    # zero stage unbuilt, and at the front, with a1 = 0, the read still sweeps by the unit
+    # e^{0A} e^{0B} = 1 at the front, in the middle or at the end: a zero stage never enters
+    # the factor word, and at the front, with a1 = 0, the read still sweeps by the ring's unit
     schemes = [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(1301, 6)
     for scheme in schemes:
         a, b, s = scheme.a, scheme.b, scheme.stages
@@ -1276,13 +1280,30 @@ def test_a_zero_stage_pair_leaves_every_report_unchanged():
                 assert after.satisfied == before.satisfied
 
 
+def test_an_all_zero_scheme_is_the_empty_factor_word():
+    # e^{0A} e^{0B} e^{0A} e^{0B} = 1: no factor enters, so no stage could lend the read its
+    # unit.  log(1) - (A + B) = -(A + B), and q! F[w] - 1 = -1 at every Lyndon word w
+    zero = ConcreteScheme((0, 0), (0, 0))
+    for p in range(1, 7):
+        bch = verify_scheme(zero, p, "bch").residuals
+        assert [r for q, w, r in bch if q == 1] == [-1, -1]
+        assert all(r is _NIL for q, w, r in bch if q > 1)
+        taylor = verify_scheme(zero, p, "taylor").residuals
+        assert [w for q, w, r in taylor] == [w for q, w, r in bch]
+        assert all(r == -1 for q, w, r in taylor)
+    with pytest.raises(NotOrderP):
+        leading_error_term(zero, 1)
+    assert splitting_product(SymbolicScheme.from_concrete(zero), 4) == NCSeries.unit(4)
+
+
 def test_verification_builds_no_symbolic_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("verification built a symbolic system")
 
-    # the symbolic rings, read by name at each call, refuse every kernel call
+    # the integer-map ring, read by name at each call, refuses every kernel call, and so
+    # does sum_of_products, through which every Poly + and * goes
     monkeypatch.setattr("splitcond.conditions._MAPS", _MAPS._replace(dot=refuse, sweep=refuse))
-    monkeypatch.setattr("splitcond.conditions._POLYS", _POLYS._replace(dot=refuse, sweep=refuse))
+    monkeypatch.setattr("splitcond.poly.sum_of_products", refuse)
     monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
         for p in (1, 2, 3, 4):

@@ -18,11 +18,12 @@ from splitcond import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from splitcond.conditions import _INTS, _MAPS, _POLYS
+from splitcond.conditions import _INTS, _MAPS
 from splitcond.lyndon import _Tables
 from splitcond.poly import Poly
 
 from helpers import (
+    POLYS,
     back_substitute_by_word,
     homogeneous_at_truncation,
     lie_decompose_by_subtraction,
@@ -310,7 +311,7 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
     assert lie_decompose(combo, 5).coefficients == weights
     assert calls == []
     values = [combo.terms.get(w, Poly()) for w in lyndon_words_of_degree(2, 5)]
-    assert back_substitute_by_word(_POLYS, values, 5, 2) == weights
+    assert back_substitute_by_word(POLYS, values, 5, 2) == weights
 
 
 def random_read_values(rng, count):
@@ -342,7 +343,7 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
             for _ in range(6 if q == p else 2):
                 ints, polys, maps = random_read_values(rng, len(slots))
                 for values, ring, unit in [
-                    (ints, _INTS, [1]), (polys, _POLYS, [Poly.const(1)]), (maps, _MAPS, [0])
+                    (ints, _INTS, [1]), (polys, POLYS, [Poly.const(1)]), (maps, _MAPS, [0])
                 ]:
                     acc = [ring.dot([])] * len(words)
                     for i, value in zip(slots, values):

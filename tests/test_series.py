@@ -15,11 +15,12 @@ from splitcond import (
     log,
     word_str,
 )
-from splitcond.conditions import _POLYS, _divided_log
+from splitcond.conditions import _divided_log
 from splitcond.lyndon import _numbered, _product_steps, _splits
 from splitcond.poly import Poly, sum_of_products
 
 from helpers import (
+    POLYS,
     exp_uncapped,
     first_nonzero_degree,
     log_uncapped,
@@ -306,7 +307,7 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             divided = [g.coefficient(u) * math.factorial(len(u)) for u in factors]
             steps = _product_steps(words)
             ladders = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in stages]
-            ring = _POLYS._replace(sweep=sweep_by_dot(sum_of_products))
+            ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products))
             every = range(len(words) - 1)
             for f, sweeps, expanded in [
                 (g, [(divided, _splits(words, factors))], True),
@@ -338,7 +339,7 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     words = _numbered(closure)
     steps = _product_steps(words)
     sweeps = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in zip(letters, coeffs)]
-    ring = _POLYS._replace(sweep=sweep_by_dot(sum_of_products))
+    ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products))
     full = log(product)
     for expanded in {False, len(letters) == 1}:
         args = (sweeps[::-1], sweeps[0][1], range(len(words) - 1), len(words), n)

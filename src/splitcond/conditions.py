@@ -154,13 +154,14 @@ def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list
 def _divided_log(ring: _Ring, sweeps, final, last, size: int, p: int) -> tuple:
     # L |w|! D^|w| log(F)[w] at the slots of last, L = lcm(1..p), over size suffix-closed slots,
     # () last: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
-    # F acc is the sweeps (factor, rows) in turn, at k = 0 the last on the rows final.  Expanded,
-    # each sweep starts from zero, its rows forming F acc - acc, and nothing is subtracted
+    # F acc is the sweeps (factor, rows) in turn, at k = 0 the sweeps final, which may keep to
+    # rows at last.  Expanded, each sweep starts from zero, its rows forming F acc - acc, and
+    # nothing is subtracted
     one, dot, sweep, _, expanded = ring
     big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
     for k in range(p, -1, -1):
         old = acc[:]
-        for f, rows in sweeps if k else sweeps[:-1] + [(sweeps[-1][0], final)]:
+        for f, rows in sweeps if k else final:
             sweep(acc, f, rows, p - k, expanded)
         for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
             if old[w]:
@@ -181,25 +182,24 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
     if p > MAX_EXPONENT:  # a packed exponent carries past its byte there
         raise ValueError(f"target order must be <= {MAX_EXPONENT}")
     tables = _Tables(p, 2)
-    size, slots = len(tables.suffixes), tables.lyndon_slots
+    size, lyndon = len(tables.suffixes), tables.lyndon
     # the factor word: e^{nX} per stage value n != 0, X = A at even indices and B at odd
     factors = [(i % 2, ring.ladder(n, p)) for i, n in enumerate(point) if n]
     if route == "taylor":
         g = _divided_product(ring, factors, tables.suffix_steps, size)
         return [(q, w, g[i], den**q, den**q)
-                for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
-    if ring.expanded:  # G[u] is one int: one sweep by the expanded product, from zero
+                for q in range(1, p + 1) for w, i in lyndon[q].items()]
+    if ring.expanded:  # G[u] is one int: a sweep by G a pass, from zero, the last at Lyndon words
         g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        sweeps, final = [(g, tables.log_steps)], tables.last_log_steps
-    else:  # a sweep per factor, over the suffixes its letter leads; every symbol enters, so
-        sweeps = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]  # e^{a_1 A} is last
-        final = tables.last_stage_steps
+        sweeps, final = [(g, tables.log_steps)], [(g, tables.last_log_steps)]
+    else:  # a sweep per factor, over the suffixes its letter leads, each pass whole
+        sweeps = final = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]
     big, acc = _divided_log(ring, sweeps, final, tables.last, size, p)
     for q in range(2, p + 1):  # the Lyndon read, in place, by the unit, at the degrees
-        if any(map(acc.__getitem__, slots[q])):  # that do not vanish; degree 1 reads itself
-            ring.sweep(acc, ring.ladder(1, 0), tables.read_steps(q))
+        if any(map(acc.__getitem__, lyndon[q].values())):  # that do not vanish; degree 1
+            ring.sweep(acc, ring.ladder(1, 0), tables.read_steps(q))  # reads itself
     return [(q, w, acc[i], big * den * (q == 1), big * math.factorial(q) * den**q)
-            for q in range(1, p + 1) for w, i in zip(tables.lyndon[q], slots[q])]
+            for q in range(1, p + 1) for w, i in lyndon[q].items()]
 
 
 def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
@@ -281,10 +281,7 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
     """
     entries = []  # over integer maps, the symbols a1, b1, a2, ... named 1, 2, 3, ...
     for q, w, nums, offset, scale in _route(_MAPS, range(1, 2 * stages + 1), 1, p, route):
-        if offset:  # a constant, subtracted once on the map
-            nums = {**nums, 0: nums.get(0, 0) - offset}
-            if not nums[0]:
-                del nums[0]
+        nums = {**nums, 0: -offset} if offset else nums  # nums has degree q >= 1: no constant
         entries.append(ConditionEntry(q, w, Poly._of(scale, nums)))
     return ConditionSystem(stages, p, route, tuple(entries))
 

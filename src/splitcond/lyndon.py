@@ -194,20 +194,19 @@ class _Tables:
     """Scheme-independent tables through degree p, each built on its first use.
 
     The Lyndon words' suffixes are numbered once, longest first, () last (suffixes maps each
-    to its slot), and so are their factors, for the int path's expanded product; a table is
-    rows (w, |w|, [(c, j or u, v)]) of slots, so the recurrence's accumulators are lists.
+    to its slot, lyndon[q] degree q's Lyndon words, in order), and so are their factors; a
+    table is rows (w, |w|, [(c, j or u, v)]) of slots, so the recurrence's accumulators are lists.
     """
 
     def __init__(self, p: int, alphabet_size: int):
         words = lyndon_words(alphabet_size, p)
-        self.lyndon = [[w for w in words if len(w) == q] for q in range(p + 1)]  # by degree
         self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
-        self.lyndon_slots = [[self.suffixes[w] for w in ws] for ws in self.lyndon]
+        self.lyndon = [{w: self.suffixes[w] for w in words if len(w) == q} for q in range(p + 1)]
         self.last = frozenset(map(self.suffixes.get, words))  # what the log's last pass forms
         self._brackets, self._reads = {(x,): {(x,): 1} for x in range(alphabet_size)}, {}
 
     # the product on the suffixes or their factors, the int log's splits, and those splits
-    # and the systems' sweep by e^{a_1 A} at the Lyndon words: all the log's last pass forms
+    # at the Lyndon words only: the int log's last pass, which forms nothing else
     suffix_steps = functools.cached_property(lambda self: _product_steps(self.suffixes))
     factors = functools.cached_property(
         lambda self: _numbered({v[:i] for v in self.suffixes for i in range(len(v) + 1)})
@@ -216,8 +215,6 @@ class _Tables:
     log_steps = functools.cached_property(lambda self: _splits(self.suffixes, self.factors))
     last_log_steps = functools.cached_property(
         lambda self: [row for row in self.log_steps if row[0] in self.last])
-    last_stage_steps = functools.cached_property(
-        lambda self: [row for row in self.suffix_steps[0] if row[0] in self.last])
 
     def bracket(self, w: Word) -> dict[Word, int]:
         # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
@@ -232,8 +229,8 @@ class _Tables:
         # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
         # Lyndon of w's letters (E_l holds no other word), in place by the unit 0: c_w -= E_l[w] c_l
         if q not in self._reads:
-            blocks, runs = {}, {i: [] for i in self.lyndon_slots[q]}  # (w, slot)s by letters
-            for w, i in zip(self.lyndon[q], self.lyndon_slots[q]):
+            blocks, runs = {}, {i: [] for i in self.lyndon[q].values()}  # (w, slot)s by letters
+            for w, i in self.lyndon[q].items():
                 blocks.setdefault(tuple(sorted(w)), []).append((w, i))
             for block in blocks.values():
                 for k, (l, i) in enumerate(block[:-1]):
@@ -266,7 +263,8 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     complement.  Raises NotALieElement, carrying the residual f - theta(f)/q,
     when that residual is nonzero; for degree 2 the word AB alone leaves the
     symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the
-    triangular solve over the Lyndon words of degree q, _Tables.read_steps.
+    triangular solve over the Lyndon words of degree q, _Tables.read_steps, tabled over
+    the letters f uses alone, relabelled in order onto 0..k-1, which keeps every row.
     """
     if degree < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -278,8 +276,9 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)
-    tables = _Tables(degree, f.alphabet_size)
-    words = dict(zip(tables.lyndon[degree], tables.lyndon_slots[degree]))
+    letters = sorted({x for w in f.terms for x in w}) or [0]  # the zero series: one letter
+    tables = _Tables(degree, len(letters))
+    words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
     acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
     _int_sweep(acc, [1], tables.read_steps(degree) if any(acc.values()) else ())
     return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})

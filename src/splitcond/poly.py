@@ -209,7 +209,9 @@ class Poly:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._nums.items())))
+        """A constant hashes as the number it equals, as == compares the two."""
+        is_const = self._nums.keys() <= {0}
+        return hash(self.constant() if is_const else (self._den, frozenset(self._nums.items())))
 
     # -- rendering -----------------------------------------------------------
 

@@ -201,7 +201,10 @@ def test_slot_tables_read_back_equal_the_word_keyed_tables(p, alphabet):
         assert sorted(numbered) == sorted(closure) and numbered[-1] == ()
         assert [len(w) for w in numbered] == sorted(map(len, numbered), reverse=True)
         assert list(slot.values()) == list(range(len(slot)))
-    assert [[words[i] for i in slots] for slots in tables.lyndon_slots] == tables.lyndon
+    assert sorted(lyndon) == lyndon_words(alphabet, p)
+    for q, slots in enumerate(tables.lyndon):  # each degree's words to their slots, in order
+        assert list(slots) == sorted(slots) and all(len(w) == q for w in slots)
+        assert [words[i] for i in slots.values()] == list(slots)
     assert sorted(words[i] for i in tables.last) == sorted(lyndon)
     read = {x: rows_by_word(rows, words) for x, rows in tables.suffix_steps.items()}
     assert read == product_steps_by_word(words)
@@ -211,9 +214,6 @@ def test_slot_tables_read_back_equal_the_word_keyed_tables(p, alphabet):
     assert rows_by_word(tables.log_steps, words, tables.factors) == splits
     assert rows_by_word(tables.last_log_steps, words, tables.factors) == [
         (w, runs) for w, runs in splits if w in lyndon
-    ]
-    assert rows_by_word(tables.last_stage_steps, words) == [
-        (w, runs) for w, runs in product_steps_by_word(words)[0] if w in lyndon
     ]
 
 
@@ -267,9 +267,9 @@ def rings(values, stages, p):
 
 @pytest.mark.parametrize("stages,p", BCH_CELLS)
 def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
-    # the BCH route's log forms its last pass only at the Lyndon words; the full
-    # pass, at every suffix, must agree there, over ints and over integer maps,
-    # by the one sweep of the expanded product and by the stage sweeps
+    # the BCH route's log ends at the Lyndon words: the expanded product's last sweep
+    # forms only them, and the stage sweeps' last pass subtracts acc only there; the
+    # full pass, at every suffix, must agree there, over ints and over integer maps
     tables = _Tables(p, 2)
     lyndon_set = {w for ws in tables.lyndon for w in ws}
     words, size = tables.suffixes, len(tables.suffixes)
@@ -283,12 +283,13 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
         # the expanded product's factors are whole maps, so over maps its sweep is per row
         lone = ring.sweep if ring is _INTS else sweep_by_dot(ring.dot)
         by_g, by_stage = ring._replace(sweep=lone, expanded=True), ring._replace(expanded=False)
+        staged = stage_sweeps(a, b, tables.suffix_steps)
         for sweeps, final, log_ring in [
-            ([(g, tables.log_steps)], tables.last_log_steps, by_g),
-            (stage_sweeps(a, b, tables.suffix_steps), tables.last_stage_steps, by_stage),
+            ([(g, tables.log_steps)], [(g, tables.last_log_steps)], by_g),
+            (staged, staged, by_stage),
         ]:
             every = range(size - 1)
-            _, full = _divided_log(log_ring, sweeps, sweeps[-1][1], every, size, p)
+            _, full = _divided_log(log_ring, sweeps, sweeps, every, size, p)
             _, last = _divided_log(log_ring, sweeps, final, tables.last, size, p)
             full, last = dict(zip(words, full)), dict(zip(words, last))
             assert lyndon_set < set(full) == set(last)
@@ -302,10 +303,9 @@ def assert_stage_sweeps_equal_the_expanded_product(ring, a, b, words, p, lift, l
     expected_big, expected = divided_log_by_expanded_product(ring, a, b, words, p, last, lift)
     slot = _numbered(words)
     numbered = list(slot)
-    sweeps = stage_sweeps(a, b, _product_steps(slot))
-    final = [row for row in sweeps[-1][1] if numbered[row[0]] in last]
+    sweeps = stage_sweeps(a, b, _product_steps(slot))  # the last pass runs them whole too
     at = [i for i, w in enumerate(numbered) if w in last]
-    big, got = _divided_log(ring._replace(expanded=False), sweeps, final, at, len(slot), p)
+    big, got = _divided_log(ring._replace(expanded=False), sweeps, sweeps, at, len(slot), p)
     got = dict(zip(numbered, got))
     assert big == expected_big
     assert set(got) == set(expected) == set(words)
@@ -1278,6 +1278,17 @@ def test_a_zero_stage_pair_leaves_every_report_unchanged():
                 before, after = verify_scheme(scheme, p, route), verify_scheme(padded, p, route)
                 assert after.residuals == before.residuals, (scheme, k, p, route)
                 assert after.satisfied == before.satisfied
+
+
+@pytest.mark.parametrize("stages,p", [(1, 1), (2, 4), (3, 3), (4, 5)])
+def test_every_condition_has_the_offset_as_its_constant_term(stages, p):
+    # the route's numerators are homogeneous of degree q >= 1 in the symbols, so each
+    # condition's constant term is its offset's alone: -1 on Taylor (q! F[w] - 1) and on
+    # BCH at degree 1 (less A + B), and 0 on BCH above
+    for route in ("taylor", "bch"):
+        for e in condition_system(stages, p, route).entries:
+            assert e.polynomial.constant() == (-1 if route == "taylor" or e.degree == 1 else 0)
+            assert {sum(m) for m in e.polynomial.terms if any(m)} <= {e.degree}
 
 
 def test_an_all_zero_scheme_is_the_empty_factor_word():

@@ -289,6 +289,40 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
     assert outcomes == {"lie", "residual"}
 
 
+def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
+    # a relabelling that keeps the letters' order keeps the Lyndon words and every row, so a
+    # series on the letters D and H (3 and 7) of a 12-letter alphabet is read on tables over
+    # two letters, not twelve, and its coordinates are the two-letter ones relabelled
+    from splitcond import lyndon
+
+    built, tables = [], lyndon._Tables
+    monkeypatch.setattr(lyndon, "_Tables", lambda *args: built.append(args) or tables(*args))
+    rng = random.Random(2301)
+    relabel = (3, 7)
+    for degree in range(1, 6):
+        combo, weights = NCSeries.zero(degree), {}
+        for w in lyndon_words_of_degree(2, degree):  # every weight nonzero: both letters used
+            weights[w] = Poly.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            combo = combo + expand(bracketing(w), degree).scale(weights[w])
+        terms = {tuple(relabel[x] for x in w): c for w, c in combo.terms.items()}
+        wide = NCSeries(degree, 12, terms)
+        built.clear()
+        got = lie_decompose(wide, degree).coefficients
+        assert built == [(degree, 2)]
+        assert got == {tuple(relabel[x] for x in w): c for w, c in weights.items()}
+        assert got == {
+            tuple(relabel[x] for x in w): c
+            for w, c in lie_decompose(combo, degree).coefficients.items()
+        }
+    for degree in (1, 3):  # the zero series, on one letter
+        built.clear()
+        assert lie_decompose(NCSeries.zero(4, 12), degree).coefficients == {}
+        assert built == [(degree, 1)]
+    built.clear()  # degree 1 on one letter, the last of the alphabet
+    assert lie_decompose(NCSeries.letter(11, 2, 12, coeff=5), 1).coefficients == {(11,): 5}
+    assert built == [(1, 1)]
+
+
 def test_lie_check_expands_no_bracketing(monkeypatch):
     # the Dynkin projection checks membership, and the coordinate read uses
     # the integer bracket tables, so neither expands a bracketing as a series;
@@ -337,7 +371,7 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
         tables = _Tables.__wrapped__(p, alphabet)
         words = list(tables.suffixes)
         for q in range(1, p + 1):
-            slots, rows = tables.lyndon_slots[q], tables.read_steps(q)
+            slots, rows = list(tables.lyndon[q].values()), tables.read_steps(q)
             assert [words[w] for w, n, runs in rows] == sorted(words[w] for w, n, runs in rows)
             assert all(n == q and w in slots and runs for w, n, runs in rows)
             for _ in range(6 if q == p else 2):

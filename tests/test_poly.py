@@ -125,6 +125,16 @@ def test_zero_is_unique_empty_map():
     assert (Poly.const(Fraction(1, 3)) - Poly.const(Fraction(1, 3))).terms == {}
 
 
+def test_a_constant_hashes_as_the_number_it_equals():
+    # == compares a constant with its number, so sets and dict keys must agree with it
+    half = Fraction(1, 2)
+    for poly, number in [(Poly.const(half), half), (Poly(), 0), (Poly.const(3), 3)]:
+        assert poly == number and hash(poly) == hash(number)
+        assert len({poly, number}) == 1
+        assert {number: "x"}.get(poly) == "x" and {poly: "x"}.get(number) == "x"
+    assert len({Poly.const(half), half, Poly(), 0, sym("a", 1), sym("a", 1) + 0}) == 3
+
+
 def test_symbol_validation():
     with pytest.raises(ValueError):
         Poly.symbol("c", 1)

@@ -313,8 +313,8 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
                 (g, [(divided, _splits(words, factors))], True),
                 (product, ladders[::-1], False),
             ]:
-                log_ring, final = ring._replace(expanded=expanded), sweeps[-1][1]
-                big, got = _divided_log(log_ring, sweeps, final, every, len(words), n)
+                log_ring = ring._replace(expanded=expanded)
+                big, got = _divided_log(log_ring, sweeps, sweeps, every, len(words), n)
                 filtered = dict(zip(words, got))
                 full = log(f)
                 assert set(filtered) == closure
@@ -342,7 +342,7 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products))
     full = log(product)
     for expanded in {False, len(letters) == 1}:
-        args = (sweeps[::-1], sweeps[0][1], range(len(words) - 1), len(words), n)
+        args = (sweeps[::-1], sweeps[::-1], range(len(words) - 1), len(words), n)
         big, got = _divided_log(ring._replace(expanded=expanded), *args)
         got = dict(zip(words, got))
         assert set(got) == closure

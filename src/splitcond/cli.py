@@ -13,7 +13,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .conditions import (
     MAX_LYNDON_WORDS, ROUTES, ConcreteScheme, check_cost, condition_system, verify_scheme
@@ -148,6 +148,15 @@ def lyndon_count_bound(alphabet: int, max_len: int) -> int:
     return total
 
 
+def _write_records(records: Iterable[dict]) -> None:
+    # json.dumps(list(records), indent=2) for one record or more, written one at a time
+    sep = "[\n  "
+    for record in records:
+        sys.stdout.write(sep + json.dumps(record, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    print("\n]")
+
+
 def cmd_lyndon(args: argparse.Namespace) -> int:
     if args.max_len < 1:
         return _fail("--max-len must be >= 1")
@@ -157,19 +166,11 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
         return _fail(f"the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len")
     words = lyndon_words(args.alphabet, args.max_len)
     if args.format == "json":
-        # json.dumps(records, indent=2), written one record at a time
-        sep = "[\n  "
-        for w in words:
-            record = dict(word=word_str(w), bracketing=bracket_str(bracketing(w)), length=len(w))
-            sys.stdout.write(sep + json.dumps(record, indent=2).replace("\n", "\n  "))
-            sep = ",\n  "
-        print("\n]")
+        _write_records(dict(word=word_str(w), bracketing=bracket_str(bracketing(w)),
+                            length=len(w)) for w in words)
     else:
         for w in words:
-            if len(w) == 1:
-                print(word_str(w))
-            else:
-                print(f"{word_str(w)} = {bracket_str(bracketing(w))}")
+            print(word_str(w) if len(w) == 1 else f"{word_str(w)} = {bracket_str(bracketing(w))}")
     return 0
 
 
@@ -180,10 +181,14 @@ def cmd_conditions(args: argparse.Namespace) -> int:
         system = condition_system(args.stages, args.order, args.route)
     except ValueError as exc:  # a stage count or an order out of range, or too costly
         return _fail(str(exc))
+    # to_records() as JSON, or str(system), one entry at a time: the system with no entries
+    # prints the header alone, and a one-entry system renders that entry's record
     if args.format == "json":
-        print(json.dumps(system.to_records(), indent=2))
+        _write_records(system._replace(entries=(e,)).to_records()[0] for e in system.entries)
     else:
-        print(system)
+        print(system._replace(entries=()))
+        for e in system.entries:
+            print(f"  {e}")
     return 0
 
 

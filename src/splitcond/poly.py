@@ -23,9 +23,9 @@ The zero polynomial is d = 1 with an empty map.  All operations return
 results in this canonical form, so equality is plain comparison, and a
 product or sum reduces each result once, by one gcd, not each coefficient.
 ``Poly.terms`` builds the {exponent tuple: Fraction} view, each monomial's
-bytes with no trailing zeros, for printing and inspection.  Poly values are
-immutable by convention: no method mutates ``self`` or its arguments.  An
-evaluation point is a sequence of values in the same index order.
+bytes with no trailing zeros, for inspection; printing reads the packed map.
+Poly values are immutable by convention: no method mutates ``self`` or its
+arguments.  An evaluation point is a sequence of values in the same index order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import index, or_
 from typing import Mapping, Sequence, Union
 
 SYMBOL_KINDS = ("a", "b")
@@ -68,12 +68,6 @@ def _check_guard(monos: Mapping[int, object]) -> None:
         raise ValueError(f"monomial exponent over {MAX_EXPONENT}")
 
 
-def _mono_str(m: Monomial) -> str:
-    # factors display kind-major (a1*a2*...*b1*b2) like handwritten products
-    order = [*range(0, len(m), 2), *range(1, len(m), 2)]
-    return "*".join(_symbol_name(i) + f"^{m[i]}" * (m[i] > 1) for i in order if m[i])
-
-
 class Poly:
     """Sparse exact polynomial in the stage symbols, immutable by convention."""
 
@@ -82,8 +76,8 @@ class Poly:
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         values: dict[int, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            try:  # keys that differ only by trailing zeros are one monomial
-                packed = int.from_bytes(bytes(tuple(mono)), "little")
+            try:  # keys differing by trailing zeros are one monomial; 128 stands for any e > 127
+                packed = int.from_bytes(bytes(min(index(e), 128) for e in mono), "little")
             except (TypeError, ValueError):
                 raise ValueError(f"not a tuple of integer exponents: {mono!r}") from None
             values[packed] = values.get(packed, 0) + Fraction(coeff)
@@ -103,7 +97,8 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({(): value})
+        n, d = Fraction(value).as_integer_ratio()
+        return cls._of(d, {0: n} if n else {})
 
     @classmethod
     def symbol(cls, kind: str, stage: int) -> "Poly":
@@ -216,21 +211,20 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        # graded lexicographic, highest first: degree, then exponent vector
-        # in canonical symbol order (of one degree, neither is a prefix of the other)
+        # graded lexicographic, highest first: degree, then exponent bytes in symbol order (of
+        # one degree, no stripped vector is a prefix of another); factors show kind-major
+        den, width = self._den, (max(self._nums, default=0).bit_length() + 7) // 8
+        names = [_symbol_name(i) for i in [*range(0, width, 2), *range(1, width, 2)]]
+        rows = sorted(((_unpack(m, width), n) for m, n in self._nums.items()),
+                      key=lambda row: (sum(row[0]), row[0]), reverse=True)
         pieces: list[str] = []
-        for mono, coeff in sorted(
-            self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True
-        ):
-            body = _mono_str(mono)
-            magnitude = abs(coeff)
-            if not body:
-                text = str(magnitude)
-            elif magnitude == 1:
-                text = body
-            else:
-                text = f"{magnitude}*{body}"
-            pieces.append(("+ " if coeff > 0 else "- ") + text)
+        for exps, num in rows:
+            body = "*".join([x if e == 1 else f"{x}^{e}"
+                             for x, e in zip(names, exps[0::2] + exps[1::2]) if e])
+            g = math.gcd(num, den)
+            magnitude = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
+            text = f"{magnitude}*{body}" if body and magnitude != "1" else body or magnitude
+            pieces.append(("+ " if num > 0 else "- ") + text)
         joined = " ".join(pieces) or "+ 0"  # the zero polynomial prints as 0
         return joined[2:] if joined[0] == "+" else "-" + joined[2:]
 

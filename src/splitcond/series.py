@@ -222,11 +222,11 @@ class NCSeries:
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             poly = self.terms[word]
             sign = "+"
-            coeffs = list(poly.terms.values())
-            if len(coeffs) == 1 and coeffs[0] < 0:
+            nums = list(poly._nums.values())
+            if len(nums) == 1 and nums[0] < 0:
                 # pull the sign out of single-term coefficients
                 sign, poly = "-", -poly
-            wrapped = str(poly) if len(coeffs) == 1 else f"({poly})"
+            wrapped = str(poly) if len(nums) == 1 else f"({poly})"
             if not word:
                 pieces.append((sign, wrapped))
             elif poly == 1:

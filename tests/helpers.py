@@ -134,6 +134,24 @@ def oracle_evaluate(p: dict, point) -> Fraction:
     return total
 
 
+def oracle_str(p: dict) -> str:
+    """A {monomial: Fraction} map as Poly prints it, read symbol by symbol from the tuples.
+
+    Graded lexicographic, highest first: degree, then the exponent tuple; the
+    factors of a monomial kind-major, a1*a2*...*b1*b2; the sign pulled out.
+    """
+    pieces = []
+    for mono, coeff in sorted(p.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True):
+        order = [*range(0, len(mono), 2), *range(1, len(mono), 2)]
+        names = [f"{'ab'[i % 2]}{i // 2 + 1}" + f"^{mono[i]}" * (mono[i] > 1) for i in order]
+        body = "*".join(name for name, i in zip(names, order) if mono[i])
+        magnitude = abs(coeff)
+        text = str(magnitude) if not body else body if magnitude == 1 else f"{magnitude}*{body}"
+        pieces.append(("+ " if coeff > 0 else "- ") + text)
+    joined = " ".join(pieces) or "+ 0"
+    return joined[2:] if joined[0] == "+" else "-" + joined[2:]
+
+
 # ---------------------------------------------------------------------------
 # uncapped Horner exp and log: every accumulator is formed through the full
 # truncation with plain series products, the reference for the library's

@@ -18,7 +18,7 @@ from splitcond.cli import (
     parse_rational,
     scheme_to_json_dict,
 )
-from splitcond.conditions import verify_scheme
+from splitcond.conditions import condition_system, verify_scheme
 from splitcond.lyndon import bracket_str, bracketing, lyndon_words
 from splitcond.series import word_str
 
@@ -131,6 +131,19 @@ def test_conditions_bad_arguments(capsys):
     code, _, err = run(capsys, "conditions", "-s", "0", "-p", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("route", ["bch", "taylor"])
+def test_conditions_stream_is_the_whole_document(capsys, route):
+    # written entry by entry, byte-identical to dumping or printing the whole system
+    for stages, order in [(1, 1), (1, 3), (2, 4), (3, 3)]:
+        args = ("conditions", "-s", str(stages), "-p", str(order), "--route", route)
+        system = condition_system(stages, order, route)
+        _, text, _ = run(capsys, *args)
+        code, out, _ = run(capsys, *args, "--format", "json")
+        assert code == 0
+        assert text == f"{system}\n"
+        assert out == json.dumps(system.to_records(), indent=2) + "\n"
 
 
 def test_conditions_json_is_deterministic(capsys):
@@ -504,6 +517,25 @@ def test_closed_stdout_exits_2_without_traceback():
         stderr=subprocess.PIPE,
     ) as proc:
         assert proc.stdout.readline() == b"A\n"
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 2
+    assert err == b""
+
+
+def test_conditions_closed_stdout_exits_2_without_traceback():
+    # 120 KB of JSON, far larger than a pipe buffer, meets the closed pipe mid-stream
+    argv = ["conditions", "-s", "5", "-p", "7", "--route", "taylor", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "splitcond.cli", *argv],
+        env=_subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
         proc.stdout.close()
         try:
             _, err = proc.communicate(timeout=60)

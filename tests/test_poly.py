@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from splitcond import ConcreteScheme
+from splitcond import ConcreteScheme, NCSeries
 from splitcond.conditions import _INTS
 from splitcond.poly import MissingAssignment, Poly, _dot, sum_of_products
 
-from helpers import oracle_add, oracle_evaluate, oracle_mul, random_fraction, random_poly
+from helpers import (
+    oracle_add, oracle_evaluate, oracle_mul, oracle_str, random_fraction, random_poly
+)
 
 
 def sym(kind, stage):
@@ -158,6 +160,47 @@ def test_constructor_canonicalises_monomial_keys():
     assert Poly({(127, 0, 5): 1}).terms == {(127, 0, 5): Fraction(1)}
 
 
+@pytest.mark.parametrize("exponent", [128, 255, 256, 10**6])
+def test_constructor_names_any_exponent_over_the_guard(exponent):
+    # bytes() alone would call 256 and up "not a tuple", and 128..255 "over 127"
+    for mono in [(exponent,), (0, 1, exponent), (exponent, 127)]:
+        with pytest.raises(ValueError, match="^monomial exponent over 127$"):
+            Poly({mono: 1})
+
+
+@pytest.mark.parametrize("exponent", [-1, 1.5])
+def test_constructor_refuses_negative_and_non_integer_exponents(exponent):
+    for mono in [(exponent,), (0, 1, exponent), (exponent, 300)]:
+        with pytest.raises(ValueError, match="^not a tuple of integer exponents: "):
+            Poly({mono: 1})
+
+
+@pytest.mark.parametrize(
+    "value", [0, 1, -1, Fraction(7, 24), Fraction(-7, 24), 10**50, True, 0.5, "1/2"]
+)
+def test_const_is_the_general_constructor_at_the_monomial_1(value):
+    const, general = Poly.const(value), Poly({(): value})
+    assert (const._den, const._nums) == (general._den, general._nums)
+    assert all(type(n) is int for n in const._nums.values())
+    assert const == general and hash(const) == hash(general)
+    assert const == Fraction(value) and hash(const) == hash(Fraction(value))
+
+
+def test_const_refuses_none():
+    with pytest.raises(TypeError):
+        Poly.const(None)
+
+
+def test_const_never_runs_the_constructor(monkeypatch):
+    def refuse(self, terms=None):
+        raise AssertionError("Poly.__init__ ran")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    assert Poly.const(Fraction(-7, 24)).constant() == Fraction(-7, 24)
+    assert Poly.const(0).is_zero
+    assert sym("a", 1) + 1 == 1 + sym("a", 1) and sym("a", 1) * 2 - 2 != 0
+
+
 def test_exponent_guard():
     a1, b1 = sym("a", 1), sym("b", 1)
     assert (a1**127).terms == {(127,): Fraction(1)}
@@ -193,6 +236,71 @@ def test_rendering_canonical_order():
     assert str(Poly()) == "0"
     assert str(Poly.const(Fraction(-7, 24))) == "-7/24"
     assert str(a1**2 * b1) == "a1^2*b1"
+
+
+def random_rendered_poly(rng, stages):
+    # up to 2 * stages symbols, exponents 1, 2 or 10..127, coefficients over one shared
+    # denominator, so unit and non-unit magnitudes both stand over it; maybe a constant
+    den = rng.choice([1, 2, 6, 35])
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = [0] * rng.randint(1, 2 * stages)
+        for i in rng.sample(range(len(mono)), rng.randint(1, min(3, len(mono)))):
+            mono[i] = rng.choice([1, 2, rng.randint(10, 127)])
+        terms[tuple(mono)] = Fraction(rng.choice([1, den, den + 1, rng.randint(1, 99)]), den)
+    if rng.random() < 0.4:
+        terms[()] = Fraction(rng.choice([1, den, 5]), den)
+    return Poly({m: c * rng.choice([1, -1]) for m, c in terms.items()})
+
+
+def test_packed_printer_matches_the_terms_oracle():
+    a1, b1, b13 = sym("a", 1), sym("b", 1), sym("b", 13)
+    cases = [
+        Poly(),
+        Poly.const(5),
+        Poly.const(Fraction(-7, 24)),
+        Poly.const(-1),
+        a1 * b13 ** 12 - Fraction(3, 4),  # two-digit names, a map 26 bytes wide
+        -(a1 ** 127) * b1 + a1 * b1 * Fraction(1, 6) + 1,  # a negative leading term
+        (a1 - b1) * Fraction(5, 6) + Fraction(1, 6) * b13,
+    ]
+    rng = random.Random(2024)
+    cases += [random_rendered_poly(rng, stages) for stages in range(1, 14) for _ in range(30)]
+    widths = set()
+    for p in cases:
+        assert str(p) == oracle_str(p.terms)
+        widths.add(max(map(len, p.terms), default=0))
+    assert max(widths) == 26 and {0, 1, 2, 8, 9} <= widths
+
+
+def test_printing_never_reads_terms(monkeypatch):
+    # str(Poly) and NCSeries.__str__ read the packed map, not the tuple view
+    a1, b2 = sym("a", 1), sym("b", 2)
+    polys = [Poly(), Poly.const(Fraction(-1, 3)), a1 * b2 * Fraction(1, 2) - a1 ** 3 + 4]
+    series = NCSeries(2, 2, {(): -1, (0,): -a1 * b2, (1,): a1 - b2, (0, 1): Fraction(-2, 3)})
+    expected = [str(p) for p in polys], str(series)
+
+    def refuse(self):
+        raise AssertionError("Poly.terms read")
+
+    monkeypatch.setattr(Poly, "terms", property(refuse))
+    assert ([str(p) for p in polys], str(series)) == expected
+
+
+def test_series_pulls_the_sign_out_of_single_term_coefficients():
+    a1, b2 = sym("a", 1), sym("b", 2)
+    series = NCSeries(3, 2, {
+        (): Fraction(-1, 2),
+        (0,): -a1 * b2 * Fraction(7, 6),
+        (1,): a1 - b2,
+        (0, 1): -a1,
+        (1, 0): Fraction(-2, 3),
+        (0, 0, 1): -a1 ** 2 + Fraction(1, 3),
+        (1, 1, 0): Poly.const(-1),
+    })
+    assert str(series) == (
+        "-1/2 - 7/6*a1*b2*A + (a1 - b2)*B - a1*AB - 2/3*BA + (-a1^2 + 1/3)*AAB - BBA"
+    )
 
 
 # -- exact cross-check against the {monomial: Fraction} ring -------------------

@@ -182,9 +182,9 @@ def cmd_conditions(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a stage count or an order out of range, or too costly
         return _fail(str(exc))
     # to_records() as JSON, or str(system), one entry at a time: the system with no entries
-    # prints the header alone, and a one-entry system renders that entry's record
+    # prints the header alone
     if args.format == "json":
-        _write_records(system._replace(entries=(e,)).to_records()[0] for e in system.entries)
+        _write_records(e.to_record() for e in system.entries)
     else:
         print(system._replace(entries=()))
         for e in system.entries:

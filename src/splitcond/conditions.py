@@ -151,17 +151,16 @@ def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list
     return g
 
 
-def _divided_log(ring: _Ring, sweeps, final, last, size: int, p: int) -> tuple:
-    # L |w|! D^|w| log(F)[w] at the slots of last, L = lcm(1..p), over size suffix-closed slots,
-    # () last: Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k;
-    # F acc is the sweeps (factor, rows) in turn, at k = 0 the sweeps final, which may keep to
-    # rows at last.  Expanded, each sweep starts from zero, its rows forming F acc - acc, and
-    # nothing is subtracted
+def _divided_log(ring: _Ring, sweeps, last, size: int, p: int) -> tuple:
+    # L |w|! D^|w| log(F)[w], L = lcm(1..p), over size suffix-closed slots, () last: Horner's
+    # scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k, F acc the sweeps
+    # (factor, rows) in turn.  Expanded, each sweep starts from zero, its rows forming F acc - acc,
+    # and nothing is subtracted; else the last pass (k = 0) subtracts acc at the slots of last only
     one, dot, sweep, _, expanded = ring
     big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
     for k in range(p, -1, -1):
         old = acc[:]
-        for f, rows in sweeps if k else final:
+        for f, rows in sweeps:
             sweep(acc, f, rows, p - k, expanded)
         for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
             if old[w]:
@@ -189,12 +188,13 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
         g = _divided_product(ring, factors, tables.suffix_steps, size)
         return [(q, w, g[i], den**q, den**q)
                 for q in range(1, p + 1) for w, i in lyndon[q].items()]
-    if ring.expanded:  # G[u] is one int: a sweep by G a pass, from zero, the last at Lyndon words
+    if ring.expanded:  # G[u] is one int: a sweep by G a pass, from zero, subtracting nothing
         g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        sweeps, final = [(g, tables.log_steps)], [(g, tables.last_log_steps)]
-    else:  # a sweep per factor, over the suffixes its letter leads, each pass whole
-        sweeps = final = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]
-    big, acc = _divided_log(ring, sweeps, final, tables.last, size, p)
+        sweeps, last = [(g, tables.log_steps)], ()
+    else:  # a sweep per factor, over the suffixes its letter leads; the last - acc at Lyndon words
+        sweeps = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]
+        last = [i for words in lyndon for i in words.values()]
+    big, acc = _divided_log(ring, sweeps, last, size, p)
     for q in range(2, p + 1):  # the Lyndon read, in place, by the unit, at the degrees
         if any(map(acc.__getitem__, lyndon[q].values())):  # that do not vanish; degree 1
             ring.sweep(acc, ring.ladder(1, 0), tables.read_steps(q))  # reads itself
@@ -231,6 +231,10 @@ class ConditionEntry(NamedTuple):
     def residual(self, scheme: ConcreteScheme) -> Fraction:
         return self.polynomial.evaluate(scheme.point()) - self.rhs
 
+    def to_record(self) -> dict[str, str | int]:
+        return {"order": self.degree, "lyndon": word_str(self.word),
+                "polynomial": str(self.polynomial), "rhs": str(self.rhs)}
+
     def __str__(self) -> str:
         return f"deg {self.degree}  {word_str(self.word)}  {self.polynomial} = {self.rhs}"
 
@@ -259,15 +263,7 @@ class ConditionSystem(NamedTuple):
         return _all_within(self.residuals(scheme), tol)
 
     def to_records(self) -> list[dict[str, str | int]]:
-        return [
-            {
-                "order": e.degree,
-                "lyndon": word_str(e.word),
-                "polynomial": str(e.polynomial),
-                "rhs": str(e.rhs),
-            }
-            for e in self.entries
-        ]
+        return [e.to_record() for e in self.entries]
 
     def __str__(self) -> str:
         header = f"{self.route} conditions, s={self.stages}, p={self.order}"

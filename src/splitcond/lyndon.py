@@ -202,19 +202,15 @@ class _Tables:
         words = lyndon_words(alphabet_size, p)
         self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
         self.lyndon = [{w: self.suffixes[w] for w in words if len(w) == q} for q in range(p + 1)]
-        self.last = frozenset(map(self.suffixes.get, words))  # what the log's last pass forms
         self._brackets, self._reads = {(x,): {(x,): 1} for x in range(alphabet_size)}, {}
 
-    # the product on the suffixes or their factors, the int log's splits, and those splits
-    # at the Lyndon words only: the int log's last pass, which forms nothing else
+    # the product on the suffixes or their factors, and the int log's splits of the suffixes
     suffix_steps = functools.cached_property(lambda self: _product_steps(self.suffixes))
     factors = functools.cached_property(
         lambda self: _numbered({v[:i] for v in self.suffixes for i in range(len(v) + 1)})
     )
     factor_steps = functools.cached_property(lambda self: _product_steps(self.factors))
     log_steps = functools.cached_property(lambda self: _splits(self.suffixes, self.factors))
-    last_log_steps = functools.cached_property(
-        lambda self: [row for row in self.log_steps if row[0] in self.last])
 
     def bracket(self, w: Word) -> dict[Word, int]:
         # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',

@@ -225,14 +225,20 @@ class Poly:
             magnitude = str(abs(num) // g) if g == den else f"{abs(num) // g}/{den // g}"
             text = f"{magnitude}*{body}" if body and magnitude != "1" else body or magnitude
             pieces.append(("+ " if num > 0 else "- ") + text)
-        joined = " ".join(pieces) or "+ 0"  # the zero polynomial prints as 0
-        return joined[2:] if joined[0] == "+" else "-" + joined[2:]
+        return _signed_join(pieces)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
 
 
 _ZERO, _ONE = Poly(), Poly.const(1)
+
+
+def _signed_join(pieces: list[str]) -> str:
+    # "+ x" and "- y" pieces joined by spaces, a leading "+ " dropped and "- " kept as "-";
+    # no pieces print as 0
+    joined = " ".join(pieces) or "+ 0"
+    return joined[2:] if joined[0] == "+" else "-" + joined[2:]
 
 
 def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> dict[int, int]:

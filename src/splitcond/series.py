@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import Poly, Scalar, as_poly, sum_of_products
+from .poly import Poly, Scalar, _signed_join, as_poly, sum_of_products
 
 Word = tuple[int, ...]
 
@@ -216,28 +216,18 @@ class NCSeries:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[tuple[str, str]] = []  # (sign, body)
+        pieces = []
         for word in sorted(self.terms, key=lambda w: (len(w), w)):
             poly = self.terms[word]
-            sign = "+"
             nums = list(poly._nums.values())
-            if len(nums) == 1 and nums[0] < 0:
-                # pull the sign out of single-term coefficients
-                sign, poly = "-", -poly
+            sign = "+ "
+            if len(nums) == 1 and nums[0] < 0:  # pull the sign out of single-term coefficients
+                sign, poly = "- ", -poly
             wrapped = str(poly) if len(nums) == 1 else f"({poly})"
-            if not word:
-                pieces.append((sign, wrapped))
-            elif poly == 1:
-                pieces.append((sign, word_str(word)))
-            else:
-                pieces.append((sign, f"{wrapped}*{word_str(word)}"))
-        first_sign, first_body = pieces[0]
-        text = first_body if first_sign == "+" else f"-{first_body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            if word:
+                wrapped = word_str(word) if poly == 1 else f"{wrapped}*{word_str(word)}"
+            pieces.append(sign + wrapped)
+        return _signed_join(pieces)
 
     def __repr__(self) -> str:
         return f"NCSeries(N={self.truncation}, {self})"

@@ -29,7 +29,7 @@ from splitcond import (
 )
 from splitcond.conditions import _INTS
 from splitcond.poly import _ONE, Poly, sum_of_products
-from splitcond.series import Word
+from splitcond.series import Word, word_str
 
 # the recurrence's ring over Poly values, kernels by Poly arithmetic: the oracle the
 # library's int and integer-map rings are checked against
@@ -150,6 +150,34 @@ def oracle_str(p: dict) -> str:
         pieces.append(("+ " if coeff > 0 else "- ") + text)
     joined = " ".join(pieces) or "+ 0"
     return joined[2:] if joined[0] == "+" else "-" + joined[2:]
+
+
+def oracle_series_str(f: NCSeries) -> str:
+    """An NCSeries as it prints, from its own (sign, body) pieces, the first piece apart.
+
+    Words by (length, word); a single-term coefficient's sign pulled out, a longer
+    coefficient parenthesised, a unit coefficient left off; the zero series prints as 0.
+    """
+    if not f.terms:
+        return "0"
+    pieces: list[tuple[str, str]] = []
+    for word in sorted(f.terms, key=lambda w: (len(w), w)):
+        poly, sign = f.terms[word], "+"
+        nums = list(poly._nums.values())
+        if len(nums) == 1 and nums[0] < 0:
+            sign, poly = "-", -poly
+        wrapped = str(poly) if len(nums) == 1 else f"({poly})"
+        if not word:
+            pieces.append((sign, wrapped))
+        elif poly == 1:
+            pieces.append((sign, word_str(word)))
+        else:
+            pieces.append((sign, f"{wrapped}*{word_str(word)}"))
+    first_sign, first_body = pieces[0]
+    text = first_body if first_sign == "+" else f"-{first_body}"
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +347,28 @@ def divided_log_by_expanded_product(ring, a, b, words, p: int, last, lift=lambda
                 acc[w] = dot([(c, g[u], acc[v]) for c, u, v in splits])
         acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
     return big, acc
+
+
+def lyndon_slots(tables) -> list[int]:
+    """The slots of a _Tables's Lyndon words, every degree's, in degree then word order."""
+    return [i for words in tables.lyndon for i in words.values()]
+
+
+def divided_log_lyndon_last_pass(ring, g, tables, p: int) -> list:
+    """The expanded-G log whose last pass forms only the Lyndon words' slots.
+
+    Horner's scheme acc <- c_k + (G - 1) acc, each pass a sweep by G from zero over
+    tables.log_steps, as the library's int log runs it, except that the last pass
+    (k = 0) keeps to the log_steps rows at the Lyndon slots; the other slots keep the
+    previous pass's values.  Over the size slots of tables.suffixes, () last.
+    """
+    slots = set(lyndon_slots(tables))
+    last_rows = [row for row in tables.log_steps if row[0] in slots]
+    big, acc = math.lcm(*range(1, p + 1)), [ring.dot([])] * len(tables.suffixes)
+    for k in range(p, -1, -1):
+        ring.sweep(acc, g, tables.log_steps if k else last_rows, p - k, True)
+        acc[-1] = ring.dot([((-1) ** (k + 1) * big // k, ring.one, ring.one)] if k else [])
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ from helpers import (
     combine_log_coefficients,
     conditions_bch_dense,
     divided_log_by_expanded_product,
+    divided_log_lyndon_last_pass,
     homogeneous_at_truncation,
     log_pair_coefficients,
+    lyndon_slots,
     monomial_map,
     order1_witness,
     order2_witness,
@@ -205,16 +207,12 @@ def test_slot_tables_read_back_equal_the_word_keyed_tables(p, alphabet):
     for q, slots in enumerate(tables.lyndon):  # each degree's words to their slots, in order
         assert list(slots) == sorted(slots) and all(len(w) == q for w in slots)
         assert [words[i] for i in slots.values()] == list(slots)
-    assert sorted(words[i] for i in tables.last) == sorted(lyndon)
     read = {x: rows_by_word(rows, words) for x, rows in tables.suffix_steps.items()}
     assert read == product_steps_by_word(words)
     read = {x: rows_by_word(rows, tables.factors) for x, rows in tables.factor_steps.items()}
     assert read == product_steps_by_word(tables.factors)
     splits = splits_by_word(words)
     assert rows_by_word(tables.log_steps, words, tables.factors) == splits
-    assert rows_by_word(tables.last_log_steps, words, tables.factors) == [
-        (w, runs) for w, runs in splits if w in lyndon
-    ]
 
 
 # the derive grid of the benchmark (perfbench/inputs.GRID_FULL), and bch (4, 7)
@@ -267,9 +265,10 @@ def rings(values, stages, p):
 
 @pytest.mark.parametrize("stages,p", BCH_CELLS)
 def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
-    # the BCH route's log ends at the Lyndon words: the expanded product's last sweep
-    # forms only them, and the stage sweeps' last pass subtracts acc only there; the
-    # full pass, at every suffix, must agree there, over ints and over integer maps
+    # the BCH route's log ends at the Lyndon words: a last sweep by the expanded product
+    # that forms only them (the helpers' oracle), and the stage sweeps' last pass, which
+    # subtracts acc only there, must agree there with the full pass at every suffix, over
+    # ints and over integer maps
     tables = _Tables(p, 2)
     lyndon_set = {w for ws in tables.lyndon for w in ws}
     words, size = tables.suffixes, len(tables.suffixes)
@@ -283,14 +282,13 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
         # the expanded product's factors are whole maps, so over maps its sweep is per row
         lone = ring.sweep if ring is _INTS else sweep_by_dot(ring.dot)
         by_g, by_stage = ring._replace(sweep=lone, expanded=True), ring._replace(expanded=False)
-        staged = stage_sweeps(a, b, tables.suffix_steps)
-        for sweeps, final, log_ring in [
-            ([(g, tables.log_steps)], [(g, tables.last_log_steps)], by_g),
-            (staged, staged, by_stage),
+        staged, every = stage_sweeps(a, b, tables.suffix_steps), range(size - 1)
+        for full, last in [
+            (_divided_log(by_g, [(g, tables.log_steps)], every, size, p)[1],
+             divided_log_lyndon_last_pass(by_g, g, tables, p)),
+            (_divided_log(by_stage, staged, every, size, p)[1],
+             _divided_log(by_stage, staged, lyndon_slots(tables), size, p)[1]),
         ]:
-            every = range(size - 1)
-            _, full = _divided_log(log_ring, sweeps, sweeps, every, size, p)
-            _, last = _divided_log(log_ring, sweeps, final, tables.last, size, p)
             full, last = dict(zip(words, full)), dict(zip(words, last))
             assert lyndon_set < set(full) == set(last)
             for w in lyndon_set:
@@ -305,7 +303,7 @@ def assert_stage_sweeps_equal_the_expanded_product(ring, a, b, words, p, lift, l
     numbered = list(slot)
     sweeps = stage_sweeps(a, b, _product_steps(slot))  # the last pass runs them whole too
     at = [i for i, w in enumerate(numbered) if w in last]
-    big, got = _divided_log(ring._replace(expanded=False), sweeps, sweeps, at, len(slot), p)
+    big, got = _divided_log(ring._replace(expanded=False), sweeps, at, len(slot), p)
     got = dict(zip(numbered, got))
     assert big == expected_big
     assert set(got) == set(expected) == set(words)

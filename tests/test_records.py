@@ -14,8 +14,10 @@ from splitcond import (
     Poly,
     SymbolicScheme,
     VerificationReport,
+    condition_system,
     conditions_bch,
     verify_scheme,
+    word_str,
 )
 from splitcond.cli import REGISTRY, RegistryEntry
 from splitcond.conditions import WitnessVerdict
@@ -145,3 +147,18 @@ def test_make_and_replace_go_through_the_checks():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("route", ["taylor", "bch"])
+@pytest.mark.parametrize("stages,p", [(2, 4), (3, 3), (4, 5)])
+def test_a_system_records_its_entries_one_by_one(stages, p, route):
+    # to_records() is each entry's to_record(), the record the CLI streams: the entry's
+    # fields as text, in the key order the JSON output prints
+    system = condition_system(stages, p, route)
+    records = [e.to_record() for e in system.entries]
+    assert records == system.to_records()
+    for e, record in zip(system.entries, records):
+        assert list(record.items()) == [
+            ("order", e.degree), ("lyndon", word_str(e.word)),
+            ("polynomial", str(e.polynomial)), ("rhs", str(e.rhs)),
+        ]

@@ -24,7 +24,9 @@ from helpers import (
     exp_uncapped,
     first_nonzero_degree,
     log_uncapped,
+    oracle_series_str,
     random_fraction,
+    random_poly,
     random_series,
     sweep_by_dot,
 )
@@ -248,6 +250,29 @@ def test_rendering():
     assert str(mixed) == "1 + (a1 + b1)*A"
 
 
+def test_rendering_matches_the_signed_pieces_oracle():
+    # the pieces go through Poly's signed join: the zero series, a constant alone, single
+    # negative terms first and later, unit and multi-term coefficients, then seeded series
+    a1, b1 = Poly.symbol("a", 1), Poly.symbol("b", 1)
+    fixed = [
+        {}, {(): 3}, {(): Fraction(-1, 2)}, {(): 1}, {(): -1}, {(): a1 - 1},
+        {(0,): -1}, {(0, 1): -a1}, {(1,): Fraction(-2, 3), (0, 1): 1},
+        {(0,): 1, (1,): 1}, {(): -1, (0,): -1, (1, 0): -b1},
+        {(0,): a1 + b1, (1,): -a1 - b1, (0, 0): a1 * b1 - 2},
+        {(): -a1 - 1, (1,): Fraction(1, 3) - b1},
+    ]
+    series = [NCSeries(3, 2, terms) for terms in fixed]
+    assert [str(f) for f in series[:5]] == ["0", "3", "-1/2", "1", "-1"]
+    rng = random.Random(2501)
+    for trial in range(80):
+        n, alphabet = rng.randint(0, 4), rng.choice((1, 2, 3))
+        series.append(random_series(rng, n, alphabet, trial % 2 == 0, symbolic=True))
+        words = [w for w in random_series(rng, n, alphabet, trial % 3 == 0).terms]
+        series.append(NCSeries(n, alphabet, {w: random_poly(rng, 2, 3, 3) for w in words}))
+    for f in series:
+        assert str(f) == oracle_series_str(f), f.terms
+
+
 def test_coefficient_lookup_beyond_truncation_is_an_error():
     f = unit(2)
     assert f.coefficient((0, 1)).is_zero
@@ -314,7 +339,7 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
                 (product, ladders[::-1], False),
             ]:
                 log_ring = ring._replace(expanded=expanded)
-                big, got = _divided_log(log_ring, sweeps, sweeps, every, len(words), n)
+                big, got = _divided_log(log_ring, sweeps, every, len(words), n)
                 filtered = dict(zip(words, got))
                 full = log(f)
                 assert set(filtered) == closure
@@ -342,7 +367,7 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products))
     full = log(product)
     for expanded in {False, len(letters) == 1}:
-        args = (sweeps[::-1], sweeps[::-1], range(len(words) - 1), len(words), n)
+        args = (sweeps[::-1], range(len(words) - 1), len(words), n)
         big, got = _divided_log(ring._replace(expanded=expanded), *args)
         got = dict(zip(words, got))
         assert set(got) == closure

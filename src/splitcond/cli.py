@@ -181,14 +181,12 @@ def cmd_conditions(args: argparse.Namespace) -> int:
         system = condition_system(args.stages, args.order, args.route)
     except ValueError as exc:  # a stage count or an order out of range, or too costly
         return _fail(str(exc))
-    # to_records() as JSON, or str(system), one entry at a time: the system with no entries
-    # prints the header alone
+    # to_records() as JSON, or str(system), one entry at a time
     if args.format == "json":
         _write_records(e.to_record() for e in system.entries)
     else:
-        print(system._replace(entries=()))
-        for e in system.entries:
-            print(f"  {e}")
+        for line in system.lines():
+            print(line)
     return 0
 
 

@@ -16,10 +16,12 @@ Casas & Murua (J. Math. Phys. 2009).  A _Ring record names the ring: over _MAPS,
 integer maps, with D = 1 and each n^j a packed monomial, F acc is that recurrence started from
 acc, so the systems never expand F; over _INTS, for a concrete scheme, G[u] is one int, and one
 sweep per pass, from zero, multiplies by G - 1 on the words' factors; _INTS on Poly values forms
-splitting_product.  The Lyndon read is one more sweep, in place by the ring's unit, per degree
-that does not vanish.  So verify_scheme and leading_error_term build no symbolic system, and every
-vanishing residual is one shared Fraction(0).  check_cost() sizes a command from word counts
-alone; systems_equivalent() checks on witnesses that two systems cut out the same solution sets.
+splitting_product.  The Lyndon read, _Tables.read, is one more sweep, in place by the ring's unit,
+per degree that does not vanish.  Neither verify_scheme nor leading_error_term builds a symbolic
+system, and every vanishing residual is one shared Fraction(0); leading_error_term runs the Taylor
+product to degree p + 1 and reads that degree, forming no logarithm.  check_cost() sizes a command
+from word counts alone; systems_equivalent() checks on witnesses that two systems cut out the same
+solution sets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
 from .poly import MAX_EXPONENT, Poly, Scalar, _dot, _int_sweep, _sweep
@@ -169,6 +171,16 @@ def _divided_log(ring: _Ring, sweeps, last, size: int, p: int) -> tuple:
     return big, acc
 
 
+def _factors(ring: _Ring, point: Sequence, p: int, top: int) -> tuple[_Tables, list]:
+    # the tables through degree top >= p, refused before any is built, and the factor word:
+    # e^{nX} per stage value n != 0 of point, X = A at even indices and B at odd
+    if p < 1:
+        raise ValueError("target order must be >= 1")
+    if top > MAX_EXPONENT:  # a packed exponent carries past its byte there
+        raise ValueError(f"target order must be <= {MAX_EXPONENT}")
+    return _Tables(top, 2), [(i % 2, ring.ladder(n, top)) for i, n in enumerate(point) if n]
+
+
 def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
     # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
     # scale, over the ring, at the stage values n = D c of point; A + B's offset is a constant
@@ -176,14 +188,8 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if not point:
         raise ValueError("stage count must be >= 1")
-    if p < 1:
-        raise ValueError("target order must be >= 1")
-    if p > MAX_EXPONENT:  # a packed exponent carries past its byte there
-        raise ValueError(f"target order must be <= {MAX_EXPONENT}")
-    tables = _Tables(p, 2)
+    tables, factors = _factors(ring, point, p, p)
     size, lyndon = len(tables.suffixes), tables.lyndon
-    # the factor word: e^{nX} per stage value n != 0, X = A at even indices and B at odd
-    factors = [(i % 2, ring.ladder(n, p)) for i, n in enumerate(point) if n]
     if route == "taylor":
         g = _divided_product(ring, factors, tables.suffix_steps, size)
         return [(q, w, g[i], den**q, den**q)
@@ -195,19 +201,16 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
         sweeps = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]
         last = [i for words in lyndon for i in words.values()]
     big, acc = _divided_log(ring, sweeps, last, size, p)
-    for q in range(2, p + 1):  # the Lyndon read, in place, by the unit, at the degrees
-        if any(map(acc.__getitem__, lyndon[q].values())):  # that do not vanish; degree 1
-            ring.sweep(acc, ring.ladder(1, 0), tables.read_steps(q))  # reads itself
+    tables.read(ring.sweep, ring.ladder(1, 0), acc, range(2, p + 1))  # degree 1 reads itself
     return [(q, w, acc[i], big * den * (q == 1), big * math.factorial(q) * den**q)
             for q in range(1, p + 1) for w, i in lyndon[q].items()]
 
 
-def _residuals(scheme: ConcreteScheme, p: int, route: str) -> list[tuple[int, Word, Fraction]]:
-    # the route over ints: stage values scaled by D, the lcm of their denominators
+def _scaled(scheme: ConcreteScheme) -> tuple[list[int], int]:
+    # the stage values over ints, n = D c, and D, the lcm of their denominators
     point = scheme.point()
     den = math.lcm(*(c.denominator for c in point))
-    entries = _route(_INTS, [c.numerator * (den // c.denominator) for c in point], den, p, route)
-    return [(q, w, Fraction(d, s) if (d := n - o) else _NIL) for q, w, n, o, s in entries]
+    return [c.numerator * (den // c.denominator) for c in point], den
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
@@ -265,9 +268,13 @@ class ConditionSystem(NamedTuple):
     def to_records(self) -> list[dict[str, str | int]]:
         return [e.to_record() for e in self.entries]
 
+    def lines(self) -> Iterator[str]:
+        """The text of the system line by line: a header, then each entry indented."""
+        yield f"{self.route} conditions, s={self.stages}, p={self.order}"
+        yield from (f"  {e}" for e in self.entries)
+
     def __str__(self) -> str:
-        header = f"{self.route} conditions, s={self.stages}, p={self.order}"
-        return "\n".join([header] + [f"  {e}" for e in self.entries])
+        return "\n".join(self.lines())
 
 
 def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
@@ -315,7 +322,9 @@ class VerificationReport(NamedTuple):
 
 def verify_scheme(scheme: ConcreteScheme, p: int, route: str = "bch") -> VerificationReport:
     """The order-p residuals at the scheme, exactly, by the route's pass over ints."""
-    residuals = tuple(_residuals(scheme, p, route))
+    entries = _route(_INTS, *_scaled(scheme), p, route)
+    residuals = tuple([(q, w, Fraction(d, s) if (d := n - o) else _NIL)
+                       for q, w, n, o, s in entries])
     return VerificationReport(scheme, p, route, _all_within(residuals), residuals)
 
 
@@ -362,21 +371,23 @@ def systems_equivalent(first: ConditionSystem, second: ConditionSystem,
 
 
 def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
-    """Lyndon decomposition of the first nonvanishing local-error term.
+    """Lyndon decomposition of the first nonvanishing local-error term, forming no logarithm.
 
-    Requires the scheme to satisfy the order-p conditions (NotOrderP
-    otherwise).  The degree-(p+1) part of the local error then equals the
-    degree-(p+1) part of log(product) - (A+B), so both the check and the
-    term are the residuals of conditions_bch(stages, p + 1) at the scheme.
+    Requires the order-p conditions of the Taylor route (NotOrderP otherwise), read off the
+    product F through degree p + 1.  Then log F = A + B + Z + ..., Z of degree p + 1, so
+    F - e^{A+B} = Z at the words of length p + 1, whose Lyndon read gives Z's coordinates.
     """
-    if p < 1:
-        raise ValueError("target order must be >= 1")
-    residuals = _residuals(scheme, p + 1, "bch")
-    if not _all_within(r for r in residuals if r[0] <= p):
+    values, den = _scaled(scheme)
+    tables, factors = _factors(_INTS, values, p, p + 1)
+    g = _divided_product(_INTS, factors, tables.suffix_steps, len(tables.suffixes))
+    if any(g[i] != den**q for q in range(1, p + 1) for i in tables.lyndon[q].values()):
         raise NotOrderP(f"{scheme} does not satisfy the order-{p} conditions")
-    return LieDecomposition(
-        p + 1, {w: Poly.const(r) for q, w, r in residuals if q > p and r != 0}
-    )
+    top, lead = den ** (p + 1), tables.lyndon[p + 1]
+    for i in lead.values():  # G[w] = (p+1)! D^(p+1) F[w] less e^{A+B}'s, which is D^(p+1)
+        g[i] -= top
+    tables.read(_INTS.sweep, [1], g, [p + 1])
+    scale = math.factorial(p + 1) * top
+    return LieDecomposition(p + 1, {w: Poly._of(scale, {0: g[i]}) for w, i in lead.items() if g[i]})
 
 
 def check_cost(p: int, route: str, stages: int | None = None) -> int:

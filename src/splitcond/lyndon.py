@@ -105,6 +105,8 @@ def foliage(tree: BracketTree) -> Word:
     """Left-to-right leaf sequence of a bracket tree."""
     if isinstance(tree, int):
         return (tree,)
+    if not (isinstance(tree, tuple) and len(tree) == 2):
+        raise ValueError(f"not a bracket tree: {tree!r}; a leaf is an int and a node is a pair")
     left, right = tree
     return foliage(left) + foliage(right)
 
@@ -237,6 +239,13 @@ class _Tables:
             self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
+    def read(self, sweep, unit, acc, degrees) -> None:
+        # the Lyndon read: acc's Lyndon slots to coordinates, in place by the sweep kernel and
+        # its ring's unit, at each degree whose values do not all vanish (the rest go unbuilt)
+        for q in degrees:
+            if any(map(acc.__getitem__, self.lyndon[q].values())):
+                sweep(acc, unit, self.read_steps(q))
+
 
 def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
     # theta, the right-nested bracketing, by left quotients of a homogeneous
@@ -259,7 +268,7 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     complement.  Raises NotALieElement, carrying the residual f - theta(f)/q,
     when that residual is nonzero; for degree 2 the word AB alone leaves the
     symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the
-    triangular solve over the Lyndon words of degree q, _Tables.read_steps, tabled over
+    triangular solve over the Lyndon words of degree q, _Tables.read, tabled over
     the letters f uses alone, relabelled in order onto 0..k-1, which keeps every row.
     """
     if degree < 1:
@@ -276,5 +285,5 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     tables = _Tables(degree, len(letters))
     words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
     acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
-    _int_sweep(acc, [1], tables.read_steps(degree) if any(acc.values()) else ())
+    tables.read(_int_sweep, [1], acc, [degree])
     return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})

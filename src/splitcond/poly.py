@@ -186,6 +186,8 @@ class Poly:
         if width > len(values):
             missing = min(i for fields, _, _ in rows for i, _ in fields if i >= len(values))
             raise MissingAssignment(f"no value assigned to symbol {_symbol_name(missing)}")
+        if bad := [v for v in values[:width] if not isinstance(v, (int, Fraction))]:
+            raise TypeError(f"cannot evaluate exactly at {bad[0]!r}: values are ints or Fractions")
         den = math.lcm(*(value.denominator for value in values[:width]))
         scaled = [value.numerator * (den // value.denominator) for value in values[:width]]
         gaps = [den**g for g in range(top + 1)]

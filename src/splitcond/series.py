@@ -88,12 +88,12 @@ class NCSeries:
         if terms:
             for word, coeff in terms.items():
                 word = tuple(word)
+                if not all(isinstance(i, int) and 0 <= i < alphabet_size for i in word):
+                    raise ValueError(f"word {word!r} uses letters outside the alphabet")
                 if len(word) > truncation:
                     raise DegreeBeyondTruncation(
                         f"word {word_str(word)} exceeds truncation degree {truncation}"
                     )
-                if any(i < 0 or i >= alphabet_size for i in word):
-                    raise ValueError(f"word {word!r} uses letters outside the alphabet")
                 poly = as_poly(coeff)
                 if not poly.is_zero:
                     canonical[word] = poly

@@ -20,12 +20,14 @@ from splitcond import (
     LieDecomposition,
     NCSeries,
     NotALieElement,
+    NotOrderP,
     SymbolicScheme,
     bracketing,
     exp,
     expand,
     log,
     lyndon_words_of_degree,
+    verify_scheme,
 )
 from splitcond.conditions import _INTS
 from splitcond.poly import _ONE, Poly, sum_of_products
@@ -595,6 +597,25 @@ def solve_linear_exact(
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def leading_error_term_by_bch(scheme: ConcreteScheme, p: int) -> LieDecomposition:
+    """The leading error term as the logarithm gives it, refused as leading_error_term refuses.
+
+    The BCH residuals at order p + 1 are the Lyndon coordinates of log(product) - (A + B):
+    NotOrderP unless every one through degree p vanishes, else those at degree p + 1.
+    """
+    residuals = verify_scheme(scheme, p + 1, "bch").residuals
+    if any(r for q, _, r in residuals if q <= p):
+        raise NotOrderP(f"{scheme} does not satisfy the order-{p} conditions")
+    return LieDecomposition(p + 1, {w: Poly.const(r) for q, w, r in residuals if q > p and r})
+
+
+def strang_composition(weights) -> ConcreteScheme:
+    """The merged product S(w1)...S(wk) of Strang steps, k + 1 stages."""
+    w = [Fraction(x) for x in weights]
+    a = [w[0] / 2] + [(x + y) / 2 for x, y in zip(w, w[1:])] + [w[-1] / 2]
+    return ConcreteScheme(a, w + [Fraction(0)])
 
 
 def order1_witness(rng: random.Random, stages: int) -> ConcreteScheme:

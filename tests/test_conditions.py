@@ -9,6 +9,7 @@ from splitcond import (
     ConcreteScheme,
     ConditionEntry,
     ConditionSystem,
+    LieDecomposition,
     NCSeries,
     NotALieElement,
     NotOrderP,
@@ -51,6 +52,7 @@ from helpers import (
     divided_log_by_expanded_product,
     divided_log_lyndon_last_pass,
     homogeneous_at_truncation,
+    leading_error_term_by_bch,
     log_pair_coefficients,
     lyndon_slots,
     monomial_map,
@@ -62,6 +64,7 @@ from helpers import (
     rows_by_word,
     splits_by_word,
     splitting_product_by_exp,
+    strang_composition,
     sweep_by_dot,
     symbol_point,
     taylor_derivative,
@@ -605,6 +608,16 @@ def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
         condition_system(0, 200, route)
 
 
+def test_condition_system_text_is_its_lines():
+    # a header, then one indented line per entry; with no entries, the header alone
+    system = condition_system(2, 3, "bch")
+    lines = list(system.lines())
+    assert lines[0] == "bch conditions, s=2, p=3"
+    assert lines[1:] == [f"  {e}" for e in system.entries]
+    assert "\n".join(lines) == str(system)
+    assert list(system._replace(entries=()).lines()) == lines[:1]
+
+
 def test_route_builders_are_condition_system():
     assert conditions_bch(3, 4) == condition_system(3, 4, "bch")
     assert conditions_taylor(3, 4) == condition_system(3, 4, "taylor")
@@ -1059,6 +1072,70 @@ def test_leading_error_requires_the_claimed_order():
 def test_leading_error_rejects_order_below_1():
     with pytest.raises(ValueError):
         leading_error_term(STRANG, 0)
+
+
+def leading_term_or_refusal(lead, scheme, p):
+    try:
+        return lead(scheme, p)
+    except NotOrderP as refusal:
+        return str(refusal)
+
+
+def random_lead_witnesses(seed, count):
+    # 1-6 stages, about a third of the values zero.  Odd draws: coefficient sums
+    # forced to 1 in most, so the order-1 check mostly passes.  Even draws: Strang
+    # compositions of 1-5 weights summing to 1, some of them zero, which have order 2
+    rng, schemes = random.Random(seed), []
+    for k in range(count):
+        if k % 2:
+            stages = rng.randint(1, 6)
+            a, b = ([F(0) if rng.random() < 0.3 else random_fraction(rng) for _ in range(stages)]
+                    for _ in "ab")
+            if rng.random() < 0.8:
+                a[-1], b[-1] = 1 - sum(a[:-1]), 1 - sum(b[:-1])
+            schemes.append(ConcreteScheme(a, b))
+        else:
+            w = [F(0) if rng.random() < 0.3 else random_fraction(rng)
+                 for _ in range(rng.randint(0, 4))]
+            schemes.append(strang_composition(w + [1 - sum(w)]))
+    return schemes
+
+
+ORDER3_STRANG_WEIGHTS = [F(x, 6) for x in (3, 4, 5, -6)]
+# palindromes of weights summing to 1 whose cubes sum to 0: symmetric, so order 4, and
+# degree 5 is the first whose Lyndon read has rows (AAABB and AABAB share their letters)
+ORDER4_STRANG_WEIGHTS = [[F(x, 66) for x in (12, 17, 19, -30, 19, 17, 12)],
+                         [F(x, 6) for x in (-35, -1, 18, 42, 18, -1, -35)]]
+LEAD_WITNESSES = [entry.scheme for entry in REGISTRY.values()]
+LEAD_WITNESSES += map(strang_composition, itertools.permutations(ORDER3_STRANG_WEIGHTS))
+LEAD_WITNESSES += map(strang_composition, ORDER4_STRANG_WEIGHTS)
+LEAD_WITNESSES += random_lead_witnesses(2609, 60)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_leading_error_term_equals_the_bch_oracle(p):
+    # the term read off the product at degree p + 1, and the refusal, against the
+    # logarithm's residuals at order p + 1: coefficients and message alike
+    read = 0
+    for scheme in LEAD_WITNESSES:
+        got = leading_term_or_refusal(leading_error_term, scheme, p)
+        expected = leading_term_or_refusal(leading_error_term_by_bch, scheme, p)
+        assert got == expected, scheme
+        assert str(got) == str(expected)
+        read += isinstance(got, LieDecomposition)
+    # terms are read through p = 4, the random draws among them at p = 1 and 2;
+    # no witness has order 5
+    assert read >= {1: 80, 2: 55, 3: 27, 4: 2}.get(p, 0)
+
+
+def test_leading_error_term_forms_no_logarithm():
+    # the product and its read fill the tables through degree p + 1; the log's
+    # factor numbering, its product steps and its splits are never built
+    _Tables.cache_clear()
+    leading_error_term(PAPER3, 3)
+    built = vars(_Tables(4, 2))
+    assert "suffix_steps" in built
+    assert not {"factors", "factor_steps", "log_steps"} & set(built)
 
 
 def test_exp_of_lie_element_leading_term_has_unit_coefficient():

@@ -138,6 +138,18 @@ def test_expand_rejects_tight_truncation():
         expand((A, (A, B)), 2)
 
 
+def test_expand_names_a_malformed_tree():
+    # a one-element tuple, a triple, a list and a string are none of a leaf (an int)
+    # or a node (a pair); the bad subtree is named, however deep it sits
+    message = "not a bracket tree: {}; a leaf is an int and a node is a pair"
+    for tree, bad in [((0,), (0,)), ((0, 1, 1), (0, 1, 1)), ([0, 1], [0, 1]),
+                      ((A, ("B",)), ("B",)), ((A, "B"), "B")]:
+        with pytest.raises(ValueError) as caught:
+            expand(tree, 3)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message.format(repr(bad))
+
+
 def test_antisymmetry_of_brackets():
     rng = random.Random(61)
 

@@ -29,7 +29,9 @@ p = 6 to 10 over the registry's Strang and order-3 schemes (taken while the
 Lyndon read was still a word-keyed back-substitution); and of the printed
 Lyndon decompositions of a seeded three-letter Lie combination at degrees 3
 to 5, and of verify_scheme on the BCH route at p = 11 to 13 over the same two
-schemes (taken while the read still expanded and kept every bracket).
+schemes (taken while the read still expanded and kept every bracket); and of the
+printed leading error terms of the 43 verification witnesses at p = 1, 2 and 4
+(taken while leading_error_term still read the logarithm at order p + 1).
 """
 
 import hashlib
@@ -58,6 +60,8 @@ from splitcond.cli import REGISTRY
 from splitcond.conditions import conditions_bch, splitting_product
 from splitcond.poly import Poly
 from splitcond.series import log
+
+from helpers import strang_composition
 
 SYSTEM_DIGESTS = {
     ("taylor", 1, 1): "4838f62fc21c0f10ee9aeae4cecc183457d6338482199d51bd2064d3b4319b43",
@@ -159,13 +163,6 @@ VERIFY_DIGESTS = {
 LEADING_TERMS_DIGEST = "0345700f7c06ff4a66c3e04ee5b2c1f01d1dc3c668c68eaca60d31a466d24d61"
 
 
-def strang_composition(weights) -> ConcreteScheme:
-    # the merged product S(w1)...S(wk) of Strang steps, k + 1 stages
-    w = [Fraction(x) for x in weights]
-    a = [w[0] / 2] + [(x + y) / 2 for x, y in zip(w, w[1:])] + [w[-1] / 2]
-    return ConcreteScheme(a, w + [Fraction(0)])
-
-
 def verification_witnesses() -> list[ConcreteScheme]:
     weights = [Fraction(x, 6) for x in (3, 4, 5, -6)]
     schemes = [strang_composition(w) for w in itertools.permutations(weights)]
@@ -197,14 +194,34 @@ def test_verify_scheme_reports_unchanged(order, route):
     assert sha256(canonical) == VERIFY_DIGESTS[(order, route)]
 
 
-def test_leading_error_terms_unchanged():
+def leading_terms_text(p: int) -> str:
     texts = []
     for scheme in verification_witnesses():
         try:
-            texts.append(str(leading_error_term(scheme, 3)))
+            texts.append(str(leading_error_term(scheme, p)))
         except NotOrderP:
-            texts.append("not order 3")
-    assert sha256("\n".join(texts)) == LEADING_TERMS_DIGEST
+            texts.append(f"not order {p}")
+    return "\n".join(texts)
+
+
+def test_leading_error_terms_unchanged():
+    assert sha256(leading_terms_text(3)) == LEADING_TERMS_DIGEST
+
+
+# The same witnesses' leading error terms at p = 1, 2 and 4: every witness has order
+# 1, all but one order 2, and none order 4.  Pinned while leading_error_term still
+# formed the logarithm at order p + 1.
+
+LEADING_TERMS_AT_ORDER_DIGESTS = {
+    1: "5af2016903cdacdc6c175fd80cdf19bae4e3457f46e1029b1c165ae843036e8e",
+    2: "31ce8cbcee7480800c800eb4f583ff01a95e3741329ae0de45bc8ed374722e37",
+    4: "b5d2163a3103a6901dded5fc67f05cf74c9d686f8856992268ea4f42d57e79cc",
+}
+
+
+@pytest.mark.parametrize("order", sorted(LEADING_TERMS_AT_ORDER_DIGESTS))
+def test_leading_error_terms_at_other_orders_unchanged(order):
+    assert sha256(leading_terms_text(order)) == LEADING_TERMS_AT_ORDER_DIGESTS[order]
 
 
 # verify_scheme reports at p = 1, 2, 5 and 6 on both routes, over the registry

@@ -99,6 +99,20 @@ def test_eval_missing_assignment():
     assert Poly.const(Fraction(1, 3)).evaluate([]) == Fraction(1, 3)
 
 
+def test_eval_names_an_inexact_value():
+    # evaluation is exact: a float or a string among the values the polynomial
+    # reads is named, while a value it does not read is never looked at
+    p = sym("a", 1) + sym("b", 2)
+    for bad, shown in [(0.5, "0.5"), ("1/2", "'1/2'")]:
+        with pytest.raises(TypeError) as caught:
+            p.evaluate([Fraction(1), bad, 2, 3])
+        message = f"cannot evaluate exactly at {shown}: values are ints or Fractions"
+        assert str(caught.value) == message
+    with pytest.raises(TypeError, match="^cannot evaluate exactly at 0.5: "):
+        sym("a", 1).evaluate([0.5])
+    assert p.evaluate([1, Fraction(1, 2), 3, Fraction(1, 4), 0.5]) == Fraction(5, 4)
+
+
 def test_eval_non_homogeneous_with_constant_at_mixed_points():
     # one common denominator over values with different denominators, zeros
     # and negatives must give the {monomial: Fraction} oracle's value

@@ -181,6 +181,18 @@ def test_construction_rejects_overlong_words():
         NCSeries(1, 2, {(0, 1): 1})
 
 
+def test_construction_names_a_word_whose_letters_are_not_indices():
+    # a letter string is not a word of letter indices, and a letter past the
+    # alphabet is refused the same way
+    cases = [("AB", "('A', 'B')"), ("ABC", "('A', 'B', 'C')"), ((0, 2), "(0, 2)"),
+             ((0, 1.0), "(0, 1.0)"), ((0, 1, -1), "(0, 1, -1)")]
+    for word, shown in cases:
+        with pytest.raises(ValueError) as caught:
+            NCSeries(2, 2, {word: 1})
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"word {shown} uses letters outside the alphabet"
+
+
 # -- vanishing-degree equivalences ---------------------------------------------
 
 

@@ -7,21 +7,16 @@ Lyndon word w of degree q, the Taylor route emits q! F[w] - 1 (e^{A+B} has coeff
 of log(F) - (A + B); each must vanish.
 
 Both run one divided-power recurrence over the scheme's point, the stage values n = D c in
-symbol order a1, b1, a2, ..., D the lcm of their denominators: a factor e^{cX} per nonzero value,
-a zero one being 1.  G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to
-sum_j C(|w|, j) n^j G[v], on the Lyndon words and their suffixes, numbered once by lyndon._Tables,
-so each accumulator is a list indexed by slot, and each factor is one kernel call (a sweep).
-log(F) is Horner's scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in
-Casas & Murua (J. Math. Phys. 2009).  A _Ring record names the ring: over _MAPS, Poly's packed
-integer maps, with D = 1 and each n^j a packed monomial, F acc is that recurrence started from
-acc, so the systems never expand F; over _INTS, for a concrete scheme, G[u] is one int, and one
-sweep per pass, from zero, multiplies by G - 1 on the words' factors; _INTS on Poly values forms
-splitting_product.  The Lyndon read, _Tables.read, is one more sweep, in place by the ring's unit,
-per degree that does not vanish.  Neither verify_scheme nor leading_error_term builds a symbolic
-system, and every vanishing residual is one shared Fraction(0); leading_error_term runs the Taylor
-product to degree p + 1 and reads that degree, forming no logarithm.  check_cost() sizes a command
-from word counts alone; systems_equivalent() checks on witnesses that two systems cut out the same
-solution sets.
+symbol order a1, b1, a2, ..., D the lcm of their denominators, a factor e^{cX} per nonzero value.
+G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to sum_j C(|w|, j) n^j G[v],
+at the slots of the Lyndon words and their suffixes, numbered by lyndon._Tables, in one call of the
+ring's product kernel, which forms n^j along each row's run.  log(F) is Horner's scheme acc <- c_k
++ F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua (J. Math. Phys. 2009).
+A _Ring names the ring: over _MAPS, Poly's packed integer maps, n^j a packed monomial, F acc is the
+product started from acc, so the systems never expand F; over _INTS, for a concrete scheme, G[u] is
+one int, and one sweep by G - 1 a pass runs the log; _INTS on Poly values forms splitting_product.
+The Lyndon read, _Tables.read, is one more product, by the ring's unit factor.  No symbolic system
+is built to verify a scheme or for its leading error term, read off the product at degree p + 1.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
-from .poly import MAX_EXPONENT, Poly, Scalar, _dot, _int_sweep, _sweep
+from .poly import MAX_EXPONENT, Poly, Scalar, _dot, _int_product, _int_sweep, _map_product
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
@@ -41,6 +36,7 @@ _NIL = Fraction(0)  # every vanishing residual
 # What check_cost lets a command plan before it builds anything: Lyndon words, and
 # bytes of packed keys (2s a monomial, q a word of length q) in its output and tables.
 MAX_LYNDON_WORDS, MAX_COST = 10**6, 10**8
+MAX_TABLE_ORDER = 23  # through it 766,150 two-letter Lyndon words, 1,465,020 through order 24
 
 
 class NotOrderP(ValueError):
@@ -77,7 +73,7 @@ class ConcreteScheme(_SchemeFields):
 
     def point(self) -> tuple[Fraction, ...]:
         """Stage coefficients in canonical symbol order a1, b1, a2, b2, ..."""
-        return tuple(x for pair in zip(self.a, self.b) for x in pair)
+        return tuple(itertools.chain.from_iterable(zip(self.a, self.b)))
 
     def padded(self, stages: int) -> "ConcreteScheme":
         """Same scheme embedded in a larger stage count by zero coefficients."""
@@ -120,13 +116,12 @@ def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
     return start
 
 
-# a ring's unit and kernels, ladder(x, top) = [x^0 .. x^top], and whether the log sweeps by G
-_Ring = NamedTuple("_Ring", [("one", object), ("dot", Callable), ("sweep", Callable),
-                             ("ladder", Callable), ("expanded", bool)])
-# over ints or Poly values; over integer maps a value k >= 1 names the symbol at index k - 1, so
-# none is zero and a range of them is built lazily, its powers the packed monomials e << 8(k - 1)
-_INTS = _Ring(1, _int_dot, _int_sweep, lambda n, top: [n**j for j in range(top + 1)], True)
-_MAPS = _Ring({0: 1}, _dot, _sweep, lambda k, top: [e << 8 * k - 8 for e in range(top + 1)], False)
+# a ring's one, dot and product kernels, unit factor (its powers all one), and whether the log
+# sweeps by G; over integer maps a value k >= 1, never zero, names symbol k - 1
+_Ring = NamedTuple("_Ring", [("one", object), ("dot", Callable), ("product", Callable),
+                             ("unit", object), ("expanded", bool)])
+_INTS = _Ring(1, _int_dot, _int_product, 1, True)
+_MAPS = _Ring({0: 1}, _dot, _map_product, 0, False)
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
@@ -136,34 +131,28 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     if len(scheme.a) != len(scheme.b):
         raise ValueError("coefficient lists a and b must have equal length")
     words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
-    point = itertools.chain(*zip(scheme.a, scheme.b))  # a1, b1, a2, ...; e^{0X} = 1 never enters
-    factors = [(i % 2, _INTS.ladder(n, truncation)) for i, n in enumerate(point) if n]
+    factors = [(i % 2, n) for i, n in enumerate(itertools.chain(*zip(scheme.a, scheme.b))) if n]
     g = _divided_product(_INTS, factors, _product_steps(words), len(words))
     terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in zip(words, g)}
     return NCSeries(truncation, 2, terms)
 
 
 def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list:
-    # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, over the factor word, its
-    # stage values n = D c as ladders [n^0 .. n^top], top the longest word; right to left,
-    # e^{cX} sends G[w] to G[w] + sum_j C(|w|, j) n^j G[v] over w = X^j v, j >= 1
+    # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, over the factor word (X, n = D c)
     g = [ring.dot([])] * (size - 1) + [ring.one]
-    for letter, powers in reversed(factors):
-        ring.sweep(g, powers, steps.get(letter, ()))
+    ring.product(g, factors, steps)
     return g
 
 
-def _divided_log(ring: _Ring, sweeps, last, size: int, p: int) -> tuple:
-    # L |w|! D^|w| log(F)[w], L = lcm(1..p), over size suffix-closed slots, () last: Horner's
-    # scheme acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k, F acc the sweeps
-    # (factor, rows) in turn.  Expanded, each sweep starts from zero, its rows forming F acc - acc,
-    # and nothing is subtracted; else the last pass (k = 0) subtracts acc at the slots of last only
-    one, dot, sweep, _, expanded = ring
+def _divided_log(ring: _Ring, times: Callable, last, size: int, p: int) -> tuple:
+    # L |w|! D^|w| log(F)[w], L = lcm(1..p), at size suffix-closed slots, () last: Horner's scheme
+    # acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k, times(acc, p - k) forming
+    # F acc in place (F acc - acc if expanded, subtracting nothing; else the last pass at last only)
+    one, dot, _, _, expanded = ring
     big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
     for k in range(p, -1, -1):
         old = acc[:]
-        for f, rows in sweeps:
-            sweep(acc, f, rows, p - k, expanded)
+        times(acc, p - k)
         for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
             if old[w]:
                 acc[w] = dot([(-1, one, old[w])], acc[w])
@@ -171,46 +160,46 @@ def _divided_log(ring: _Ring, sweeps, last, size: int, p: int) -> tuple:
     return big, acc
 
 
-def _factors(ring: _Ring, point: Sequence, p: int, top: int) -> tuple[_Tables, list]:
+def _factors(point: Sequence, p: int, top: int) -> tuple[_Tables, list]:
     # the tables through degree top >= p, refused before any is built, and the factor word:
     # e^{nX} per stage value n != 0 of point, X = A at even indices and B at odd
     if p < 1:
         raise ValueError("target order must be >= 1")
-    if top > MAX_EXPONENT:  # a packed exponent carries past its byte there
-        raise ValueError(f"target order must be <= {MAX_EXPONENT}")
-    return _Tables(top, 2), [(i % 2, ring.ladder(n, top)) for i, n in enumerate(point) if n]
+    if top > MAX_TABLE_ORDER:  # and past MAX_EXPONENT a packed exponent carries past its byte
+        raise ValueError(f"target order must be <= {MAX_EXPONENT}" if top > MAX_EXPONENT
+                         else f"order {top} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    return _Tables(top, 2), [(i % 2, n) for i, n in enumerate(point) if n]
 
 
 def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
-    # (degree, word, numerator, offset, scale) of each condition (numerator - offset) /
-    # scale, over the ring, at the stage values n = D c of point; A + B's offset is a constant
+    # per degree q, (q, Lyndon words {w: slot}, values by slot, offset, scale) of the conditions
+    # (value - offset) / scale over the ring at the stage values n = D c of point
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if not point:
         raise ValueError("stage count must be >= 1")
-    tables, factors = _factors(ring, point, p, p)
+    tables, factors = _factors(point, p, p)
     size, lyndon = len(tables.suffixes), tables.lyndon
     if route == "taylor":
         g = _divided_product(ring, factors, tables.suffix_steps, size)
-        return [(q, w, g[i], den**q, den**q)
-                for q in range(1, p + 1) for w, i in lyndon[q].items()]
+        return [(q, lyndon[q], g, d, d) for q in range(1, p + 1) for d in [den**q]]
     if ring.expanded:  # G[u] is one int: a sweep by G a pass, from zero, subtracting nothing
         g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        sweeps, last = [(g, tables.log_steps)], ()
-    else:  # a sweep per factor, over the suffixes its letter leads; the last - acc at Lyndon words
-        sweeps = [(n, tables.suffix_steps[x]) for x, n in reversed(factors)]
+        times, last = lambda acc, top: _int_sweep(acc, g, tables.log_steps, top), ()
+    else:  # the product from acc, over the suffixes; the last - acc at the Lyndon words only
+        times = lambda acc, top: ring.product(acc, factors, tables.suffix_steps, top)
         last = [i for words in lyndon for i in words.values()]
-    big, acc = _divided_log(ring, sweeps, last, size, p)
-    tables.read(ring.sweep, ring.ladder(1, 0), acc, range(2, p + 1))  # degree 1 reads itself
-    return [(q, w, acc[i], big * den * (q == 1), big * math.factorial(q) * den**q)
-            for q in range(1, p + 1) for w, i in lyndon[q].items()]
+    big, acc = _divided_log(ring, times, last, size, p)
+    tables.read(ring.product, ring.unit, acc, range(2, p + 1))  # degree 1 reads itself
+    return [(q, lyndon[q], acc, big * den * (q == 1), big * math.factorial(q) * den**q)
+            for q in range(1, p + 1)]
 
 
 def _scaled(scheme: ConcreteScheme) -> tuple[list[int], int]:
     # the stage values over ints, n = D c, and D, the lcm of their denominators
-    point = scheme.point()
-    den = math.lcm(*(c.denominator for c in point))
-    return [c.numerator * (den // c.denominator) for c in point], den
+    ratios = [c.as_integer_ratio() for c in scheme.point()]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
@@ -283,9 +272,9 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
     A bad route is reported before a bad stage count, and that before a bad order.
     """
     entries = []  # over integer maps, the symbols a1, b1, a2, ... named 1, 2, 3, ...
-    for q, w, nums, offset, scale in _route(_MAPS, range(1, 2 * stages + 1), 1, p, route):
-        nums = {**nums, 0: -offset} if offset else nums  # nums has degree q >= 1: no constant
-        entries.append(ConditionEntry(q, w, Poly._of(scale, nums)))
+    for q, words, n, offset, scale in _route(_MAPS, range(1, 2 * stages + 1), 1, p, route):
+        entries += [ConditionEntry(q, w, Poly._of(scale, {**n[i], 0: -offset} if offset else n[i]))
+                    for w, i in words.items()]  # n[i] has degree q >= 1: no constant
     return ConditionSystem(stages, p, route, tuple(entries))
 
 
@@ -322,9 +311,9 @@ class VerificationReport(NamedTuple):
 
 def verify_scheme(scheme: ConcreteScheme, p: int, route: str = "bch") -> VerificationReport:
     """The order-p residuals at the scheme, exactly, by the route's pass over ints."""
-    entries = _route(_INTS, *_scaled(scheme), p, route)
-    residuals = tuple([(q, w, Fraction(d, s) if (d := n - o) else _NIL)
-                       for q, w, n, o, s in entries])
+    residuals = tuple([(q, w, Fraction(d, s) if (d := g[i] - o) else _NIL)
+                       for q, words, g, o, s in _route(_INTS, *_scaled(scheme), p, route)
+                       for w, i in words.items()])
     return VerificationReport(scheme, p, route, _all_within(residuals), residuals)
 
 
@@ -378,15 +367,14 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
     F - e^{A+B} = Z at the words of length p + 1, whose Lyndon read gives Z's coordinates.
     """
     values, den = _scaled(scheme)
-    tables, factors = _factors(_INTS, values, p, p + 1)
+    tables, factors = _factors(values, p, p + 1)
     g = _divided_product(_INTS, factors, tables.suffix_steps, len(tables.suffixes))
-    if any(g[i] != den**q for q in range(1, p + 1) for i in tables.lyndon[q].values()):
+    if any(g[i] != d for q in range(1, p + 1) for d in [den**q] for i in tables.lyndon[q].values()):
         raise NotOrderP(f"{scheme} does not satisfy the order-{p} conditions")
-    top, lead = den ** (p + 1), tables.lyndon[p + 1]
+    lead, scale = tables.lyndon[p + 1], math.factorial(p + 1) * (top := den ** (p + 1))
     for i in lead.values():  # G[w] = (p+1)! D^(p+1) F[w] less e^{A+B}'s, which is D^(p+1)
         g[i] -= top
-    tables.read(_INTS.sweep, [1], g, [p + 1])
-    scale = math.factorial(p + 1) * top
+    tables.read(_INTS.product, _INTS.unit, g, [p + 1])
     return LieDecomposition(p + 1, {w: Poly._of(scale, {0: g[i]}) for w, i in lead.items() if g[i]})
 
 

@@ -9,7 +9,7 @@ first, and every table is rows of slots, so the recurrence indexes lists.
 
 A Lyndon bracketing expands to its own word once plus larger words of its letters
 only (Reutenauer, Free Lie Algebras, 1993), so per degree a unitriangular solve in
-blocks of one letter content, rows a sweep kernel runs in place, reads the coordinates
+blocks of one letter content, rows a product kernel runs in place, reads the coordinates
 of a Lie element.  A bracket is expanded only where a row reads it, and kept only below
 the table's top degree.  lie_decompose first checks membership by the Dynkin projection.
 """
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .poly import _ZERO, Poly, _int_sweep
+from .poly import _ZERO, Poly, _int_product
 from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
@@ -105,16 +105,20 @@ def foliage(tree: BracketTree) -> Word:
     """Left-to-right leaf sequence of a bracket tree."""
     if isinstance(tree, int):
         return (tree,)
-    if not (isinstance(tree, tuple) and len(tree) == 2):
-        raise ValueError(f"not a bracket tree: {tree!r}; a leaf is an int and a node is a pair")
-    left, right = tree
+    left, right = _node(tree)
     return foliage(left) + foliage(right)
+
+
+def _node(tree) -> tuple:
+    if isinstance(tree, tuple) and len(tree) == 2:  # else neither a leaf nor a node
+        return tree
+    raise ValueError(f"not a bracket tree: {tree!r}; a leaf is an int and a node is a pair")
 
 
 def bracket_str(tree: BracketTree) -> str:
     if isinstance(tree, int):
         return word_str((tree,))
-    left, right = tree
+    left, right = _node(tree)
     return f"[{bracket_str(left)},{bracket_str(right)}]"
 
 
@@ -225,7 +229,7 @@ class _Tables:
 
     def read_steps(self, q: int) -> list:
         # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
-        # Lyndon of w's letters (E_l holds no other word), in place by the unit 0: c_w -= E_l[w] c_l
+        # Lyndon of w's letters (E_l holds no other word), run by the unit factor: c_w -= E_l[w] c_l
         if q not in self._reads:
             blocks, runs = {}, {i: [] for i in self.lyndon[q].values()}  # (w, slot)s by letters
             for w, i in self.lyndon[q].items():
@@ -239,12 +243,12 @@ class _Tables:
             self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
-    def read(self, sweep, unit, acc, degrees) -> None:
-        # the Lyndon read: acc's Lyndon slots to coordinates, in place by the sweep kernel and
-        # its ring's unit, at each degree whose values do not all vanish (the rest go unbuilt)
+    def read(self, product, unit, acc, degrees) -> None:
+        # the Lyndon read: acc's Lyndon slots to coordinates, in place by the product kernel and
+        # its ring's unit factor, at each degree whose values do not all vanish (the rest unbuilt)
         for q in degrees:
             if any(map(acc.__getitem__, self.lyndon[q].values())):
-                sweep(acc, unit, self.read_steps(q))
+                product(acc, [(0, unit)], {0: self.read_steps(q)})
 
 
 def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
@@ -285,5 +289,5 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     tables = _Tables(degree, len(letters))
     words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
     acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
-    tables.read(_int_sweep, [1], acc, [degree])
+    tables.read(_int_product, 1, acc, [degree])
     return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})

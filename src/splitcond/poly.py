@@ -257,31 +257,45 @@ def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> d
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
-    # acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with
-    # |w| <= top, over ints or Poly: rows longest first read the old acc[v], and the Lyndon
-    # read's rows, in lexicographic order, read solved values
+def _int_sweep(acc: list, f, rows: list, top: int) -> None:
+    # acc[w] <- sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with |w| <= top, over ints:
+    # the int log's pass by G, from zero; rows longest first read the old acc[v]
     for w, n, runs in rows:
         if n <= top:
-            total = 0 if zero else acc[w]
+            total = 0
             for c, x, v in runs:
                 total += c * f[x] * acc[v]
             acc[w] = total
 
 
-def _sweep(acc: list, f: list[int], rows: list, top: int = MAX_EXPONENT, zero=False) -> None:
-    # acc[w] <- acc[w] ({} if zero) + sum c x^f[j] acc[v] at each row (w, |w|, [(c, j, v)])
-    # with |w| <= top, over integer maps, f[j] a packed monomial added to each key; rows in
-    # _int_sweep's orders, and each row gets a new map, so no start, shared or not, is mutated
-    for w, n, runs in rows:
-        if n <= top:
-            total = {} if zero else dict(acc[w])
-            for c, j, v in runs:
-                shift = f[j]
-                for m, x in acc[v].items():
-                    m += shift
-                    total[m] = total.get(m, 0) + c * x
-            acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
+def _int_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT) -> None:
+    # right to left over the factor word (X, n), acc[w] += sum c n^j acc[v] at each row (w, |w|,
+    # [(c, j, v)]) of steps[X] with |w| <= top, n^j a running product as runs come j = 1, 2, ...;
+    # over ints or Poly; rows longest first read the old acc[v], the Lyndon read's solved ones
+    for letter, n in reversed(factors):
+        for w, size, runs in steps.get(letter, ()):
+            if size <= top:
+                total, power = acc[w], 1
+                for c, _, v in runs:
+                    power *= n
+                    total += c * power * acc[v]
+                acc[w] = total
+
+
+def _map_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT) -> None:
+    # _int_product over integer maps, n^j adding to each key j units 1 << 8(k - 1) of the symbol
+    # named k (the unit factor k = 0 shifts by 0); each row gets a new map, so no start is mutated
+    for letter, k in reversed(factors):
+        unit = 1 << 8 * k >> 8
+        for w, size, runs in steps.get(letter, ()):
+            if size <= top:
+                total, shift = dict(acc[w]), 0
+                for c, _, v in runs:
+                    shift += unit
+                    for m, x in acc[v].items():
+                        m += shift
+                        total[m] = total.get(m, 0) + c * x
+                acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
 
 
 def sum_of_products(terms: list[tuple[int, Poly, Poly]], start: Poly = _ZERO) -> Poly:

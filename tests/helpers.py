@@ -30,7 +30,7 @@ from splitcond import (
     verify_scheme,
 )
 from splitcond.conditions import _INTS
-from splitcond.poly import _ONE, Poly, sum_of_products
+from splitcond.poly import _ONE, MAX_EXPONENT, Poly, sum_of_products
 from splitcond.series import Word, word_str
 
 # the recurrence's ring over Poly values, kernels by Poly arithmetic: the oracle the
@@ -282,6 +282,64 @@ def monomial_map(mono: int) -> dict[int, int]:
     return {mono: 1}
 
 
+# ---------------------------------------------------------------------------
+# the stage ladders and the sweep kernels the fused product kernels replace: the
+# reference for conditions._INTS.product and conditions._MAPS.product
+
+
+def int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
+    """acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]).
+
+    Over ints or Poly at |w| <= top: rows longest first read the old acc[v], and the
+    Lyndon read's rows, in lexicographic order, read solved values.
+    """
+    for w, n, runs in rows:
+        if n <= top:
+            total = 0 if zero else acc[w]
+            for c, x, v in runs:
+                total += c * f[x] * acc[v]
+            acc[w] = total
+
+
+def map_sweep(acc: list, f: list[int], rows: list, top: int = MAX_EXPONENT, zero=False) -> None:
+    """acc[w] <- acc[w] ({} if zero) + sum c x^f[j] acc[v] at each row (w, |w|, [(c, j, v)]).
+
+    Over integer maps at |w| <= top, f[j] a packed monomial added to each key; rows in
+    int_sweep's orders, and each row gets a new map, so no start is mutated.
+    """
+    for w, n, runs in rows:
+        if n <= top:
+            total = {} if zero else dict(acc[w])
+            for c, j, v in runs:
+                shift = f[j]
+                for m, x in acc[v].items():
+                    m += shift
+                    total[m] = total.get(m, 0) + c * x
+            acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
+
+
+def ladder_product(sweep, power=pow):
+    """The fused product kernels' contract by ladders: one sweep a factor, right to left.
+
+    A factor (X, x) sweeps the rows steps[X] by its ladder [power(x, 0) .. power(x, t)],
+    t the longest row kept by top; the int ring's power is pow, over ints or Poly, and the
+    map ring's j times the factor's packed unit monomial, map_ladder's.
+    """
+
+    def product(acc, factors, steps, top=MAX_EXPONENT):
+        for letter, x in reversed(factors):
+            rows = steps.get(letter, [])
+            longest = min(top, max((n for _, n, _ in rows), default=0))
+            sweep(acc, [power(x, j) for j in range(longest + 1)], rows, top)
+
+    return product
+
+
+def map_ladder(k: int, j: int) -> int:
+    """x^j for the symbol x named k >= 1, index k - 1, as a packed monomial; 0 for k = 0."""
+    return j << 8 * k >> 8
+
+
 def divided_product_by_word(ring, a, b, words, lift=lambda x: x) -> dict:
     """G[w] = |w|! D^|w| F[w] on the suffix-closed words, keyed by word.
 
@@ -356,19 +414,20 @@ def lyndon_slots(tables) -> list[int]:
     return [i for words in tables.lyndon for i in words.values()]
 
 
-def divided_log_lyndon_last_pass(ring, g, tables, p: int) -> list:
+def divided_log_lyndon_last_pass(ring, sweep, g, tables, p: int) -> list:
     """The expanded-G log whose last pass forms only the Lyndon words' slots.
 
     Horner's scheme acc <- c_k + (G - 1) acc, each pass a sweep by G from zero over
     tables.log_steps, as the library's int log runs it, except that the last pass
     (k = 0) keeps to the log_steps rows at the Lyndon slots; the other slots keep the
-    previous pass's values.  Over the size slots of tables.suffixes, () last.
+    previous pass's values.  sweep(acc, g, rows, top) starts each row from zero, and
+    the ring's unit and dot form the constants.  Over the slots of tables.suffixes.
     """
     slots = set(lyndon_slots(tables))
     last_rows = [row for row in tables.log_steps if row[0] in slots]
     big, acc = math.lcm(*range(1, p + 1)), [ring.dot([])] * len(tables.suffixes)
     for k in range(p, -1, -1):
-        ring.sweep(acc, g, tables.log_steps if k else last_rows, p - k, True)
+        sweep(acc, g, tables.log_steps if k else last_rows, p - k)
         acc[-1] = ring.dot([((-1) ** (k + 1) * big // k, ring.one, ring.one)] if k else [])
     return acc
 

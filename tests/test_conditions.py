@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -36,6 +37,8 @@ from splitcond.conditions import (
     _MAPS,
     MAX_COST,
     MAX_LYNDON_WORDS,
+    MAX_TABLE_ORDER,
+    ROUTES,
     _NIL,
     _divided_log,
     _divided_product,
@@ -43,7 +46,9 @@ from splitcond.conditions import (
     check_cost,
 )
 from splitcond.lyndon import _numbered, _product_steps, _splits, _Tables, lyndon_words
-from splitcond.poly import MAX_EXPONENT, Poly, _dot, _int_sweep, _sweep, as_poly, sum_of_products
+from splitcond.poly import (
+    MAX_EXPONENT, Poly, _dot, _int_product, _int_sweep, _map_product, as_poly, sum_of_products
+)
 
 from helpers import (
     POLYS,
@@ -52,10 +57,15 @@ from helpers import (
     divided_log_by_expanded_product,
     divided_log_lyndon_last_pass,
     homogeneous_at_truncation,
+    int_sweep,
+    ladder_product,
     leading_error_term_by_bch,
     log_pair_coefficients,
     lyndon_slots,
+    map_ladder,
+    map_sweep,
     monomial_map,
+    necklace_count,
     order1_witness,
     order2_witness,
     product_steps_by_word,
@@ -152,7 +162,7 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
         slots = _numbered(closure)
         steps = _product_steps(slots)
         symbols = enumerate(symbol_point(stages))
-        factors = [(i % 2, POLYS.ladder(n, truncation)) for i, n in symbols]
+        factors = [(i % 2, n) for i, n in symbols]
         divided = _divided_product(POLYS, factors, steps, len(slots))
         divided = dict(zip(slots, divided))
         assert set(divided) == closure
@@ -227,11 +237,13 @@ DERIVE_GRID = [
 
 @pytest.mark.parametrize("stages,p,route", DERIVE_GRID)
 def test_condition_system_equals_the_route_over_poly(stages, p, route):
-    # the path the integer maps replace: the route over Poly with sum_of_products
-    # as its kernel, the offset and the scale applied by Poly arithmetic; the read's
-    # unit, the int 1, is lifted to a Poly
-    ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products, as_poly))
-    oracle = _route(ring, symbol_point(stages), 1, p, route)
+    # the path the integer maps replace: the route over Poly, its products swept by
+    # ladders with sum_of_products per row, the offset and the scale applied by Poly
+    # arithmetic; the read's unit, the int 1, is lifted to a Poly
+    ring = POLYS._replace(product=ladder_product(sweep_by_dot(sum_of_products, as_poly)))
+    oracle = [(q, w, n[i], offset, scale)
+              for q, words, n, offset, scale in _route(ring, symbol_point(stages), 1, p, route)
+              for w, i in words.items()]
     entries = condition_system(stages, p, route).entries
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
@@ -241,29 +253,37 @@ def test_condition_system_equals_the_route_over_poly(stages, p, route):
 BCH_CELLS = [(s, p) for s, p, route in DERIVE_GRID if route == "bch"]
 
 
-def stage_sweeps(a, b, steps):
-    # F acc as the stages' one-letter exponentials, e^{b_s B} first and e^{a_1 A}
-    # last, each over the words its letter leads; zero stages are kept
-    return [(n, steps.get(x, [])) for pair in zip(a, b) for x, n in enumerate(pair)][::-1]
+def stage_product(ring, point, steps):
+    # F acc as one product kernel call over the stages' one-letter exponentials,
+    # e^{b_s B} first and e^{a_1 A} last, each over the words its letter leads; zero
+    # stages are kept
+    factors = [(i % 2, n) for i, n in enumerate(point)]
+    return lambda acc, top: ring.product(acc, factors, steps, top)
 
 
 def int_ladders(values, p):
-    # every power, a zero stage's too: a stage sweep reads n^j up to its run
+    # every power, a zero stage's too: the oracle's sweeps read n^j up to a run
     return [[n**j for j in range(p + 1)] for n in values]
 
 
 def map_ladders(stages, p):
-    # the symbols a_j, b_j, given as 2j-1 and 2j, as ladders of packed monomials
-    return [_MAPS.ladder(k, p) for k in range(1, 2 * stages + 1)]
+    # the symbols a_j, b_j, named 2j-1 and 2j, as ladders of packed monomials
+    return [[map_ladder(k, j) for j in range(p + 1)] for k in range(1, 2 * stages + 1)]
 
 
 def rings(values, stages, p):
-    # (ladders, ring, lift) over ints at the values, and over integer maps at the
-    # symbols, whose ladders hold packed monomials
+    # (point, ladders, ring, lift) over ints at the values, and over integer maps at
+    # the symbols, named 1, 2, ..., whose ladders, for the oracle, hold packed monomials
     return [
-        (int_ladders(values, p), _INTS, lambda x: x),
-        (map_ladders(stages, p), _MAPS, monomial_map),
+        (values, int_ladders(values, p), _INTS, lambda x: x),
+        (range(1, 2 * stages + 1), map_ladders(stages, p), _MAPS, monomial_map),
     ]
+
+
+def split_sweep(ring):
+    # the expanded-G log's pass, from zero: the int ring's kernel, and over maps, whose
+    # factors G[u] are whole maps, the per-row loop
+    return _int_sweep if ring is _INTS else functools.partial(sweep_by_dot(ring.dot), zero=True)
 
 
 @pytest.mark.parametrize("stages,p", BCH_CELLS)
@@ -277,18 +297,17 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
     words, size = tables.suffixes, len(tables.suffixes)
     rng = random.Random(100 * stages + p)
     values = [rng.randint(-9, 9) for _ in range(2 * stages)]
-    for ladders, ring, lift in rings(values, stages, p):
-        a, b = ladders[::2], ladders[1::2]
-        # every value enters the factor word; a zero one's sweep adds nothing
-        factors = [(i % 2, n) for i, n in enumerate(ladders)]
+    for point, _, ring, lift in rings(values, stages, p):
+        # every value enters the factor word; a zero one's powers add nothing
+        factors = [(i % 2, n) for i, n in enumerate(point)]
         g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        # the expanded product's factors are whole maps, so over maps its sweep is per row
-        lone = ring.sweep if ring is _INTS else sweep_by_dot(ring.dot)
-        by_g, by_stage = ring._replace(sweep=lone, expanded=True), ring._replace(expanded=False)
-        staged, every = stage_sweeps(a, b, tables.suffix_steps), range(size - 1)
+        lone = split_sweep(ring)
+        by_g, by_stage = ring._replace(expanded=True), ring._replace(expanded=False)
+        by_split = lambda acc, top: lone(acc, g, tables.log_steps, top)
+        staged, every = stage_product(ring, point, tables.suffix_steps), range(size - 1)
         for full, last in [
-            (_divided_log(by_g, [(g, tables.log_steps)], every, size, p)[1],
-             divided_log_lyndon_last_pass(by_g, g, tables, p)),
+            (_divided_log(by_g, by_split, every, size, p)[1],
+             divided_log_lyndon_last_pass(by_g, lone, g, tables, p)),
             (_divided_log(by_stage, staged, every, size, p)[1],
              _divided_log(by_stage, staged, lyndon_slots(tables), size, p)[1]),
         ]:
@@ -298,15 +317,16 @@ def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
                 assert last[w] == full[w], word_str(w)
 
 
-def assert_stage_sweeps_equal_the_expanded_product(ring, a, b, words, p, lift, last):
-    # the stage-sweep log against the log over the expanded product, entry by
-    # entry at the words of last
+def assert_stage_sweeps_equal_the_expanded_product(ring, point, ladders, words, p, lift, last):
+    # the stage-product log at the point against the log over the expanded product,
+    # by the stages' ladders, entry by entry at the words of last
+    a, b = ladders[::2], ladders[1::2]
     expected_big, expected = divided_log_by_expanded_product(ring, a, b, words, p, last, lift)
     slot = _numbered(words)
     numbered = list(slot)
-    sweeps = stage_sweeps(a, b, _product_steps(slot))  # the last pass runs them whole too
+    times = stage_product(ring, point, _product_steps(slot))  # the last pass runs it whole too
     at = [i for i, w in enumerate(numbered) if w in last]
-    big, got = _divided_log(ring._replace(expanded=False), sweeps, at, len(slot), p)
+    big, got = _divided_log(ring._replace(expanded=False), times, at, len(slot), p)
     got = dict(zip(numbered, got))
     assert big == expected_big
     assert set(got) == set(expected) == set(words)
@@ -320,16 +340,16 @@ def test_stage_sweep_log_equals_the_log_over_the_expanded_product(stages, p):
     rng = random.Random(1600 + 10 * stages + p)
     values = [rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))) for _ in range(2 * stages)]
     lyndon_set = {w for ws in tables.lyndon for w in ws}
-    for ladders, ring, lift in rings(values, stages, p):
+    for point, ladders, ring, lift in rings(values, stages, p):
         for last in (lyndon_set, tables.suffixes):
             assert_stage_sweeps_equal_the_expanded_product(
-                ring, ladders[::2], ladders[1::2], tables.suffixes, p, lift, last
+                ring, point, ladders, tables.suffixes, p, lift, last
             )
 
 
 def test_stage_sweep_log_over_ints_with_zero_stages():
-    # zero stages are kept as sweeps whose ladder is [1, 0, ..., 0]; with every b
-    # zero (or every a), F acc = acc at the words that letter leads
+    # zero stages are kept as factors whose powers vanish; with every b zero (or
+    # every a), F acc = acc at the words that letter leads
     rng = random.Random(1601)
     for stages, p in [(1, 4), (2, 5), (3, 4), (4, 6)]:
         tables = _Tables(p, 2)
@@ -341,9 +361,9 @@ def test_stage_sweep_log_over_ints_with_zero_stages():
             [0] * (2 * stages),
         ]
         for draw in draws:
-            ladders = int_ladders(draw[:stages], p), int_ladders(draw[stages:], p)
+            point = [n for pair in zip(draw[:stages], draw[stages:]) for n in pair]
             assert_stage_sweeps_equal_the_expanded_product(
-                _INTS, *ladders, tables.suffixes, p, lambda x: x, lyndon_set
+                _INTS, point, int_ladders(point, p), tables.suffixes, p, lambda x: x, lyndon_set
             )
 
 
@@ -358,13 +378,13 @@ def test_stage_sweep_log_on_random_suffix_closed_sets():
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
         last = set(targets) | set(rng.sample(sorted(closure), rng.randint(0, len(closure))))
         values = [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)]
-        for ladders, ring, lift in rings(values, stages, p):
+        for point, ladders, ring, lift in rings(values, stages, p):
             assert_stage_sweeps_equal_the_expanded_product(
-                ring, ladders[::2], ladders[1::2], closure, p, lift, last
+                ring, point, ladders, closure, p, lift, last
             )
 
 
-# -- the sweep kernels against the per-row loop they replace ---------------------
+# -- the kernels against the per-row loop and the ladders they replace -----------
 
 
 def random_closure(rng, top=7):
@@ -382,19 +402,19 @@ def random_map(rng):
 
 
 def sweep_cases(rng, count):
-    # random suffix-closed rows, with a top cut (sometimes none) and a zero start
+    # random suffix-closed rows, with a top cut (sometimes none)
     for _ in range(count):
         closure = random_closure(rng)
-        top = rng.choice((MAX_EXPONENT, rng.randint(0, 7)))
-        yield closure, top, rng.random() < 0.3
+        yield closure, rng.choice((MAX_EXPONENT, rng.randint(0, 7)))
 
 
 def test_int_sweep_equals_the_per_row_dot_loop():
+    # the int log's sweep starts each row from zero
     rng = random.Random(1701)
     oracle = sweep_by_dot(_INTS.dot)
-    for closure, top, zero in sweep_cases(rng, 300):
-        # the product's rows by a stage ladder, zero stages drawn, or the expanded
-        # product's split rows by G
+    for closure, top in sweep_cases(rng, 300):
+        # the expanded product's split rows by G, or a product's rows by a stage ladder,
+        # zero stages drawn
         n = rng.choice((0, rng.randint(-9, 9)))
         words = _numbered(closure)
         factors = _numbered({w[:i] for w in closure for i in range(len(w) + 1)})
@@ -404,34 +424,37 @@ def test_int_sweep_equals_the_per_row_dot_loop():
         ]:
             acc = [rng.choice((0, rng.randint(-99, 99))) for w in words]
             expected = list(acc)
-            oracle(expected, f, rows, top, zero)
-            _int_sweep(acc, f, rows, top, zero)
+            oracle(expected, f, rows, top, True)
+            _int_sweep(acc, f, rows, top)
             assert acc == expected
 
 
 def test_map_sweep_equals_the_per_row_dot_loop():
+    # the map product kernel by one factor (X, k), the symbol named k: its running shift
+    # against a per-row dot by the ladder of k's packed monomials
     rng = random.Random(1702)
     oracle = sweep_by_dot(_dot, monomial_map)
     cancelled = 0
-    for closure, top, zero in sweep_cases(rng, 300):
+    for closure, top in sweep_cases(rng, 300):
         words = _numbered(closure)
-        rows = _product_steps(words).get(rng.randrange(2), [])
-        f = [e << 8 * rng.randrange(3) for e in range(8)]
+        letter, k = rng.randrange(2), rng.randint(1, 3)
+        steps = _product_steps(words)
+        rows, f = steps.get(letter, []), [map_ladder(k, j) for j in range(8)]
         acc = [random_map(rng) for w in words]
         for w, n, runs in rows:
-            if not zero and rng.random() < 0.5:  # a start that cancels what the row adds
+            if rng.random() < 0.5:  # a start that cancels what the row adds
                 added = _dot([(c, monomial_map(f[j]), acc[v]) for c, j, v in runs])
                 acc[w] = _dot([(-1, {0: 1}, added)], random_map(rng))
         for w, n, runs in rows:  # count the sums that cancel, from the old values
             if n <= top:
-                naive = {} if zero else dict(acc[w])
+                naive = dict(acc[w])
                 for c, j, v in runs:
                     for m, n in acc[v].items():
                         naive[m + f[j]] = naive.get(m + f[j], 0) + c * n
                 cancelled += 0 in naive.values()
         expected = list(acc)
-        oracle(expected, f, rows, top, zero)
-        _sweep(acc, f, rows, top, zero)
+        oracle(expected, f, rows, top)
+        _map_product(acc, [(letter, k)], steps, top)
         assert acc == expected
         assert all(0 not in y.values() for y in acc)
     assert cancelled > 50
@@ -439,21 +462,60 @@ def test_map_sweep_equals_the_per_row_dot_loop():
 
 def test_map_sweep_never_mutates_a_shared_start():
     # _divided_product seeds every word with one ring.dot([]) object, so the kernel must
-    # write a new map at each row
+    # write a new map at each row, over a factor word of one to three factors
     rng = random.Random(1703)
-    for closure, top, zero in sweep_cases(rng, 100):
+    for closure, top in sweep_cases(rng, 100):
         words = _numbered(closure)
-        rows = _product_steps(words).get(rng.randrange(2), [])
-        f = [e << 8 * rng.randrange(3) for e in range(8)]
+        steps = _product_steps(words)
+        factors = [(rng.randrange(2), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         shared = rng.choice(({}, random_map(rng)))
         before = dict(shared)
         acc = [shared] * len(words)
         acc[-1] = {0: 1}
-        _sweep(acc, f, rows, top, zero)
+        _map_product(acc, factors, steps, top)
         assert shared == before
-        touched = [acc[w] for w, n, _ in rows if n <= top]
+        touched = [acc[w] for x in {x for x, _ in factors} for w, n, _ in steps.get(x, [])
+                   if n <= top]
         assert all(y is not shared for y in touched)
         assert len({id(y) for y in touched}) == len(touched)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_fused_product_kernels_equal_the_ladder_oracle(p):
+    # one kernel call over a whole factor word, n^j formed along each row's run, against
+    # one ladder sweep per factor, the kernels these replace, at every slot of the suffix
+    # and factor tables through degree p, under top cut-offs, from G's start and from
+    # random values: over ints, with zero and negative stages scaled over large
+    # denominators, over Poly values, and over integer maps at the symbols' names
+    rng = random.Random(2700 + p)
+    tables = _Tables(p, 2)
+    ints, maps = ladder_product(int_sweep), ladder_product(map_sweep, map_ladder)
+    for slots, steps in [(tables.suffixes, tables.suffix_steps),
+                         (tables.factors, tables.factor_steps)]:
+        size = len(slots)
+        for top in sorted({0, rng.randint(1, p), p, MAX_EXPONENT}):
+            letters = [rng.randrange(2) for _ in range(rng.randint(1, 6))]
+            stages = [rng.choice((F(0), random_fraction(rng), F(rng.randint(-10**30, 10**30),
+                                                                  rng.randint(1, 10**30))))
+                      for _ in letters]
+            den = math.lcm(*(c.denominator for c in stages))
+            values = [int(c * den) for c in stages]
+            polys = [Poly.symbol(rng.choice("ab"), rng.randint(1, 2)) * random_fraction(rng)
+                     + rng.randint(-2, 2) for _ in letters[:3]]
+            names = [rng.randint(1, 4) for _ in letters]
+            for kernel, oracle, factors, starts in [
+                (_int_product, ints, list(zip(letters, values)),
+                 [[0] * (size - 1) + [1], [rng.randint(-10**20, 10**20) for _ in slots]]),
+                (_int_product, ints, list(zip(letters, polys)),
+                 [[Poly()] * (size - 1) + [Poly.const(1)]]),
+                (_map_product, maps, list(zip(letters, names)),
+                 [[{}] * (size - 1) + [{0: 1}], [random_map(rng) for _ in slots]]),
+            ]:
+                for start in starts:
+                    got, expected = list(start), list(start)
+                    kernel(got, factors, steps, top)
+                    oracle(expected, factors, steps, top)
+                    assert got == expected
 
 
 def test_local_error_single_stage_degree_2():
@@ -581,7 +643,8 @@ def test_builder_rejects_an_order_below_1(route):
 
 @pytest.mark.parametrize("route", ["taylor", "bch"])
 def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
-    # an exponent over 127 carries into the next symbol's byte; the guard comes
+    # an exponent over 127 carries into the next symbol's byte, and tables through an
+    # order over 23 would hold over MAX_LYNDON_WORDS Lyndon words; both guards come
     # before the word tables, which would enumerate Lyndon words through length p
     class Refused(Exception):
         pass
@@ -597,11 +660,21 @@ def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
             verify_scheme(STRANG, p, route)
     with pytest.raises(ValueError, match="^target order must be <= 127$"):
         leading_error_term(STRANG, 127)
-    # order 127 passes the guard, and the route and stage checks still come first
+    for p in (24, 127):  # the tables' top degree is the order, and the leading term's p + 1
+        words = f"^order {p} may need over 1000000 Lyndon words$"
+        with pytest.raises(ValueError, match=words):
+            condition_system(1, p, route)
+        with pytest.raises(ValueError, match=words):
+            verify_scheme(STRANG, p, route)
+        with pytest.raises(ValueError, match=words):
+            leading_error_term(STRANG, p - 1)
+    # order 23 passes the guards, and the route and stage checks still come first
     with pytest.raises(Refused):
-        condition_system(1, 127, route)
+        condition_system(1, 23, route)
     with pytest.raises(Refused):
-        verify_scheme(STRANG, 127, route)
+        verify_scheme(STRANG, 23, route)
+    with pytest.raises(Refused):
+        leading_error_term(STRANG, 22)
     with pytest.raises(ValueError, match="route must be one of"):
         condition_system(1, 200, route + "?")
     with pytest.raises(ValueError, match="stage count must be >= 1"):
@@ -1388,7 +1461,7 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
 
     # the integer-map ring, read by name at each call, refuses every kernel call, and so
     # does sum_of_products, through which every Poly + and * goes
-    monkeypatch.setattr("splitcond.conditions._MAPS", _MAPS._replace(dot=refuse, sweep=refuse))
+    monkeypatch.setattr("splitcond.conditions._MAPS", _MAPS._replace(dot=refuse, product=refuse))
     monkeypatch.setattr("splitcond.poly.sum_of_products", refuse)
     monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
@@ -1493,6 +1566,27 @@ def test_cost_estimate_bounds_the_terms_of_each_entry(stages, p):
     for route in ("taylor", "bch"):
         for entry in condition_system(stages, p, route).entries:
             assert len(entry.polynomial.terms) <= term_bound(entry.word, stages), entry
+
+
+def test_table_order_guard_is_check_costs_lyndon_word_count():
+    # the library refuses tables past MAX_TABLE_ORDER by one comparison: the last order
+    # whose two-letter Lyndon words, by Witt's formula, fit MAX_LYNDON_WORDS, so it
+    # refuses where check_cost's count does, with check_cost's message
+    through = list(itertools.accumulate(necklace_count(2, q) for q in range(1, 25)))
+    assert through[MAX_TABLE_ORDER - 1] == 766_150 <= MAX_LYNDON_WORDS
+    assert through[MAX_TABLE_ORDER] == 1_465_020 > MAX_LYNDON_WORDS
+    for route in ROUTES:
+        with pytest.raises(ValueError) as caught:
+            check_cost(MAX_TABLE_ORDER, route)
+        assert "Lyndon words" not in str(caught.value)  # over the byte budget only
+        with pytest.raises(ValueError) as counted:
+            check_cost(MAX_TABLE_ORDER + 1, route)
+        with pytest.raises(ValueError) as guarded:
+            condition_system(1, MAX_TABLE_ORDER + 1, route)
+        assert type(guarded.value) is ValueError
+        assert str(guarded.value) == str(counted.value) == (
+            f"order {MAX_TABLE_ORDER + 1} may need over {MAX_LYNDON_WORDS} Lyndon words"
+        )
 
 
 def test_cost_estimate_on_extreme_values():

@@ -150,6 +150,18 @@ def test_expand_names_a_malformed_tree():
         assert str(caught.value) == message.format(repr(bad))
 
 
+def test_bracket_str_names_a_malformed_tree():
+    # foliage's type and message: a one-element tuple, a triple, a string and a list
+    # are none of a leaf or a node, and the bad subtree is named, however deep it sits
+    message = "not a bracket tree: {}; a leaf is an int and a node is a pair"
+    for tree, bad in [((0,), (0,)), ((0, 1, 2), (0, 1, 2)), ("x", "x"), ([0, 1], [0, 1]),
+                      ((A, (B, (A,))), (A,))]:
+        with pytest.raises(ValueError) as caught:
+            bracket_str(tree)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message.format(repr(bad))
+
+
 def test_antisymmetry_of_brackets():
     rng = random.Random(61)
 
@@ -373,8 +385,9 @@ def random_read_values(rng, count):
 
 def test_read_rows_equal_the_word_keyed_back_substitution():
     # the read is linear and unchecked, so at any values of the Lyndon slots, Lie
-    # element or not, the rows swept in place give the old solve's coordinates exactly,
-    # through _int_sweep over ints and Poly and through _sweep over integer maps, and
+    # element or not, the rows run in place give the old solve's coordinates exactly,
+    # through the product kernels by their unit factors, _int_product's 1 over ints and
+    # Poly and _map_product's 0 over integer maps, and
     # leave every other slot as it was; on a fresh table of each top degree p, so that
     # the degrees below p read kept brackets and degree p brackets it drops, over two
     # letters and over three, whose Lyndon words share their letters from degree 3 on
@@ -389,13 +402,13 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
             for _ in range(6 if q == p else 2):
                 ints, polys, maps = random_read_values(rng, len(slots))
                 for values, ring, unit in [
-                    (ints, _INTS, [1]), (polys, POLYS, [Poly.const(1)]), (maps, _MAPS, [0])
+                    (ints, _INTS, 1), (polys, POLYS, Poly.const(1)), (maps, _MAPS, 0)
                 ]:
                     acc = [ring.dot([])] * len(words)
                     for i, value in zip(slots, values):
                         acc[i] = value
                     before = list(acc)
-                    ring.sweep(acc, unit, rows)
+                    ring.product(acc, [(A, unit)], {A: rows})
                     read = {words[i]: acc[i] for i in slots if acc[i]}
                     expected = back_substitute_by_word(ring, values, q, alphabet)
                     assert read == expected, (p, alphabet, q, values)

@@ -31,7 +31,10 @@ Lyndon decompositions of a seeded three-letter Lie combination at degrees 3
 to 5, and of verify_scheme on the BCH route at p = 11 to 13 over the same two
 schemes (taken while the read still expanded and kept every bracket); and of the
 printed leading error terms of the 43 verification witnesses at p = 1, 2 and 4
-(taken while leading_error_term still read the logarithm at order p + 1).
+(taken while leading_error_term still read the logarithm at order p + 1); and of
+verify_scheme on the Taylor route at p = 12 to 16 over the registry's Strang and
+order-3 schemes (taken while the product still swept each stage by a ladder of its
+powers).
 """
 
 import hashlib
@@ -342,3 +345,25 @@ def test_bch_verify_reports_at_high_orders_unchanged(order):
     records = [report_record(verify_scheme(s, order, "bch")) for s in schemes]
     canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert sha256(canonical) == BCH_VERIFY_DIGESTS[order]
+
+
+# The Taylor route where a stage's runs are long: verify_scheme on the Taylor route at
+# p = 12 to 16 over the registry's Strang and order-3 schemes, whose products form n^j
+# up to j = p along the runs of one letter.  Pinned while the product still swept each
+# stage by a ladder of its powers.
+
+TAYLOR_VERIFY_DIGESTS = {
+    12: "183bfbd8e95e8ce9bf0b48681e2289f9c4382b3c66eb6282ec104cd56da41669",
+    13: "9f53a920c95d96d7adde6f8d8ed68700d98b9891f4741ed647d5a0f6eb65a13a",
+    14: "4f39d0807440d3897fd267073bdc2a02956a74436bcfd43105f887ebab86f8c4",
+    15: "98335df77e92dac7b2e71f60c5ad6e812575be0e379b7b22503f95b3f3d7bd7a",
+    16: "58d85d194719a1f51d0009cb799c2575740fee9ee0a3456a17ad03b2ae2124d8",
+}
+
+
+@pytest.mark.parametrize("order", sorted(TAYLOR_VERIFY_DIGESTS))
+def test_taylor_verify_reports_at_high_orders_unchanged(order):
+    schemes = [REGISTRY[name].scheme for name in ("strang", "paper-order3")]
+    records = [report_record(verify_scheme(s, order, "taylor")) for s in schemes]
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert sha256(canonical) == TAYLOR_VERIFY_DIGESTS[order]

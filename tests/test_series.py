@@ -22,6 +22,7 @@ from splitcond.poly import Poly, sum_of_products
 from helpers import (
     POLYS,
     exp_uncapped,
+    ladder_product,
     first_nonzero_degree,
     log_uncapped,
     oracle_series_str,
@@ -320,7 +321,7 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
     # the divided-power Horner loop kept to the suffixes of a few target
     # words is exact there: it gives L |w|! log(f)[w], L = lcm(1..n); f - 1 is
     # one sweep over every split, or, for a product of one-letter exponentials,
-    # one sweep per factor, the rightmost first
+    # one product over the factor word, here by the ladders' oracle
     rng = random.Random(307 + alphabet)
     for n in range(1, max_truncation + 1):
         for _ in range(3):
@@ -342,16 +343,16 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             factors = {w[i:j] for w in targets for j in range(len(w) + 1) for i in range(j)}
             words, factors = _numbered(closure), _numbered(factors)
             divided = [g.coefficient(u) * math.factorial(len(u)) for u in factors]
-            steps = _product_steps(words)
-            ladders = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in stages]
-            ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products))
+            steps, splits = _product_steps(words), _splits(words, factors)
+            sweep = sweep_by_dot(sum_of_products)
+            stage_product = ladder_product(sweep)
             every = range(len(words) - 1)
-            for f, sweeps, expanded in [
-                (g, [(divided, _splits(words, factors))], True),
-                (product, ladders[::-1], False),
+            for f, times, expanded in [
+                (g, lambda acc, top: sweep(acc, divided, splits, top, True), True),
+                (product, lambda acc, top: stage_product(acc, stages, steps, top), False),
             ]:
-                log_ring = ring._replace(expanded=expanded)
-                big, got = _divided_log(log_ring, sweeps, every, len(words), n)
+                log_ring = POLYS._replace(expanded=expanded)
+                big, got = _divided_log(log_ring, times, every, len(words), n)
                 filtered = dict(zip(words, got))
                 full = log(f)
                 assert set(filtered) == closure
@@ -362,7 +363,7 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
 
 @pytest.mark.parametrize("letters", [(0,), (1,), (0, 0), (1, 1, 1)])
 def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
-    # no sweep is led by the other letter, yet the log forms its words from the word
+    # no factor is led by the other letter, yet the log forms its words from the word
     # set it is given; a single stage sweep, like the expanded product's, may also start
     # from zero and subtract nothing, since its rows leave out the split u = ()
     rng = random.Random(311 + len(letters))
@@ -375,12 +376,16 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     closure = {w[i:] for w in targets for i in range(len(w) + 1)}
     words = _numbered(closure)
     steps = _product_steps(words)
-    sweeps = [([c**j for j in range(n + 1)], steps.get(x, [])) for x, c in zip(letters, coeffs)]
-    ring = POLYS._replace(sweep=sweep_by_dot(sum_of_products))
+    sweep, factors = sweep_by_dot(sum_of_products), list(zip(letters, coeffs))
+    ladder = [coeffs[0] ** j for j in range(n + 1)]  # the one stage's, if one
     full = log(product)
     for expanded in {False, len(letters) == 1}:
-        args = (sweeps[::-1], range(len(words) - 1), len(words), n)
-        big, got = _divided_log(ring._replace(expanded=expanded), *args)
+        if expanded:  # the one stage's rows from zero: e^{cX} acc - acc
+            times = lambda acc, top: sweep(acc, ladder, steps.get(letters[0], []), top, True)
+        else:
+            times = lambda acc, top: ladder_product(sweep)(acc, factors, steps, top)
+        args = (times, range(len(words) - 1), len(words), n)
+        big, got = _divided_log(POLYS._replace(expanded=expanded), *args)
         got = dict(zip(words, got))
         assert set(got) == closure
         for w in closure:

@@ -133,6 +133,12 @@ def _fail(message: str) -> int:
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is one "error: " line and exit 2, as every other error; --help is unchanged
+    def error(self, message: str):
+        sys.exit(_fail(message))
+
+
 def lyndon_count_bound(alphabet: int, max_len: int) -> int:
     """Upper bound sum_{n <= max_len} k^n // n on the Lyndon words of length <= max_len.
 
@@ -240,7 +246,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitcond",
         description="Order conditions for exponential operator-splitting schemes.",
     )

@@ -11,12 +11,12 @@ symbol order a1, b1, a2, ..., D the lcm of their denominators, a factor e^{cX} p
 G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to sum_j C(|w|, j) n^j G[v],
 at the slots of the Lyndon words and their suffixes, numbered by lyndon._Tables, in one call of the
 ring's product kernel, which forms n^j along each row's run.  log(F) is Horner's scheme acc <- c_k
-+ F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p), as in Casas & Murua (J. Math. Phys. 2009).
-A _Ring names the ring: over _MAPS, Poly's packed integer maps, n^j a packed monomial, F acc is the
-product started from acc, so the systems never expand F; over _INTS, for a concrete scheme, G[u] is
-one int, and one sweep by G - 1 a pass runs the log; _INTS on Poly values forms splitting_product.
-The Lyndon read, _Tables.read, is one more product, by the ring's unit factor.  No symbolic system
-is built to verify a scheme or for its leading error term, read off the product at degree p + 1.
++ F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p) (Casas & Murua, J. Math. Phys. 2009), in one
+call of the log kernel _route picks by the _Ring: over _MAPS, Poly's packed integer maps, n^j a
+packed monomial, poly._map_log's F acc is the product started from acc, so the systems never expand
+F; over _INTS, G[u] is one int, and poly._int_log multiplies by G - 1 at every split.  _INTS on Poly
+values forms splitting_product.  The Lyndon read, _Tables.read, is one more product, by the unit
+factor.  No symbolic system is built to verify a scheme or to read its leading error term off F.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
-from .poly import MAX_EXPONENT, Poly, Scalar, _dot, _int_product, _int_sweep, _map_product
+from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_log, _map_product
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
@@ -110,18 +110,12 @@ class SymbolicScheme(NamedTuple):
         return cls(tuple(map(Poly.const, scheme.a)), tuple(map(Poly.const, scheme.b)))
 
 
-def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
-    for c, x, y in terms:
-        start += c * x * y
-    return start
-
-
-# a ring's one, dot and product kernels, unit factor (its powers all one), and whether the log
-# sweeps by G; over integer maps a value k >= 1, never zero, names symbol k - 1
-_Ring = NamedTuple("_Ring", [("one", object), ("dot", Callable), ("product", Callable),
+# a ring's zero and one, product kernel, unit factor (its powers all one), and whether its log
+# runs over the expanded G; over integer maps a value k >= 1, never zero, names symbol k - 1
+_Ring = NamedTuple("_Ring", [("zero", object), ("one", object), ("product", Callable),
                              ("unit", object), ("expanded", bool)])
-_INTS = _Ring(1, _int_dot, _int_product, 1, True)
-_MAPS = _Ring({0: 1}, _dot, _map_product, 0, False)
+_INTS = _Ring(0, 1, _int_product, 1, True)
+_MAPS = _Ring({}, {0: 1}, _map_product, 0, False)
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
@@ -139,25 +133,9 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
 
 def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list:
     # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, over the factor word (X, n = D c)
-    g = [ring.dot([])] * (size - 1) + [ring.one]
+    g = [ring.zero] * (size - 1) + [ring.one]
     ring.product(g, factors, steps)
     return g
-
-
-def _divided_log(ring: _Ring, times: Callable, last, size: int, p: int) -> tuple:
-    # L |w|! D^|w| log(F)[w], L = lcm(1..p), at size suffix-closed slots, () last: Horner's scheme
-    # acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k, times(acc, p - k) forming
-    # F acc in place (F acc - acc if expanded, subtracting nothing; else the last pass at last only)
-    one, dot, _, _, expanded = ring
-    big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
-    for k in range(p, -1, -1):
-        old = acc[:]
-        times(acc, p - k)
-        for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
-            if old[w]:
-                acc[w] = dot([(-1, one, old[w])], acc[w])
-        acc[-1] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
-    return big, acc
 
 
 def _factors(point: Sequence, p: int, top: int) -> tuple[_Tables, list]:
@@ -183,13 +161,13 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
     if route == "taylor":
         g = _divided_product(ring, factors, tables.suffix_steps, size)
         return [(q, lyndon[q], g, d, d) for q in range(1, p + 1) for d in [den**q]]
-    if ring.expanded:  # G[u] is one int: a sweep by G a pass, from zero, subtracting nothing
+    acc = [ring.zero] * size
+    if ring.expanded:  # G[u] is one int: each pass runs the splits by G, from zero
         g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        times, last = lambda acc, top: _int_sweep(acc, g, tables.log_steps, top), ()
-    else:  # the product from acc, over the suffixes; the last - acc at the Lyndon words only
-        times = lambda acc, top: ring.product(acc, factors, tables.suffix_steps, top)
+        big = _int_log(acc, g, tables.log_steps, p)
+    else:  # each pass the product from acc, over the suffixes; the last - acc at the Lyndon words
         last = [i for words in lyndon for i in words.values()]
-    big, acc = _divided_log(ring, times, last, size, p)
+        big = _map_log(acc, factors, tables.suffix_steps, last, p)
     tables.read(ring.product, ring.unit, acc, range(2, p + 1))  # degree 1 reads itself
     return [(q, lyndon[q], acc, big * den * (q == 1), big * math.factorial(q) * den**q)
             for q in range(1, p + 1)]
@@ -197,8 +175,8 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
 
 def _scaled(scheme: ConcreteScheme) -> tuple[list[int], int]:
     # the stage values over ints, n = D c, and D, the lcm of their denominators
-    ratios = [c.as_integer_ratio() for c in scheme.point()]
-    den = math.lcm(*(d for _, d in ratios))
+    ratios = [c.as_integer_ratio() for pair in zip(scheme.a, scheme.b) for c in pair]
+    den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
 
 

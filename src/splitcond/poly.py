@@ -257,17 +257,6 @@ def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> d
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _int_sweep(acc: list, f, rows: list, top: int) -> None:
-    # acc[w] <- sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with |w| <= top, over ints:
-    # the int log's pass by G, from zero; rows longest first read the old acc[v]
-    for w, n, runs in rows:
-        if n <= top:
-            total = 0
-            for c, x, v in runs:
-                total += c * f[x] * acc[v]
-            acc[w] = total
-
-
 def _int_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT) -> None:
     # right to left over the factor word (X, n), acc[w] += sum c n^j acc[v] at each row (w, |w|,
     # [(c, j, v)]) of steps[X] with |w| <= top, n^j a running product as runs come j = 1, 2, ...;
@@ -296,6 +285,39 @@ def _map_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT)
                         m += shift
                         total[m] = total.get(m, 0) + c * x
                 acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
+
+
+def _int_log(acc: list, g: list, rows: list, p: int) -> int:
+    # L |w|! D^|w| log(F)[w] into acc at suffix-closed slots, () last, returning L = lcm(1..p): at
+    # k = p .. 0, acc[w] = sum c G[u] acc[v] at each row (w, |w|, [(c, u, v)]) with |w| <= p - k,
+    # (G - 1) acc as no row has u = (), then acc[()] = L (-1)^(k+1) / k, or 0 at k = 0
+    big = math.lcm(*range(1, p + 1))
+    for top, k in enumerate(range(p, -1, -1)):
+        for w, size, runs in rows:  # longest first, so each reads the old acc[v]
+            if size <= top:
+                total = 0
+                for c, u, v in runs:
+                    total += c * g[u] * acc[v]
+                acc[w] = total
+        acc[-1] = (-1) ** (k + 1) * big // k if k else 0
+    return big
+
+
+def _map_log(acc: list, factors: list, steps: dict, last: list, p: int) -> int:
+    # _int_log over integer maps from a zero start, acc <- c_k + F acc - acc: one _map_product call
+    # from acc, then - acc into a new map at each slot, at last only when k = 0; mutates no start
+    big = math.lcm(*range(1, p + 1))
+    for k in range(p, -1, -1):
+        old = acc[:]
+        _map_product(acc, factors, steps, p - k)
+        for w in range(len(acc) - 1) if k else last:
+            if old[w]:
+                total = dict(acc[w])
+                for m, x in old[w].items():
+                    total[m] = total.get(m, 0) - x
+                acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
+        acc[-1] = {0: (-1) ** (k + 1) * big // k} if k else {}
+    return big
 
 
 def sum_of_products(terms: list[tuple[int, Poly, Poly]], start: Poly = _ZERO) -> Poly:

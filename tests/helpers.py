@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -29,13 +29,89 @@ from splitcond import (
     lyndon_words_of_degree,
     verify_scheme,
 )
-from splitcond.conditions import _INTS
-from splitcond.poly import _ONE, MAX_EXPONENT, Poly, sum_of_products
+from splitcond.poly import (
+    _ONE, MAX_EXPONENT, Poly, _dot, _int_product, _map_product, sum_of_products
+)
 from splitcond.series import Word, word_str
 
+
+# ---------------------------------------------------------------------------
+# the recurrence's rings with a dot kernel start + sum c*x*y, which forms the log's
+# constants and its "- acc" step, and the log by Horner's scheme that drives one int
+# sweep by G or one product call a pass: the reference for poly._int_log and
+# poly._map_log, which run every pass in one call
+
+
+def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
+    for c, x, y in terms:
+        start += c * x * y
+    return start
+
+
+class OracleRing(NamedTuple):
+    """A ring with its dot kernel; zero is read as the library's _Ring reads it."""
+
+    one: Any
+    dot: Callable
+    product: Callable
+    unit: Any
+    expanded: bool
+
+    @property
+    def zero(self):
+        return self.dot([])
+
+
+INTS = OracleRing(1, _int_dot, _int_product, 1, True)
+MAPS = OracleRing({0: 1}, _dot, _map_product, 0, False)
 # the recurrence's ring over Poly values, kernels by Poly arithmetic: the oracle the
 # library's int and integer-map rings are checked against
-POLYS = _INTS._replace(one=_ONE, dot=sum_of_products, expanded=False)
+POLYS = OracleRing(_ONE, sum_of_products, _int_product, 1, False)
+
+
+def _int_sweep(acc: list, f, rows: list, top: int) -> None:
+    # acc[w] <- sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with |w| <= top, over ints:
+    # the int log's pass by G, from zero; rows longest first read the old acc[v]
+    for w, n, runs in rows:
+        if n <= top:
+            total = 0
+            for c, x, v in runs:
+                total += c * f[x] * acc[v]
+            acc[w] = total
+
+
+def _divided_log(ring, times: Callable, last, size: int, p: int) -> tuple:
+    # L |w|! D^|w| log(F)[w], L = lcm(1..p), at size suffix-closed slots, () last: Horner's scheme
+    # acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k, times(acc, p - k) forming
+    # F acc in place (F acc - acc if expanded, subtracting nothing; else the last pass at last only)
+    one, dot, _, _, expanded = ring
+    big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
+    for k in range(p, -1, -1):
+        old = acc[:]
+        times(acc, p - k)
+        for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
+            if old[w]:
+                acc[w] = dot([(-1, one, old[w])], acc[w])
+        acc[-1] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
+    return big, acc
+
+
+def int_log_by_sweeps(acc: list, g: list, rows: list, p: int) -> int:
+    """poly._int_log's contract by the old log: a sweep by G a pass, from zero, into acc."""
+    times = lambda acc, top: _int_sweep(acc, g, rows, top)
+    big, acc[:] = _divided_log(INTS, times, (), len(acc), p)
+    return big
+
+
+def stage_log(ring: OracleRing) -> Callable:
+    """poly._map_log's contract by the old log over ring, F acc by ring.product, into acc."""
+
+    def log(acc: list, factors: list, steps: dict, last, p: int) -> int:
+        times = lambda acc, top: ring.product(acc, factors, steps, top)
+        big, acc[:] = _divided_log(ring, times, last, len(acc), p)
+        return big
+
+    return log
 
 
 def symbol_point(stages: int) -> list[Poly]:

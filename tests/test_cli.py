@@ -385,6 +385,30 @@ def test_rejected_arguments_exit_2_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conditions", "-s", "2"),
+        ("verify", "strang", "-p", "x"),
+        ("frobnicate",),
+        ("conditions", "-s", "2", "-p", "3", "--route", "magic"),
+    ],
+    ids=["missing-order", "order-not-an-int", "unknown-command", "unknown-route"],
+)
+def test_usage_errors_exit_2_with_one_error_line(capsys, argv):
+    # argparse's own errors, without its usage block, in every subcommand's parser
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "usage" not in err
+
+
+def test_help_still_prints_the_usage(capsys):
+    code, out, err = run(capsys, "verify", "--help")
+    assert code == 0
+    assert out.startswith("usage: splitcond verify") and err == ""
+
+
 def test_orders_past_the_word_table_guard_exit_2_before_any_work(capsys, monkeypatch):
     # the library enumerates every Lyndon word through the order first, so a
     # missing guard would hang; here it fails at once instead

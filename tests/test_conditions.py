@@ -40,23 +40,36 @@ from splitcond.conditions import (
     MAX_TABLE_ORDER,
     ROUTES,
     _NIL,
-    _divided_log,
     _divided_product,
     _route,
+    _scaled,
     check_cost,
 )
-from splitcond.lyndon import _numbered, _product_steps, _splits, _Tables, lyndon_words
+from splitcond.lyndon import _numbered, _product_steps, _splits, _Tables, is_lyndon, lyndon_words
 from splitcond.poly import (
-    MAX_EXPONENT, Poly, _dot, _int_product, _int_sweep, _map_product, as_poly, sum_of_products
+    MAX_EXPONENT,
+    Poly,
+    _dot,
+    _int_log,
+    _int_product,
+    _map_log,
+    _map_product,
+    as_poly,
+    sum_of_products,
 )
 
 from helpers import (
+    INTS,
+    MAPS,
     POLYS,
+    _divided_log,
+    _int_sweep,
     combine_log_coefficients,
     conditions_bch_dense,
     divided_log_by_expanded_product,
     divided_log_lyndon_last_pass,
     homogeneous_at_truncation,
+    int_log_by_sweeps,
     int_sweep,
     ladder_product,
     leading_error_term_by_bch,
@@ -74,6 +87,7 @@ from helpers import (
     rows_by_word,
     splits_by_word,
     splitting_product_by_exp,
+    stage_log,
     strang_composition,
     sweep_by_dot,
     symbol_point,
@@ -236,14 +250,17 @@ DERIVE_GRID = [
 
 
 @pytest.mark.parametrize("stages,p,route", DERIVE_GRID)
-def test_condition_system_equals_the_route_over_poly(stages, p, route):
+def test_condition_system_equals_the_route_over_poly(stages, p, route, monkeypatch):
     # the path the integer maps replace: the route over Poly, its products swept by
     # ladders with sum_of_products per row, the offset and the scale applied by Poly
-    # arithmetic; the read's unit, the int 1, is lifted to a Poly
+    # arithmetic; the read's unit, the int 1, is lifted to a Poly; its log is the one
+    # the map log replaced, over the ring, in place of poly._map_log
     ring = POLYS._replace(product=ladder_product(sweep_by_dot(sum_of_products, as_poly)))
-    oracle = [(q, w, n[i], offset, scale)
-              for q, words, n, offset, scale in _route(ring, symbol_point(stages), 1, p, route)
-              for w, i in words.items()]
+    with monkeypatch.context() as patch:
+        patch.setattr("splitcond.conditions._map_log", stage_log(ring))
+        oracle = [(q, w, n[i], offset, scale)
+                  for q, words, n, offset, scale in _route(ring, symbol_point(stages), 1, p, route)
+                  for w, i in words.items()]
     entries = condition_system(stages, p, route).entries
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
@@ -275,15 +292,15 @@ def rings(values, stages, p):
     # (point, ladders, ring, lift) over ints at the values, and over integer maps at
     # the symbols, named 1, 2, ..., whose ladders, for the oracle, hold packed monomials
     return [
-        (values, int_ladders(values, p), _INTS, lambda x: x),
-        (range(1, 2 * stages + 1), map_ladders(stages, p), _MAPS, monomial_map),
+        (values, int_ladders(values, p), INTS, lambda x: x),
+        (range(1, 2 * stages + 1), map_ladders(stages, p), MAPS, monomial_map),
     ]
 
 
 def split_sweep(ring):
     # the expanded-G log's pass, from zero: the int ring's kernel, and over maps, whose
     # factors G[u] are whole maps, the per-row loop
-    return _int_sweep if ring is _INTS else functools.partial(sweep_by_dot(ring.dot), zero=True)
+    return _int_sweep if ring is INTS else functools.partial(sweep_by_dot(ring.dot), zero=True)
 
 
 @pytest.mark.parametrize("stages,p", BCH_CELLS)
@@ -363,7 +380,7 @@ def test_stage_sweep_log_over_ints_with_zero_stages():
         for draw in draws:
             point = [n for pair in zip(draw[:stages], draw[stages:]) for n in pair]
             assert_stage_sweeps_equal_the_expanded_product(
-                _INTS, point, int_ladders(point, p), tables.suffixes, p, lambda x: x, lyndon_set
+                INTS, point, int_ladders(point, p), tables.suffixes, p, lambda x: x, lyndon_set
             )
 
 
@@ -411,7 +428,7 @@ def sweep_cases(rng, count):
 def test_int_sweep_equals_the_per_row_dot_loop():
     # the int log's sweep starts each row from zero
     rng = random.Random(1701)
-    oracle = sweep_by_dot(_INTS.dot)
+    oracle = sweep_by_dot(INTS.dot)
     for closure, top in sweep_cases(rng, 300):
         # the expanded product's split rows by G, or a product's rows by a stage ladder,
         # zero stages drawn
@@ -461,7 +478,7 @@ def test_map_sweep_equals_the_per_row_dot_loop():
 
 
 def test_map_sweep_never_mutates_a_shared_start():
-    # _divided_product seeds every word with one ring.dot([]) object, so the kernel must
+    # _divided_product seeds every word with one ring.zero object, so the kernel must
     # write a new map at each row, over a factor word of one to three factors
     rng = random.Random(1703)
     for closure, top in sweep_cases(rng, 100):
@@ -478,6 +495,44 @@ def test_map_sweep_never_mutates_a_shared_start():
                    if n <= top]
         assert all(y is not shared for y in touched)
         assert len({id(y) for y in touched}) == len(touched)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_fused_log_kernels_equal_the_log_they_replace(p):
+    # _int_log and _map_log against the log that drove a sweep or a product a pass, on
+    # random suffix-closed tables reaching degree p: the int log by the expanded G over
+    # stages drawn zero, negative or over 30-digit denominators, and the map log over the
+    # symbols of s = 1..4 stages, whose last pass subtracts at the Lyndon slots only; a
+    # shared {} start comes back unmutated
+    rng = random.Random(2800 + p)
+    unread = 0  # cases where a slot the last pass leaves out holds a value
+    for case in range(6):
+        longest = tuple(rng.randrange(2) for _ in range(p))
+        closure = random_closure(rng, p) | {longest[i:] for i in range(p + 1)}
+        words = _numbered(closure)
+        size, steps = len(words), _product_steps(words)
+        factor_slots = _numbered({w[:i] for w in closure for i in range(len(w) + 1)})
+        splits = _splits(words, factor_slots)
+        big_den = rng.randint(10**29, 10**30)
+        stages = [rng.choice((0, rng.randint(-9, -1), rng.randint(1, 9),
+                              F(rng.randint(-10**6, 10**6), big_den)))
+                  for _ in range(2 * rng.randint(1, 4))]
+        values, _ = _scaled(ConcreteScheme(stages[::2], stages[1::2]))
+        factors = [(i % 2, n) for i, n in enumerate(values) if n]
+        g = _divided_product(_INTS, factors, _product_steps(factor_slots), len(factor_slots))
+        got, expected = [0] * size, [0] * size
+        assert _int_log(got, g, splits, p) == int_log_by_sweeps(expected, g, splits, p)
+        assert got == expected
+        stages = rng.randint(1, 4)
+        symbols = [(i % 2, k) for i, k in enumerate(range(1, 2 * stages + 1))]
+        last = [i for w, i in words.items() if is_lyndon(w)]
+        shared = {}
+        got, expected = [shared] * size, [{}] * size
+        big = _map_log(got, symbols, steps, last, p)
+        assert big == stage_log(MAPS)(expected, symbols, steps, last, p)
+        assert got == expected and shared == {}
+        unread += any(got[i] for i in range(size - 1) if i not in last)
+    assert unread or p == 1  # at p = 1 every word is one letter, a Lyndon word
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -1459,9 +1514,10 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("verification built a symbolic system")
 
-    # the integer-map ring, read by name at each call, refuses every kernel call, and so
-    # does sum_of_products, through which every Poly + and * goes
-    monkeypatch.setattr("splitcond.conditions._MAPS", _MAPS._replace(dot=refuse, product=refuse))
+    # the integer-map ring, read by name at each call, refuses its product kernel, and so
+    # do the map log and sum_of_products, through which every Poly + and * goes
+    monkeypatch.setattr("splitcond.conditions._MAPS", _MAPS._replace(product=refuse))
+    monkeypatch.setattr("splitcond.conditions._map_log", refuse)
     monkeypatch.setattr("splitcond.poly.sum_of_products", refuse)
     monkeypatch.setattr("splitcond.conditions.condition_system", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):

@@ -18,11 +18,12 @@ from splitcond import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from splitcond.conditions import _INTS, _MAPS
 from splitcond.lyndon import _Tables
 from splitcond.poly import Poly
 
 from helpers import (
+    INTS,
+    MAPS,
     POLYS,
     back_substitute_by_word,
     homogeneous_at_truncation,
@@ -402,7 +403,7 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
             for _ in range(6 if q == p else 2):
                 ints, polys, maps = random_read_values(rng, len(slots))
                 for values, ring, unit in [
-                    (ints, _INTS, 1), (polys, POLYS, Poly.const(1)), (maps, _MAPS, 0)
+                    (ints, INTS, 1), (polys, POLYS, Poly.const(1)), (maps, MAPS, 0)
                 ]:
                     acc = [ring.dot([])] * len(words)
                     for i, value in zip(slots, values):

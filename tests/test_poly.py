@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from splitcond import ConcreteScheme, NCSeries
-from splitcond.conditions import _INTS
 from splitcond.poly import MissingAssignment, Poly, _dot, sum_of_products
 
 from helpers import (
-    oracle_add, oracle_evaluate, oracle_mul, oracle_str, random_fraction, random_poly
+    INTS, oracle_add, oracle_evaluate, oracle_mul, oracle_str, random_fraction, random_poly
 )
 
 
@@ -396,7 +395,7 @@ def test_dot_leaves_no_cancelled_monomial():
         if case % 2:
             assert got == {}
         ints = [(rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3)]
-        assert _INTS.dot(ints, case - 20) == case - 20 + _INTS.dot(ints)
+        assert INTS.dot(ints, case - 20) == case - 20 + INTS.dot(ints)
         # a Poly start over a denominator of 7, the products over one of 3
         first = polys[0] * Fraction(1, 7) + Fraction(1, 7)
         rest = [(c, polys[1], polys[2] * Fraction(1, 3) + Fraction(1, 3))]

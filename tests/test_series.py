@@ -15,12 +15,12 @@ from splitcond import (
     log,
     word_str,
 )
-from splitcond.conditions import _divided_log
 from splitcond.lyndon import _numbered, _product_steps, _splits
 from splitcond.poly import Poly, sum_of_products
 
 from helpers import (
     POLYS,
+    _divided_log,
     exp_uncapped,
     ladder_product,
     first_nonzero_degree,

@@ -4,11 +4,16 @@ A scheme of order p should show one-step error O(t^{p+1}) when the abstract
 generators are replaced by concrete matrices.  empirical_order() draws a
 seeded random matrix pair, measures the Frobenius local error on a geometric
 grid of step sizes, and fits the slope on the log-log points.
+
+The matrices are PCG64 draws seeded by numpy's SeedSequence, generated here in
+pure Python: bit for bit the doubles of numpy.random.default_rng(seed).uniform(-1, 1),
+whatever numpy is installed, and without importing numpy.random.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -138,13 +143,72 @@ class ConvergenceReport(NamedTuple):
         }
 
 
+def _whole(value, name: str) -> int:
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
+def _dimension_and_seed(dimension, seed) -> tuple[int, int]:
+    dimension, seed = _whole(dimension, "dimension"), _whole(seed, "seed")
+    if dimension < 1:
+        raise ValueError("matrix dimension must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return dimension, seed
+
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    # SeedSequence's hash step, whose constant advances on each call
+    def hash32(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hash32
+
+
+def _pcg64_uniform(seed: int, count: int):
+    """The first count doubles of default_rng(seed).uniform(-1, 1), SeedSequence's PCG64."""
+    entropy = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    # mix each slot of the pool into the others, then each entropy word past the pool
+    for src in range(max(4, len(entropy))):
+        for dst in range(4):
+            if src != dst:
+                hashed = hashmix(pool[src] if src < 4 else entropy[src])
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashed) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, uint64): eight words, read as little-endian pairs
+    state_hash = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [state_hash(pool[i % 4]) for i in range(8)]
+    words = [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+    # PCG64 seeding: the LCG steps once from 0, adds the state word, and steps again
+    increment = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = ((increment + (words[0] << 64 | words[1])) * _PCG64_MULTIPLIER + increment) & _MASK128
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        yield -1.0 + 2.0 * ((x >> 11) * 2.0**-53)
+
+
 def random_generator_pair(
     dimension: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Seeded matrices with entries uniform in [-1, 1], scaled to unit spectral norm."""
-    rng = np.random.default_rng(seed)
-    a_mat = rng.uniform(-1.0, 1.0, size=(dimension, dimension))
-    b_mat = rng.uniform(-1.0, 1.0, size=(dimension, dimension))
+    n, seed = _dimension_and_seed(dimension, seed)
+    draws = np.fromiter(_pcg64_uniform(seed, 2 * n * n), float, 2 * n * n)
+    a_mat, b_mat = draws.reshape(2, n, n)
     scale_a = float(np.linalg.norm(a_mat, 2))
     scale_b = float(np.linalg.norm(b_mat, 2))
     return a_mat / scale_a, b_mat / scale_b, scale_a, scale_b
@@ -158,11 +222,13 @@ def empirical_order(
 ) -> ConvergenceReport:
     """Measure the one-step error slope of a scheme on a random matrix flow.
 
-    Deterministic for fixed (scheme, dimension, seed, grid).  A scheme of
-    order exactly p fits a slope close to p + 1.
+    Deterministic for fixed (scheme, dimension, seed, grid): the matrices
+    are those of numpy.random.default_rng(seed).uniform(-1, 1), A then B,
+    under any numpy.  The dimension is a positive int and the seed a
+    non-negative int (anything operator.index takes, but not a bool); any
+    other raises TypeError, and a value out of range ValueError.
     """
-    if dimension < 1:
-        raise ValueError("matrix dimension must be >= 1")
+    dimension, seed = _dimension_and_seed(dimension, seed)
     grid = tuple(float(t) for t in grid)
     if any(t2 >= t1 for t1, t2 in zip(grid, grid[1:])):
         raise ValueError("step-size grid must be strictly decreasing")

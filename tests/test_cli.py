@@ -638,3 +638,29 @@ def test_exact_commands_do_not_import_numpy():
         "empirical_order": True,
         "unknown_raises": True,
     }
+
+
+# numpy.random would bring its bit generators and, through secrets and hashlib, libcrypto
+_CONVERGE_PROBE = """
+import contextlib, io, json, sys
+import splitcond.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = splitcond.cli.main(["converge", "strang", "--dim", "4", "--seed", "1"])
+names = ("numpy", "numpy.random", "secrets", "_hashlib")
+print(json.dumps({"code": code, "loaded": [m for m in names if m in sys.modules]}))
+"""
+
+
+def test_converge_does_not_import_numpy_random():
+    import numpy
+
+    if int(numpy.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy before 2.0 imports numpy.random with numpy itself")
+    done = subprocess.run(
+        [sys.executable, "-c", _CONVERGE_PROBE],
+        env=_subprocess_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"code": 0, "loaded": ["numpy"]}

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +18,7 @@ from splitcond import (
     scheme_step,
 )
 from splitcond.cli import REGISTRY
-from splitcond.numeric import DEFAULT_GRID
+from splitcond.numeric import DEFAULT_GRID, _pcg64_uniform, random_generator_pair
 
 F = Fraction
 
@@ -138,3 +141,67 @@ def test_empirical_order_grid_validation():
         empirical_order(STRANG, 4, seed=1, grid=(0.5, 0.25))
     with pytest.raises(ValueError):
         empirical_order(STRANG, 0, seed=1)
+
+
+# -- the seeded matrices ------------------------------------------------------------
+
+STREAM_SEEDS = (*range(9), 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_draws_are_numpys_default_rng_bit_for_bit(seed):
+    for n in (1, 4, 16, 64):
+        draws = np.fromiter(_pcg64_uniform(seed, 2 * n * n), float).reshape(2, n, n)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(draws[0], rng.uniform(-1, 1, (n, n)))
+        assert np.array_equal(draws[1], rng.uniform(-1, 1, (n, n)))
+
+
+def test_draws_match_a_pin_taken_from_numpy():
+    # default_rng(seed).uniform(-1, 1, (n, n)) twice, as little-endian doubles, at the
+    # benchmark's converge seeds and dimensions; pure-Python floats, so any machine agrees
+    digest = hashlib.sha256()
+    for seed in range(1, 9):
+        for n in (4, 16):
+            draws = list(_pcg64_uniform(seed, 2 * n * n))
+            digest.update(struct.pack(f"<{len(draws)}d", *draws))
+    assert digest.hexdigest() == (
+        "64ceb1fe4d331fe65db9a09ade580859ce8299b710e8bc475c675ff9fbe366b1"
+    )
+
+
+def test_generator_pair_is_the_scaled_draws():
+    a_mat, b_mat, scale_a, scale_b = random_generator_pair(3, 5)
+    draws = np.fromiter(_pcg64_uniform(5, 18), float).reshape(2, 3, 3)
+    assert np.array_equal(a_mat, draws[0] / scale_a)
+    assert np.array_equal(b_mat, draws[1] / scale_b)
+    assert scale_a == np.linalg.norm(draws[0], 2)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", None, True, Fraction(3)])
+def test_seed_must_be_an_integer(seed):
+    for call in (random_generator_pair, lambda n, s: empirical_order(STRANG, n, s)):
+        with pytest.raises(TypeError, match="^seed must be an integer"):
+            call(4, seed)
+
+
+@pytest.mark.parametrize("dimension", [1.5, "4", True, None])
+def test_dimension_must_be_an_integer(dimension):
+    for call in (random_generator_pair, lambda n, s: empirical_order(STRANG, n, s)):
+        with pytest.raises(TypeError, match="^dimension must be an integer"):
+            call(dimension, 1)
+
+
+def test_negative_seed_and_small_dimension_raise_value_error():
+    for call in (random_generator_pair, lambda n, s: empirical_order(STRANG, n, s)):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            call(4, -1)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            call(0, 1)
+
+
+def test_numpy_integers_are_stored_as_plain_ints():
+    report = empirical_order(STRANG, np.int32(4), np.int64(3))
+    assert type(report.seed) is int and type(report.dimension) is int
+    assert report == empirical_order(STRANG, 4, 3)
+    assert json.loads(json.dumps(report.to_json_dict()))["seed"] == 3

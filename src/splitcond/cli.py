@@ -15,10 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .conditions import (
-    MAX_LYNDON_WORDS, ROUTES, ConcreteScheme, check_cost, condition_system, verify_scheme
-)
-from .lyndon import bracket_str, bracketing, lyndon_words
+from .conditions import ROUTES, ConcreteScheme, check_cost, condition_system, verify_scheme
+from .lyndon import MAX_LYNDON_WORDS, bracket_str, bracketing, lyndon_count, lyndon_words
 from .series import word_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
@@ -139,21 +137,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail(message))
 
 
-def lyndon_count_bound(alphabet: int, max_len: int) -> int:
-    """Upper bound sum_{n <= max_len} k^n // n on the Lyndon words of length <= max_len.
-
-    Sum_{d | n} d L_k(d) = k^n gives n L_k(n) <= k^n.  The sum stops once it
-    passes MAX_LYNDON_WORDS, and over one letter after n = 1, where the later
-    terms are 0, so a huge max_len costs a few terms.
-    """
-    total = 0
-    for n in range(1, max_len + 1):
-        total += alphabet**n // n
-        if total > MAX_LYNDON_WORDS or alphabet == 1:
-            break
-    return total
-
-
 def _write_records(records: Iterable[dict]) -> None:
     # json.dumps(list(records), indent=2) for one record or more, written one at a time
     sep = "[\n  "
@@ -168,7 +151,7 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
         return _fail("--max-len must be >= 1")
     if not 1 <= args.alphabet <= 26:
         return _fail("--alphabet must be between 1 and 26")
-    if lyndon_count_bound(args.alphabet, args.max_len) > MAX_LYNDON_WORDS:
+    if lyndon_count(args.alphabet, args.max_len) > MAX_LYNDON_WORDS:
         return _fail(f"the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len")
     words = lyndon_words(args.alphabet, args.max_len)
     if args.format == "json":

@@ -26,17 +26,17 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lyndon import LieDecomposition, _numbered, _product_steps, _Tables
-from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_log, _map_product
+from .lyndon import MAX_LYNDON_WORDS, LieDecomposition, _Tables, lyndon_count
+from .lyndon import _numbered, _product_steps
+from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_log, _map_product, _whole
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
 _NIL = Fraction(0)  # every vanishing residual
 
-# What check_cost lets a command plan before it builds anything: Lyndon words, and
-# bytes of packed keys (2s a monomial, q a word of length q) in its output and tables.
-MAX_LYNDON_WORDS, MAX_COST = 10**6, 10**8
-MAX_TABLE_ORDER = 23  # through it 766,150 two-letter Lyndon words, 1,465,020 through order 24
+# What check_cost lets a command plan past the word tables' MAX_LYNDON_WORDS: bytes of
+# packed keys (2s a monomial, q a word of length q) in its output and tables.
+MAX_COST = 10**8
 
 
 class NotOrderP(ValueError):
@@ -101,7 +101,7 @@ class SymbolicScheme(NamedTuple):
 
     @classmethod
     def generic(cls, stages: int) -> "SymbolicScheme":
-        if stages < 1:
+        if (stages := _whole(stages, "stage count")) < 1:
             raise ValueError("stage count must be >= 1")
         return cls(*(tuple(Poly.symbol(k, j) for j in range(1, stages + 1)) for k in "ab"))
 
@@ -120,7 +120,7 @@ _MAPS = _Ring({}, {0: 1}, _map_product, 0, False)
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
     """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
-    if truncation < 0:
+    if (truncation := _whole(truncation, "truncation degree")) < 0:
         raise ValueError(f"truncation degree must be >= 0, got {truncation}")
     if len(scheme.a) != len(scheme.b):
         raise ValueError("coefficient lists a and b must have equal length")
@@ -138,25 +138,25 @@ def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list
     return g
 
 
-def _factors(point: Sequence, p: int, top: int) -> tuple[_Tables, list]:
-    # the tables through degree top >= p, refused before any is built, and the factor word:
-    # e^{nX} per stage value n != 0 of point, X = A at even indices and B at odd
-    if p < 1:
+def _factors(point: Sequence, p: int, beyond: int) -> tuple[int, _Tables, list]:
+    # p as an int, the tables through degree p + beyond, refused before any is built, and the
+    # factor word: e^{nX} per stage value n != 0 of point, X = A at even indices and B at odd
+    if (p := _whole(p, "target order")) < 1:
         raise ValueError("target order must be >= 1")
-    if top > MAX_TABLE_ORDER:  # and past MAX_EXPONENT a packed exponent carries past its byte
-        raise ValueError(f"target order must be <= {MAX_EXPONENT}" if top > MAX_EXPONENT
-                         else f"order {top} may need over {MAX_LYNDON_WORDS} Lyndon words")
-    return _Tables(top, 2), [(i % 2, n) for i, n in enumerate(point) if n]
+    if p + beyond > MAX_EXPONENT:  # a packed exponent would carry past its byte
+        raise ValueError(f"target order must be <= {MAX_EXPONENT}")
+    return p, _Tables(p + beyond, 2), [(i % 2, n) for i, n in enumerate(point) if n]
+
+
+def _check_route(route: str) -> None:
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
 
 
 def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
     # per degree q, (q, Lyndon words {w: slot}, values by slot, offset, scale) of the conditions
     # (value - offset) / scale over the ring at the stage values n = D c of point
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if not point:
-        raise ValueError("stage count must be >= 1")
-    tables, factors = _factors(point, p, p)
+    p, tables, factors = _factors(point, p, 0)
     size, lyndon = len(tables.suffixes), tables.lyndon
     if route == "taylor":
         g = _divided_product(ring, factors, tables.suffix_steps, size)
@@ -249,6 +249,9 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
 
     A bad route is reported before a bad stage count, and that before a bad order.
     """
+    _check_route(route)
+    if (stages := _whole(stages, "stage count")) < 1:
+        raise ValueError("stage count must be >= 1")
     entries = []  # over integer maps, the symbols a1, b1, a2, ... named 1, 2, 3, ...
     for q, words, n, offset, scale in _route(_MAPS, range(1, 2 * stages + 1), 1, p, route):
         entries += [ConditionEntry(q, w, Poly._of(scale, {**n[i], 0: -offset} if offset else n[i]))
@@ -289,6 +292,7 @@ class VerificationReport(NamedTuple):
 
 def verify_scheme(scheme: ConcreteScheme, p: int, route: str = "bch") -> VerificationReport:
     """The order-p residuals at the scheme, exactly, by the route's pass over ints."""
+    _check_route(route)
     residuals = tuple([(q, w, Fraction(d, s) if (d := g[i] - o) else _NIL)
                        for q, words, g, o, s in _route(_INTS, *_scaled(scheme), p, route)
                        for w, i in words.items()])
@@ -345,7 +349,7 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
     F - e^{A+B} = Z at the words of length p + 1, whose Lyndon read gives Z's coordinates.
     """
     values, den = _scaled(scheme)
-    tables, factors = _factors(values, p, p + 1)
+    p, tables, factors = _factors(values, p, 1)
     g = _divided_product(_INTS, factors, tables.suffix_steps, len(tables.suffixes))
     if any(g[i] != d for q in range(1, p + 1) for d in [den**q] for i in tables.lyndon[q].values()):
         raise NotOrderP(f"{scheme} does not satisfy the order-{p} conditions")
@@ -359,20 +363,23 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
 def check_cost(p: int, route: str, stages: int | None = None) -> int:
     """Estimated bytes of an order-p command, enumerating no word; ValueError over budget.
 
-    Counts the Lyndon words of each bidegree (i, j), and refuses over MAX_LYNDON_WORDS of
-    them.  Each costs its route's tables, q a word of length q = i + j: the taylor product's
+    Refuses first as the word tables do, by lyndon_count.  Then counts the Lyndon words of each
+    bidegree (i, j), each at its route's tables, q a word of length q = i + j: the taylor product's
     q suffixes at 3q (both routes then peak at 1.5-2.3 bytes a counted byte at their edges),
     or the bch log's q(q+1)/2 splits and the C(q, i) words of its bracket.  An s-stage system
     adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s bytes each.  Refuses over MAX_COST.
     """
+    p = _whole(p, "order")
+    if stages is not None and (stages := _whole(stages, "stage count")) < 0:
+        raise ValueError("stage count must be >= 0")
+    if lyndon_count(2, p) > MAX_LYNDON_WORDS:
+        raise ValueError(f"order {p} may need over {MAX_LYNDON_WORDS} Lyndon words")
     count: dict[tuple[int, int], int] = {}
     for q in range(1, p + 1):  # Witt's formula, by the identity it inverts: the C(q, i)
         for i in range(q + 1):  # words are the q/d rotations of Lyndon words' d-th powers
             g = math.gcd(i, q - i)
             rest = sum(q // d * count[i // d, (q - i) // d] for d in range(2, g + 1) if g % d == 0)
             count[i, q - i] = (math.comb(q, i) - rest) // q
-        if sum(count.values()) > MAX_LYNDON_WORDS:
-            raise ValueError(f"order {p} may need over {MAX_LYNDON_WORDS} Lyndon words")
     cost = 0
     for (i, j), n in count.items():
         q = i + j

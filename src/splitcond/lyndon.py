@@ -21,11 +21,12 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .poly import _ZERO, Poly, _int_product
+from .poly import _ZERO, Poly, _int_product, _whole
 from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
+MAX_LYNDON_WORDS = 10**6  # the Lyndon words a word table, or the CLI's listing, may hold
 
 
 class SingleLetter(ValueError):
@@ -49,11 +50,24 @@ def is_lyndon(word: Word) -> bool:
     return all(word < doubled[i : i + n] for i in range(1, n))
 
 
+def lyndon_count(alphabet_size: int, max_degree: int) -> int:
+    """The number of Lyndon words of length <= max_degree over k letters, listing none: each
+    L(n) by Witt's identity sum_{d | n} d L(d) = k^n (Reutenauer, Free Lie Algebras, 1993), summed
+    until past MAX_LYNDON_WORDS (over one letter, to n = 1): a huge max_degree costs a few terms."""
+    counts = [0]  # counts[n] = L(n)
+    for n in range(1, max_degree + 1):
+        rest = sum(d * counts[d] for d in range(1, n) if n % d == 0)
+        counts.append((alphabet_size**n - rest) // n)
+        if sum(counts) > MAX_LYNDON_WORDS or alphabet_size == 1:
+            break
+    return sum(counts)
+
+
 def lyndon_words(alphabet_size: int, max_degree: int) -> list[Word]:
     """All Lyndon words of length <= max_degree, in lexicographic order (Duval)."""
-    if alphabet_size < 1:
+    if (alphabet_size := _whole(alphabet_size, "alphabet size")) < 1:
         raise ValueError("alphabet size must be >= 1")
-    if max_degree < 1:
+    if (max_degree := _whole(max_degree, "max degree")) < 1:
         raise ValueError("max degree must be >= 1")
     if alphabet_size == 1:
         max_degree = 1  # A is the one Lyndon word over one letter
@@ -197,7 +211,8 @@ def _splits(slot: dict[Word, int], factor: dict[Word, int]) -> list:
 # one instance per (p, alphabet size); a process works at a few degrees only
 @functools.lru_cache(maxsize=16)
 class _Tables:
-    """Scheme-independent tables through degree p, each built on its first use.
+    """Scheme-independent tables through degree p, each built on its first use; ValueError,
+    before any word is listed, over MAX_LYNDON_WORDS Lyndon words, every entry point's budget.
 
     The Lyndon words' suffixes are numbered once, longest first, () last (suffixes maps each
     to its slot, lyndon[q] degree q's Lyndon words, in order), and so are their factors; a
@@ -205,6 +220,8 @@ class _Tables:
     """
 
     def __init__(self, p: int, alphabet_size: int):
+        if lyndon_count(alphabet_size, p) > MAX_LYNDON_WORDS:
+            raise ValueError(f"order {p} may need over {MAX_LYNDON_WORDS} Lyndon words")
         words = lyndon_words(alphabet_size, p)
         self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
         self.lyndon = [{w: self.suffixes[w] for w in words if len(w) == q} for q in range(p + 1)]
@@ -267,15 +284,15 @@ def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
 def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """Write a homogeneous degree-q series as a Lyndon-basis combination.
 
-    The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested
-    bracketing, fixes the Lie elements of degree q and annihilates a
-    complement.  Raises NotALieElement, carrying the residual f - theta(f)/q,
-    when that residual is nonzero; for degree 2 the word AB alone leaves the
-    symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the
-    triangular solve over the Lyndon words of degree q, _Tables.read, tabled over
-    the letters f uses alone, relabelled in order onto 0..k-1, which keeps every row.
+    The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested bracketing, fixes the Lie
+    elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
+    residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
+    the symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the triangular solve
+    over the Lyndon words of degree q, _Tables.read, tabled over the letters f uses alone,
+    relabelled in order onto 0..k-1, which keeps every row; ValueError, before any word is listed,
+    if those tables pass MAX_LYNDON_WORDS (2 letters fit through degree 23, 26 through 4).
     """
-    if degree < 1:
+    if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
     if any(len(w) != degree for w in f.terms):
         raise ValueError(f"input is not homogeneous of degree {degree}")

@@ -13,13 +13,13 @@ whatever numpy is installed, and without importing numpy.random.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .conditions import ConcreteScheme
+from .poly import _whole
 
 DEFAULT_GRID = tuple(2.0**-k for k in range(4, 11))
 
@@ -141,15 +141,6 @@ class ConvergenceReport(NamedTuple):
             "residual": self.fit_residual,
             "scaling": list(self.scaling),
         }
-
-
-def _whole(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def _dimension_and_seed(dimension, seed) -> tuple[int, int]:

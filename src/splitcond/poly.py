@@ -56,6 +56,17 @@ Scalar = Union[int, Fraction]
 MAX_EXPONENT = 127
 
 
+def _whole(value, name: str) -> int:
+    # the one integer rule for an entry point's integer argument: anything operator.index
+    # takes but a bool, as an int; TypeError naming the argument otherwise
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
+
+
 def _unpack(mono: int, width: int | None = None) -> bytes:
     # byte i is the exponent of symbol index i; by default no trailing zeros
     return mono.to_bytes((mono.bit_length() + 7) // 8 if width is None else width, "little")
@@ -105,7 +116,7 @@ class Poly:
         """The stage coefficient a_stage or b_stage."""
         if kind not in SYMBOL_KINDS:
             raise ValueError(f"symbol kind must be one of {SYMBOL_KINDS}, got {kind!r}")
-        if stage < 1:
+        if (stage := _whole(stage, "stage index")) < 1:
             raise ValueError(f"stage index must be >= 1, got {stage}")
         index = 2 * (stage - 1) + SYMBOL_KINDS.index(kind)
         return cls._of(1, {1 << (8 * index): 1})

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import Poly, Scalar, _signed_join, as_poly, sum_of_products
+from .poly import Poly, Scalar, _signed_join, _whole, as_poly, sum_of_products
 
 Word = tuple[int, ...]
 
@@ -78,9 +78,9 @@ class NCSeries:
         alphabet_size: int = 2,
         terms: Mapping[Word, Union[Poly, Scalar]] | None = None,
     ):
-        if truncation < 0:
+        if (truncation := _whole(truncation, "truncation degree")) < 0:
             raise ValueError(f"truncation degree must be >= 0, got {truncation}")
-        if not 1 <= alphabet_size <= len(_LETTER_NAMES):
+        if not 1 <= (alphabet_size := _whole(alphabet_size, "alphabet size")) <= len(_LETTER_NAMES):
             raise ValueError(f"alphabet size must be between 1 and 26, got {alphabet_size}")
         self.truncation = truncation
         self.alphabet_size = alphabet_size

@@ -37,6 +37,11 @@ def test_removed_names_stay_removed():
         assert name not in splitcond.__all__
         assert not hasattr(splitcond, name)
         assert not hasattr(poly, name)
+    # the Lyndon-word budget is lyndon.MAX_LYNDON_WORDS, counted by lyndon.lyndon_count alone
+    from splitcond import cli, conditions, lyndon
+
+    assert not hasattr(cli, "lyndon_count_bound") and not hasattr(conditions, "MAX_TABLE_ORDER")
+    assert cli.MAX_LYNDON_WORDS is conditions.MAX_LYNDON_WORDS is lyndon.MAX_LYNDON_WORDS
 
 
 def test_exp_and_log_take_one_series():

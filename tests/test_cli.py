@@ -13,7 +13,6 @@ from splitcond.cli import (
     MAX_LYNDON_WORDS,
     REGISTRY,
     load_scheme_file,
-    lyndon_count_bound,
     main,
     parse_rational,
     scheme_to_json_dict,
@@ -59,17 +58,19 @@ def test_lyndon_bad_max_len(capsys):
     assert "max-len" in err
 
 
-def test_lyndon_count_bound_on_extreme_values():
-    # only the bound is computed here: the refused listings are never built
-    assert lyndon_count_bound(26, 6) > MAX_LYNDON_WORDS
-    assert lyndon_count_bound(26, 10**18) > MAX_LYNDON_WORDS
-    assert lyndon_count_bound(2, 10**18) > MAX_LYNDON_WORDS
-    assert lyndon_count_bound(2, 23) <= MAX_LYNDON_WORDS < lyndon_count_bound(2, 24)
-    assert lyndon_count_bound(26, 4) <= MAX_LYNDON_WORDS < lyndon_count_bound(26, 5)
-    assert lyndon_count_bound(1, 10**18) == 1
-    for alphabet in (1, 2, 3, 4):
-        for max_len in range(1, 7):
-            assert len(lyndon_words(alphabet, max_len)) <= lyndon_count_bound(alphabet, max_len)
+# the largest --max-len the CLI lists for each alphabet from 2 letters to 26
+LARGEST_MAX_LEN = dict(zip(range(2, 27), [23, 14, 11, 9, 8, 8, 7, 7, 6, 6, 6, 6, 5, 5, 5, 5, 5,
+                                          5, 5, 5, 4, 4, 4, 4, 4]))
+
+
+def test_lyndon_largest_admitted_max_len(capsys, monkeypatch):
+    # only the admission is read: the listing is stubbed, so no admitted listing is built
+    monkeypatch.setattr("splitcond.cli.lyndon_words", lambda *args: [])
+    refusal = f"error: the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len\n"
+    for alphabet, top in LARGEST_MAX_LEN.items():
+        for max_len, expected in [(top, (0, "", "")), (top + 1, (2, "", refusal))]:
+            argv = ["lyndon", "--alphabet", str(alphabet), "--max-len", str(max_len)]
+            assert run(capsys, *argv) == expected, argv
 
 
 def test_lyndon_one_letter_at_a_long_max_len(capsys):

@@ -37,7 +37,6 @@ from splitcond.conditions import (
     _MAPS,
     MAX_COST,
     MAX_LYNDON_WORDS,
-    MAX_TABLE_ORDER,
     ROUTES,
     _NIL,
     _divided_product,
@@ -45,7 +44,9 @@ from splitcond.conditions import (
     _scaled,
     check_cost,
 )
-from splitcond.lyndon import _numbered, _product_steps, _splits, _Tables, is_lyndon, lyndon_words
+from splitcond.lyndon import (
+    _numbered, _product_steps, _splits, _Tables, is_lyndon, lyndon_count, lyndon_words
+)
 from splitcond.poly import (
     MAX_EXPONENT,
     Poly,
@@ -700,14 +701,14 @@ def test_builder_rejects_an_order_below_1(route):
 def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
     # an exponent over 127 carries into the next symbol's byte, and tables through an
     # order over 23 would hold over MAX_LYNDON_WORDS Lyndon words; both guards come
-    # before the word tables, which would enumerate Lyndon words through length p
+    # before any Lyndon word through length p is listed
     class Refused(Exception):
         pass
 
     def refuse(*args):
         raise Refused
 
-    monkeypatch.setattr("splitcond.conditions._Tables", refuse)
+    monkeypatch.setattr("splitcond.lyndon.lyndon_words", refuse)
     for p in (128, 200):
         with pytest.raises(ValueError, match="^target order must be <= 127$"):
             condition_system(1, p, route)
@@ -1624,25 +1625,26 @@ def test_cost_estimate_bounds_the_terms_of_each_entry(stages, p):
             assert len(entry.polynomial.terms) <= term_bound(entry.word, stages), entry
 
 
-def test_table_order_guard_is_check_costs_lyndon_word_count():
-    # the library refuses tables past MAX_TABLE_ORDER by one comparison: the last order
-    # whose two-letter Lyndon words, by Witt's formula, fit MAX_LYNDON_WORDS, so it
-    # refuses where check_cost's count does, with check_cost's message
+def test_word_table_guard_is_check_costs_lyndon_word_count():
+    # the word tables and check_cost refuse by one count, lyndon_count: over two letters the
+    # last order whose Lyndon words, by Witt's formula, fit MAX_LYNDON_WORDS is 23, so both
+    # refuse order 24 with one message
     through = list(itertools.accumulate(necklace_count(2, q) for q in range(1, 25)))
-    assert through[MAX_TABLE_ORDER - 1] == 766_150 <= MAX_LYNDON_WORDS
-    assert through[MAX_TABLE_ORDER] == 1_465_020 > MAX_LYNDON_WORDS
+    assert through[22] == lyndon_count(2, 23) == 766_150 <= MAX_LYNDON_WORDS
+    assert through[23] == lyndon_count(2, 24) == 1_465_020 > MAX_LYNDON_WORDS
+    message = f"order 24 may need over {MAX_LYNDON_WORDS} Lyndon words"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _Tables(24, 2)
     for route in ROUTES:
         with pytest.raises(ValueError) as caught:
-            check_cost(MAX_TABLE_ORDER, route)
+            check_cost(23, route)
         assert "Lyndon words" not in str(caught.value)  # over the byte budget only
         with pytest.raises(ValueError) as counted:
-            check_cost(MAX_TABLE_ORDER + 1, route)
+            check_cost(24, route)
         with pytest.raises(ValueError) as guarded:
-            condition_system(1, MAX_TABLE_ORDER + 1, route)
+            condition_system(1, 24, route)
         assert type(guarded.value) is ValueError
-        assert str(guarded.value) == str(counted.value) == (
-            f"order {MAX_TABLE_ORDER + 1} may need over {MAX_LYNDON_WORDS} Lyndon words"
-        )
+        assert str(guarded.value) == str(counted.value) == message
 
 
 def test_cost_estimate_on_extreme_values():

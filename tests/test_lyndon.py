@@ -18,7 +18,7 @@ from splitcond import (
     lyndon_words_of_degree,
     standard_factorization,
 )
-from splitcond.lyndon import _Tables
+from splitcond.lyndon import MAX_LYNDON_WORDS, _Tables, lyndon_count
 from splitcond.poly import Poly
 
 from helpers import (
@@ -77,6 +77,39 @@ def test_counts_match_necklace_formula():
 def test_counts_alphabet_2_first_six_lengths():
     counts = [len(lyndon_words_of_degree(2, n)) for n in range(1, 7)]
     assert counts == [2, 1, 2, 3, 6, 9]
+
+
+def _refuse_listing(*args):
+    raise AssertionError(f"listed the Lyndon words of {args}")
+
+
+def test_lyndon_count_is_the_necklace_sum_listing_nothing(monkeypatch):
+    # exact through the first degree past the budget, over every alphabet the letters name
+    monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
+    for alphabet in range(1, 27):
+        total = 0
+        for n in range(1, 30):
+            total += necklace_count(alphabet, n)
+            assert lyndon_count(alphabet, n) == total, (alphabet, n)
+            if total > MAX_LYNDON_WORDS:
+                break
+        assert (total > MAX_LYNDON_WORDS) == (alphabet > 1)
+    monkeypatch.undo()
+    for alphabet in range(1, 5):
+        for n in range(1, 7):
+            assert lyndon_count(alphabet, n) == len(lyndon_words(alphabet, n))
+
+
+def test_lyndon_count_on_extreme_values():
+    # the sum stops once past the budget, and after one term over one letter, so an order
+    # of 10^18 costs what the first degree past the budget does
+    assert lyndon_count(26, 6) > MAX_LYNDON_WORDS
+    assert lyndon_count(2, 23) == 766_150 <= MAX_LYNDON_WORDS < lyndon_count(2, 24) == 1_465_020
+    assert lyndon_count(26, 4) <= MAX_LYNDON_WORDS < lyndon_count(26, 5)
+    assert lyndon_count(1, 10**18) == 1
+    for alphabet in range(2, 27):
+        past = next(n for n in range(1, 30) if lyndon_count(alphabet, n) > MAX_LYNDON_WORDS)
+        assert lyndon_count(alphabet, 10**18) == lyndon_count(alphabet, past)
 
 
 def test_standard_factorization_examples():
@@ -312,6 +345,21 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
                 assert got == _decompose_outcome(lie_decompose_by_subtraction, f, degree)
                 outcomes.add(got[0])
     assert outcomes == {"lie", "residual"}
+
+
+def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
+    # a degree-6 Lie element on all 26 letters would table about 5e7 Lyndon words: refused by
+    # their count, before any is listed; five brackets, each on six increasing letters
+    words = [tuple(range(i, i + 6)) for i in range(0, 20, 6)] + [(0, 1, 2, 3, 24, 25)]
+    f = NCSeries.zero(6, 26)
+    for w in words:
+        f = f + expand(bracketing(w), 6, 26)
+    assert {x for w in f.terms for x in w} == set(range(26))
+    monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
+    with pytest.raises(ValueError) as refused:
+        lie_decompose(f, 6)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"order 6 may need over {MAX_LYNDON_WORDS} Lyndon words"
 
 
 def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):

@@ -12,11 +12,12 @@ G[w] = |w|! D^|w| F[w] is formed right to left, e^{cX} sending G[X^j v] to sum_j
 at the slots of the Lyndon words and their suffixes, numbered by lyndon._Tables, in one call of the
 ring's product kernel, which forms n^j along each row's run.  log(F) is Horner's scheme acc <- c_k
 + F acc - acc, c_k = L (-1)^(k+1) / k, L = lcm(1..p) (Casas & Murua, J. Math. Phys. 2009), in one
-call of the log kernel _route picks by the _Ring: over _MAPS, Poly's packed integer maps, n^j a
-packed monomial, poly._map_log's F acc is the product started from acc, so the systems never expand
-F; over _INTS, G[u] is one int, and poly._int_log multiplies by G - 1 at every split.  _INTS on Poly
-values forms splitting_product.  The Lyndon read, _Tables.read, is one more product, by the unit
-factor.  No symbolic system is built to verify a scheme or to read its leading error term off F.
+call of the _Ring's log, ending in the Lyndon read, _Tables.read, a product by the unit factor.
+Over _MAPS, Poly's packed integer maps, n^j a packed monomial, poly._map_fresh stores the Taylor
+product at fresh keys, and poly._map_log's F acc is the general product from acc, so the systems
+never expand F; over _INTS, G[u] is one int, and poly._int_log multiplies by G - 1 at every split.
+_INTS on Poly values forms splitting_product.  No symbolic system is built to verify a scheme or to
+read its leading error term off F.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lyndon import MAX_LYNDON_WORDS, LieDecomposition, _Tables, lyndon_count
 from .lyndon import _numbered, _product_steps
-from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_log, _map_product, _whole
+from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_fresh, _map_log
+from .poly import _map_product, _whole
 from .series import NCSeries, Word, exp, word_str
 
 ROUTES = ("taylor", "bch")
@@ -110,12 +112,28 @@ class SymbolicScheme(NamedTuple):
         return cls(tuple(map(Poly.const, scheme.a)), tuple(map(Poly.const, scheme.b)))
 
 
-# a ring's zero and one, product kernel, unit factor (its powers all one), and whether its log
-# runs over the expanded G; over integer maps a value k >= 1, never zero, names symbol k - 1
+def _int_log_read(factors: list, tables: _Tables, p: int) -> tuple[list, int]:
+    g = _divided_product(_INTS, factors, tables.factor_steps, len(tables.factors))
+    acc = [0] * len(tables.suffixes)
+    big = _int_log(acc, g, tables.log_steps, p)
+    tables.read(_int_product, 1, acc, range(2, p + 1))  # degree 1 reads itself
+    return acc, big
+
+
+def _map_log_read(factors: list, tables: _Tables, p: int) -> tuple[list, int]:
+    # the general product from acc each pass, the last - acc at the Lyndon words only; then the read
+    acc, last = [{}] * len(tables.suffixes), [i for ws in tables.lyndon for i in ws.values()]
+    big = _map_log(acc, factors, tables.suffix_steps, last, p)
+    tables.read(_map_product, 0, acc, range(2, p + 1))
+    return acc, big
+
+
+# a ring's zero and one, its product kernel from the unit start, and its log, returning the read of
+# L |w|! D^|w| log(F)[w] and L; over maps, k >= 1 names symbol k - 1 once, so product keys are fresh
 _Ring = NamedTuple("_Ring", [("zero", object), ("one", object), ("product", Callable),
-                             ("unit", object), ("expanded", bool)])
-_INTS = _Ring(0, 1, _int_product, 1, True)
-_MAPS = _Ring({}, {0: 1}, _map_product, 0, False)
+                             ("log", Callable)])
+_INTS = _Ring(0, 1, _int_product, _int_log_read)
+_MAPS = _Ring({}, {0: 1}, _map_fresh, _map_log_read)
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
@@ -157,19 +175,11 @@ def _route(ring: _Ring, point: Sequence, den: int, p: int, route: str) -> list:
     # per degree q, (q, Lyndon words {w: slot}, values by slot, offset, scale) of the conditions
     # (value - offset) / scale over the ring at the stage values n = D c of point
     p, tables, factors = _factors(point, p, 0)
-    size, lyndon = len(tables.suffixes), tables.lyndon
     if route == "taylor":
-        g = _divided_product(ring, factors, tables.suffix_steps, size)
-        return [(q, lyndon[q], g, d, d) for q in range(1, p + 1) for d in [den**q]]
-    acc = [ring.zero] * size
-    if ring.expanded:  # G[u] is one int: each pass runs the splits by G, from zero
-        g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        big = _int_log(acc, g, tables.log_steps, p)
-    else:  # each pass the product from acc, over the suffixes; the last - acc at the Lyndon words
-        last = [i for words in lyndon for i in words.values()]
-        big = _map_log(acc, factors, tables.suffix_steps, last, p)
-    tables.read(ring.product, ring.unit, acc, range(2, p + 1))  # degree 1 reads itself
-    return [(q, lyndon[q], acc, big * den * (q == 1), big * math.factorial(q) * den**q)
+        g = _divided_product(ring, factors, tables.suffix_steps, len(tables.suffixes))
+        return [(q, tables.lyndon[q], g, d, d) for q in range(1, p + 1) for d in [den**q]]
+    acc, big = ring.log(factors, tables, p)
+    return [(q, tables.lyndon[q], acc, big * den * (q == 1), big * math.factorial(q) * den**q)
             for q in range(1, p + 1)]
 
 
@@ -356,7 +366,7 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
     lead, scale = tables.lyndon[p + 1], math.factorial(p + 1) * (top := den ** (p + 1))
     for i in lead.values():  # G[w] = (p+1)! D^(p+1) F[w] less e^{A+B}'s, which is D^(p+1)
         g[i] -= top
-    tables.read(_INTS.product, _INTS.unit, g, [p + 1])
+    tables.read(_int_product, 1, g, [p + 1])
     return LieDecomposition(p + 1, {w: Poly._of(scale, {0: g[i]}) for w, i in lead.items() if g[i]})
 
 
@@ -390,5 +400,10 @@ def check_cost(p: int, route: str, stages: int | None = None) -> int:
     if cost > MAX_COST:
         where = f"at s = {stages}" if stages else f"on the {route} route"
         budget = f"over the budget of {MAX_COST:.0e}"
-        raise ValueError(f"order {p} {where} may need about {cost:.1e} bytes, {budget}")
+        try:
+            about = f"{cost:.1e}"
+        except OverflowError:  # past float range: formatted from the int itself
+            from decimal import Decimal
+            about = f"{Decimal(cost):.1e}"
+        raise ValueError(f"order {p} {where} may need about {about} bytes, {budget}")
     return cost

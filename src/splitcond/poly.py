@@ -298,6 +298,21 @@ def _map_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT)
                 acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
 
 
+def _map_fresh(acc: list, factors: list, steps: dict) -> None:
+    # _map_product from the unit start [{}] * (n - 1) + [{0: 1}], each symbol k >= 1 named once:
+    # factor k meets no x_k yet, so run j stores each term at a new key, with no get and no zero
+    # filter (c >= 1, x != 0); a slot's first write replaces the shared {} by a map of its own
+    for letter, k in reversed(factors):
+        unit = 1 << 8 * k >> 8
+        for w, _, runs in steps.get(letter, ()):
+            total, shift = acc[w] or {}, 0
+            for c, _, v in runs:
+                shift += unit
+                for m, x in acc[v].items():
+                    total[m + shift] = c * x
+            acc[w] = total
+
+
 def _int_log(acc: list, g: list, rows: list, p: int) -> int:
     # L |w|! D^|w| log(F)[w] into acc at suffix-closed slots, () last, returning L = lcm(1..p): at
     # k = p .. 0, acc[w] = sum c G[u] acc[v] at each row (w, |w|, [(c, u, v)]) with |w| <= p - k,

@@ -360,7 +360,7 @@ def monomial_map(mono: int) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # the stage ladders and the sweep kernels the fused product kernels replace: the
-# reference for conditions._INTS.product and conditions._MAPS.product
+# reference for poly._int_product and poly._map_product
 
 
 def int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:

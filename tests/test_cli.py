@@ -441,6 +441,7 @@ COSTLY_COMMANDS = [
     ("conditions", "-s", "3", "-p", "23", "--route", "taylor"),
     ("verify", "strang", "-p", "18"),
     ("verify", "strang", "-p", "22", "--route", "taylor"),
+    ("conditions", "-s", "1000000000000000000", "-p", "17"),  # an estimate past float range
 ]
 
 

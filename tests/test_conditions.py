@@ -39,6 +39,7 @@ from splitcond.conditions import (
     MAX_LYNDON_WORDS,
     ROUTES,
     _NIL,
+    _Ring,
     _divided_product,
     _route,
     _scaled,
@@ -53,6 +54,7 @@ from splitcond.poly import (
     _dot,
     _int_log,
     _int_product,
+    _map_fresh,
     _map_log,
     _map_product,
     as_poly,
@@ -251,17 +253,23 @@ DERIVE_GRID = [
 
 
 @pytest.mark.parametrize("stages,p,route", DERIVE_GRID)
-def test_condition_system_equals_the_route_over_poly(stages, p, route, monkeypatch):
+def test_condition_system_equals_the_route_over_poly(stages, p, route):
     # the path the integer maps replace: the route over Poly, its products swept by
     # ladders with sum_of_products per row, the offset and the scale applied by Poly
-    # arithmetic; the read's unit, the int 1, is lifted to a Poly; its log is the one
-    # the map log replaced, over the ring, in place of poly._map_log
+    # arithmetic; its log is the one the map log replaced, over the ring, then the
+    # read by the ring's product, whose unit, the int 1, is lifted to a Poly
     ring = POLYS._replace(product=ladder_product(sweep_by_dot(sum_of_products, as_poly)))
-    with monkeypatch.context() as patch:
-        patch.setattr("splitcond.conditions._map_log", stage_log(ring))
-        oracle = [(q, w, n[i], offset, scale)
-                  for q, words, n, offset, scale in _route(ring, symbol_point(stages), 1, p, route)
-                  for w, i in words.items()]
+
+    def log(factors, tables, p):
+        acc, last = [ring.zero] * len(tables.suffixes), lyndon_slots(tables)
+        big = stage_log(ring)(acc, factors, tables.suffix_steps, last, p)
+        tables.read(ring.product, ring.unit, acc, range(2, p + 1))
+        return acc, big
+
+    oracle_ring = _Ring(ring.zero, ring.one, ring.product, log)
+    routed = _route(oracle_ring, symbol_point(stages), 1, p, route)
+    oracle = [(q, w, n[i], offset, scale)
+              for q, words, n, offset, scale in routed for w, i in words.items()]
     entries = condition_system(stages, p, route).entries
     assert len(entries) == len(oracle)
     for entry, (q, w, n, offset, scale) in zip(entries, oracle):
@@ -495,6 +503,27 @@ def test_map_sweep_never_mutates_a_shared_start():
         touched = [acc[w] for x in {x for x, _ in factors} for w, n, _ in steps.get(x, [])
                    if n <= top]
         assert all(y is not shared for y in touched)
+        assert len({id(y) for y in touched}) == len(touched)
+
+
+def test_map_fresh_equals_the_general_kernel_from_the_unit_start():
+    # the Taylor product over maps: from the shared {} and {0: 1} of _divided_product's
+    # start, over factors naming distinct symbols k >= 1 in random order, the kernel that
+    # stores fresh keys gives the general kernel's maps slot by slot, mutates neither
+    # start, and writes a map of its own at each slot a factor's rows reach
+    rng = random.Random(1704)
+    for closure, _ in sweep_cases(rng, 200):
+        words = _numbered(closure)
+        steps = _product_steps(words)
+        factors = [(rng.randrange(2), k) for k in rng.sample(range(1, 9), rng.randint(1, 8))]
+        empty, unit = {}, {0: 1}
+        got, expected = [empty] * (len(words) - 1) + [unit], [{}] * (len(words) - 1) + [{0: 1}]
+        _map_fresh(got, factors, steps)
+        _map_product(expected, factors, steps)
+        assert got == expected
+        assert empty == {} and unit == {0: 1}
+        touched = [got[w] for x in {x for x, _ in factors} for w, _, _ in steps.get(x, [])]
+        assert all(y is not empty and y is not unit for y in touched)
         assert len({id(y) for y in touched}) == len(touched)
 
 
@@ -1651,7 +1680,8 @@ def test_cost_estimate_on_extreme_values():
     # computed, never run: each refusal names the order and a one-line reason
     for p, route, stages in [(2, "bch", 20000), (2, "taylor", 2000), (23, "taylor", 3),
                              (2, "bch", 10**18), (15, "bch", None), (22, "taylor", None),
-                             (20, "taylor", None), (23, "bch", 1), (9, "bch", 8), (10, "taylor", 8)]:
+                             (20, "taylor", None), (23, "bch", 1), (9, "bch", 8), (10, "taylor", 8),
+                             (17, "taylor", 10**18)]:  # an estimate past float range, 7.7e+317
         with pytest.raises(ValueError, match=f"^order {p} .* bytes, over the budget of 1e\\+08$"):
             check_cost(p, route, stages)
     for p in (24, 30, 127, 128, 10**18):

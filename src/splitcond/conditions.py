@@ -79,7 +79,7 @@ class ConcreteScheme(_SchemeFields):
 
     def padded(self, stages: int) -> "ConcreteScheme":
         """Same scheme embedded in a larger stage count by zero coefficients."""
-        if stages < self.stages:
+        if (stages := _whole(stages, "stage count")) < self.stages:
             raise ValueError("cannot pad to fewer stages")
         extra = (Fraction(0),) * (stages - self.stages)
         return ConcreteScheme(self.a + extra, self.b + extra, self.name)

@@ -125,7 +125,7 @@ class NCSeries:
         alphabet_size: int = 2,
         coeff: Union[Poly, Scalar] = 1,
     ) -> "NCSeries":
-        return cls(truncation, alphabet_size, {(index,): coeff})
+        return cls(truncation, alphabet_size, {(_whole(index, "letter index"),): coeff})
 
     # -- structure -----------------------------------------------------------
 
@@ -144,6 +144,8 @@ class NCSeries:
 
     def homogeneous_part(self, degree: int) -> "NCSeries":
         """The degree-j component, as a series with the same truncation."""
+        if (degree := _whole(degree, "degree")) < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
         if degree > self.truncation:
             raise DegreeBeyondTruncation(
                 f"degree {degree} exceeds truncation degree {self.truncation}"

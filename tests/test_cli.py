@@ -571,6 +571,46 @@ def test_conditions_closed_stdout_exits_2_without_traceback():
     assert err == b""
 
 
+def test_the_process_exit_writes_what_main_writes(tmp_path, capsys):
+    # entry() ends the process by os._exit once both streams are flushed: every byte and
+    # exit code of a process equals those of main() run here
+    malformed = tmp_path / "cut.json"
+    malformed.write_text('{"a": ["1"], "b": ', encoding="utf-8")
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, so only the flush writes its tail
+    for expected, argv in [
+        (0, ("conditions", "-s", "4", "-p", "7")),  # 345 KB, larger than a pipe buffer
+        (0, ("conditions", "-s", "3", "-p", "4", "--route", "taylor", "--format", "json")),
+        (0, ("verify", "strang", "-p", "2")),
+        (1, ("verify", "strang", "-p", "3", "--format", "json")),
+        (0, ("lyndon", "--max-len", "14")),
+        (2, ("conditions", "-s", "2", "-p", "3", "--route", "magic")),
+        (2, ("verify", str(malformed), "-p", "2")),
+        (0, ("converge", "strang", "--dim", "4")),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "splitcond.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        code, out, err = run(capsys, *argv)
+        assert code == expected, argv
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
+
+_ATEXIT_PROBE = """
+import atexit, sys
+from splitcond.cli import entry
+atexit.register(lambda: print("the atexit handler ran", file=sys.stderr))
+sys.argv = ["splitcond", "verify", "strang", "-p", "3"]
+entry()
+"""
+
+
+def test_the_process_exit_skips_atexit_handlers(capsys):
+    done = subprocess.run([sys.executable, "-c", _ATEXIT_PROBE], env=_subprocess_env(),
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, run(capsys, "verify", "strang", "-p", "3")[1].encode(), b"")
+
+
 def test_verify_prints_residuals_past_the_int_to_str_limit(tmp_path):
     # every literal is within MAX_LITERAL_DIGITS, yet at p = 5 the residuals run past the
     # interpreter's 4,300-digit int-to-str limit, which the command line lifts

@@ -49,6 +49,10 @@ CALLS = {
                      [("alphabet", range(1, 4), ()), ("degree", range(1, 7), ())]),
     "NCSeries": (lambda n, k, route: NCSeries(n, k),
                  [("truncation", range(0, 7), ()), ("alphabet", range(1, 4), ())]),
+    "NCSeries.letter": (lambda i, route: NCSeries.letter(i, 3), [("letter", range(0, 2), ())]),
+    "NCSeries.homogeneous_part": (lambda j, route: LIE.homogeneous_part(j),
+                                  [("degree", range(0, 7), ())]),
+    "ConcreteScheme.padded": (lambda s, route: STRANG.padded(s), [("stage", range(2, 5), ())]),
 }
 
 

@@ -373,12 +373,14 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
 def check_cost(p: int, route: str, stages: int | None = None) -> int:
     """Estimated bytes of an order-p command, enumerating no word; ValueError over budget.
 
-    Refuses first as the word tables do, by lyndon_count.  Then counts the Lyndon words of each
-    bidegree (i, j), each at its route's tables, q a word of length q = i + j: the taylor product's
-    q suffixes at 3q (both routes then peak at 1.5-2.3 bytes a counted byte at their edges),
-    or the bch log's q(q+1)/2 splits and the C(q, i) words of its bracket.  An s-stage system
-    adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s bytes each.  Refuses over MAX_COST.
+    Refuses an unknown route as the builders do, then as the word tables do, by lyndon_count.
+    Then counts the Lyndon words of each bidegree (i, j), each at its route's tables, q a word
+    of length q = i + j: the taylor product's q suffixes at 3q (both routes then peak at 1.5-2.3
+    bytes a counted byte at their edges), or the bch log's q(q+1)/2 splits and the C(q, i) words
+    of its bracket.  An s-stage system adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s
+    bytes each.  Refuses over MAX_COST.
     """
+    _check_route(route)
     p = _whole(p, "order")
     if stages is not None and (stages := _whole(stages, "stage count")) < 0:
         raise ValueError("stage count must be >= 0")

@@ -11,7 +11,9 @@ A Lyndon bracketing expands to its own word once plus larger words of its letter
 only (Reutenauer, Free Lie Algebras, 1993), so per degree a unitriangular solve in
 blocks of one letter content, rows a product kernel runs in place, reads the coordinates
 of a Lie element.  A bracket is expanded only where a row reads it, and kept only below
-the table's top degree.  lie_decompose first checks membership by the Dynkin projection.
+the table's top degree.  Every bracket, in expand, the tables and the Dynkin projection, is
+one commutator of term maps.  lie_decompose first checks membership by that projection,
+then reads each letter set of its input on a table over those letters alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from .poly import _ZERO, Poly, _int_product, _whole
-from .series import DegreeBeyondTruncation, NCSeries, Word, add_terms, word_str
+from .series import DegreeBeyondTruncation, NCSeries, Word, _is_letter, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
@@ -89,13 +91,20 @@ def lyndon_words_of_degree(alphabet_size: int, degree: int) -> list[Word]:
     return [w for w in lyndon_words(alphabet_size, degree) if len(w) == degree]
 
 
+def _word(word) -> Word:
+    # the word as a tuple of letters, over no alphabet in particular
+    if not all(map(_is_letter, word := tuple(word))):
+        raise ValueError(f"not a word of letter indices: {word!r}")
+    return word
+
+
 def standard_factorization(word: Word) -> tuple[Word, Word]:
     """Split a Lyndon word w = u·v, v the smallest (and longest Lyndon) proper suffix.
 
     Both factors are again Lyndon and u < v, so the split can be recursed to
     build the standard bracketing.
     """
-    word = tuple(word)
+    word = _word(word)
     if len(word) == 1:
         raise SingleLetter(f"cannot factor the single-letter word {word_str(word)}")
     if not is_lyndon(word):
@@ -106,7 +115,7 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
 
 def bracketing(word: Word) -> BracketTree:
     """Standard bracketing of a Lyndon word, e.g. AAB -> [A, [A, B]]."""
-    word = tuple(word)
+    word = _word(word)
     if not word:
         raise ValueError("cannot bracket the empty word")
     if len(word) == 1:
@@ -117,7 +126,7 @@ def bracketing(word: Word) -> BracketTree:
 
 def foliage(tree: BracketTree) -> Word:
     """Left-to-right leaf sequence of a bracket tree."""
-    if isinstance(tree, int):
+    if _is_letter(tree):
         return (tree,)
     left, right = _node(tree)
     return foliage(left) + foliage(right)
@@ -130,10 +139,16 @@ def _node(tree) -> tuple:
 
 
 def bracket_str(tree: BracketTree) -> str:
-    if isinstance(tree, int):
+    if _is_letter(tree):
         return word_str((tree,))
     left, right = _node(tree)
     return f"[{bracket_str(left)},{bracket_str(right)}]"
+
+
+def _commutator(left: dict, right: dict) -> dict:
+    # [x, y] = xy - yx over homogeneous term maps {word: coefficient}, dropping what cancels
+    pairs = [(u, v, cu * cv) for u, cu in left.items() for v, cv in right.items()]
+    return add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
 
 
 def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
@@ -142,12 +157,10 @@ def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeri
         raise DegreeBeyondTruncation(
             f"bracket tree of degree {len(foliage(tree))} exceeds truncation {truncation}"
         )
-    if isinstance(tree, int):
+    if _is_letter(tree):
         return NCSeries.letter(tree, truncation, alphabet_size)
-    left, right = tree
-    ls = expand(left, truncation, alphabet_size)
-    rs = expand(right, truncation, alphabet_size)
-    return ls * rs - rs * ls
+    left, right = (expand(t, truncation, alphabet_size).terms for t in tree)
+    return NCSeries._of(truncation, alphabet_size, _commutator(left, right))
 
 
 class LieDecomposition(NamedTuple):
@@ -239,9 +252,7 @@ class _Tables:
         # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
         # kept below the table's top degree p only: no longer bracket takes a degree-p factor
         if (e := self._brackets.get(w)) is None:
-            left, right = map(self.bracket, standard_factorization(w))
-            pairs = [(u, v, cu * cv) for u, cu in left.items() for v, cv in right.items()]
-            e = add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
+            e = _commutator(*map(self.bracket, standard_factorization(w)))
         return self._brackets.setdefault(w, e) if len(w) < len(self.lyndon) - 1 else e
 
     def read_steps(self, q: int) -> list:
@@ -270,14 +281,13 @@ class _Tables:
 
 def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
     # theta, the right-nested bracketing, by left quotients of a homogeneous
-    # term map: theta(a) = a and theta(a·u) = a·theta(u) - theta(u)·a
+    # term map: theta(a) = a and theta(a·u) = [a, theta(u)]
     if degree == 1:
         return terms
     out: dict[Word, Poly] = {}
     for a in {w[0] for w in terms}:
         theta = _dynkin({w[1:]: c for w, c in terms.items() if w[0] == a}, degree - 1)
-        out = add_terms(out, {(a,) + u: c for u, c in theta.items()})
-        out = add_terms(out, {u + (a,): -c for u, c in theta.items()})
+        out = add_terms(out, _commutator({(a,): 1}, theta))
     return out
 
 
@@ -288,9 +298,11 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
     the symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the triangular solve
-    over the Lyndon words of degree q, _Tables.read, tabled over the letters f uses alone,
-    relabelled in order onto 0..k-1, which keeps every row; ValueError, before any word is listed,
-    if those tables pass MAX_LYNDON_WORDS (2 letters fit through degree 23, 26 through 4).
+    over the Lyndon words of degree q, _Tables.read, on one table per letter set of f's words,
+    its k letters relabelled in order onto 0..k-1, which keeps every row: no row crosses a letter
+    set, and a set's words read the same on a larger set's table.  ValueError, before any word is
+    listed, if a letter set's table passes MAX_LYNDON_WORDS (two letters fit through degree 23,
+    seven through degree 8, eight at degree 8 do not), so no element of degree 7 or less is refused.
     """
     if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -302,9 +314,11 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)
-    letters = sorted({x for w in f.terms for x in w}) or [0]  # the zero series: one letter
-    tables = _Tables(degree, len(letters))
-    words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
-    acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
-    tables.read(_int_product, 1, acc, [degree])
-    return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})
+    coefficients = {}
+    for letters in {tuple(sorted(set(w))) for w in f.terms}:  # each letter set, letters in order
+        tables = _Tables(degree, len(letters))
+        words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
+        acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
+        tables.read(_int_product, 1, acc, [degree])
+        coefficients.update((w, acc[i]) for w, i in words.items() if acc[i])
+    return LieDecomposition(degree, dict(sorted(coefficients.items())))

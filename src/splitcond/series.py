@@ -58,12 +58,18 @@ def add_terms(left: Mapping, right: Mapping) -> dict:
     return out
 
 
+def _is_letter(x, alphabet_size: int | None = None) -> bool:
+    """The one letter rule: an int but not a bool, inside the alphabet where one is known."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and (alphabet_size is None or 0 <= x < alphabet_size))
+
+
 def word_str(word: Word) -> str:
     """Render a word as a letter string, e.g. (0, 0, 1) -> "AAB"; letters are 0-25."""
     if not word:
         return "1"
-    if bad := [i for i in word if not 0 <= i < len(_LETTER_NAMES)]:
-        raise ValueError(f"letter index {bad[0]} outside 0-25")
+    if bad := [i for i in word if not _is_letter(i, len(_LETTER_NAMES))]:
+        raise ValueError(f"letter index {bad[0]!r} outside 0-25")
     return "".join(_LETTER_NAMES[i] for i in word)
 
 
@@ -87,9 +93,7 @@ class NCSeries:
         canonical: dict[Word, Poly] = {}
         if terms:
             for word, coeff in terms.items():
-                word = tuple(word)
-                if not all(isinstance(i, int) and 0 <= i < alphabet_size for i in word):
-                    raise ValueError(f"word {word!r} uses letters outside the alphabet")
+                word = self._word(word)
                 if len(word) > truncation:
                     raise DegreeBeyondTruncation(
                         f"word {word_str(word)} exceeds truncation degree {truncation}"
@@ -129,9 +133,16 @@ class NCSeries:
 
     # -- structure -----------------------------------------------------------
 
+    def _word(self, word) -> Word:
+        # the word as a tuple, each of its letters one of this alphabet's
+        word = tuple(word)
+        if not all(_is_letter(i, self.alphabet_size) for i in word):
+            raise ValueError(f"word {word!r} uses letters outside the alphabet")
+        return word
+
     def coefficient(self, word: Word) -> Poly:
         """Coefficient of a word; zero polynomial if the word is absent."""
-        word = tuple(word)
+        word = self._word(word)
         if len(word) > self.truncation:
             raise DegreeBeyondTruncation(
                 f"word {word_str(word)} exceeds truncation degree {self.truncation}"

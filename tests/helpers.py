@@ -24,13 +24,13 @@ from splitcond import (
     SymbolicScheme,
     bracketing,
     exp,
-    expand,
     log,
     lyndon_words_of_degree,
     verify_scheme,
 )
+from splitcond.lyndon import _Tables
 from splitcond.poly import (
-    _ONE, MAX_EXPONENT, Poly, _dot, _int_product, _map_product, sum_of_products
+    _ONE, _ZERO, MAX_EXPONENT, Poly, _dot, _int_product, _map_product, sum_of_products
 )
 from splitcond.series import Word, word_str
 
@@ -451,7 +451,7 @@ def back_substitute_by_word(ring, values, degree: int, alphabet_size: int) -> di
     for word, value in zip(lyndon_words_of_degree(alphabet_size, degree), values):
         if coeff := ring.dot([(-e[word], c, ring.one) for e, c in solved if word in e], value):
             out[word] = coeff
-            terms = expand(bracketing(word), degree, alphabet_size).terms
+            terms = expand_by_products(bracketing(word), degree, alphabet_size).terms
             solved.append(({w: int(c.constant()) for w, c in terms.items()}, coeff))
     return out
 
@@ -611,6 +611,30 @@ def right_nested_bracketing(word: tuple[int, ...]):
     return tree
 
 
+def expand_by_products(tree, truncation: int, alphabet_size: int = 2) -> NCSeries:
+    """Nested commutators as word series, [x, y] = x*y - y*x by two series products a node."""
+    if isinstance(tree, int):
+        return NCSeries.letter(tree, truncation, alphabet_size)
+    left, right = tree
+    ls = expand_by_products(left, truncation, alphabet_size)
+    rs = expand_by_products(right, truncation, alphabet_size)
+    return ls * rs - rs * ls
+
+
+def lie_decompose_on_the_union_table(f: NCSeries, degree: int) -> LieDecomposition:
+    """The Lyndon read of a homogeneous Lie element on one table over every letter it uses.
+
+    The letters are relabelled in order onto 0..k-1, which keeps every row; the zero
+    series is read on one letter.  Unchecked: exact for Lie elements.
+    """
+    letters = sorted({x for w in f.terms for x in w}) or [0]
+    tables = _Tables(degree, len(letters))
+    words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
+    acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}
+    tables.read(_int_product, 1, acc, [degree])
+    return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})
+
+
 def lie_decompose_by_subtraction(f: NCSeries, degree: int) -> LieDecomposition:
     """Lyndon-basis coefficients of a homogeneous series by series subtraction.
 
@@ -630,12 +654,14 @@ def lie_decompose_by_subtraction(f: NCSeries, degree: int) -> LieDecomposition:
         if coeff.is_zero:
             continue
         coefficients[word] = coeff
-        work = work - expand(bracketing(word), f.truncation, f.alphabet_size).scale(coeff)
+        bracket = expand_by_products(bracketing(word), f.truncation, f.alphabet_size)
+        work = work - bracket.scale(coeff)
     if not work.is_zero():
         lie_part = NCSeries.zero(f.truncation, f.alphabet_size)
         for word, coeff in f.terms.items():
             bracket = right_nested_bracketing(word)
-            lie_part = lie_part + expand(bracket, f.truncation, f.alphabet_size).scale(coeff)
+            nested = expand_by_products(bracket, f.truncation, f.alphabet_size)
+            lie_part = lie_part + nested.scale(coeff)
         raise NotALieElement(f - lie_part.scale(Fraction(1, degree)))
     return LieDecomposition(degree, coefficients)
 

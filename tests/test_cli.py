@@ -526,8 +526,11 @@ def test_verify_rejects_huge_json_integer(tmp_path, capsys):
 
 
 def _subprocess_env():
+    # without PYTHONUNBUFFERED a child's stdout to a pipe is block-buffered, so that only
+    # entry()'s flush writes its tail
     package_root = str(Path(splitcond.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
@@ -577,7 +580,6 @@ def test_the_process_exit_writes_what_main_writes(tmp_path, capsys):
     malformed = tmp_path / "cut.json"
     malformed.write_text('{"a": ["1"], "b": ', encoding="utf-8")
     env = _subprocess_env()
-    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, so only the flush writes its tail
     for expected, argv in [
         (0, ("conditions", "-s", "4", "-p", "7")),  # 345 KB, larger than a pipe buffer
         (0, ("conditions", "-s", "3", "-p", "4", "--route", "taylor", "--format", "json")),

@@ -1690,6 +1690,11 @@ def test_cost_estimate_on_extreme_values():
                 check_cost(p, "bch", stages)
     with pytest.raises(ValueError, match="bytes"):  # over the cost budget, under 24
         check_cost(23, "taylor", None)
+    for p, route in [(5, "magic"), (2, "Taylor"), (30, None), (2.5, "")]:  # first, as the builders
+        with pytest.raises(ValueError) as caught:
+            check_cost(p, route)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"route must be one of ('taylor', 'bch'), got {route!r}"
     assert MAX_LYNDON_WORDS == 10**6
     for p, route, stages in [(8, "taylor", 8), (8, "bch", 6), (14, "bch", None),
                              (19, "taylor", None), (2, "bch", 100), (0, "bch", 3), (-5, "bch", None)]:

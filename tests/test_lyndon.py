@@ -20,14 +20,17 @@ from splitcond import (
 )
 from splitcond.lyndon import MAX_LYNDON_WORDS, _Tables, lyndon_count
 from splitcond.poly import Poly
+from splitcond.series import word_str
 
 from helpers import (
     INTS,
     MAPS,
     POLYS,
     back_substitute_by_word,
+    expand_by_products,
     homogeneous_at_truncation,
     lie_decompose_by_subtraction,
+    lie_decompose_on_the_union_table,
     longest_lyndon_suffix_factorization,
     necklace_count,
     random_poly,
@@ -196,6 +199,57 @@ def test_bracket_str_names_a_malformed_tree():
         assert str(caught.value) == message.format(repr(bad))
 
 
+TREE = "not a bracket tree: {}; a leaf is an int and a node is a pair"
+# the one letter rule at each way a word enters the Lie layer: a letter is an int but not
+# a bool, inside the alphabet where one is known; every other item is refused, named
+LETTER_CASES = [
+    (lambda: NCSeries(2, 2, {(True,): 1}), "word (True,) uses letters outside the alphabet"),
+    (lambda: NCSeries.letter(1, 2).coefficient((True,)),
+     "word (True,) uses letters outside the alphabet"),
+    (lambda: NCSeries.letter(1, 2).coefficient((0, 2)),
+     "word (0, 2) uses letters outside the alphabet"),
+    (lambda: NCSeries.letter(1, 2).coefficient("AB"),
+     "word ('A', 'B') uses letters outside the alphabet"),
+    (lambda: bracket_str((True, 0)), TREE.format("True")),
+    (lambda: foliage((A, (B, False))), TREE.format("False")),
+    (lambda: expand((A, True), 2), TREE.format("True")),
+    (lambda: word_str((True, False)), "letter index True outside 0-25"),
+    (lambda: word_str((A, "x")), "letter index 'x' outside 0-25"),
+    (lambda: bracketing((0.0, 1.0)), "not a word of letter indices: (0.0, 1.0)"),
+    (lambda: bracketing((1.0,)), "not a word of letter indices: (1.0,)"),
+    (lambda: standard_factorization((A, "x")), "not a word of letter indices: (0, 'x')"),
+    (lambda: standard_factorization((False, True)), "not a word of letter indices: (False, True)"),
+]
+
+
+@pytest.mark.parametrize("call,message", LETTER_CASES)
+def test_one_letter_rule_for_words_entering_the_lie_layer(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+def _random_tree(rng, letters, depth):
+    # any bracket tree, Lyndon bracketing or not, repeated letters and [x, x] included
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(letters)
+    return (_random_tree(rng, letters, depth - 1), _random_tree(rng, letters, depth - 1))
+
+
+def test_expand_equals_the_series_product_oracle():
+    # each node's commutator of its children's term maps against x*y - y*x formed by two
+    # series products, over up to four letters and at a truncation past the degree
+    rng = random.Random(3307)
+    for _ in range(200):
+        alphabet = rng.randint(1, 4)
+        tree = _random_tree(rng, range(alphabet), 4)
+        truncation = len(foliage(tree)) + rng.randint(0, 2)
+        got = expand(tree, truncation, alphabet)
+        expected = expand_by_products(tree, truncation, alphabet)
+        assert got == expected and str(got) == str(expected), tree
+
+
 def test_antisymmetry_of_brackets():
     rng = random.Random(61)
 
@@ -348,24 +402,30 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
 
 
 def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
-    # a degree-6 Lie element on all 26 letters would table about 5e7 Lyndon words: refused by
-    # their count, before any is listed; five brackets, each on six increasing letters
+    # a degree-8 bracket on eight distinct letters would table about 2.4e6 Lyndon words over
+    # its own letter set: refused by their count, before any is listed
+    f = expand(bracketing(tuple(range(8))), 8, 8)
+    monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
+    with pytest.raises(ValueError) as refused:
+        lie_decompose(f, 8)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"order 8 may need over {MAX_LYNDON_WORDS} Lyndon words"
+    monkeypatch.undo()
+    # a degree-6 element on all 26 letters, whose one table over them all would hold about
+    # 5e7 words, is five brackets on six increasing letters each: five six-letter tables
     words = [tuple(range(i, i + 6)) for i in range(0, 20, 6)] + [(0, 1, 2, 3, 24, 25)]
     f = NCSeries.zero(6, 26)
     for w in words:
         f = f + expand(bracketing(w), 6, 26)
     assert {x for w in f.terms for x in w} == set(range(26))
-    monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
-    with pytest.raises(ValueError) as refused:
-        lie_decompose(f, 6)
-    assert type(refused.value) is ValueError
-    assert str(refused.value) == f"order 6 may need over {MAX_LYNDON_WORDS} Lyndon words"
+    assert lie_decompose(f, 6).coefficients == {w: Poly.const(1) for w in sorted(words)}
 
 
 def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
     # a relabelling that keeps the letters' order keeps the Lyndon words and every row, so a
     # series on the letters D and H (3 and 7) of a 12-letter alphabet is read on tables over
-    # two letters, not twelve, and its coordinates are the two-letter ones relabelled
+    # two letters, not twelve, and its coordinates are the two-letter ones relabelled; each
+    # letter set is read on its own table: at degree 1 each letter is one
     from splitcond import lyndon
 
     built, tables = [], lyndon._Tables
@@ -381,19 +441,55 @@ def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
         wide = NCSeries(degree, 12, terms)
         built.clear()
         got = lie_decompose(wide, degree).coefficients
-        assert built == [(degree, 2)]
+        assert built == ([(1, 1)] * 2 if degree == 1 else [(degree, 2)])
         assert got == {tuple(relabel[x] for x in w): c for w, c in weights.items()}
         assert got == {
             tuple(relabel[x] for x in w): c
             for w, c in lie_decompose(combo, degree).coefficients.items()
         }
-    for degree in (1, 3):  # the zero series, on one letter
+    for degree in (1, 3):  # the zero series has no letter set, so no table
         built.clear()
         assert lie_decompose(NCSeries.zero(4, 12), degree).coefficients == {}
-        assert built == [(degree, 1)]
+        assert built == []
     built.clear()  # degree 1 on one letter, the last of the alphabet
     assert lie_decompose(NCSeries.letter(11, 2, 12, coeff=5), 1).coefficients == {(11,): 5}
     assert built == [(1, 1)]
+    # [A,[B,C]] + [B,[B,C]] + [[D,E],E] at degree 3 and [A,[B,[C,D]]] + [E,[E,[E,F]]] at degree 4:
+    # the letter sets ABC, BC and DE, then ABCD and EF, each on a table over its own letters
+    for degree, trees in [(3, [(0, (1, 2)), (1, (1, 2)), ((3, 4), 4)]),
+                          (4, [(0, (1, (2, 3))), (4, (4, (4, 5)))])]:
+        f = NCSeries.zero(degree, 12)
+        for tree in trees:
+            f = f + expand(tree, degree, 12)
+        built.clear()
+        lie_decompose(f, degree)
+        assert sorted(built) == sorted((degree, len(set(foliage(t)))) for t in trees)
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_lie_decompose_by_letter_set_equals_the_union_table_read(degree):
+    # random Lie elements over up to 8 letters (6 at degree 6) whose brackets mix letter sets,
+    # one of them inside another: one table per letter set reads what one table over all of
+    # the letters reads, and what subtracting expanded bracketings leaves, repr included
+    rng = random.Random(3301 + degree)
+    for _ in range(8):
+        alphabet, least = rng.randint(2, 8 if degree < 6 else 6), min(degree, 2)
+        outer = rng.sample(range(alphabet), rng.randint(least, min(degree, alphabet)))
+        sets = [outer, rng.sample(outer, rng.randint(least, len(outer)))]
+        sets.append(rng.sample(range(alphabet), rng.randint(least, min(degree, alphabet))))
+        if len(rest := [x for x in range(alphabet) if x not in outer]) >= least:  # disjoint
+            sets.append(rng.sample(rest, min(degree, len(rest))))
+        f = NCSeries.zero(degree + rng.randint(0, 1), alphabet)
+        for letters in map(sorted, sets):
+            words = lyndon_words_of_degree(len(letters), degree)
+            for w in rng.sample(words, min(len(words), 4)):
+                tree = bracketing(tuple(letters[x] for x in w))
+                weight = random_poly(rng, stages=2, degree=2, terms=2)
+                f = f + expand_by_products(tree, f.truncation, alphabet).scale(weight)
+        got = lie_decompose(f, degree)
+        for oracle in (lie_decompose_on_the_union_table, lie_decompose_by_subtraction):
+            expected = oracle(f, degree)
+            assert got == expected and repr(got) == repr(expected), (oracle, sets)
 
 
 def test_lie_check_expands_no_bracketing(monkeypatch):

@@ -13,7 +13,8 @@ blocks of one letter content, rows a product kernel runs in place, reads the coo
 of a Lie element.  A bracket is expanded only where a row reads it, and kept only below
 the table's top degree.  Every bracket, in expand, the tables and the Dynkin projection, is
 one commutator of term maps.  lie_decompose first checks membership by that projection,
-then reads each letter set of its input on a table over those letters alone.
+then reads each largest letter set of its input on a table over those letters alone, or
+all of its letters on one table where that one is smaller.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from .poly import _ZERO, Poly, _int_product, _whole
-from .series import DegreeBeyondTruncation, NCSeries, Word, _is_letter, add_terms, word_str
+from .series import DegreeBeyondTruncation, NCSeries, Word, _is_letter, _word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
@@ -91,13 +92,6 @@ def lyndon_words_of_degree(alphabet_size: int, degree: int) -> list[Word]:
     return [w for w in lyndon_words(alphabet_size, degree) if len(w) == degree]
 
 
-def _word(word) -> Word:
-    # the word as a tuple of letters, over no alphabet in particular
-    if not all(map(_is_letter, word := tuple(word))):
-        raise ValueError(f"not a word of letter indices: {word!r}")
-    return word
-
-
 def standard_factorization(word: Word) -> tuple[Word, Word]:
     """Split a Lyndon word w = u·v, v the smallest (and longest Lyndon) proper suffix.
 
@@ -109,19 +103,27 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
         raise SingleLetter(f"cannot factor the single-letter word {word_str(word)}")
     if not is_lyndon(word):
         raise ValueError(f"{word_str(word)} is not a Lyndon word")
+    return _factor(word)
+
+
+def _factor(word: Word) -> tuple[Word, Word]:
+    # the standard factorization of a Lyndon word of two letters or more, checked by the caller
     cut = min(range(1, len(word)), key=lambda i: word[i:])
     return word[:cut], word[cut:]
 
 
 def bracketing(word: Word) -> BracketTree:
     """Standard bracketing of a Lyndon word, e.g. AAB -> [A, [A, B]]."""
-    word = _word(word)
-    if not word:
+    if not (word := _word(word)):
         raise ValueError("cannot bracket the empty word")
     if len(word) == 1:
         return word[0]
-    left, right = standard_factorization(word)
-    return (bracketing(left), bracketing(right))
+    return tuple(map(_bracketing, standard_factorization(word)))
+
+
+def _bracketing(word: Word) -> BracketTree:
+    # the standard bracketing of a Lyndon word whose letters and order are checked
+    return word[0] if len(word) == 1 else tuple(map(_bracketing, _factor(word)))
 
 
 def foliage(tree: BracketTree) -> Word:
@@ -157,10 +159,14 @@ def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeri
         raise DegreeBeyondTruncation(
             f"bracket tree of degree {len(foliage(tree))} exceeds truncation {truncation}"
         )
+    return NCSeries._of(truncation, alphabet_size, _expand(tree, truncation, alphabet_size))
+
+
+def _expand(tree: BracketTree, truncation: int, alphabet_size: int) -> dict[Word, Poly]:
+    # the term map of a bracket tree whose shape and degree expand has checked
     if _is_letter(tree):
-        return NCSeries.letter(tree, truncation, alphabet_size)
-    left, right = (expand(t, truncation, alphabet_size).terms for t in tree)
-    return NCSeries._of(truncation, alphabet_size, _commutator(left, right))
+        return NCSeries.letter(tree, truncation, alphabet_size).terms
+    return _commutator(*(_expand(t, truncation, alphabet_size) for t in tree))
 
 
 class LieDecomposition(NamedTuple):
@@ -252,7 +258,7 @@ class _Tables:
         # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
         # kept below the table's top degree p only: no longer bracket takes a degree-p factor
         if (e := self._brackets.get(w)) is None:
-            e = _commutator(*map(self.bracket, standard_factorization(w)))
+            e = _commutator(*map(self.bracket, _factor(w)))
         return self._brackets.setdefault(w, e) if len(w) < len(self.lyndon) - 1 else e
 
     def read_steps(self, q: int) -> list:
@@ -298,11 +304,14 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
     the symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the triangular solve
-    over the Lyndon words of degree q, _Tables.read, on one table per letter set of f's words,
-    its k letters relabelled in order onto 0..k-1, which keeps every row: no row crosses a letter
-    set, and a set's words read the same on a larger set's table.  ValueError, before any word is
-    listed, if a letter set's table passes MAX_LYNDON_WORDS (two letters fit through degree 23,
-    seven through degree 8, eight at degree 8 do not), so no element of degree 7 or less is refused.
+    over the Lyndon words of degree q, _Tables.read, on one table per letter set of f's words
+    that no other of its sets holds, its k letters relabelled in order onto 0..k-1, which keeps
+    every row: no row crosses a letter set, and a set's words read the same on a larger set's
+    table.  One table over all of f's letters is read instead where it fits MAX_LYNDON_WORDS and
+    holds fewer Lyndon words than those tables together, as for a dense element.  ValueError,
+    before any word is listed, if a letter set's table passes MAX_LYNDON_WORDS (two letters fit
+    through degree 23, seven through degree 8, eight at degree 8 do not), so no element of
+    degree 7 or less is refused.
     """
     if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -314,8 +323,16 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)
+    groups = []  # the maximal letter sets, largest first: a set's words read on a larger one's
+    for letters in sorted({frozenset(w) for w in f.terms}, key=len, reverse=True):
+        if not any(letters <= g for g in groups):
+            groups.append(letters)
+    union = frozenset().union(*groups)
+    if len(groups) > 1 and (n := lyndon_count(len(union), degree)) <= MAX_LYNDON_WORDS:
+        if n < sum(lyndon_count(len(g), degree) for g in groups):  # one smaller table over all
+            groups = [union]
     coefficients = {}
-    for letters in {tuple(sorted(set(w))) for w in f.terms}:  # each letter set, letters in order
+    for letters in map(sorted, groups):  # each table's letters in order
         tables = _Tables(degree, len(letters))
         words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
         acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1

@@ -64,6 +64,16 @@ def _is_letter(x, alphabet_size: int | None = None) -> bool:
             and (alphabet_size is None or 0 <= x < alphabet_size))
 
 
+def _word(word, alphabet_size: int | None = None) -> Word:
+    """The word as a tuple of letters by the one letter rule; ValueError naming it otherwise."""
+    word = tuple(word)
+    if all(_is_letter(i, alphabet_size) for i in word):
+        return word
+    if alphabet_size is None:
+        raise ValueError(f"not a word of letter indices: {word!r}")
+    raise ValueError(f"word {word!r} uses letters outside the alphabet")
+
+
 def word_str(word: Word) -> str:
     """Render a word as a letter string, e.g. (0, 0, 1) -> "AAB"; letters are 0-25."""
     if not word:
@@ -93,7 +103,7 @@ class NCSeries:
         canonical: dict[Word, Poly] = {}
         if terms:
             for word, coeff in terms.items():
-                word = self._word(word)
+                word = _word(word, alphabet_size)
                 if len(word) > truncation:
                     raise DegreeBeyondTruncation(
                         f"word {word_str(word)} exceeds truncation degree {truncation}"
@@ -133,16 +143,9 @@ class NCSeries:
 
     # -- structure -----------------------------------------------------------
 
-    def _word(self, word) -> Word:
-        # the word as a tuple, each of its letters one of this alphabet's
-        word = tuple(word)
-        if not all(_is_letter(i, self.alphabet_size) for i in word):
-            raise ValueError(f"word {word!r} uses letters outside the alphabet")
-        return word
-
     def coefficient(self, word: Word) -> Poly:
         """Coefficient of a word; zero polynomial if the word is absent."""
-        word = self._word(word)
+        word = _word(word, self.alphabet_size)
         if len(word) > self.truncation:
             raise DegreeBeyondTruncation(
                 f"word {word_str(word)} exceeds truncation degree {self.truncation}"

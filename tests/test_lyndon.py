@@ -230,6 +230,20 @@ def test_one_letter_rule_for_words_entering_the_lie_layer(call, message):
     assert str(caught.value) == message
 
 
+def test_the_letter_rule_runs_once_where_a_word_enters(monkeypatch):
+    # bracketing checks a word at its entry and standard_factorization at its own, and the
+    # recursion on the factors checks nothing again: a degree-12 word is checked twice
+    from splitcond import lyndon
+
+    checked, rule = [], lyndon._word
+    monkeypatch.setattr(lyndon, "_word", lambda word: checked.append(word) or rule(word))
+    word = (0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1)
+    tree = bracketing(word)
+    assert checked == [word, word]
+    assert tree == (0, ((0, 1), (((0, 1), 1), (((((0, 1), 1), 1), 1), 1))))
+    assert foliage(tree) == word
+
+
 def _random_tree(rng, letters, depth):
     # any bracket tree, Lyndon bracketing or not, repeated letters and [x, x] included
     if depth == 0 or rng.random() < 0.3:
@@ -425,7 +439,8 @@ def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
     # a relabelling that keeps the letters' order keeps the Lyndon words and every row, so a
     # series on the letters D and H (3 and 7) of a 12-letter alphabet is read on tables over
     # two letters, not twelve, and its coordinates are the two-letter ones relabelled; each
-    # letter set is read on its own table: at degree 1 each letter is one
+    # letter set no other holds is read on its own table, unless one table over all of them
+    # is smaller: at degree 1 each letter is one, and two one-letter tables tie with one of two
     from splitcond import lyndon
 
     built, tables = [], lyndon._Tables
@@ -454,16 +469,20 @@ def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
     built.clear()  # degree 1 on one letter, the last of the alphabet
     assert lie_decompose(NCSeries.letter(11, 2, 12, coeff=5), 1).coefficients == {(11,): 5}
     assert built == [(1, 1)]
-    # [A,[B,C]] + [B,[B,C]] + [[D,E],E] at degree 3 and [A,[B,[C,D]]] + [E,[E,[E,F]]] at degree 4:
-    # the letter sets ABC, BC and DE, then ABCD and EF, each on a table over its own letters
-    for degree, trees in [(3, [(0, (1, 2)), (1, (1, 2)), ((3, 4), 4)]),
-                          (4, [(0, (1, (2, 3))), (4, (4, (4, 5)))])]:
+    # [A,[B,C]] + [B,[B,C]] + [[D,E],E] at degree 3: the letter sets ABC, BC and DE, BC read on
+    # ABC's table; [A,[B,[C,D]]] + [E,[E,[E,F]]] at degree 4: ABCD and EF, 98 Lyndon words
+    # against 406 over ABCDEF; [A,[A,B]] + [B,[B,C]] + [A,[A,C]] at degree 3: three two-letter
+    # tables hold 15 Lyndon words, one table over ABC 14, so that one is read
+    for degree, trees, tabled in [(3, [(0, (1, 2)), (1, (1, 2)), ((3, 4), 4)], [(3, 2), (3, 3)]),
+                                  (4, [(0, (1, (2, 3))), (4, (4, (4, 5)))], [(4, 2), (4, 4)]),
+                                  (3, [(0, (0, 1)), (1, (1, 2)), (0, (0, 2))], [(3, 3)])]:
         f = NCSeries.zero(degree, 12)
         for tree in trees:
             f = f + expand(tree, degree, 12)
         built.clear()
-        lie_decompose(f, degree)
-        assert sorted(built) == sorted((degree, len(set(foliage(t)))) for t in trees)
+        got = lie_decompose(f, degree)
+        assert sorted(built) == tabled
+        assert got.coefficients == {foliage(t): 1 for t in trees}
 
 
 @pytest.mark.parametrize("degree", range(1, 7))

@@ -8,13 +8,12 @@ that the order-condition recurrence reads: the words are numbered once, longest
 first, and every table is rows of slots, so the recurrence indexes lists.
 
 A Lyndon bracketing expands to its own word once plus larger words of its letters
-only (Reutenauer, Free Lie Algebras, 1993), so per degree a unitriangular solve in
-blocks of one letter content, rows a product kernel runs in place, reads the coordinates
-of a Lie element.  A bracket is expanded only where a row reads it, and kept only below
-the table's top degree.  Every bracket, in expand, the tables and the Dynkin projection, is
-one commutator of term maps.  lie_decompose first checks membership by that projection,
-then reads each largest letter set of its input on a table over those letters alone, or
-all of its letters on one table where that one is smaller.
+only (Reutenauer, Free Lie Algebras, 1993), so a unitriangular solve reads the coordinates
+of a Lie element: the tables' per degree, in blocks of one letter content, as rows a product
+kernel runs in place, expanding a bracket only where a row reads it and keeping none of the
+top degree.  Every bracket, in expand, the tables and the Dynkin projection, is one
+commutator of term maps.  lie_decompose first checks membership by that projection, then
+solves forward over its input's own Lyndon words, with no table.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
-from .poly import _ZERO, Poly, _int_product, _whole
+from .poly import _ONE, _ZERO, Poly, _whole, sum_of_products
 from .series import DegreeBeyondTruncation, NCSeries, Word, _is_letter, _word, add_terms, word_str
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
@@ -46,6 +45,11 @@ class NotALieElement(ValueError):
 
 def is_lyndon(word: Word) -> bool:
     """Brute-force test: strictly smaller than every proper cyclic rotation."""
+    return _is_lyndon(_word(word))
+
+
+def _is_lyndon(word: Word) -> bool:
+    # is_lyndon on a word whose letters are checked
     n = len(word)
     if n == 0:
         return False
@@ -101,7 +105,7 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
     word = _word(word)
     if len(word) == 1:
         raise SingleLetter(f"cannot factor the single-letter word {word_str(word)}")
-    if not is_lyndon(word):
+    if not _is_lyndon(word):
         raise ValueError(f"{word_str(word)} is not a Lyndon word")
     return _factor(word)
 
@@ -153,6 +157,15 @@ def _commutator(left: dict, right: dict) -> dict:
     return add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
 
 
+def _bracket(memo: dict, w: Word) -> dict[Word, int]:
+    # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
+    # each kept in memo
+    if (e := memo.get(w)) is None:
+        e = {w: 1} if len(w) == 1 else _commutator(*(_bracket(memo, u) for u in _factor(w)))
+        memo[w] = e
+    return e
+
+
 def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
     """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx."""
     if len(foliage(tree)) > truncation:
@@ -176,7 +189,7 @@ class LieDecomposition(NamedTuple):
     coefficients: dict[Word, Poly]
 
     def coefficient(self, word: Word) -> Poly:
-        return self.coefficients.get(tuple(word), Poly())
+        return self.coefficients.get(_word(word), Poly())
 
     def reconstruct(self, truncation: int, alphabet_size: int = 2) -> NCSeries:
         """Sum of coefficient * expanded bracketing over the basis words."""
@@ -254,13 +267,6 @@ class _Tables:
     factor_steps = functools.cached_property(lambda self: _product_steps(self.factors))
     log_steps = functools.cached_property(lambda self: _splits(self.suffixes, self.factors))
 
-    def bracket(self, w: Word) -> dict[Word, int]:
-        # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
-        # kept below the table's top degree p only: no longer bracket takes a degree-p factor
-        if (e := self._brackets.get(w)) is None:
-            e = _commutator(*map(self.bracket, _factor(w)))
-        return self._brackets.setdefault(w, e) if len(w) < len(self.lyndon) - 1 else e
-
     def read_steps(self, q: int) -> list:
         # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
         # Lyndon of w's letters (E_l holds no other word), run by the unit factor: c_w -= E_l[w] c_l
@@ -270,10 +276,12 @@ class _Tables:
                 blocks.setdefault(tuple(sorted(w)), []).append((w, i))
             for block in blocks.values():
                 for k, (l, i) in enumerate(block[:-1]):
-                    e = self.bracket(l)  # at degree p, dropped once its entries are in the rows
+                    e = _bracket(self._brackets, l)
                     for w, j in block[k + 1 :]:
                         if w in e:
                             runs[j].append((-e[w], 0, i))
+                    if q == len(self.lyndon) - 1:  # no longer bracket takes a degree-p factor
+                        del self._brackets[l]
             self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
@@ -303,15 +311,12 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested bracketing, fixes the Lie
     elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
-    the symmetric residual (AB + BA)/2.  Otherwise reads the coordinates by the triangular solve
-    over the Lyndon words of degree q, _Tables.read, on one table per letter set of f's words
-    that no other of its sets holds, its k letters relabelled in order onto 0..k-1, which keeps
-    every row: no row crosses a letter set, and a set's words read the same on a larger set's
-    table.  One table over all of f's letters is read instead where it fits MAX_LYNDON_WORDS and
-    holds fewer Lyndon words than those tables together, as for a dense element.  ValueError,
-    before any word is listed, if a letter set's table passes MAX_LYNDON_WORDS (two letters fit
-    through degree 23, seven through degree 8, eight at degree 8 do not), so no element of
-    degree 7 or less is refused.
+    the symmetric residual (AB + BA)/2.  Otherwise solves forward over f's Lyndon words: the least
+    one left holds its coordinate c, and c E_w leaves the Lyndon words E_w holds, a word first met
+    there included, since its coordinate may be nonzero where f's coefficient is 0.  ValueError,
+    before the solve, where the Lyndon words over one word's letters pass MAX_LYNDON_WORDS (two
+    letters fit through degree 23, seven through degree 8, eight at degree 8 do not), so no
+    element of degree 7 or less is refused.
     """
     if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -323,19 +328,22 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)
-    groups = []  # the maximal letter sets, largest first: a set's words read on a larger one's
-    for letters in sorted({frozenset(w) for w in f.terms}, key=len, reverse=True):
-        if not any(letters <= g for g in groups):
-            groups.append(letters)
-    union = frozenset().union(*groups)
-    if len(groups) > 1 and (n := lyndon_count(len(union), degree)) <= MAX_LYNDON_WORDS:
-        if n < sum(lyndon_count(len(g), degree) for g in groups):  # one smaller table over all
-            groups = [union]
-    coefficients = {}
-    for letters in map(sorted, groups):  # each table's letters in order
-        tables = _Tables(degree, len(letters))
-        words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
-        acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}  # by the unit factor, the int 1
-        tables.read(_int_product, 1, acc, [degree])
-        coefficients.update((w, acc[i]) for w, i in words.items() if acc[i])
-    return LieDecomposition(degree, dict(sorted(coefficients.items())))
+    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
+        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    import heapq  # here, so that no CLI command loads it
+
+    lyndonian, memo, coefficients = functools.cache(_is_lyndon), {}, {}
+    values = {w: c for w, c in f.terms.items() if lyndonian(w)}
+    heap = sorted(values)  # a sorted list is a heap
+    while heap:  # the least Lyndon word left holds its coordinate
+        w = heapq.heappop(heap)
+        if c := values.pop(w):
+            coefficients[w] = c
+            bracket = _bracket(memo, w)
+            del memo[w], bracket[w]  # of degree q, so no factor: read once
+            for u, e in bracket.items():
+                if lyndonian(u):
+                    if u not in values:
+                        heapq.heappush(heap, u)
+                    values[u] = sum_of_products([(-e, c, _ONE)], values.get(u, _ZERO))
+    return LieDecomposition(degree, coefficients)

@@ -150,6 +150,8 @@ class Poly:
 
     def __mul__(self, other: "Poly" | Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):
+            if other == 1:  # immutable, so the product by 1 is self
+                return self
             n, d = other.as_integer_ratio()
             return Poly._of(self._den * d, {m: c * n for m, c in self._nums.items()} if n else {})
         if not isinstance(other, Poly):

@@ -645,10 +645,11 @@ def test_verify_prints_residuals_past_the_int_to_str_limit(tmp_path):
 
 # -- imports -------------------------------------------------------------------
 
-# dataclasses pulls in inspect, ast, dis and tokenize: a third of the package import
+# dataclasses pulls in inspect, ast, dis and tokenize: a third of the package import;
+# heapq serves lie_decompose alone, which imports it on its call
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-heavy = ("dataclasses", "inspect")
+heavy = ("dataclasses", "inspect", "heapq")
 import splitcond.cli
 facts = {"heavy_after_import": [m for m in heavy if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):

@@ -219,6 +219,13 @@ LETTER_CASES = [
     (lambda: bracketing((1.0,)), "not a word of letter indices: (1.0,)"),
     (lambda: standard_factorization((A, "x")), "not a word of letter indices: (0, 'x')"),
     (lambda: standard_factorization((False, True)), "not a word of letter indices: (False, True)"),
+    # named, since bracketing and standard_factorization raise the same messages above
+    pytest.param(lambda: is_lyndon((0.0, 1.0)), "not a word of letter indices: (0.0, 1.0)",
+                 id="is_lyndon-(0.0, 1.0)"),
+    pytest.param(lambda: is_lyndon((False, True)), "not a word of letter indices: (False, True)",
+                 id="is_lyndon-(False, True)"),
+    (lambda: lie_decompose(expand((A, B), 2), 2).coefficient(("x",)),
+     "not a word of letter indices: ('x',)"),
 ]
 
 
@@ -416,8 +423,8 @@ def test_decompose_matches_the_subtraction_oracle(alphabet, max_degree):
 
 
 def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
-    # a degree-8 bracket on eight distinct letters would table about 2.4e6 Lyndon words over
-    # its own letter set: refused by their count, before any is listed
+    # the Lyndon words over the eight distinct letters of a degree-8 bracket number about
+    # 2.4e6: refused by their count, before any is listed
     f = expand(bracketing(tuple(range(8))), 8, 8)
     monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
     with pytest.raises(ValueError) as refused:
@@ -425,8 +432,8 @@ def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
     assert type(refused.value) is ValueError
     assert str(refused.value) == f"order 8 may need over {MAX_LYNDON_WORDS} Lyndon words"
     monkeypatch.undo()
-    # a degree-6 element on all 26 letters, whose one table over them all would hold about
-    # 5e7 words, is five brackets on six increasing letters each: five six-letter tables
+    # a degree-6 element on all 26 letters, over which the Lyndon words would number about
+    # 5e7, is five brackets on six increasing letters each: the budget counts one word's six
     words = [tuple(range(i, i + 6)) for i in range(0, 20, 6)] + [(0, 1, 2, 3, 24, 25)]
     f = NCSeries.zero(6, 26)
     for w in words:
@@ -436,60 +443,66 @@ def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
 
 
 def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
-    # a relabelling that keeps the letters' order keeps the Lyndon words and every row, so a
-    # series on the letters D and H (3 and 7) of a 12-letter alphabet is read on tables over
-    # two letters, not twelve, and its coordinates are the two-letter ones relabelled; each
-    # letter set no other holds is read on its own table, unless one table over all of them
-    # is smaller: at degree 1 each letter is one, and two one-letter tables tie with one of two
+    # the coordinates are read off the input's own Lyndon words, so no word table is built
+    # and the table cache is left as it was, however many letters the alphabet or the input
+    # has: a series on the letters D and H (3 and 7) of a 12-letter alphabet reads the
+    # two-letter coordinates relabelled, and each input reads what the union table and the
+    # subtraction oracles read, repr included (ABCDEFG, whose union table holds 141,280
+    # words, against the subtraction oracle only)
     from splitcond import lyndon
 
     built, tables = [], lyndon._Tables
     monkeypatch.setattr(lyndon, "_Tables", lambda *args: built.append(args) or tables(*args))
+
+    def read(f, degree, oracles=(lie_decompose_on_the_union_table, lie_decompose_by_subtraction)):
+        cached = tables.cache_info()
+        got = lie_decompose(f, degree)
+        assert built == [] and tables.cache_info() == cached
+        for oracle in oracles:
+            expected = oracle(f, degree)
+            assert got == expected and repr(got) == repr(expected), oracle
+        return got.coefficients
+
     rng = random.Random(2301)
     relabel = (3, 7)
-    for degree in range(1, 6):
+    for degree in range(1, 11):
         combo, weights = NCSeries.zero(degree), {}
-        for w in lyndon_words_of_degree(2, degree):  # every weight nonzero: both letters used
+        for w in lyndon_words_of_degree(2, degree):  # every coordinate nonzero, dense
             weights[w] = Poly.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             combo = combo + expand(bracketing(w), degree).scale(weights[w])
-        terms = {tuple(relabel[x] for x in w): c for w, c in combo.terms.items()}
-        wide = NCSeries(degree, 12, terms)
-        built.clear()
-        got = lie_decompose(wide, degree).coefficients
-        assert built == ([(1, 1)] * 2 if degree == 1 else [(degree, 2)])
-        assert got == {tuple(relabel[x] for x in w): c for w, c in weights.items()}
-        assert got == {
-            tuple(relabel[x] for x in w): c
-            for w, c in lie_decompose(combo, degree).coefficients.items()
-        }
-    for degree in (1, 3):  # the zero series has no letter set, so no table
-        built.clear()
-        assert lie_decompose(NCSeries.zero(4, 12), degree).coefficients == {}
-        assert built == []
-    built.clear()  # degree 1 on one letter, the last of the alphabet
-    assert lie_decompose(NCSeries.letter(11, 2, 12, coeff=5), 1).coefficients == {(11,): 5}
-    assert built == [(1, 1)]
-    # [A,[B,C]] + [B,[B,C]] + [[D,E],E] at degree 3: the letter sets ABC, BC and DE, BC read on
-    # ABC's table; [A,[B,[C,D]]] + [E,[E,[E,F]]] at degree 4: ABCD and EF, 98 Lyndon words
-    # against 406 over ABCDEF; [A,[A,B]] + [B,[B,C]] + [A,[A,C]] at degree 3: three two-letter
-    # tables hold 15 Lyndon words, one table over ABC 14, so that one is read
-    for degree, trees, tabled in [(3, [(0, (1, 2)), (1, (1, 2)), ((3, 4), 4)], [(3, 2), (3, 3)]),
-                                  (4, [(0, (1, (2, 3))), (4, (4, (4, 5)))], [(4, 2), (4, 4)]),
-                                  (3, [(0, (0, 1)), (1, (1, 2)), (0, (0, 2))], [(3, 3)])]:
+        assert read(combo, degree) == weights
+        if degree < 6:
+            terms = {tuple(relabel[x] for x in w): c for w, c in combo.terms.items()}
+            got = read(NCSeries(degree, 12, terms), degree)
+            assert got == {tuple(relabel[x] for x in w): c for w, c in weights.items()}
+    for degree in (1, 3):
+        assert read(NCSeries.zero(4, 12), degree) == {}
+    assert read(NCSeries.letter(11, 2, 12, coeff=5), 1) == {(11,): 5}
+    # [A,[B,C]] + [B,[B,C]] + [[D,E],E] at degree 3, one letter set inside another;
+    # [A,[B,[C,D]]] + [E,[E,[E,F]]] at degree 4 and [A,[A,B]] + [B,[B,C]] + [A,[A,C]] at
+    # degree 3, letter sets that overlap or not
+    for degree, trees in [(3, [(0, (1, 2)), (1, (1, 2)), ((3, 4), 4)]),
+                          (4, [(0, (1, (2, 3))), (4, (4, (4, 5)))]),
+                          (3, [(0, (0, 1)), (1, (1, 2)), (0, (0, 2))])]:
         f = NCSeries.zero(degree, 12)
         for tree in trees:
             f = f + expand(tree, degree, 12)
-        built.clear()
-        got = lie_decompose(f, degree)
-        assert sorted(built) == tabled
-        assert got.coefficients == {foliage(t): 1 for t in trees}
+        assert read(f, degree) == {foliage(t): 1 for t in trees}
+    # E_AAABB holds AABAB at -2, so E_AAABB + 2 E_AABAB is 0 at AABAB, whose coordinate is 2
+    f = expand(bracketing((A, A, A, B, B)), 5) + expand(bracketing((A, A, B, A, B)), 5).scale(2)
+    assert f.coefficient((A, A, B, A, B)) == 0
+    assert read(f, 5) == {(A, A, A, B, B): 1, (A, A, B, A, B): 2}
+    word = tuple(range(7))  # one bracket on 7 distinct letters, 64 words
+    f = expand(bracketing(word), 7, 7)
+    assert read(f, 7, [lie_decompose_by_subtraction]) == {word: 1}
 
 
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_lie_decompose_by_letter_set_equals_the_union_table_read(degree):
     # random Lie elements over up to 8 letters (6 at degree 6) whose brackets mix letter sets,
-    # one of them inside another: one table per letter set reads what one table over all of
-    # the letters reads, and what subtracting expanded bracketings leaves, repr included
+    # one of them inside another: the solve over the input's own words reads what one table
+    # over all of the letters reads, and what subtracting expanded bracketings leaves, repr
+    # included
     rng = random.Random(3301 + degree)
     for _ in range(8):
         alphabet, least = rng.randint(2, 8 if degree < 6 else 6), min(degree, 2)
@@ -513,7 +526,7 @@ def test_lie_decompose_by_letter_set_equals_the_union_table_read(degree):
 
 def test_lie_check_expands_no_bracketing(monkeypatch):
     # the Dynkin projection checks membership, and the coordinate read uses
-    # the integer bracket tables, so neither expands a bracketing as a series;
+    # integer bracket expansions, so neither expands a bracketing as a series;
     # the word-keyed back-substitution, over series expansions, reads the same weights
     from splitcond import lyndon
 

@@ -34,6 +34,14 @@ def test_rational_scaling():
     assert (a1 * b1 * Fraction(1, 2)) * 2 == a1 * b1
 
 
+def test_the_product_by_one_is_the_polynomial_itself():
+    # a Poly is immutable, so a scalar 1, as an int or a Fraction, returns it as it is
+    rng = random.Random(29)
+    for p in [Poly(), Poly.const(3)] + [random_poly(rng) for _ in range(10)]:
+        assert p * 1 is p and 1 * p is p and p * Fraction(1) is p
+        assert p * 2 == p + p and p * 2 is not p
+
+
 def test_ring_axioms_on_random_triples():
     rng = random.Random(5)
     for _ in range(40):

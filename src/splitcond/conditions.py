@@ -31,7 +31,7 @@ from .lyndon import MAX_LYNDON_WORDS, LieDecomposition, _Tables, lyndon_count
 from .lyndon import _numbered, _product_steps
 from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_fresh, _map_log
 from .poly import _map_product, _whole
-from .series import NCSeries, Word, exp, word_str
+from .series import NCSeries, Word, word_str
 
 ROUTES = ("taylor", "bch")
 _NIL = Fraction(0)  # every vanishing residual
@@ -191,8 +191,10 @@ def _scaled(scheme: ConcreteScheme) -> tuple[list[int], int]:
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
-    """The reference flow e^{A+B} as a truncated series."""
-    return exp(NCSeries.letter(0, truncation) + NCSeries.letter(1, truncation))
+    """The reference flow e^{A+B} as a truncated series, in closed form: 1/|w|! at every word."""
+    n = _whole(truncation, "truncation degree")
+    return NCSeries(n, 2, {w: Fraction(1, math.factorial(q))
+                           for q in range(n + 1) for w in itertools.product((0, 1), repeat=q)})
 
 
 def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:

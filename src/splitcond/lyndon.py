@@ -10,10 +10,9 @@ first, and every table is rows of slots, so the recurrence indexes lists.
 A Lyndon bracketing expands to its own word once plus larger words of its letters
 only (Reutenauer, Free Lie Algebras, 1993), so a unitriangular solve reads the coordinates
 of a Lie element: the tables' per degree, in blocks of one letter content, as rows a product
-kernel runs in place, expanding a bracket only where a row reads it and keeping none of the
-top degree.  Every bracket, in expand, the tables and the Dynkin projection, is one
-commutator of term maps.  lie_decompose first checks membership by that projection, then
-solves forward over its input's own Lyndon words, with no table.
+kernel runs in place, expanding a bracket only where a row reads it, for that read alone and
+kept below its top degree.  Every bracket is one commutator of term maps.  lie_decompose checks
+its budget, then membership by the Dynkin projection, then solves over its own Lyndon words.
 """
 
 from __future__ import annotations
@@ -157,12 +156,13 @@ def _commutator(left: dict, right: dict) -> dict:
     return add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
 
 
-def _bracket(memo: dict, w: Word) -> dict[Word, int]:
+def _bracket(memo: dict, w: Word, top: int) -> dict[Word, int]:
     # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
-    # each kept in memo
+    # kept in its call's memo below degree top, the largest the call reads, which is no factor's
     if (e := memo.get(w)) is None:
-        e = {w: 1} if len(w) == 1 else _commutator(*(_bracket(memo, u) for u in _factor(w)))
-        memo[w] = e
+        e = {w: 1} if len(w) == 1 else _commutator(*(_bracket(memo, u, top) for u in _factor(w)))
+        if len(w) < top:
+            memo[w] = e
     return e
 
 
@@ -257,7 +257,7 @@ class _Tables:
         words = lyndon_words(alphabet_size, p)
         self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
         self.lyndon = [{w: self.suffixes[w] for w in words if len(w) == q} for q in range(p + 1)]
-        self._brackets, self._reads = {(x,): {(x,): 1} for x in range(alphabet_size)}, {}
+        self._reads = {}
 
     # the product on the suffixes or their factors, and the int log's splits of the suffixes
     suffix_steps = functools.cached_property(lambda self: _product_steps(self.suffixes))
@@ -267,7 +267,7 @@ class _Tables:
     factor_steps = functools.cached_property(lambda self: _product_steps(self.factors))
     log_steps = functools.cached_property(lambda self: _splits(self.suffixes, self.factors))
 
-    def read_steps(self, q: int) -> list:
+    def read_steps(self, q: int, memo: dict, top: int) -> list:
         # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
         # Lyndon of w's letters (E_l holds no other word), run by the unit factor: c_w -= E_l[w] c_l
         if q not in self._reads:
@@ -276,21 +276,21 @@ class _Tables:
                 blocks.setdefault(tuple(sorted(w)), []).append((w, i))
             for block in blocks.values():
                 for k, (l, i) in enumerate(block[:-1]):
-                    e = _bracket(self._brackets, l)
+                    e = _bracket(memo, l, top)
                     for w, j in block[k + 1 :]:
                         if w in e:
                             runs[j].append((-e[w], 0, i))
-                    if q == len(self.lyndon) - 1:  # no longer bracket takes a degree-p factor
-                        del self._brackets[l]
             self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
     def read(self, product, unit, acc, degrees) -> None:
-        # the Lyndon read: acc's Lyndon slots to coordinates, in place by the product kernel and
-        # its ring's unit factor, at each degree whose values do not all vanish (the rest unbuilt)
-        for q in degrees:
-            if any(map(acc.__getitem__, self.lyndon[q].values())):
-                product(acc, [(0, unit)], {0: self.read_steps(q)})
+        # the Lyndon read: acc's Lyndon slots to coordinates, in place by the product kernel and its
+        # ring's unit factor, at the degrees whose values do not all vanish, listed first (the rest
+        # unbuilt), since rows never cross a degree; one bracket memo serves this read alone
+        read = [q for q in degrees if any(map(acc.__getitem__, self.lyndon[q].values()))]
+        memo = {}
+        for q in read:
+            product(acc, [(0, unit)], {0: self.read_steps(q, memo, read[-1])})
 
 
 def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
@@ -308,15 +308,15 @@ def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
 def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """Write a homogeneous degree-q series as a Lyndon-basis combination.
 
+    ValueError, before any other work, where the Lyndon words over one word's letters pass
+    MAX_LYNDON_WORDS (two letters fit through degree 23, seven through degree 8, eight at degree 8
+    do not): no element of degree 7 or less is refused, and one over it is, Lie element or not.
     The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested bracketing, fixes the Lie
     elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
     the symmetric residual (AB + BA)/2.  Otherwise solves forward over f's Lyndon words: the least
     one left holds its coordinate c, and c E_w leaves the Lyndon words E_w holds, a word first met
-    there included, since its coordinate may be nonzero where f's coefficient is 0.  ValueError,
-    before the solve, where the Lyndon words over one word's letters pass MAX_LYNDON_WORDS (two
-    letters fit through degree 23, seven through degree 8, eight at degree 8 do not), so no
-    element of degree 7 or less is refused.
+    there included, since its coordinate may be nonzero where f's coefficient is 0.
     """
     if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -324,12 +324,12 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         raise ValueError(f"input is not homogeneous of degree {degree}")
     if degree > f.truncation:
         raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
+    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
+        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
     lie_part = NCSeries._of(f.truncation, f.alphabet_size, _dynkin(f.terms, degree))
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)
-    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
-        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
     import heapq  # here, so that no CLI command loads it
 
     lyndonian, memo, coefficients = functools.cache(_is_lyndon), {}, {}
@@ -339,8 +339,8 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         w = heapq.heappop(heap)
         if c := values.pop(w):
             coefficients[w] = c
-            bracket = _bracket(memo, w)
-            del memo[w], bracket[w]  # of degree q, so no factor: read once
+            bracket = _bracket(memo, w, degree)  # of the top degree, so not kept
+            del bracket[w]
             for u, e in bracket.items():
                 if lyndonian(u):
                     if u not in values:

@@ -603,6 +603,16 @@ def test_fused_product_kernels_equal_the_ladder_oracle(p):
                     assert got == expected
 
 
+def test_exp_of_sum_is_the_closed_form_at_every_truncation():
+    # 1/|w|! at every word through the truncation: the series exponential of A + B, and at
+    # truncation 0 the unit, so the local error at 0 vanishes as the product there is 1
+    assert exp_of_sum(0) == NCSeries.unit(0)
+    assert local_error_series(SymbolicScheme.generic(2), 0).is_zero()
+    for n in range(1, 8):
+        expected = exp(NCSeries.letter(A, n) + NCSeries.letter(B, n))
+        assert exp_of_sum(n) == expected and repr(exp_of_sum(n)) == repr(expected)
+
+
 def test_local_error_single_stage_degree_2():
     scheme = SymbolicScheme.from_concrete(ConcreteScheme((F(1),), (F(1),)))
     err = local_error_series(scheme, 2)
@@ -1564,6 +1574,26 @@ def test_the_bch_read_builds_rows_only_at_the_degrees_that_do_not_vanish():
     _Tables.cache_clear()
     verify_scheme(STRANG, 8)
     assert sorted(_Tables(8, 2)._reads) == [3, 5, 7]
+
+
+def test_a_read_after_another_on_one_table_equals_a_fresh_read():
+    # Strang's read skips its even degrees and keeps its brackets for that read only, so
+    # paper-order3's read on the same table forms the even degrees' factors afresh; and
+    # leading_error_term reads rows that verify_scheme built on its table
+    for p in (8, 10):
+        _Tables.cache_clear()
+        fresh = verify_scheme(PAPER3, p)
+        _Tables.cache_clear()
+        verify_scheme(STRANG, p)
+        assert sorted(_Tables(p, 2)._reads) == list(range(3, p, 2))  # odd degrees only
+        assert verify_scheme(PAPER3, p) == fresh
+    for scheme, p in [(STRANG, 2), (PAPER3, 3), (PAPER3.padded(5), 3), (LIE_TROTTER, 1)]:
+        _Tables.cache_clear()
+        fresh = leading_error_term(scheme, p)
+        for route in ROUTES:
+            _Tables.cache_clear()
+            verify_scheme(scheme, p + 1, route)
+            assert leading_error_term(scheme, p) == fresh, (scheme, p, route)
 
 
 def test_bch_systems_read_no_expanded_product_table(monkeypatch):

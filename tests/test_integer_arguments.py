@@ -14,9 +14,11 @@ from splitcond import (
     SymbolicScheme,
     bracketing,
     condition_system,
+    exp_of_sum,
     expand,
     leading_error_term,
     lie_decompose,
+    local_error_series,
     lyndon_words,
     splitting_product,
     verify_scheme,
@@ -43,6 +45,9 @@ CALLS = {
                    [ORDER, ("stage", range(1, 4), (None,))]),
     "splitting_product": (lambda n, route: splitting_product(GENERIC, n),
                           [("truncation", range(0, 7), ())]),
+    "exp_of_sum": (lambda n, route: exp_of_sum(n), [("truncation", range(0, 7), ())]),
+    "local_error_series": (lambda n, route: local_error_series(GENERIC, n),
+                           [("truncation", range(0, 7), ())]),
     "SymbolicScheme.generic": (lambda s, route: SymbolicScheme.generic(s), [STAGES]),
     "Poly.symbol": (lambda j, route: Poly.symbol("b", j), [("stage", range(1, 4), ())]),
     "lyndon_words": (lambda k, n, route: lyndon_words(k, n),

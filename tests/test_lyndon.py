@@ -19,7 +19,7 @@ from splitcond import (
     standard_factorization,
 )
 from splitcond.lyndon import MAX_LYNDON_WORDS, _Tables, lyndon_count
-from splitcond.poly import Poly
+from splitcond.poly import Poly, _int_product
 from splitcond.series import word_str
 
 from helpers import (
@@ -442,6 +442,19 @@ def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
     assert lie_decompose(f, 6).coefficients == {w: Poly.const(1) for w in sorted(words)}
 
 
+def test_lie_decompose_refuses_over_the_word_budget_before_any_other_work(monkeypatch):
+    # one word, (AB)^15 at degree 30, neither Lie nor within the budget over two letters:
+    # refused by the budget before the Dynkin projection, which would take seconds here
+    def refuse(*args):
+        raise AssertionError("the Dynkin projection ran over the word budget")
+
+    monkeypatch.setattr("splitcond.lyndon._dynkin", refuse)
+    with pytest.raises(ValueError) as refused:
+        lie_decompose(NCSeries(30, 2, {(A, B) * 15: 1}), 30)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"order 30 may need over {MAX_LYNDON_WORDS} Lyndon words"
+
+
 def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
     # the coordinates are read off the input's own Lyndon words, so no word table is built
     # and the table cache is left as it was, however many letters the alphabet or the input
@@ -565,15 +578,16 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
     # element or not, the rows run in place give the old solve's coordinates exactly,
     # through the product kernels by their unit factors, _int_product's 1 over ints and
     # Poly and _map_product's 0 over integer maps, and
-    # leave every other slot as it was; on a fresh table of each top degree p, so that
-    # the degrees below p read kept brackets and degree p brackets it drops, over two
-    # letters and over three, whose Lyndon words share their letters from degree 3 on
+    # leave every other slot as it was; on a fresh table of each top degree p, read through
+    # p on one memo, so that the degrees below p read memoized brackets and degree p forms
+    # its own and keeps none, over two letters and over three, whose Lyndon words share
+    # their letters from degree 3 on
     rng = random.Random(1901)
     for p, alphabet in [(p, 2) for p in range(2, 8)] + [(p, 3) for p in range(2, 6)]:
-        tables = _Tables.__wrapped__(p, alphabet)
+        tables, memo = _Tables.__wrapped__(p, alphabet), {}
         words = list(tables.suffixes)
         for q in range(1, p + 1):
-            slots, rows = list(tables.lyndon[q].values()), tables.read_steps(q)
+            slots, rows = list(tables.lyndon[q].values()), tables.read_steps(q, memo, p)
             assert [words[w] for w, n, runs in rows] == sorted(words[w] for w, n, runs in rows)
             assert all(n == q and w in slots and runs for w, n, runs in rows)
             for _ in range(6 if q == p else 2):
@@ -595,23 +609,29 @@ def test_read_rows_equal_the_word_keyed_back_substitution():
 def test_the_read_expands_only_the_brackets_its_rows_read():
     # over two letters through degree 4 no two Lyndon words of one degree share their
     # letters, so every row is empty and left out, and no bracket is expanded; at p = 5
-    # the rows read AAABB and AABBB, of degree p, so only their factors are kept.  On any
-    # table, read top degree first or last, no bracket of the top degree is kept
+    # the rows read AAABB and AABBB, of degree p, so only their factors enter the memo.
+    # Read top degree first or last, no bracket of the read's top degree enters it, and
+    # after a read the table holds its words and rows, and no bracket
     for p in (1, 2, 3, 4):
-        tables = _Tables.__wrapped__(p, 2)
-        assert all(tables.read_steps(q) == [] for q in range(1, p + 1))
-        assert sorted(tables._brackets) == [(A,), (B,)]
+        tables, memo = _Tables.__wrapped__(p, 2), {}
+        assert all(tables.read_steps(q, memo, p) == [] for q in range(1, p + 1))
+        assert memo == {}
     kept = [(A,), (A, A, B, B), (A, B), (A, B, B), (A, B, B, B), (B,)]
+    rng = random.Random(35)
     for p, alphabet in [(p, 2) for p in range(5, 9)] + [(p, 3) for p in range(2, 6)]:
         for degrees in (range(1, p + 1), range(p, 0, -1)):
-            tables = _Tables.__wrapped__(p, alphabet)
+            tables, memo = _Tables.__wrapped__(p, alphabet), {}
             for q in degrees:
-                tables.read_steps(q)
-                assert all(len(w) < p for w in tables._brackets), (p, alphabet, q)
+                tables.read_steps(q, memo, p)
+                assert all(len(w) < p for w in memo), (p, alphabet, q)
         if (p, alphabet) == (5, 2):
-            assert sorted(tables._brackets) == kept
+            assert sorted(memo) == kept
         if (p, alphabet) == (6, 2):  # of 23 when every bracket was kept
-            assert len(tables._brackets) == 10
+            assert len(memo) == 10
+        tables = _Tables.__wrapped__(p, alphabet)
+        acc = [rng.choice((0, rng.randint(-9, 9))) for _ in tables.suffixes]
+        tables.read(_int_product, 1, acc, range(2, p + 1))
+        assert tables._reads and set(vars(tables)) == {"suffixes", "lyndon", "_reads"}
 
 
 def test_an_evicted_table_is_freed_with_its_rows():
@@ -623,7 +643,7 @@ def test_an_evicted_table_is_freed_with_its_rows():
     _Tables.cache_clear()
     tables = _Tables(6, 2)
     for q in range(2, 7):  # built once, then kept
-        assert tables.read_steps(q) is tables.read_steps(q)
+        assert tables.read_steps(q, {}, 6) is tables.read_steps(q, {}, 6)
     ref = weakref.ref(tables)
     del tables
     _Tables.cache_clear()

@@ -136,10 +136,20 @@ _INTS = _Ring(0, 1, _int_product, _int_log_read)
 _MAPS = _Ring({}, {0: 1}, _map_fresh, _map_log_read)
 
 
+def _truncation(truncation: int) -> int:
+    # the truncation degree n as an int, refused before any word is listed where the 2^(n+1) - 1
+    # words through degree n over A and B pass MAX_LYNDON_WORDS (from n = 19 on)
+    if (n := _whole(truncation, "truncation degree")) < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {n}")
+    if 2 ** min(n + 1, 64) - 1 > MAX_LYNDON_WORDS:
+        raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
+    return n
+
+
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
-    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence."""
-    if (truncation := _whole(truncation, "truncation degree")) < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {truncation}")
+    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence; ValueError,
+    listing no word, past MAX_LYNDON_WORDS words (truncation 19 on), as for exp_of_sum."""
+    truncation = _truncation(truncation)
     if len(scheme.a) != len(scheme.b):
         raise ValueError("coefficient lists a and b must have equal length")
     words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
@@ -191,8 +201,9 @@ def _scaled(scheme: ConcreteScheme) -> tuple[list[int], int]:
 
 
 def exp_of_sum(truncation: int) -> NCSeries:
-    """The reference flow e^{A+B} as a truncated series, in closed form: 1/|w|! at every word."""
-    n = _whole(truncation, "truncation degree")
+    """The reference flow e^{A+B} as a truncated series, in closed form: 1/|w|! at every word;
+    ValueError, listing no word, past MAX_LYNDON_WORDS words (truncation 19 on)."""
+    n = _truncation(truncation)
     return NCSeries(n, 2, {w: Fraction(1, math.factorial(q))
                            for q in range(n + 1) for w in itertools.product((0, 1), repeat=q)})
 

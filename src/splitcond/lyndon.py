@@ -10,9 +10,11 @@ first, and every table is rows of slots, so the recurrence indexes lists.
 A Lyndon bracketing expands to its own word once plus larger words of its letters
 only (Reutenauer, Free Lie Algebras, 1993), so a unitriangular solve reads the coordinates
 of a Lie element: the tables' per degree, in blocks of one letter content, as rows a product
-kernel runs in place, expanding a bracket only where a row reads it, for that read alone and
-kept below its top degree.  Every bracket is one commutator of term maps.  lie_decompose checks
-its budget, then membership by the Dynkin projection, then solves over its own Lyndon words.
+kernel runs in place, at the degrees where two Lyndon words share their letters, expanding a
+bracket only where a row reads it, for that read alone and kept below its top degree.  Every
+bracket is one commutator of term maps, over word tuples or over words packed into ints, as
+the read's brackets are.  lie_decompose checks its budget, then membership by the Dynkin
+projection, then solves over its own Lyndon words, packed at entry and unpacked at return.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .series import DegreeBeyondTruncation, NCSeries, Word, _is_letter, _word, a
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
-MAX_LYNDON_WORDS = 10**6  # the Lyndon words a word table, or the CLI's listing, may hold
+# the Lyndon words a word table or the CLI's listing may hold, and the words splitting_product
+# and exp_of_sum may list
+MAX_LYNDON_WORDS = 10**6
 
 
 class SingleLetter(ValueError):
@@ -54,6 +58,13 @@ def _is_lyndon(word: Word) -> bool:
         return False
     doubled = word + word
     return all(word < doubled[i : i + n] for i in range(1, n))
+
+
+def _lyndon_key(key: int, bits: int) -> bool:
+    # _is_lyndon on a word packed at bits a letter: below every proper rotation of its letters
+    n = key.bit_length() - 1
+    body, mask = key ^ 1 << n, (1 << n) - 1
+    return all(body < (body << i | body >> n - i) & mask for i in range(bits, n, bits))
 
 
 def lyndon_count(alphabet_size: int, max_degree: int) -> int:
@@ -150,17 +161,43 @@ def bracket_str(tree: BracketTree) -> str:
     return f"[{bracket_str(left)},{bracket_str(right)}]"
 
 
+def _pack(word, bits: int) -> int:
+    # the word's letters, each below 2^bits, bits apiece behind a sentinel 1: words of one length
+    # order as their keys do, and u·v is (u - 1 << |v|) + v, |v| the bits behind v's sentinel
+    key = 1
+    for x in word:
+        key = key << bits | x
+    return key
+
+
+def _unpack(key: int, bits: int) -> Word:
+    mask = (1 << bits) - 1
+    return tuple(key >> i & mask for i in range(key.bit_length() - 1 - bits, -1, -bits))
+
+
+def _bits(letters: int) -> int:
+    # the bits a packed letter takes over so many letters, one at least
+    return max(1, (letters - 1).bit_length())
+
+
 def _commutator(left: dict, right: dict) -> dict:
-    # [x, y] = xy - yx over homogeneous term maps {word: coefficient}, dropping what cancels
+    # [x, y] = xy - yx over homogeneous term maps {word: coefficient}, dropping what cancels; the
+    # words are tuples, or packed ints whose length in bits is one map-wide shift
     pairs = [(u, v, cu * cv) for u, cu in left.items() for v, cv in right.items()]
-    return add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
+    if not pairs or type(pairs[0][0]) is tuple:
+        return add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
+    m, n = pairs[0][0].bit_length() - 1, pairs[0][1].bit_length() - 1
+    return add_terms({(u - 1 << n) + v: c for u, v, c in pairs},
+                     {(v - 1 << m) + u: -c for u, v, c in pairs})
 
 
-def _bracket(memo: dict, w: Word, top: int) -> dict[Word, int]:
-    # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors',
-    # kept in its call's memo below degree top, the largest the call reads, which is no factor's
+def _bracket(memo: dict, w: Word, top: int, bits: int) -> dict[int, int]:
+    # E_w, the standard bracketing of the Lyndon word w expanded over ints from its factors', its
+    # words packed at bits a letter, kept in its call's memo below degree top, the largest the call
+    # reads, which is no factor's
     if (e := memo.get(w)) is None:
-        e = {w: 1} if len(w) == 1 else _commutator(*(_bracket(memo, u, top) for u in _factor(w)))
+        e = ({1 << bits | w[0]: 1} if len(w) == 1
+             else _commutator(*(_bracket(memo, u, top, bits) for u in _factor(w))))
         if len(w) < top:
             memo[w] = e
     return e
@@ -249,6 +286,8 @@ class _Tables:
     The Lyndon words' suffixes are numbered once, longest first, () last (suffixes maps each
     to its slot, lyndon[q] degree q's Lyndon words, in order), and so are their factors; a
     table is rows (w, |w|, [(c, j or u, v)]) of slots, so the recurrence's accumulators are lists.
+    The read's rows per degree are built on first use from brackets over packed words, except
+    at the leading degrees whose words alone show there are none, known empty from its first read.
     """
 
     def __init__(self, p: int, alphabet_size: int):
@@ -271,23 +310,34 @@ class _Tables:
         # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
         # Lyndon of w's letters (E_l holds no other word), run by the unit factor: c_w -= E_l[w] c_l
         if q not in self._reads:
-            blocks, runs = {}, {i: [] for i in self.lyndon[q].values()}  # (w, slot)s by letters
+            blocks, runs = {}, {i: [] for i in self.lyndon[q].values()}  # (w, key, slot)s
+            bits = _bits(len(self.lyndon[1]))  # by letter content, keys packed as _bracket's
             for w, i in self.lyndon[q].items():
-                blocks.setdefault(tuple(sorted(w)), []).append((w, i))
+                blocks.setdefault(tuple(sorted(w)), []).append((w, _pack(w, bits), i))
             for block in blocks.values():
-                for k, (l, i) in enumerate(block[:-1]):
-                    e = _bracket(memo, l, top)
-                    for w, j in block[k + 1 :]:
-                        if w in e:
-                            runs[j].append((-e[w], 0, i))
+                for k, (l, _, i) in enumerate(block[:-1]):
+                    e = _bracket(memo, l, top, bits)
+                    for _, w, j in block[k + 1 :]:
+                        if c := e.get(w):
+                            runs[j].append((-c, 0, i))
             self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
     def read(self, product, unit, acc, degrees) -> None:
         # the Lyndon read: acc's Lyndon slots to coordinates, in place by the product kernel and its
-        # ring's unit factor, at the degrees whose values do not all vanish, listed first (the rest
-        # unbuilt), since rows never cross a degree; one bracket memo serves this read alone
-        read = [q for q in degrees if any(map(acc.__getitem__, self.lyndon[q].values()))]
+        # ring's unit factor, at the degrees that may hold rows and whose values do not all vanish,
+        # listed first (the rest unbuilt), since rows never cross a degree; one bracket memo serves
+        # this read alone.  A degree whose rows are known to be none is never scanned: at the
+        # table's first read, those up to the first degree where two Lyndon words share their
+        # letters, since E_l holds words of l's letters only (past it lz and l'z do, z the last)
+        reads = self._reads
+        if not reads:
+            for q, ws in enumerate(self.lyndon):
+                if len({tuple(sorted(w)) for w in ws}) < len(ws):
+                    break
+                reads[q] = []
+        read = [q for q in degrees
+                if reads.get(q, True) and any(map(acc.__getitem__, self.lyndon[q].values()))]
         memo = {}
         for q in read:
             product(acc, [(0, unit)], {0: self.read_steps(q, memo, read[-1])})
@@ -316,7 +366,8 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
     the symmetric residual (AB + BA)/2.  Otherwise solves forward over f's Lyndon words: the least
     one left holds its coordinate c, and c E_w leaves the Lyndon words E_w holds, a word first met
-    there included, since its coordinate may be nonzero where f's coefficient is 0.
+    there included, since its coordinate may be nonzero where f's coefficient is 0.  The solve runs
+    on words packed at ceil(log2 k) bits a letter over f's k letters, unpacked once at return.
     """
     if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -332,18 +383,22 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         raise NotALieElement(residual)
     import heapq  # here, so that no CLI command loads it
 
-    lyndonian, memo, coefficients = functools.cache(_is_lyndon), {}, {}
-    values = {w: c for w, c in f.terms.items() if lyndonian(w)}
+    letters = sorted({x for w in f.terms for x in w})  # packed by rank, in order
+    rank, bits = {x: i for i, x in enumerate(letters)}, _bits(len(letters))
+    lyndonian, memo, coefficients = functools.cache(lambda w: _lyndon_key(w, bits)), {}, {}
+    packed = ((_pack(map(rank.get, u), bits), c) for u, c in f.terms.items())
+    values = {w: c for w, c in packed if lyndonian(w)}
     heap = sorted(values)  # a sorted list is a heap
     while heap:  # the least Lyndon word left holds its coordinate
         w = heapq.heappop(heap)
         if c := values.pop(w):
             coefficients[w] = c
-            bracket = _bracket(memo, w, degree)  # of the top degree, so not kept
+            bracket = _bracket(memo, _unpack(w, bits), degree, bits)  # of the top degree: not kept
             del bracket[w]
             for u, e in bracket.items():
                 if lyndonian(u):
                     if u not in values:
                         heapq.heappush(heap, u)
                     values[u] = sum_of_products([(-e, c, _ONE)], values.get(u, _ZERO))
-    return LieDecomposition(degree, coefficients)
+    return LieDecomposition(degree, {tuple(letters[x] for x in _unpack(w, bits)): c
+                                     for w, c in coefficients.items()})

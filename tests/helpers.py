@@ -666,6 +666,75 @@ def lie_decompose_by_subtraction(f: NCSeries, degree: int) -> LieDecomposition:
     return LieDecomposition(degree, coefficients)
 
 
+def bracket_by_word(word: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+    """E_w over ints on tuple words, every bracket kept in memo: xy - yx word by word over the
+    expansions of the longest-Lyndon-suffix factors."""
+    if word not in memo:
+        if len(word) == 1:
+            memo[word] = {word: 1}
+        else:
+            u, v = longest_lyndon_suffix_factorization(word)
+            left, right, terms = bracket_by_word(u, memo), bracket_by_word(v, memo), {}
+            for x, cx in left.items():
+                for y, cy in right.items():
+                    terms[x + y] = terms.get(x + y, 0) + cx * cy
+                    terms[y + x] = terms.get(y + x, 0) - cx * cy
+            memo[word] = {w: c for w, c in terms.items() if c}
+    return memo[word]
+
+
+def read_steps_by_word(tables, q: int, memo: dict) -> list:
+    """The rows of tables.read_steps at degree q, over tuple words: per Lyndon slot w in order,
+    (w, q, [(-E_l[w], 0, l)]) over the Lyndon words l < w of w's letters whose E_l holds w."""
+    blocks, runs = {}, {i: [] for i in tables.lyndon[q].values()}
+    for w, i in tables.lyndon[q].items():
+        blocks.setdefault(tuple(sorted(w)), []).append((w, i))
+    for block in blocks.values():
+        for k, (l, i) in enumerate(block[:-1]):
+            e = bracket_by_word(l, memo)
+            for w, j in block[k + 1 :]:
+                if w in e:
+                    runs[j].append((-e[w], 0, i))
+    return [(i, q, r) for i, r in runs.items() if r]
+
+
+def lie_decompose_by_word(f: NCSeries, degree: int) -> LieDecomposition:
+    """lie_decompose with its forward solve over tuple words: the same checks in the same order,
+    then the least Lyndon word of f left holds its coordinate c, and c E_w leaves the Lyndon
+    words E_w holds, a word first met there included."""
+    import heapq
+
+    from splitcond.lyndon import MAX_LYNDON_WORDS, _dynkin, lyndon_count
+    from splitcond.poly import _whole
+    from splitcond.series import DegreeBeyondTruncation
+
+    if (degree := _whole(degree, "decomposition degree")) < 1:
+        raise ValueError("decomposition degree must be >= 1")
+    if any(len(w) != degree for w in f.terms):
+        raise ValueError(f"input is not homogeneous of degree {degree}")
+    if degree > f.truncation:
+        raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
+    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
+        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    lie_part = NCSeries._of(f.truncation, f.alphabet_size, _dynkin(f.terms, degree))
+    residual = f - lie_part.scale(Fraction(1, degree))
+    if not residual.is_zero():
+        raise NotALieElement(residual)
+    memo, coefficients = {}, {}
+    values = {w: c for w, c in f.terms.items() if strictly_smallest_rotation(w)}
+    heap = sorted(values)
+    while heap:
+        w = heapq.heappop(heap)
+        if c := values.pop(w):
+            coefficients[w] = c
+            for u, e in bracket_by_word(w, memo).items():
+                if u != w and strictly_smallest_rotation(u):
+                    if u not in values:
+                        heapq.heappush(heap, u)
+                    values[u] = sum_of_products([(-e, c, _ONE)], values.get(u, _ZERO))
+    return LieDecomposition(degree, coefficients)
+
+
 def conditions_bch_dense(scheme: SymbolicScheme, p: int) -> list[tuple[int, tuple, Poly]]:
     """(degree, Lyndon word, coefficient) of log(product) - (A+B) through degree p.
 

@@ -1570,10 +1570,32 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
 
 def test_the_bch_read_builds_rows_only_at_the_degrees_that_do_not_vanish():
     # Strang is symmetric, so its log has odd degrees only: the read builds rows for
-    # degrees 3, 5 and 7 and none for the even ones; degree 1 reads itself
+    # degrees 5 and 7 and none for the even ones; degree 1 reads itself, and over two
+    # letters no degree through 4 has rows, which the table knows from its words alone
     _Tables.cache_clear()
     verify_scheme(STRANG, 8)
-    assert sorted(_Tables(8, 2)._reads) == [3, 5, 7]
+    reads = _Tables(8, 2)._reads
+    assert sorted(reads) == [0, 1, 2, 3, 4, 5, 7]
+    assert [q for q in sorted(reads) if reads[q]] == [5, 7]
+
+
+def test_the_read_builds_no_rows_at_a_degree_that_has_none(monkeypatch):
+    # through degree 4 no two Lyndon words over A and B share their letters, so no bracket
+    # holds another of them: the read skips those degrees from the table's words alone, and
+    # BCH verification through p = 4, the BCH system at (3, 4) and the leading terms of
+    # degree 4 build no rows, read after read
+    def refuse(*args):
+        raise AssertionError("the read built rows at a degree that has none")
+
+    _Tables.cache_clear()
+    monkeypatch.setattr(_Tables.__wrapped__, "read_steps", refuse)
+    for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
+        for p in (1, 2, 3, 4):
+            verify_scheme(scheme, p, "bch")
+    condition_system(3, 4, "bch")
+    for scheme in (PAPER3, PAPER3.padded(5)):
+        leading_error_term(scheme, 3)
+    _Tables.cache_clear()
 
 
 def test_a_read_after_another_on_one_table_equals_a_fresh_read():
@@ -1585,7 +1607,9 @@ def test_a_read_after_another_on_one_table_equals_a_fresh_read():
         fresh = verify_scheme(PAPER3, p)
         _Tables.cache_clear()
         verify_scheme(STRANG, p)
-        assert sorted(_Tables(p, 2)._reads) == list(range(3, p, 2))  # odd degrees only
+        reads = _Tables(p, 2)._reads  # odd degrees only, with rows from degree 5 on
+        assert sorted(reads) == [*range(5), *range(5, p, 2)]
+        assert [q for q in sorted(reads) if reads[q]] == list(range(5, p, 2))
         assert verify_scheme(PAPER3, p) == fresh
     for scheme, p in [(STRANG, 2), (PAPER3, 3), (PAPER3.padded(5), 3), (LIE_TROTTER, 1)]:
         _Tables.cache_clear()

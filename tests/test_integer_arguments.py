@@ -6,7 +6,10 @@ argument; no value leaks an error from inside the engine.
 """
 
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from splitcond import (
     NCSeries,
@@ -24,7 +27,8 @@ from splitcond import (
     verify_scheme,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import ROUTES, check_cost
+from splitcond.conditions import ROUTES, _truncation, check_cost
+from splitcond.lyndon import MAX_LYNDON_WORDS
 
 STRANG = REGISTRY["strang"].scheme
 LIE = expand(bracketing((0, 0, 1)), 6)  # [A,[A,B]]: degree 3, truncated at 6
@@ -98,3 +102,26 @@ def test_every_integer_argument_is_one_rule():
                     assert "must be an integer, not" in message, f"{where}: {message}"
             else:
                 assert not typed, f"{where} took a non-integer"
+
+
+# the series entry points list all 2^(N+1) - 1 words through their truncation N: past the word
+# budget, from N = 19 on, each is refused before any word is listed
+REFUSED = {
+    "splitting_product": lambda n: splitting_product(GENERIC, n),
+    "exp_of_sum": exp_of_sum,
+    "local_error_series": lambda n: local_error_series(GENERIC, n),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+@pytest.mark.parametrize("n", [19, 20, 30, 10**18])
+def test_the_series_entry_points_refuse_past_the_word_budget(name, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        REFUSED[name](n)
+    assert time.perf_counter() - start < 0.25
+    assert str(refused.value) == f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words"
+
+
+def test_the_word_budget_takes_truncation_18():
+    assert _truncation(18) == 18  # 524,287 words; 19 lists 1,048,575

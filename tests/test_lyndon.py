@@ -30,11 +30,13 @@ from helpers import (
     expand_by_products,
     homogeneous_at_truncation,
     lie_decompose_by_subtraction,
+    lie_decompose_by_word,
     lie_decompose_on_the_union_table,
     longest_lyndon_suffix_factorization,
     necklace_count,
     random_poly,
     random_series,
+    read_steps_by_word,
     strictly_smallest_rotation,
 )
 
@@ -455,19 +457,20 @@ def test_lie_decompose_refuses_over_the_word_budget_before_any_other_work(monkey
     assert str(refused.value) == f"order 30 may need over {MAX_LYNDON_WORDS} Lyndon words"
 
 
-def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
+def test_lie_decompose_builds_no_table(monkeypatch):
     # the coordinates are read off the input's own Lyndon words, so no word table is built
     # and the table cache is left as it was, however many letters the alphabet or the input
     # has: a series on the letters D and H (3 and 7) of a 12-letter alphabet reads the
-    # two-letter coordinates relabelled, and each input reads what the union table and the
-    # subtraction oracles read, repr included (ABCDEFG, whose union table holds 141,280
-    # words, against the subtraction oracle only)
+    # two-letter coordinates relabelled, and each input reads what the union table, the
+    # subtraction and the tuple-keyed solve read, repr included (ABCDEFG, whose union table
+    # holds 141,280 words, against the other two only)
     from splitcond import lyndon
 
     built, tables = [], lyndon._Tables
     monkeypatch.setattr(lyndon, "_Tables", lambda *args: built.append(args) or tables(*args))
 
-    def read(f, degree, oracles=(lie_decompose_on_the_union_table, lie_decompose_by_subtraction)):
+    def read(f, degree, oracles=(lie_decompose_on_the_union_table, lie_decompose_by_subtraction,
+                                 lie_decompose_by_word)):
         cached = tables.cache_info()
         got = lie_decompose(f, degree)
         assert built == [] and tables.cache_info() == cached
@@ -507,7 +510,7 @@ def test_lie_decompose_tables_only_the_letters_of_its_input(monkeypatch):
     assert read(f, 5) == {(A, A, A, B, B): 1, (A, A, B, A, B): 2}
     word = tuple(range(7))  # one bracket on 7 distinct letters, 64 words
     f = expand(bracketing(word), 7, 7)
-    assert read(f, 7, [lie_decompose_by_subtraction]) == {word: 1}
+    assert read(f, 7, [lie_decompose_by_subtraction, lie_decompose_by_word]) == {word: 1}
 
 
 @pytest.mark.parametrize("degree", range(1, 7))
@@ -532,9 +535,69 @@ def test_lie_decompose_by_letter_set_equals_the_union_table_read(degree):
                 weight = random_poly(rng, stages=2, degree=2, terms=2)
                 f = f + expand_by_products(tree, f.truncation, alphabet).scale(weight)
         got = lie_decompose(f, degree)
-        for oracle in (lie_decompose_on_the_union_table, lie_decompose_by_subtraction):
+        oracles = (lie_decompose_on_the_union_table, lie_decompose_by_subtraction,
+                   lie_decompose_by_word)
+        for oracle in oracles:
             expected = oracle(f, degree)
             assert got == expected and repr(got) == repr(expected), (oracle, sets)
+
+
+def _outcome(decompose, f, degree):
+    # the decomposition's repr, or the refusal's type, message and residual
+    try:
+        return repr(decompose(f, degree))
+    except ValueError as refused:
+        return type(refused), str(refused), repr(getattr(refused, "residual", None))
+
+
+def test_lie_decompose_equals_the_tuple_keyed_solve():
+    # the solve runs on packed keys, ceil(log2 k) bits a letter over the input's k letters,
+    # and unpacks its words once at return: on seeded inputs over up to 7 letters (Lie
+    # elements whose brackets mix letter sets, the same with one word added, which leaves a
+    # residual, random words, and refused inputs) each outcome equals the tuple-keyed
+    # solve's, repr, residual and message included (the Lie inputs of the tests above,
+    # ABCDEFG among them, are read against it too)
+    rng = random.Random(3601)
+    for degree in range(1, 7):
+        for _ in range(10):
+            alphabet = rng.randint(1, 7 if degree < 6 else 5)
+            f = NCSeries.zero(degree + rng.randint(0, 1), alphabet)
+            for _ in range(rng.randint(1, 3)):
+                letters = sorted(rng.sample(range(alphabet), rng.randint(1, min(degree, alphabet))))
+                words = lyndon_words_of_degree(len(letters), degree)
+                for w in rng.sample(words, min(len(words), 3)):
+                    tree = bracketing(tuple(letters[x] for x in w))
+                    f = f + expand(tree, f.truncation, alphabet).scale(random_poly(rng, 2, 2, 2))
+            word = tuple(rng.randrange(alphabet) for _ in range(degree))
+            noise = NCSeries(f.truncation, alphabet, {word: rng.randint(1, 3)})
+            for g in (f, f + noise, noise):
+                expected = _outcome(lie_decompose_by_word, g, degree)
+                assert _outcome(lie_decompose, g, degree) == expected
+    refused = [
+        (NCSeries(3, 2, {(A,): 1, (A, B): 1}), 2),  # not homogeneous
+        (NCSeries(2, 2), 3),  # beyond the truncation
+        (NCSeries(2, 2), 0),  # degree 0
+        (expand(bracketing(tuple(range(8))), 8, 8), 8),  # over the word budget
+        (NCSeries(30, 2, {(A, B) * 15: 1}), 30),
+    ]
+    for f, degree in refused:
+        got = _outcome(lie_decompose, f, degree)
+        assert isinstance(got, tuple) and got == _outcome(lie_decompose_by_word, f, degree)
+
+
+def test_the_packed_rows_equal_the_tuple_keyed_rows():
+    # the read's brackets run on packed keys, one bit a letter over two letters, two over
+    # three and four, three over five: on a fresh table of each top degree p, read on one
+    # memo top degree first at odd p and last at even p, the rows equal the tuple-keyed
+    # read's at every degree, over two letters through p = 14 and over 3-5 letters at small p;
+    # the tuple-keyed brackets are kept across the tables of an alphabet
+    cells = [(p, 2) for p in range(2, 15)] + [(p, 3) for p in range(2, 7)]
+    words = {}
+    for p, alphabet in cells + [(p, 4) for p in range(2, 6)] + [(p, 5) for p in range(2, 5)]:
+        tables, memo = _Tables.__wrapped__(p, alphabet), {}
+        for q in range(p, 1, -1) if p % 2 else range(2, p + 1):
+            rows = tables.read_steps(q, memo, p)
+            assert rows == read_steps_by_word(tables, q, words), (p, alphabet, q)
 
 
 def test_lie_check_expands_no_bracketing(monkeypatch):

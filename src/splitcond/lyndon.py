@@ -1,20 +1,18 @@
 """Lyndon words and the Lyndon basis of the free Lie algebra.
 
-Provides Duval's enumeration of Lyndon words, the standard right
-factorization (smallest proper suffix), the nested-commutator bracketing it
-induces, expansion of bracket trees into word series, the Lyndon-basis
-coordinates of homogeneous Lie elements, and the word tables through a degree
-that the order-condition recurrence reads: the words are numbered once, longest
-first, and every table is rows of slots, so the recurrence indexes lists.
+Provides Duval's enumeration of Lyndon words, the standard right factorization (smallest proper
+suffix), the nested-commutator bracketing it induces, expansion of bracket trees into word series,
+the Lyndon-basis coordinates of homogeneous Lie elements, and the word tables through a degree that
+the order-condition recurrence reads: the words are numbered once, longest first, and every table
+is rows of slots, so the recurrence indexes lists.
 
-A Lyndon bracketing expands to its own word once plus larger words of its letters
-only (Reutenauer, Free Lie Algebras, 1993), so a unitriangular solve reads the coordinates
-of a Lie element: the tables' per degree, in blocks of one letter content, as rows a product
-kernel runs in place, at the degrees where two Lyndon words share their letters, expanding a
-bracket only where a row reads it, for that read alone and kept below its top degree.  Every
-bracket is one commutator of term maps, over word tuples or over words packed into ints, as
-the read's brackets are.  lie_decompose checks its budget, then membership by the Dynkin
-projection, then solves over its own Lyndon words, packed at entry and unpacked at return.
+A Lyndon bracketing expands to its own word once plus larger words of its letters only (Reutenauer,
+Free Lie Algebras, 1993), so a unitriangular solve reads the coordinates of a Lie element: the
+tables' per degree, in blocks of one letter content, as rows a product kernel runs in place, at the
+degrees where two Lyndon words share their letters, expanding a bracket only where a row reads it,
+for that read alone and kept below its top degree.  Every bracket, in expand, the read and the
+Dynkin projection, is one commutator of term maps over words packed into ints.  lie_decompose
+checks its budget, then membership by the projection, then solves, all on its input packed once.
 """
 
 from __future__ import annotations
@@ -81,11 +79,14 @@ def lyndon_count(alphabet_size: int, max_degree: int) -> int:
 
 
 def lyndon_words(alphabet_size: int, max_degree: int) -> list[Word]:
-    """All Lyndon words of length <= max_degree, in lexicographic order (Duval)."""
+    """All Lyndon words of length <= max_degree, in lexicographic order (Duval), counted first:
+    ValueError, listing none, past MAX_LYNDON_WORDS (over two letters, from degree 24 on)."""
     if (alphabet_size := _whole(alphabet_size, "alphabet size")) < 1:
         raise ValueError("alphabet size must be >= 1")
     if (max_degree := _whole(max_degree, "max degree")) < 1:
         raise ValueError("max degree must be >= 1")
+    if lyndon_count(alphabet_size, max_degree) > MAX_LYNDON_WORDS:
+        raise ValueError(f"max degree {max_degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
     if alphabet_size == 1:
         max_degree = 1  # A is the one Lyndon word over one letter
     out: list[Word] = []
@@ -181,12 +182,9 @@ def _bits(letters: int) -> int:
 
 
 def _commutator(left: dict, right: dict) -> dict:
-    # [x, y] = xy - yx over homogeneous term maps {word: coefficient}, dropping what cancels; the
-    # words are tuples, or packed ints whose length in bits is one map-wide shift
+    # [x, y] = xy - yx over homogeneous term maps {packed word: coefficient}, dropping what cancels
+    m, n = (next(iter(x), 1).bit_length() - 1 for x in (left, right))  # an empty map pairs none
     pairs = [(u, v, cu * cv) for u, cu in left.items() for v, cv in right.items()]
-    if not pairs or type(pairs[0][0]) is tuple:
-        return add_terms({u + v: c for u, v, c in pairs}, {v + u: -c for u, v, c in pairs})
-    m, n = pairs[0][0].bit_length() - 1, pairs[0][1].bit_length() - 1
     return add_terms({(u - 1 << n) + v: c for u, v, c in pairs},
                      {(v - 1 << m) + u: -c for u, v, c in pairs})
 
@@ -205,18 +203,18 @@ def _bracket(memo: dict, w: Word, top: int, bits: int) -> dict[int, int]:
 
 def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
     """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx."""
-    if len(foliage(tree)) > truncation:
-        raise DegreeBeyondTruncation(
-            f"bracket tree of degree {len(foliage(tree))} exceeds truncation {truncation}"
-        )
-    return NCSeries._of(truncation, alphabet_size, _expand(tree, truncation, alphabet_size))
+    if (n := len(foliage(tree))) > (truncation := _whole(truncation, "truncation degree")):
+        raise DegreeBeyondTruncation(f"bracket tree of degree {n} exceeds truncation {truncation}")
+    k = NCSeries.zero(truncation, alphabet_size).alphabet_size  # checked as a series' alphabet
+    terms = _expand(tree, k, bits := _bits(k))
+    return NCSeries._of(truncation, k, {_unpack(w, bits): Poly.const(c) for w, c in terms.items()})
 
 
-def _expand(tree: BracketTree, truncation: int, alphabet_size: int) -> dict[Word, Poly]:
-    # the term map of a bracket tree whose shape and degree expand has checked
+def _expand(tree: BracketTree, alphabet_size: int, bits: int) -> dict[int, int]:
+    # expand's int term map over words packed at bits a letter, each leaf checked, left to right
     if _is_letter(tree):
-        return NCSeries.letter(tree, truncation, alphabet_size).terms
-    return _commutator(*(_expand(t, truncation, alphabet_size) for t in tree))
+        return {_pack(_word((tree,), alphabet_size), bits): 1}
+    return _commutator(*(_expand(t, alphabet_size, bits) for t in tree))
 
 
 class LieDecomposition(NamedTuple):
@@ -343,15 +341,15 @@ class _Tables:
             product(acc, [(0, unit)], {0: self.read_steps(q, memo, read[-1])})
 
 
-def _dynkin(terms: dict[Word, Poly], degree: int) -> dict[Word, Poly]:
-    # theta, the right-nested bracketing, by left quotients of a homogeneous
-    # term map: theta(a) = a and theta(a·u) = [a, theta(u)]
+def _dynkin(terms: dict[int, Poly], degree: int, bits: int) -> dict[int, Poly]:
+    # theta, the right-nested bracketing, by left quotients of a homogeneous term map over words
+    # packed at bits a letter: theta(a) = a, theta(a·u) = [a, theta(u)], a·u = (a - 1 << |u|) + u
     if degree == 1:
         return terms
-    out: dict[Word, Poly] = {}
-    for a in {w[0] for w in terms}:
-        theta = _dynkin({w[1:]: c for w, c in terms.items() if w[0] == a}, degree - 1)
-        out = add_terms(out, _commutator({(a,): 1}, theta))
+    out, shift = {}, bits * (degree - 1)
+    for a in {w >> shift for w in terms}:
+        u = {w - (a - 1 << shift): c for w, c in terms.items() if w >> shift == a}
+        out = add_terms(out, _commutator({a: 1}, _dynkin(u, degree - 1, bits)))
     return out
 
 
@@ -366,8 +364,8 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
     the symmetric residual (AB + BA)/2.  Otherwise solves forward over f's Lyndon words: the least
     one left holds its coordinate c, and c E_w leaves the Lyndon words E_w holds, a word first met
-    there included, since its coordinate may be nonzero where f's coefficient is 0.  The solve runs
-    on words packed at ceil(log2 k) bits a letter over f's k letters, unpacked once at return.
+    there included, since its coordinate may be nonzero where f's coefficient is 0.  Projection and
+    solve run on f's words packed once, ceil(log2 k) bits a letter by rank over its k letters.
     """
     if (degree := _whole(degree, "decomposition degree")) < 1:
         raise ValueError("decomposition degree must be >= 1")
@@ -377,17 +375,20 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
     if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
         raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
-    lie_part = NCSeries._of(f.truncation, f.alphabet_size, _dynkin(f.terms, degree))
-    residual = f - lie_part.scale(Fraction(1, degree))
-    if not residual.is_zero():
-        raise NotALieElement(residual)
-    import heapq  # here, so that no CLI command loads it
-
     letters = sorted({x for w in f.terms for x in w})  # packed by rank, in order
     rank, bits = {x: i for i, x in enumerate(letters)}, _bits(len(letters))
+
+    def unpacked(terms: dict) -> dict[Word, Poly]:
+        return {tuple(letters[x] for x in _unpack(w, bits)): c for w, c in terms.items()}
+
+    packed = {_pack(map(rank.get, u), bits): c for u, c in f.terms.items()}
+    theta = _dynkin(packed, degree, bits)
+    if residual := add_terms(packed, {w: c * Fraction(-1, degree) for w, c in theta.items()}):
+        raise NotALieElement(NCSeries._of(f.truncation, f.alphabet_size, unpacked(residual)))
+    import heapq  # here, so that no CLI command loads it
+
     lyndonian, memo, coefficients = functools.cache(lambda w: _lyndon_key(w, bits)), {}, {}
-    packed = ((_pack(map(rank.get, u), bits), c) for u, c in f.terms.items())
-    values = {w: c for w, c in packed if lyndonian(w)}
+    values = {w: c for w, c in packed.items() if lyndonian(w)}
     heap = sorted(values)  # a sorted list is a heap
     while heap:  # the least Lyndon word left holds its coordinate
         w = heapq.heappop(heap)
@@ -400,5 +401,4 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
                     if u not in values:
                         heapq.heappush(heap, u)
                     values[u] = sum_of_products([(-e, c, _ONE)], values.get(u, _ZERO))
-    return LieDecomposition(degree, {tuple(letters[x] for x in _unpack(w, bits)): c
-                                     for w, c in coefficients.items()})
+    return LieDecomposition(degree, unpacked(coefficients))

@@ -698,13 +698,27 @@ def read_steps_by_word(tables, q: int, memo: dict) -> list:
     return [(i, q, r) for i, r in runs.items() if r]
 
 
+def dynkin_by_word(terms: dict, degree: int) -> dict:
+    """theta, the right-nested bracketing, of a homogeneous term map over tuple words, by left
+    quotients: theta(a) = a and theta(a·u) = a theta(u) - theta(u) a, words concatenated."""
+    if degree == 1:
+        return terms
+    out = {}
+    for a in {w[0] for w in terms}:
+        theta = dynkin_by_word({w[1:]: c for w, c in terms.items() if w[0] == a}, degree - 1)
+        for u, c in theta.items():
+            out[(a,) + u] = out.get((a,) + u, 0) + c
+            out[u + (a,)] = out.get(u + (a,), 0) - c
+    return {w: c for w, c in out.items() if c}
+
+
 def lie_decompose_by_word(f: NCSeries, degree: int) -> LieDecomposition:
     """lie_decompose with its forward solve over tuple words: the same checks in the same order,
     then the least Lyndon word of f left holds its coordinate c, and c E_w leaves the Lyndon
     words E_w holds, a word first met there included."""
     import heapq
 
-    from splitcond.lyndon import MAX_LYNDON_WORDS, _dynkin, lyndon_count
+    from splitcond.lyndon import MAX_LYNDON_WORDS, lyndon_count
     from splitcond.poly import _whole
     from splitcond.series import DegreeBeyondTruncation
 
@@ -716,7 +730,7 @@ def lie_decompose_by_word(f: NCSeries, degree: int) -> LieDecomposition:
         raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
     if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
         raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
-    lie_part = NCSeries._of(f.truncation, f.alphabet_size, _dynkin(f.terms, degree))
+    lie_part = NCSeries._of(f.truncation, f.alphabet_size, dynkin_by_word(f.terms, degree))
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():
         raise NotALieElement(residual)

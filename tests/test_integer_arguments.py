@@ -23,6 +23,7 @@ from splitcond import (
     lie_decompose,
     local_error_series,
     lyndon_words,
+    lyndon_words_of_degree,
     splitting_product,
     verify_scheme,
 )
@@ -31,7 +32,8 @@ from splitcond.conditions import ROUTES, _truncation, check_cost
 from splitcond.lyndon import MAX_LYNDON_WORDS
 
 STRANG = REGISTRY["strang"].scheme
-LIE = expand(bracketing((0, 0, 1)), 6)  # [A,[A,B]]: degree 3, truncated at 6
+TREE = bracketing((0, 0, 1))  # [A,[A,B]], of degree 3
+LIE = expand(TREE, 6)  # truncated at 6
 GENERIC = SymbolicScheme.generic(2)
 
 NOT_INTEGERS = [2.0, 2.5, True, "3", None, Fraction(3)]
@@ -45,6 +47,11 @@ CALLS = {
     "condition_system": (condition_system, [STAGES, ORDER]),
     "leading_error_term": (lambda p, route: leading_error_term(STRANG, p), [ORDER]),
     "lie_decompose": (lambda q, route: lie_decompose(LIE, q), [("degree", range(1, 7), ())]),
+    "expand": (lambda n, k, route: expand(TREE, n, k),
+               [("truncation", range(3, 7), ()), ("alphabet", range(2, 4), ())]),
+    "LieDecomposition.reconstruct": (lambda n, k, route: lie_decompose(LIE, 3).reconstruct(n, k),
+                                     [("truncation", range(3, 7), ()),
+                                      ("alphabet", range(2, 4), ())]),
     "check_cost": (lambda p, s, route: check_cost(p, route, s),
                    [ORDER, ("stage", range(1, 4), (None,))]),
     "splitting_product": (lambda n, route: splitting_product(GENERIC, n),
@@ -121,6 +128,24 @@ def test_the_series_entry_points_refuse_past_the_word_budget(name, n):
         REFUSED[name](n)
     assert time.perf_counter() - start < 0.25
     assert str(refused.value) == f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words"
+
+
+# the Lyndon listings count their words first, by lyndon_count: over two letters 766,150 through
+# degree 23, and 1,465,020 through 24, from where each is refused before any word is listed
+REFUSED_LISTINGS = {
+    "lyndon_words": lambda n: lyndon_words(2, n),
+    "lyndon_words_of_degree": lambda n: lyndon_words_of_degree(2, n),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_LISTINGS)
+@pytest.mark.parametrize("n", [24, 30, 10**18])
+def test_the_lyndon_listings_refuse_past_the_word_budget(name, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        REFUSED_LISTINGS[name](n)
+    assert time.perf_counter() - start < 0.25
+    assert str(refused.value) == f"max degree {n} may need over {MAX_LYNDON_WORDS} Lyndon words"
 
 
 def test_the_word_budget_takes_truncation_18():

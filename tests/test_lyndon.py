@@ -262,7 +262,11 @@ def _random_tree(rng, letters, depth):
 
 def test_expand_equals_the_series_product_oracle():
     # each node's commutator of its children's term maps against x*y - y*x formed by two
-    # series products, over up to four letters and at a truncation past the degree
+    # series products, over up to four letters and at a truncation past the degree; then on
+    # words packed at ceil(log2 k) bits a letter, one at least, over 1 letter (one bit), 2, 3,
+    # 5, 8, 9 (four bits) and all 26 (five), on seeded trees of degree <= 9, Lyndon
+    # bracketings or not, with repeated letters, with [x, x] somewhere inside (zero), and
+    # single leaves, repr included; a bad leaf is named as a series names it
     rng = random.Random(3307)
     for _ in range(200):
         alphabet = rng.randint(1, 4)
@@ -271,6 +275,53 @@ def test_expand_equals_the_series_product_oracle():
         got = expand(tree, truncation, alphabet)
         expected = expand_by_products(tree, truncation, alphabet)
         assert got == expected and str(got) == str(expected), tree
+    rng = random.Random(3701)
+    for alphabet in (1, 2, 3, 5, 8, 9, 26):
+        letters = range(alphabet)
+        trees = [rng.choice(letters) for _ in range(3)] + [(A, A), ((A, A), A)]
+        trees += [_random_tree(rng, rng.sample(letters, min(alphabet, 3)), 3) for _ in range(20)]
+        trees += [_random_tree(rng, letters, 4) for _ in range(20)]
+        trees += [((t, t), A) for t in trees[-3:]]
+        trees += [bracketing(w) for w in lyndon_words(alphabet, 3)]
+        for tree in trees:
+            if len(foliage(tree)) > 9:
+                continue
+            truncation = len(foliage(tree)) + rng.randint(0, 1)
+            got = expand(tree, truncation, alphabet)
+            expected = expand_by_products(tree, truncation, alphabet)
+            assert got == expected and repr(got) == repr(expected), (alphabet, tree)
+    assert expand((A, A), 2, 1).is_zero() and expand(((A, B), (A, B)), 4).is_zero()
+    for tree, alphabet, bad in [((A, 5), 2, 5), (((A, 26), 3), 26, 26), ((A, (B, -1)), 3, -1)]:
+        with pytest.raises(ValueError) as caught:
+            expand(tree, 4, alphabet)
+        assert str(caught.value) == f"word ({bad},) uses letters outside the alphabet"
+
+
+def test_the_packed_dynkin_projection_equals_the_tuple_projection():
+    # theta, the right-nested bracketing, over words packed at ceil(log2 k) bits a letter,
+    # equals the tuple-keyed theta word for word, Poly coefficients and dict order aside:
+    # on seeded homogeneous maps over up to 7 letters at degrees 1-7 (random words, Lie
+    # elements, and both, whose theta is q times the Lie part plus a remainder), empty ones too
+    from splitcond.lyndon import _bits, _dynkin, _pack, _unpack
+
+    from helpers import dynkin_by_word
+
+    rng = random.Random(3702)
+    for alphabet in range(1, 8):
+        bits = _bits(alphabet)
+        for degree in range(1, 8 if alphabet < 4 else 6):
+            for _ in range(4):
+                words = {tuple(rng.randrange(alphabet) for _ in range(degree))
+                         for _ in range(rng.randint(0, 6))}
+                terms = {w: random_poly(rng, 2, 2, 2) for w in words}
+                if rng.random() < 0.5:
+                    lie = lyndon_words_of_degree(alphabet, degree)
+                    for w in rng.sample(lie, min(len(lie), 2)):
+                        expansion = expand(bracketing(w), degree, alphabet).scale(rng.randint(1, 5))
+                        terms = (NCSeries(degree, alphabet, terms) + expansion).terms
+                packed = {_pack(w, bits): c for w, c in terms.items()}
+                got = {_unpack(w, bits): c for w, c in _dynkin(packed, degree, bits).items()}
+                assert got == dynkin_by_word(terms, degree), (alphabet, degree, terms)
 
 
 def test_antisymmetry_of_brackets():

@@ -7,6 +7,8 @@ verifies candidate schemes in exact rational arithmetic, and confirms orders
 numerically on random linear matrix flows.
 """
 
+from importlib import import_module
+
 from .conditions import (
     ConcreteScheme,
     ConditionEntry,
@@ -18,62 +20,43 @@ from .conditions import (
     conditions_bch,
     conditions_taylor,
     condition_system,
-    exp_of_sum,
     leading_error_term,
-    local_error_series,
-    splitting_product,
     systems_equivalent,
     verify_scheme,
 )
 from .lyndon import (
     BracketTree,
     LieDecomposition,
-    NotALieElement,
     SingleLetter,
     bracket_str,
     bracketing,
-    expand,
     foliage,
     is_lyndon,
-    lie_decompose,
     lyndon_words,
     lyndon_words_of_degree,
     standard_factorization,
-)
-from .poly import MissingAssignment, Poly
-from .series import (
-    AlphabetMismatch,
-    ConstantTermNotOne,
-    DegreeBeyondTruncation,
-    NCSeries,
-    NonzeroConstantTerm,
-    TruncationMismatch,
-    exp,
-    log,
     word_str,
 )
+from .poly import MissingAssignment, Poly
 
 __version__ = "0.1.0"
 
-# the float layer imports numpy, so it loads on first use of one of its names
-_NUMERIC_NAMES = frozenset(
-    {
-        "ConvergenceReport",
-        "DegenerateFit",
-        "DimensionMismatch",
-        "NonFinite",
-        "empirical_order",
-        "matrix_exp",
-        "scheme_step",
-    }
+# names served on first use, each from its module: the series layer, which no route, verification
+# or command calls, and the float layer, which imports numpy; the engine above loads eagerly, so
+# that a first call to it does not pay for its import
+_LAZY = dict.fromkeys(
+    ["AlphabetMismatch", "ConstantTermNotOne", "DegreeBeyondTruncation", "NCSeries",
+     "NonzeroConstantTerm", "NotALieElement", "TruncationMismatch", "exp", "exp_of_sum", "expand",
+     "lie_decompose", "local_error_series", "log", "splitting_product"], "series"
+) | dict.fromkeys(
+    ["ConvergenceReport", "DegenerateFit", "DimensionMismatch", "NonFinite", "empirical_order",
+     "matrix_exp", "scheme_step"], "numeric"
 )
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .conditions import ROUTES, ConcreteScheme, check_cost, condition_system, verify_scheme
-from .lyndon import MAX_LYNDON_WORDS, bracket_str, bracketing, lyndon_count, lyndon_words
-from .series import word_str
+from .lyndon import MAX_LYNDON_WORDS, bracket_str, bracketing, lyndon_count, lyndon_words, word_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 

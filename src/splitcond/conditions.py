@@ -16,8 +16,9 @@ call of the _Ring's log, ending in the Lyndon read, _Tables.read, a product by t
 Over _MAPS, Poly's packed integer maps, n^j a packed monomial, poly._map_fresh stores the Taylor
 product at fresh keys, and poly._map_log's F acc is the general product from acc, so the systems
 never expand F; over _INTS, G[u] is one int, and poly._int_log multiplies by G - 1 at every split.
-_INTS on Poly values forms splitting_product.  No symbolic system is built to verify a scheme or to
-read its leading error term off F.
+_INTS on Poly values forms series.splitting_product.  No symbolic system is built to verify a scheme
+or to read its leading error term off F, and no series is built at all: the series layer,
+splitcond.series, imports this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lyndon import MAX_LYNDON_WORDS, LieDecomposition, _Tables, lyndon_count
-from .lyndon import _numbered, _product_steps
+from .lyndon import MAX_LYNDON_WORDS, LieDecomposition, Word, _Tables, lyndon_count, word_str
 from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_fresh, _map_log
 from .poly import _map_product, _whole
-from .series import NCSeries, Word, word_str
 
 ROUTES = ("taylor", "bch")
 _NIL = Fraction(0)  # every vanishing residual
@@ -136,29 +135,6 @@ _INTS = _Ring(0, 1, _int_product, _int_log_read)
 _MAPS = _Ring({}, {0: 1}, _map_fresh, _map_log_read)
 
 
-def _truncation(truncation: int) -> int:
-    # the truncation degree n as an int, refused before any word is listed where the 2^(n+1) - 1
-    # words through degree n over A and B pass MAX_LYNDON_WORDS (from n = 19 on)
-    if (n := _whole(truncation, "truncation degree")) < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {n}")
-    if 2 ** min(n + 1, 64) - 1 > MAX_LYNDON_WORDS:
-        raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
-    return n
-
-
-def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
-    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence; ValueError,
-    listing no word, past MAX_LYNDON_WORDS words (truncation 19 on), as for exp_of_sum."""
-    truncation = _truncation(truncation)
-    if len(scheme.a) != len(scheme.b):
-        raise ValueError("coefficient lists a and b must have equal length")
-    words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
-    factors = [(i % 2, n) for i, n in enumerate(itertools.chain(*zip(scheme.a, scheme.b))) if n]
-    g = _divided_product(_INTS, factors, _product_steps(words), len(words))
-    terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in zip(words, g)}
-    return NCSeries(truncation, 2, terms)
-
-
 def _divided_product(ring: _Ring, factors: list, steps: dict, size: int) -> list:
     # G[w] = |w|! D^|w| F[w] at the size slots of steps, () last, over the factor word (X, n = D c)
     g = [ring.zero] * (size - 1) + [ring.one]
@@ -198,19 +174,6 @@ def _scaled(scheme: ConcreteScheme) -> tuple[list[int], int]:
     ratios = [c.as_integer_ratio() for pair in zip(scheme.a, scheme.b) for c in pair]
     den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
-
-
-def exp_of_sum(truncation: int) -> NCSeries:
-    """The reference flow e^{A+B} as a truncated series, in closed form: 1/|w|! at every word;
-    ValueError, listing no word, past MAX_LYNDON_WORDS words (truncation 19 on)."""
-    n = _truncation(truncation)
-    return NCSeries(n, 2, {w: Fraction(1, math.factorial(q))
-                           for q in range(n + 1) for w in itertools.product((0, 1), repeat=q)})
-
-
-def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:
-    """Splitting product minus e^{A+B}; the degree-0 part cancels exactly."""
-    return splitting_product(scheme, truncation) - exp_of_sum(truncation)
 
 
 class ConditionEntry(NamedTuple):

@@ -1,34 +1,40 @@
-"""Lyndon words and the Lyndon basis of the free Lie algebra.
+"""Words, Lyndon words and the word tables of the order-condition recurrence.
 
-Provides Duval's enumeration of Lyndon words, the standard right factorization (smallest proper
-suffix), the nested-commutator bracketing it induces, expansion of bracket trees into word series,
-the Lyndon-basis coordinates of homogeneous Lie elements, and the word tables through a degree that
-the order-condition recurrence reads: the words are numbered once, longest first, and every table
-is rows of slots, so the recurrence indexes lists.
+Provides the word helpers of the package (a word is a tuple of letter indices, 0 -> A, 1 -> B,
+...), Duval's enumeration of Lyndon words, the standard right factorization (smallest proper
+suffix), the nested-commutator bracketing it induces, the Lyndon-basis coordinates as
+LieDecomposition, and the word tables through a degree that the order-condition recurrence reads:
+the words are numbered once, longest first, and every table is rows of slots, so the recurrence
+indexes lists.  Expanding a bracket tree into a series, and lie_decompose, live in the series
+layer, splitcond.series, which the engine never loads.
 
 A Lyndon bracketing expands to its own word once plus larger words of its letters only (Reutenauer,
 Free Lie Algebras, 1993), so a unitriangular solve reads the coordinates of a Lie element: the
 tables' per degree, in blocks of one letter content, as rows a product kernel runs in place, at the
 degrees where two Lyndon words share their letters, expanding a bracket only where a row reads it,
-for that read alone and kept below its top degree.  Every bracket, in expand, the read and the
-Dynkin projection, is one commutator of term maps over words packed into ints.  lie_decompose
-checks its budget, then membership by the projection, then solves, all on its input packed once.
+for that read alone and kept below its top degree.  Every bracket is one commutator of term maps
+over words packed into ints.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
-from .poly import _ONE, _ZERO, Poly, _whole, sum_of_products
-from .series import DegreeBeyondTruncation, NCSeries, Word, _is_letter, _word, add_terms, word_str
+from .poly import Poly, _whole
+
+if TYPE_CHECKING:
+    from .series import NCSeries
+
+Word = tuple[int, ...]
+
+_LETTER_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
-# the Lyndon words a word table or the CLI's listing may hold, and the words splitting_product
-# and exp_of_sum may list
+# the Lyndon words a word table or the CLI's listing may hold, the words splitting_product and
+# exp_of_sum may list, and those a bracket tree may expand to
 MAX_LYNDON_WORDS = 10**6
 
 
@@ -36,12 +42,40 @@ class SingleLetter(ValueError):
     """Single-letter words have no standard factorization."""
 
 
-class NotALieElement(ValueError):
-    """Input series is not in the free Lie algebra; carries the residual."""
+def add_terms(left: Mapping, right: Mapping) -> dict:
+    """Term map of left + right, dropping the terms that cancel."""
+    out = dict(left)
+    for key, value in right.items():
+        if key in out:
+            value = out.pop(key) + value
+        if value:
+            out[key] = value
+    return out
 
-    def __init__(self, residual: NCSeries):
-        super().__init__(f"not a Lie element, residual {residual}")
-        self.residual = residual
+
+def _is_letter(x, alphabet_size: int | None = None) -> bool:
+    """The one letter rule: an int but not a bool, inside the alphabet where one is known."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and (alphabet_size is None or 0 <= x < alphabet_size))
+
+
+def _word(word, alphabet_size: int | None = None) -> Word:
+    """The word as a tuple of letters by the one letter rule; ValueError naming it otherwise."""
+    word = tuple(word)
+    if all(_is_letter(i, alphabet_size) for i in word):
+        return word
+    if alphabet_size is None:
+        raise ValueError(f"not a word of letter indices: {word!r}")
+    raise ValueError(f"word {word!r} uses letters outside the alphabet")
+
+
+def word_str(word: Word) -> str:
+    """Render a word as a letter string, e.g. (0, 0, 1) -> "AAB"; letters are 0-25."""
+    if not word:
+        return "1"
+    if bad := [i for i in word if not _is_letter(i, len(_LETTER_NAMES))]:
+        raise ValueError(f"letter index {bad[0]!r} outside 0-25")
+    return "".join(_LETTER_NAMES[i] for i in word)
 
 
 def is_lyndon(word: Word) -> bool:
@@ -201,22 +235,6 @@ def _bracket(memo: dict, w: Word, top: int, bits: int) -> dict[int, int]:
     return e
 
 
-def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
-    """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx."""
-    if (n := len(foliage(tree))) > (truncation := _whole(truncation, "truncation degree")):
-        raise DegreeBeyondTruncation(f"bracket tree of degree {n} exceeds truncation {truncation}")
-    k = NCSeries.zero(truncation, alphabet_size).alphabet_size  # checked as a series' alphabet
-    terms = _expand(tree, k, bits := _bits(k))
-    return NCSeries._of(truncation, k, {_unpack(w, bits): Poly.const(c) for w, c in terms.items()})
-
-
-def _expand(tree: BracketTree, alphabet_size: int, bits: int) -> dict[int, int]:
-    # expand's int term map over words packed at bits a letter, each leaf checked, left to right
-    if _is_letter(tree):
-        return {_pack(_word((tree,), alphabet_size), bits): 1}
-    return _commutator(*(_expand(t, alphabet_size, bits) for t in tree))
-
-
 class LieDecomposition(NamedTuple):
     """Coefficients of a homogeneous Lie element over the Lyndon basis."""
 
@@ -227,8 +245,13 @@ class LieDecomposition(NamedTuple):
         return self.coefficients.get(_word(word), Poly())
 
     def reconstruct(self, truncation: int, alphabet_size: int = 2) -> NCSeries:
-        """Sum of coefficient * expanded bracketing over the basis words."""
+        """Sum of coefficient * expanded bracketing over the basis words; ValueError, listing no
+        word, where one bracketing may pass the word budget, as expand refuses."""
+        from .series import NCSeries, _check_tree, expand  # the series layer loads on first use
+
         total = NCSeries.zero(truncation, alphabet_size)
+        for word in self.coefficients:
+            _check_tree(_word(word))
         for word, coeff in self.coefficients.items():
             total = total + expand(bracketing(word), truncation, alphabet_size).scale(coeff)
         return total
@@ -339,66 +362,3 @@ class _Tables:
         memo = {}
         for q in read:
             product(acc, [(0, unit)], {0: self.read_steps(q, memo, read[-1])})
-
-
-def _dynkin(terms: dict[int, Poly], degree: int, bits: int) -> dict[int, Poly]:
-    # theta, the right-nested bracketing, by left quotients of a homogeneous term map over words
-    # packed at bits a letter: theta(a) = a, theta(a·u) = [a, theta(u)], a·u = (a - 1 << |u|) + u
-    if degree == 1:
-        return terms
-    out, shift = {}, bits * (degree - 1)
-    for a in {w >> shift for w in terms}:
-        u = {w - (a - 1 << shift): c for w, c in terms.items() if w >> shift == a}
-        out = add_terms(out, _commutator({a: 1}, _dynkin(u, degree - 1, bits)))
-    return out
-
-
-def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
-    """Write a homogeneous degree-q series as a Lyndon-basis combination.
-
-    ValueError, before any other work, where the Lyndon words over one word's letters pass
-    MAX_LYNDON_WORDS (two letters fit through degree 23, seven through degree 8, eight at degree 8
-    do not): no element of degree 7 or less is refused, and one over it is, Lie element or not.
-    The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested bracketing, fixes the Lie
-    elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
-    residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
-    the symmetric residual (AB + BA)/2.  Otherwise solves forward over f's Lyndon words: the least
-    one left holds its coordinate c, and c E_w leaves the Lyndon words E_w holds, a word first met
-    there included, since its coordinate may be nonzero where f's coefficient is 0.  Projection and
-    solve run on f's words packed once, ceil(log2 k) bits a letter by rank over its k letters.
-    """
-    if (degree := _whole(degree, "decomposition degree")) < 1:
-        raise ValueError("decomposition degree must be >= 1")
-    if any(len(w) != degree for w in f.terms):
-        raise ValueError(f"input is not homogeneous of degree {degree}")
-    if degree > f.truncation:
-        raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
-    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
-        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
-    letters = sorted({x for w in f.terms for x in w})  # packed by rank, in order
-    rank, bits = {x: i for i, x in enumerate(letters)}, _bits(len(letters))
-
-    def unpacked(terms: dict) -> dict[Word, Poly]:
-        return {tuple(letters[x] for x in _unpack(w, bits)): c for w, c in terms.items()}
-
-    packed = {_pack(map(rank.get, u), bits): c for u, c in f.terms.items()}
-    theta = _dynkin(packed, degree, bits)
-    if residual := add_terms(packed, {w: c * Fraction(-1, degree) for w, c in theta.items()}):
-        raise NotALieElement(NCSeries._of(f.truncation, f.alphabet_size, unpacked(residual)))
-    import heapq  # here, so that no CLI command loads it
-
-    lyndonian, memo, coefficients = functools.cache(lambda w: _lyndon_key(w, bits)), {}, {}
-    values = {w: c for w, c in packed.items() if lyndonian(w)}
-    heap = sorted(values)  # a sorted list is a heap
-    while heap:  # the least Lyndon word left holds its coordinate
-        w = heapq.heappop(heap)
-        if c := values.pop(w):
-            coefficients[w] = c
-            bracket = _bracket(memo, _unpack(w, bits), degree, bits)  # of the top degree: not kept
-            del bracket[w]
-            for u, e in bracket.items():
-                if lyndonian(u):
-                    if u not in values:
-                        heapq.heappush(heap, u)
-                    values[u] = sum_of_products([(-e, c, _ONE)], values.get(u, _ZERO))
-    return LieDecomposition(degree, unpacked(coefficients))

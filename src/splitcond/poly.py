@@ -161,7 +161,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if (exponent := _whole(exponent, "polynomial exponent")) < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         return math.prod([self] * exponent, start=_ONE)
 

@@ -1,4 +1,4 @@
-"""Truncated formal power series in non-commuting letters.
+"""The series layer: truncated formal power series in non-commuting letters.
 
 Series live over a finite alphabet of letters (0 -> A, 1 -> B, ...) with
 polynomial coefficients from :mod:`splitcond.poly`.  A word's length is its
@@ -10,21 +10,29 @@ means the same thing as O(t^{p+1}).
 The truncation degree is fixed at construction and preserved by every
 operation; combining series with different truncations or alphabets raises
 instead of silently re-truncating.
+
+Every function that takes or returns a series lives here (LieDecomposition.reconstruct imports it
+on its call): exp and log, expand, lie_decompose, and the splitting product and e^{A+B} as series.
+The engine (both routes, verify_scheme, leading_error_term and the CLI) imports nothing from this
+module, so ``import splitcond`` loads it on first use of one of its names.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .poly import Poly, Scalar, _signed_join, _whole, as_poly, sum_of_products
-
-Word = tuple[int, ...]
+from .conditions import _INTS, SymbolicScheme, _divided_product
+from .lyndon import _LETTER_NAMES, MAX_LYNDON_WORDS, BracketTree, LieDecomposition, Word, _bits
+from .lyndon import _bracket, _commutator, _is_letter, _lyndon_key, _numbered, _pack
+from .lyndon import _product_steps, _unpack, _word, add_terms, foliage, lyndon_count, word_str
+from .poly import _ONE, _ZERO, Poly, Scalar, _signed_join, _whole, as_poly, sum_of_products
 
 EMPTY_WORD: Word = ()
-
-_LETTER_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class TruncationMismatch(ValueError):
@@ -47,40 +55,12 @@ class DegreeBeyondTruncation(ValueError):
     """Requested homogeneous degree exceeds the truncation degree."""
 
 
-def add_terms(left: Mapping, right: Mapping) -> dict:
-    """Term map of left + right, dropping the terms that cancel."""
-    out = dict(left)
-    for key, value in right.items():
-        if key in out:
-            value = out.pop(key) + value
-        if value:
-            out[key] = value
-    return out
+class NotALieElement(ValueError):
+    """Input series is not in the free Lie algebra; carries the residual."""
 
-
-def _is_letter(x, alphabet_size: int | None = None) -> bool:
-    """The one letter rule: an int but not a bool, inside the alphabet where one is known."""
-    return (isinstance(x, int) and not isinstance(x, bool)
-            and (alphabet_size is None or 0 <= x < alphabet_size))
-
-
-def _word(word, alphabet_size: int | None = None) -> Word:
-    """The word as a tuple of letters by the one letter rule; ValueError naming it otherwise."""
-    word = tuple(word)
-    if all(_is_letter(i, alphabet_size) for i in word):
-        return word
-    if alphabet_size is None:
-        raise ValueError(f"not a word of letter indices: {word!r}")
-    raise ValueError(f"word {word!r} uses letters outside the alphabet")
-
-
-def word_str(word: Word) -> str:
-    """Render a word as a letter string, e.g. (0, 0, 1) -> "AAB"; letters are 0-25."""
-    if not word:
-        return "1"
-    if bad := [i for i in word if not _is_letter(i, len(_LETTER_NAMES))]:
-        raise ValueError(f"letter index {bad[0]!r} outside 0-25")
-    return "".join(_LETTER_NAMES[i] for i in word)
+    def __init__(self, residual: NCSeries):
+        super().__init__(f"not a Lie element, residual {residual}")
+        self.residual = residual
 
 
 class NCSeries:
@@ -286,3 +266,128 @@ def log(f: NCSeries) -> NCSeries:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
     mercator = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, f.truncation + 1)]
     return _horner(f - NCSeries.unit(f.truncation, f.alphabet_size), mercator)
+
+
+def _check_tree(leaves: Word) -> None:
+    # a bracket tree over these leaves expands to at most min(2^(d-1), d!/prod c_x!) words, d its
+    # degree and c_x its letter counts: ValueError, listing none, past MAX_LYNDON_WORDS
+    d = len(leaves)
+    if 2 ** (d - 1) > MAX_LYNDON_WORDS and math.factorial(d) // math.prod(
+            math.factorial(leaves.count(x)) for x in set(leaves)) > MAX_LYNDON_WORDS:
+        raise ValueError(f"bracket tree of degree {d} may need over {MAX_LYNDON_WORDS} words")
+
+
+def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
+    """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx; ValueError,
+    listing no word, where the tree may expand past MAX_LYNDON_WORDS words (see _check_tree)."""
+    leaves = foliage(tree)
+    if (n := len(leaves)) > (truncation := _whole(truncation, "truncation degree")):
+        raise DegreeBeyondTruncation(f"bracket tree of degree {n} exceeds truncation {truncation}")
+    k = NCSeries.zero(truncation, alphabet_size).alphabet_size  # checked as a series' alphabet
+    _check_tree(leaves)
+    terms = _expand(tree, k, bits := _bits(k))
+    return NCSeries._of(truncation, k, {_unpack(w, bits): Poly.const(c) for w, c in terms.items()})
+
+
+def _expand(tree: BracketTree, alphabet_size: int, bits: int) -> dict[int, int]:
+    # expand's int term map over words packed at bits a letter, each leaf checked, left to right
+    if _is_letter(tree):
+        return {_pack(_word((tree,), alphabet_size), bits): 1}
+    return _commutator(*(_expand(t, alphabet_size, bits) for t in tree))
+
+
+def _dynkin(terms: dict[int, Poly], degree: int, bits: int) -> dict[int, Poly]:
+    # theta, the right-nested bracketing, by left quotients of a homogeneous term map over words
+    # packed at bits a letter: theta(a) = a, theta(a·u) = [a, theta(u)], a·u = (a - 1 << |u|) + u
+    if degree == 1:
+        return terms
+    out, shift = {}, bits * (degree - 1)
+    for a in {w >> shift for w in terms}:
+        u = {w - (a - 1 << shift): c for w, c in terms.items() if w >> shift == a}
+        out = add_terms(out, _commutator({a: 1}, _dynkin(u, degree - 1, bits)))
+    return out
+
+
+def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
+    """Write a homogeneous degree-q series as a Lyndon-basis combination.
+
+    ValueError, before any other work, where the Lyndon words over one word's letters pass
+    MAX_LYNDON_WORDS (two letters fit through degree 23, seven through degree 8, eight at degree 8
+    do not): no element of degree 7 or less is refused, and one over it is, Lie element or not.
+    The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested bracketing, fixes the Lie
+    elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
+    residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
+    the symmetric residual (AB + BA)/2.  Otherwise solves forward over f's Lyndon words: the least
+    one left holds its coordinate c, and c E_w leaves the Lyndon words E_w holds, a word first met
+    there included, since its coordinate may be nonzero where f's coefficient is 0.  Projection and
+    solve run on f's words packed once, ceil(log2 k) bits a letter by rank over its k letters.
+    """
+    if (degree := _whole(degree, "decomposition degree")) < 1:
+        raise ValueError("decomposition degree must be >= 1")
+    if any(len(w) != degree for w in f.terms):
+        raise ValueError(f"input is not homogeneous of degree {degree}")
+    if degree > f.truncation:
+        raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
+    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
+        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    letters = sorted({x for w in f.terms for x in w})  # packed by rank, in order
+    rank, bits = {x: i for i, x in enumerate(letters)}, _bits(len(letters))
+
+    def unpacked(terms: dict) -> dict[Word, Poly]:
+        return {tuple(letters[x] for x in _unpack(w, bits)): c for w, c in terms.items()}
+
+    packed = {_pack(map(rank.get, u), bits): c for u, c in f.terms.items()}
+    theta = _dynkin(packed, degree, bits)
+    if residual := add_terms(packed, {w: c * Fraction(-1, degree) for w, c in theta.items()}):
+        raise NotALieElement(NCSeries._of(f.truncation, f.alphabet_size, unpacked(residual)))
+    lyndonian, memo, coefficients = functools.cache(lambda w: _lyndon_key(w, bits)), {}, {}
+    values = {w: c for w, c in packed.items() if lyndonian(w)}
+    heap = sorted(values)  # a sorted list is a heap
+    while heap:  # the least Lyndon word left holds its coordinate
+        w = heapq.heappop(heap)
+        if c := values.pop(w):
+            coefficients[w] = c
+            bracket = _bracket(memo, _unpack(w, bits), degree, bits)  # of the top degree: not kept
+            del bracket[w]
+            for u, e in bracket.items():
+                if lyndonian(u):
+                    if u not in values:
+                        heapq.heappush(heap, u)
+                    values[u] = sum_of_products([(-e, c, _ONE)], values.get(u, _ZERO))
+    return LieDecomposition(degree, unpacked(coefficients))
+
+
+def _truncation(truncation: int) -> int:
+    # the truncation degree n as an int, refused before any word is listed where the 2^(n+1) - 1
+    # words through degree n over A and B pass MAX_LYNDON_WORDS (from n = 19 on)
+    if (n := _whole(truncation, "truncation degree")) < 0:
+        raise ValueError(f"truncation degree must be >= 0, got {n}")
+    if 2 ** min(n + 1, 64) - 1 > MAX_LYNDON_WORDS:
+        raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
+    return n
+
+
+def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
+    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence; ValueError,
+    listing no word, past MAX_LYNDON_WORDS words (truncation 19 on), as for exp_of_sum."""
+    truncation = _truncation(truncation)
+    if len(scheme.a) != len(scheme.b):
+        raise ValueError("coefficient lists a and b must have equal length")
+    words = _numbered(w for n in range(truncation + 1) for w in itertools.product((0, 1), repeat=n))
+    factors = [(i % 2, n) for i, n in enumerate(itertools.chain(*zip(scheme.a, scheme.b))) if n]
+    g = _divided_product(_INTS, factors, _product_steps(words), len(words))
+    terms = {w: c * Fraction(1, math.factorial(len(w))) for w, c in zip(words, g)}
+    return NCSeries(truncation, 2, terms)
+
+
+def exp_of_sum(truncation: int) -> NCSeries:
+    """The reference flow e^{A+B} as a truncated series, in closed form: 1/|w|! at every word;
+    ValueError, listing no word, past MAX_LYNDON_WORDS words (truncation 19 on)."""
+    n = _truncation(truncation)
+    return NCSeries(n, 2, {w: Fraction(1, math.factorial(q))
+                           for q in range(n + 1) for w in itertools.product((0, 1), repeat=q)})
+
+
+def local_error_series(scheme: SymbolicScheme, truncation: int) -> NCSeries:
+    """Splitting product minus e^{A+B}; the degree-0 part cancels exactly."""
+    return splitting_product(scheme, truncation) - exp_of_sum(truncation)

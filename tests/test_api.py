@@ -1,3 +1,4 @@
+import importlib
 import inspect
 
 import pytest
@@ -26,6 +27,17 @@ def test_every_exported_name_resolves():
     # the float-layer names are served lazily by the module __getattr__
     for name in splitcond.__all__:
         assert getattr(splitcond, name) is not None
+
+
+def test_star_import_binds_every_export_and_each_lazy_name_is_its_modules():
+    # the series and float layers' names are served on first use, each the object its module holds
+    namespace = {}
+    exec("from splitcond import *", namespace)
+    assert set(splitcond.__all__) <= set(namespace)
+    assert set(splitcond._LAZY) <= set(splitcond.__all__)
+    for name, module in splitcond._LAZY.items():
+        assert name not in vars(splitcond)
+        assert namespace[name] is getattr(importlib.import_module(f"splitcond.{module}"), name)
 
 
 def test_exports_are_sorted_and_unique():

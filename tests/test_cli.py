@@ -646,7 +646,7 @@ def test_verify_prints_residuals_past_the_int_to_str_limit(tmp_path):
 # -- imports -------------------------------------------------------------------
 
 # dataclasses pulls in inspect, ast, dis and tokenize: a third of the package import;
-# heapq serves lie_decompose alone, which imports it on its call
+# heapq serves lie_decompose alone, in the series layer
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 heavy = ("dataclasses", "inspect", "heapq")
@@ -682,6 +682,61 @@ def test_exact_commands_do_not_import_numpy():
         "heavy_after_verify": [],
         "empirical_order": True,
         "unknown_raises": True,
+    }
+
+
+# the series layer and the float layer load on first use of one of their names, so neither
+# the package import, nor a benchmark worker's calls, nor any exact command compiles them
+_LAZY_PROBE = """
+import contextlib, io, json, sys
+lazy = ("splitcond.series", "splitcond.numeric", "numpy")
+facts = {}
+
+def record(step):
+    facts[step] = [m for m in lazy if m in sys.modules]
+
+import splitcond as sc
+record("import splitcond")
+scheme = sc.ConcreteScheme(["1/2", "1/2"], ["1", "0"])
+sc.condition_system(3, 3, "bch")
+sc.verify_scheme(scheme, 2, "taylor")
+[sc.word_str(w) for w in sc.leading_error_term(scheme, 2).coefficients]
+record("worker calls")
+import splitcond.cli
+for argv in (["lyndon", "--max-len", "4"], ["conditions", "-s", "2", "-p", "3"],
+             ["conditions", "-s", "2", "-p", "3", "--format", "json"],
+             ["conditions", "-s", "2", "-p", "3", "--route", "taylor"],
+             ["conditions", "-s", "2", "-p", "3", "--route", "taylor", "--format", "json"],
+             ["verify", "strang", "-p", "2"], ["verify", sys.argv[1], "-p", "3"],
+             ["conditions", "-s", "x"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = splitcond.cli.main(argv)
+    record(" ".join(argv).replace(sys.argv[1], "scheme.json") + f": exit {code}")
+facts["same object"] = sc.NCSeries is sys.modules["splitcond.series"].NCSeries
+record("sc.NCSeries")
+print(json.dumps(facts))
+"""
+
+
+def test_the_engine_loads_neither_the_series_layer_nor_numpy(tmp_path):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"a": ["1/2", "1/2"], "b": ["1", "0"]}), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-c", _LAZY_PROBE, str(path)], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import splitcond": [],
+        "worker calls": [],
+        "lyndon --max-len 4: exit 0": [],
+        "conditions -s 2 -p 3: exit 0": [],
+        "conditions -s 2 -p 3 --format json: exit 0": [],
+        "conditions -s 2 -p 3 --route taylor: exit 0": [],
+        "conditions -s 2 -p 3 --route taylor --format json: exit 0": [],
+        "verify strang -p 2: exit 0": [],
+        "verify scheme.json -p 3: exit 1": [],
+        "conditions -s x: exit 2": [],
+        "same object": True,
+        "sc.NCSeries": ["splitcond.series"],
     }
 
 

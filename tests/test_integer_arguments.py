@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from splitcond import (
+    LieDecomposition,
     NCSeries,
     Poly,
     SymbolicScheme,
@@ -19,6 +20,7 @@ from splitcond import (
     condition_system,
     exp_of_sum,
     expand,
+    foliage,
     leading_error_term,
     lie_decompose,
     local_error_series,
@@ -28,8 +30,9 @@ from splitcond import (
     verify_scheme,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import ROUTES, _truncation, check_cost
+from splitcond.conditions import ROUTES, check_cost
 from splitcond.lyndon import MAX_LYNDON_WORDS
+from splitcond.series import _check_tree, _truncation
 
 STRANG = REGISTRY["strang"].scheme
 TREE = bracketing((0, 0, 1))  # [A,[A,B]], of degree 3
@@ -61,6 +64,7 @@ CALLS = {
                            [("truncation", range(0, 7), ())]),
     "SymbolicScheme.generic": (lambda s, route: SymbolicScheme.generic(s), [STAGES]),
     "Poly.symbol": (lambda j, route: Poly.symbol("b", j), [("stage", range(1, 4), ())]),
+    "Poly.__pow__": (lambda e, route: Poly.symbol("a", 1) ** e, [("exponent", range(0, 7), ())]),
     "lyndon_words": (lambda k, n, route: lyndon_words(k, n),
                      [("alphabet", range(1, 4), ()), ("degree", range(1, 7), ())]),
     "NCSeries": (lambda n, k, route: NCSeries(n, k),
@@ -128,6 +132,47 @@ def test_the_series_entry_points_refuse_past_the_word_budget(name, n):
         REFUSED[name](n)
     assert time.perf_counter() - start < 0.25
     assert str(refused.value) == f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words"
+
+
+def _alternating(d: int):
+    # the right-nested tree [A,[B,[A,...]]] of degree d, whose letter counts are as even as can be
+    tree = (d - 1) % 2
+    for x in range(d - 2, -1, -1):
+        tree = (x % 2, tree)
+    return tree
+
+
+def _balanced(d: int):
+    # the Lyndon word A^(d//2) B^(d - d//2)
+    return (0,) * (d // 2) + (1,) * (d - d // 2)
+
+
+# a bracket tree of degree d with letter counts c_x expands to at most min(2^(d-1), d!/prod c_x!)
+# words: over two letters, as even as can be, 705,432 at degree 22 and 1,352,078 at 23, from
+# where each is refused before any word is listed
+REFUSED_TREES = {
+    "expand": lambda d: expand(_alternating(d), d),
+    "expand of a bracketing": lambda d: expand(bracketing(_balanced(d)), d),
+    "LieDecomposition.reconstruct": lambda d: LieDecomposition(d, {_balanced(d): 1}).reconstruct(d),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_TREES)
+@pytest.mark.parametrize("d", [23, 24, 26, 30])
+def test_the_bracket_expansions_refuse_past_the_word_budget(name, d):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        REFUSED_TREES[name](d)
+    assert time.perf_counter() - start < 0.25
+    message = f"bracket tree of degree {d} may need over {MAX_LYNDON_WORDS} words"
+    assert str(refused.value) == message
+
+
+def test_the_word_budget_takes_the_even_tree_of_degree_22_and_a_bracketing_of_30_words():
+    assert _check_tree(foliage(_alternating(22))) is None  # 705,432 words at most
+    word = (0,) * 29 + (1,)  # ad_A^29 B: the 30 words A^i B A^(29-i)
+    assert len(expand(bracketing(word), 30).terms) == 30
+    assert len(LieDecomposition(30, {word: 1}).reconstruct(30).terms) == 30
 
 
 # the Lyndon listings count their words first, by lyndon_count: over two letters 766,150 through

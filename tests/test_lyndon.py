@@ -302,7 +302,8 @@ def test_the_packed_dynkin_projection_equals_the_tuple_projection():
     # equals the tuple-keyed theta word for word, Poly coefficients and dict order aside:
     # on seeded homogeneous maps over up to 7 letters at degrees 1-7 (random words, Lie
     # elements, and both, whose theta is q times the Lie part plus a remainder), empty ones too
-    from splitcond.lyndon import _bits, _dynkin, _pack, _unpack
+    from splitcond.lyndon import _bits, _pack, _unpack
+    from splitcond.series import _dynkin
 
     from helpers import dynkin_by_word
 
@@ -501,7 +502,7 @@ def test_lie_decompose_refuses_over_the_word_budget_before_any_other_work(monkey
     def refuse(*args):
         raise AssertionError("the Dynkin projection ran over the word budget")
 
-    monkeypatch.setattr("splitcond.lyndon._dynkin", refuse)
+    monkeypatch.setattr("splitcond.series._dynkin", refuse)
     with pytest.raises(ValueError) as refused:
         lie_decompose(NCSeries(30, 2, {(A, B) * 15: 1}), 30)
     assert type(refused.value) is ValueError
@@ -655,7 +656,7 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
     # the Dynkin projection checks membership, and the coordinate read uses
     # integer bracket expansions, so neither expands a bracketing as a series;
     # the word-keyed back-substitution, over series expansions, reads the same weights
-    from splitcond import lyndon
+    from splitcond import series
 
     rng = random.Random(163)
     combo = NCSeries.zero(5)
@@ -669,7 +670,7 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
         calls.append(args)
         return expand(*args)
 
-    monkeypatch.setattr(lyndon, "expand", counted)
+    monkeypatch.setattr(series, "expand", counted)
     assert lie_decompose(combo, 5).coefficients == weights
     assert calls == []
     values = [combo.terms.get(w, Poly()) for w in lyndon_words_of_degree(2, 5)]

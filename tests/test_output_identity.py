@@ -60,9 +60,9 @@ from splitcond import (
     word_str,
 )
 from splitcond.cli import REGISTRY
-from splitcond.conditions import conditions_bch, splitting_product
+from splitcond.conditions import conditions_bch
 from splitcond.poly import Poly
-from splitcond.series import log
+from splitcond.series import log, splitting_product
 
 from helpers import strang_composition
 

@@ -15,7 +15,8 @@ ring's product kernel, which forms n^j along each row's run.  log(F) is Horner's
 call of the _Ring's log, ending in the Lyndon read, _Tables.read, a product by the unit factor.
 Over _MAPS, Poly's packed integer maps, n^j a packed monomial, poly._map_fresh stores the Taylor
 product at fresh keys, and poly._map_log's F acc is the general product from acc, so the systems
-never expand F; over _INTS, G[u] is one int, and poly._int_log multiplies by G - 1 at every split.
+never expand F, and each entry's Poly keeps the kernel's own map, its offset written into it; over
+_INTS, G[u] is one int, and poly._int_log multiplies by G - 1 at every split.
 _INTS on Poly values forms series.splitting_product.  No symbolic system is built to verify a scheme
 or to read its leading error term off F, and no series is built at all: the series layer,
 splitcond.series, imports this module, never the reverse.
@@ -195,6 +196,16 @@ class ConditionEntry(NamedTuple):
         return f"deg {self.degree}  {word_str(self.word)}  {self.polynomial} = {self.rhs}"
 
 
+def _tolerance(tol: Scalar | float) -> Scalar | float:
+    # tol as the public satisfaction checks take it: an int, Fraction or float, not a bool, that
+    # is neither negative nor NaN; -0.0 and inf pass
+    if isinstance(tol, bool) or not isinstance(tol, (int, Fraction, float)):
+        raise TypeError(f"tol must be an int, Fraction or float, not {type(tol).__name__}")
+    if not tol >= 0:  # NaN compares false
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    return tol
+
+
 def _all_within(residuals: Iterable[tuple[int, Word, Fraction]], tol: Scalar = 0) -> bool:
     # the one satisfaction rule: every |residual| <= tol, which at tol == 0 is r == 0
     return all(abs(r) <= tol if tol else not r for _, _, r in residuals)
@@ -215,7 +226,12 @@ class ConditionSystem(NamedTuple):
         return [(e.degree, e.word, e.polynomial.evaluate(point) - e.rhs) for e in self.entries]
 
     def satisfied_by(self, scheme: ConcreteScheme, tol: Scalar = 0) -> bool:
-        """Exact satisfaction when tol == 0; |residual| <= tol otherwise."""
+        """Exact satisfaction when tol == 0; |residual| <= tol otherwise.
+
+        TypeError unless tol is an int, Fraction or float (a bool is none); ValueError where it is
+        negative or NaN.
+        """
+        tol = _tolerance(tol)
         return _all_within(self.residuals(scheme), tol)
 
     def to_records(self) -> list[dict[str, str | int]]:
@@ -240,8 +256,11 @@ def condition_system(stages: int, p: int, route: str) -> ConditionSystem:
         raise ValueError("stage count must be >= 1")
     entries = []  # over integer maps, the symbols a1, b1, a2, ... named 1, 2, 3, ...
     for q, words, n, offset, scale in _route(_MAPS, range(1, 2 * stages + 1), 1, p, route):
-        entries += [ConditionEntry(q, w, Poly._of(scale, {**n[i], 0: -offset} if offset else n[i]))
-                    for w, i in words.items()]  # n[i] has degree q >= 1: no constant
+        for w, i in words.items():  # n[i] is this call's own map, or the ring's zero: never written
+            nums = n[i] or {}
+            if offset:  # n[i] has degree q >= 1: no constant
+                nums[0] = -offset
+            entries.append(ConditionEntry(q, w, Poly._of(scale, nums)))
     return ConditionSystem(stages, p, route, tuple(entries))
 
 
@@ -316,8 +335,9 @@ def systems_equivalent(first: ConditionSystem, second: ConditionSystem,
 
     With tol == 0 satisfaction is exact; a positive tol admits witnesses
     produced by floating-point root refinement.  Agreement on a witness set
-    can falsify equivalence, never prove it.
+    can falsify equivalence, never prove it.  tol is checked as by satisfied_by.
     """
+    tol = _tolerance(tol)
     if (first.stages, first.order) != (second.stages, second.order):
         raise ValueError("systems compare only at equal stage count and order")
     verdicts = []

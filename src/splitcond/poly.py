@@ -88,9 +88,10 @@ class Poly:
         values: dict[int, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             try:  # keys differing by trailing zeros are one monomial; 128 stands for any e > 127
-                packed = int.from_bytes(bytes(min(index(e), 128) for e in mono), "little")
+                exps = bytes(min(_whole(e, "exponent"), 128) for e in mono)  # a bool is no exponent
             except (TypeError, ValueError):
                 raise ValueError(f"not a tuple of integer exponents: {mono!r}") from None
+            packed = int.from_bytes(exps, "little")
             values[packed] = values.get(packed, 0) + Fraction(coeff)
         _check_guard(values)
         # over the lcm of reduced denominators the form is already reduced
@@ -99,8 +100,9 @@ class Poly:
 
     @classmethod
     def _of(cls, den: int, nums: dict[int, int]) -> "Poly":
-        # nums / den with den > 0 and no zero numerator; divides out the common factor
-        common = math.gcd(den, *nums.values())
+        # nums / den with den > 0 and no zero numerator; takes ownership of nums, so the caller
+        # must not use it again; divides out the common factor, with no gcd when den == 1
+        common = 1 if den == 1 else math.gcd(den, *nums.values())
         poly = object.__new__(cls)
         poly._den = den // common
         poly._nums = {m: n // common for m, n in nums.items()} if common > 1 else nums

@@ -19,6 +19,7 @@ module, so ``import splitcond`` loads it on first use of one of its names.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -243,6 +244,27 @@ def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
     return NCSeries._of(f.truncation, f.alphabet_size, out)
 
 
+def _check_words(x: NCSeries) -> None:
+    # the words through degree N that powers of x may form are at most the smaller of sum_{n<=N}
+    # k^n, k the letters of x's words, and sum_{n<=N} c[n], the concatenations of x's words:
+    # c[0] = 1, c[n] = sum_l m_l c[n - l], m_l the words of x of length l, and c[n] >= 1 at each
+    # multiple n of the least length; ValueError, listing no word, past MAX_LYNDON_WORDS
+    n, k = x.truncation, len({a for w in x.terms for a in w})
+    over_letters = n + 1 if k == 1 else (k ** min(n + 1, 64) - 1) // (k - 1) if k else 1
+    if over_letters <= MAX_LYNDON_WORDS:
+        return
+    lengths = collections.Counter(map(len, x.terms))  # x has no constant term: every length >= 1
+    if n // min(lengths) < MAX_LYNDON_WORDS:
+        c, total = [1], 1
+        for q in range(1, n + 1):
+            c.append(sum(m * c[q - size] for size, m in lengths.items() if size <= q))
+            if (total := total + c[q]) > MAX_LYNDON_WORDS:
+                break
+        else:
+            return
+    raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
+
+
 def _horner(x: NCSeries, coefficients: list) -> NCSeries:
     """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term."""
     unit = NCSeries.unit(x.truncation, x.alphabet_size)
@@ -254,18 +276,24 @@ def _horner(x: NCSeries, coefficients: list) -> NCSeries:
 
 
 def exp(g: NCSeries) -> NCSeries:
-    """Truncated exponential sum_{k<=N} g^k / k!; g needs a zero constant term."""
+    """Truncated exponential sum_{k<=N} g^k / k!; g needs a zero constant term.  ValueError,
+    listing no word, where the words its powers may form pass MAX_LYNDON_WORDS (see _check_words):
+    exp(A + B) from N = 19 on, as splitting_product."""
     if not g.constant_term.is_zero:
         raise NonzeroConstantTerm("exp() requires a series with zero constant term")
+    _check_words(g)
     return _horner(g, [Fraction(1, math.factorial(k)) for k in range(g.truncation + 1)])
 
 
 def log(f: NCSeries) -> NCSeries:
-    """Truncated logarithm sum_{k>=1} (-1)^(k+1) (f-1)^k / k; f needs constant term 1."""
+    """Truncated logarithm sum_{k>=1} (-1)^(k+1) (f-1)^k / k; f needs constant term 1.
+    ValueError, listing no word, where the words the powers of f - 1 may form pass
+    MAX_LYNDON_WORDS (see _check_words)."""
     if f.constant_term != 1:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
+    _check_words(x := f - NCSeries.unit(f.truncation, f.alphabet_size))
     mercator = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, f.truncation + 1)]
-    return _horner(f - NCSeries.unit(f.truncation, f.alphabet_size), mercator)
+    return _horner(x, mercator)
 
 
 def _check_tree(leaves: Word) -> None:

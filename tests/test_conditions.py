@@ -527,6 +527,32 @@ def test_map_fresh_equals_the_general_kernel_from_the_unit_start():
         assert len({id(y) for y in touched}) == len(touched)
 
 
+def test_systems_own_their_maps_and_leave_the_ring_s_zero_and_one():
+    # condition_system writes each Taylor entry's -D^q, and the BCH entries' at q = 1, into the
+    # kernel's own map, which its Poly then keeps: no map is the ring's, and none is shared
+    zero, one = _MAPS.zero, _MAPS.one
+    for route in ROUTES:
+        for s in (1, 2, 3):
+            for p in range(1, 6):
+                system = condition_system(s, p, route)
+                assert _MAPS.zero is zero and _MAPS.one is one
+                assert zero == {} and one == {0: 1}
+                nums = [e.polynomial._nums for e in system.entries]
+                assert len({id(m) for m in nums}) == len(nums), (route, s, p)
+                again = condition_system(s, p, route)
+                assert again.to_records() == system.to_records() and again == system
+
+
+def test_a_slot_left_at_the_ring_s_zero_gets_a_map_of_its_own(monkeypatch):
+    # no generic build leaves a Lyndon slot unwritten; one that did would hold the shared {}
+    def unwritten(ring, point, den, p, route):
+        return [(1, {(A,): 0}, [ring.zero], 1, 1)]
+
+    monkeypatch.setattr("splitcond.conditions._route", unwritten)
+    (entry,) = condition_system(1, 1, "taylor").entries
+    assert entry.polynomial == -1 and _MAPS.zero == {}
+
+
 @pytest.mark.parametrize("p", range(1, 9))
 def test_fused_log_kernels_equal_the_log_they_replace(p):
     # _int_log and _map_log against the log that drove a sweep or a product a pass, on
@@ -1047,7 +1073,41 @@ def test_a_positive_tolerance_of_any_type_bounds_each_residual():
         assert verdict.satisfied_first is verdict.satisfied_second is expected
 
 
-@pytest.mark.parametrize("tol", [0, F(0), 0.0, -0.0, 1, F(1, 2), 0.5, 1e-300, -1, float("nan")])
+# a tolerance is an int, Fraction or float, not a bool, and neither negative nor NaN: anything
+# else is refused by name, even where every residual vanishes, as Strang's do at p = 2
+REFUSED_TOLERANCES = [
+    pytest.param(-1, ValueError, id="-1"),
+    pytest.param(float("nan"), ValueError, id="nan"),
+    pytest.param(-1e-9, ValueError, id="-1e-09"),
+    pytest.param(F(-1, 2), ValueError, id="-1/2"),
+    pytest.param(float("-inf"), ValueError, id="-inf"),
+    pytest.param(None, TypeError, id="None"),
+    pytest.param(True, TypeError, id="True"),
+    pytest.param(False, TypeError, id="False"),
+    pytest.param("1", TypeError, id="str"),
+    pytest.param(1j, TypeError, id="complex"),
+]
+
+
+@pytest.mark.parametrize("tol, error", REFUSED_TOLERANCES)
+def test_a_tolerance_that_is_not_a_nonnegative_number_is_refused(tol, error):
+    taylor, bch = conditions_taylor(2, 2), conditions_bch(2, 2)
+    assert taylor.satisfied_by(STRANG) and bch.satisfied_by(STRANG)
+    with pytest.raises(error, match="^tol must be "):
+        taylor.satisfied_by(STRANG, tol)
+    with pytest.raises(error, match="^tol must be "):
+        systems_equivalent(taylor, bch, [STRANG], tol)
+
+
+def test_a_signed_zero_and_an_infinite_tolerance_stay_accepted():
+    system = conditions_bch(2, 2)
+    for tol in (0.0, -0.0, float("inf")):
+        assert system.satisfied_by(STRANG, tol)
+        assert system.satisfied_by(LIE_TROTTER.padded(2), tol) is (tol > 0)
+        assert systems_equivalent(system, conditions_taylor(2, 2), [STRANG], tol).all_agree
+
+
+@pytest.mark.parametrize("tol", [0, F(0), 0.0, -0.0, 1, F(1, 2), 0.5, 1e-300])
 def test_satisfaction_is_every_abs_residual_within_tol(tol):
     # the rule as it reads, on schemes that satisfy, nearly satisfy and miss order 3
     system = conditions_bch(3, 3)

@@ -18,12 +18,14 @@ from splitcond import (
     SymbolicScheme,
     bracketing,
     condition_system,
+    exp,
     exp_of_sum,
     expand,
     foliage,
     leading_error_term,
     lie_decompose,
     local_error_series,
+    log,
     lyndon_words,
     lyndon_words_of_degree,
     splitting_product,
@@ -32,7 +34,7 @@ from splitcond import (
 from splitcond.cli import REGISTRY
 from splitcond.conditions import ROUTES, check_cost
 from splitcond.lyndon import MAX_LYNDON_WORDS
-from splitcond.series import _check_tree, _truncation
+from splitcond.series import _check_tree, _check_words, _truncation
 
 STRANG = REGISTRY["strang"].scheme
 TREE = bracketing((0, 0, 1))  # [A,[A,B]], of degree 3
@@ -116,11 +118,14 @@ def test_every_integer_argument_is_one_rule():
 
 
 # the series entry points list all 2^(N+1) - 1 words through their truncation N: past the word
-# budget, from N = 19 on, each is refused before any word is listed
+# budget, from N = 19 on, each is refused before any word is listed; exp and log bound the words
+# of their argument's powers the same way over A and B, counted, not listed
 REFUSED = {
     "splitting_product": lambda n: splitting_product(GENERIC, n),
     "exp_of_sum": exp_of_sum,
     "local_error_series": lambda n: local_error_series(GENERIC, n),
+    "exp": lambda n: exp(NCSeries.letter(0, n) + NCSeries.letter(1, n)),
+    "log": lambda n: log(NCSeries.unit(n) + NCSeries.letter(0, n) + NCSeries.letter(1, n)),
 }
 
 
@@ -195,3 +200,18 @@ def test_the_lyndon_listings_refuse_past_the_word_budget(name, n):
 
 def test_the_word_budget_takes_truncation_18():
     assert _truncation(18) == 18  # 524,287 words; 19 lists 1,048,575
+
+
+def test_exp_and_log_count_the_words_of_their_argument_s_powers():
+    # the smaller of sum k^n, k the letters, and the concatenations of the argument's words
+    pair = NCSeries.letter(0, 18) + NCSeries.letter(1, 18)
+    assert _check_words(pair) is None  # 524,287 words over A and B; 19 lists 1,048,575
+    assert _check_words(NCSeries.letter(0, 999_999)) is None  # A^n for n <= N: 1,000,000 words
+    with pytest.raises(ValueError, match="^truncation degree 1000000 may need over 1000000 words$"):
+        exp(NCSeries.letter(0, 10**6))
+    fibonacci = {(0, 1): 1, (1,): 1}  # AB and B: c[n] = c[n-1] + c[n-2], 832,039 words to 27
+    assert _check_words(NCSeries(27, 2, fibonacci)) is None
+    with pytest.raises(ValueError, match="^truncation degree 28 may need over 1000000 words$"):
+        exp(NCSeries(28, 2, fibonacci))
+    assert len(exp(NCSeries(30, 2, {(0, 1): 1})).terms) == 16  # (AB)^j, j <= 15
+    assert len(log(NCSeries(30, 2, {(): 1, (0, 1): 1})).terms) == 15

@@ -189,11 +189,25 @@ def test_constructor_names_any_exponent_over_the_guard(exponent):
             Poly({mono: 1})
 
 
-@pytest.mark.parametrize("exponent", [-1, 1.5])
+@pytest.mark.parametrize("exponent", [-1, 1.5, True, False])
 def test_constructor_refuses_negative_and_non_integer_exponents(exponent):
     for mono in [(exponent,), (0, 1, exponent), (exponent, 300)]:
         with pytest.raises(ValueError, match="^not a tuple of integer exponents: "):
             Poly({mono: 1})
+
+
+def test_constructor_names_a_bool_exponent():
+    with pytest.raises(ValueError, match=r"^not a tuple of integer exponents: \(True,\)$"):
+        Poly({(True,): 1})
+
+
+def test_of_keeps_a_map_over_1_and_reduces_any_other_denominator():
+    nums = {0: 4, 256: 2}  # 4 + 2*b1
+    kept = Poly._of(1, nums)
+    assert kept._nums is nums and kept == Poly({(): 4, (0, 1): 2})
+    reduced = Poly._of(6, {0: 4, 256: 2})
+    assert (reduced._den, reduced._nums) == (3, {0: 2, 256: 1})
+    assert reduced == Poly({(): Fraction(2, 3), (0, 1): Fraction(1, 3)})
 
 
 @pytest.mark.parametrize(

@@ -374,7 +374,8 @@ def check_cost(p: int, route: str, stages: int | None = None) -> int:
     of length q = i + j: the taylor product's q suffixes at 3q (both routes then peak at 1.5-2.3
     bytes a counted byte at their edges), or the bch log's q(q+1)/2 splits and the C(q, i) words
     of its bracket.  An s-stage system adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s
-    bytes each.  Refuses over MAX_COST.
+    bytes each.  Refuses over MAX_COST.  This byte guard is the CLI's: the library is bound by
+    the word budget only, so a call inside it, such as verify_scheme(strang, 23), may run long.
     """
     _check_route(route)
     p = _whole(p, "order")

@@ -270,16 +270,16 @@ def _numbered(words) -> dict[Word, int]:
 
 
 def _product_steps(slot: dict[Word, int]) -> dict[int, list]:
-    # per first letter X, rows (w, |w|, [(C(|w|, j), j, v)]) of the numbered suffix-closed
-    # words' slots at w = X^j v, j <= the leading run of X: in divided powers, (e^{cX} G)[w]
-    # less G[w]
+    # per first letter X, rows (w, |w|, [(C(|w|, j), v)]) of the numbered suffix-closed
+    # words' slots at w = X^j v, the j-th run, j <= the leading run of X: in divided powers,
+    # (e^{cX} G)[w] less G[w]
     words, steps = list(slot), {}
     tail = [slot[w[1:]] for w in words[:-1]]  # the slot of each word less its first letter
     for i, w in enumerate(words[:-1]):
         n, j, v, rows = len(w), 0, i, []
         while j < n and w[j] == w[0]:
             j, v = j + 1, tail[v]
-            rows.append((math.comb(n, j), j, v))
+            rows.append((math.comb(n, j), v))
         steps.setdefault(w[0], []).append((i, n, rows))
     return steps
 
@@ -306,9 +306,9 @@ class _Tables:
 
     The Lyndon words' suffixes are numbered once, longest first, () last (suffixes maps each
     to its slot, lyndon[q] degree q's Lyndon words, in order), and so are their factors; a
-    table is rows (w, |w|, [(c, j or u, v)]) of slots, so the recurrence's accumulators are lists.
-    The read's rows per degree are built on first use from brackets over packed words, except
-    at the leading degrees whose words alone show there are none, known empty from its first read.
+    table is rows (w, |w|, runs) of slots, so the recurrence's accumulators are lists: a
+    product's runs (c, v), the j-th for n^j, the log's splits (c, u, v).  The read's rows per
+    degree are built on first use from brackets over packed words, and kept, [] where none.
     """
 
     def __init__(self, p: int, alphabet_size: int):
@@ -328,7 +328,7 @@ class _Tables:
     log_steps = functools.cached_property(lambda self: _splits(self.suffixes, self.factors))
 
     def read_steps(self, q: int, memo: dict, top: int) -> list:
-        # nonempty rows (w, q, [(-E_l[w], 0, l)]) of degree q's Lyndon slots, lexicographic, l < w
+        # nonempty rows (w, q, [(-E_l[w], l)]) of degree q's Lyndon slots, lexicographic, l < w
         # Lyndon of w's letters (E_l holds no other word), run by the unit factor: c_w -= E_l[w] c_l
         if q not in self._reads:
             blocks, runs = {}, {i: [] for i in self.lyndon[q].values()}  # (w, key, slot)s
@@ -340,23 +340,17 @@ class _Tables:
                     e = _bracket(memo, l, top, bits)
                     for _, w, j in block[k + 1 :]:
                         if c := e.get(w):
-                            runs[j].append((-c, 0, i))
+                            runs[j].append((-c, i))
             self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
         return self._reads[q]
 
     def read(self, product, unit, acc, degrees) -> None:
         # the Lyndon read: acc's Lyndon slots to coordinates, in place by the product kernel and its
-        # ring's unit factor, at the degrees that may hold rows and whose values do not all vanish,
-        # listed first (the rest unbuilt), since rows never cross a degree; one bracket memo serves
-        # this read alone.  A degree whose rows are known to be none is never scanned: at the
-        # table's first read, those up to the first degree where two Lyndon words share their
-        # letters, since E_l holds words of l's letters only (past it lz and l'z do, z the last)
+        # ring's unit factor, at the degrees whose values do not all vanish and whose rows, if
+        # built, are not none, listed first (the rest unbuilt), since rows never cross a degree;
+        # one bracket memo serves this read alone.  A degree whose blocks of one letter content
+        # are all single words (over two letters, through degree 4) builds [] and expands nothing
         reads = self._reads
-        if not reads:
-            for q, ws in enumerate(self.lyndon):
-                if len({tuple(sorted(w)) for w in ws}) < len(ws):
-                    break
-                reads[q] = []
         read = [q for q in degrees
                 if reads.get(q, True) and any(map(acc.__getitem__, self.lyndon[q].values()))]
         memo = {}

@@ -272,29 +272,28 @@ def _dot(terms: list[tuple[int, dict[int, int], dict[int, int]]], start=()) -> d
     return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _int_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT) -> None:
+def _int_product(acc: list, factors: list, steps: dict) -> None:
     # right to left over the factor word (X, n), acc[w] += sum c n^j acc[v] at each row (w, |w|,
-    # [(c, j, v)]) of steps[X] with |w| <= top, n^j a running product as runs come j = 1, 2, ...;
-    # over ints or Poly; rows longest first read the old acc[v], the Lyndon read's solved ones
+    # [(c, v)]) of steps[X], n^j a running product over the runs, the j-th run's; over ints or
+    # Poly; rows longest first read the old acc[v], the Lyndon read's solved ones
     for letter, n in reversed(factors):
-        for w, size, runs in steps.get(letter, ()):
-            if size <= top:
-                total, power = acc[w], 1
-                for c, _, v in runs:
-                    power *= n
-                    total += c * power * acc[v]
-                acc[w] = total
+        for w, _, runs in steps.get(letter, ()):
+            total, power = acc[w], 1
+            for c, v in runs:
+                power *= n
+                total += c * power * acc[v]
+            acc[w] = total
 
 
 def _map_product(acc: list, factors: list, steps: dict, top: int = MAX_EXPONENT) -> None:
-    # _int_product over integer maps, n^j adding to each key j units 1 << 8(k - 1) of the symbol
-    # named k (the unit factor k = 0 shifts by 0); each row gets a new map, so no start is mutated
+    # _int_product over integer maps at |w| <= top, n^j adding j units 1 << 8(k - 1) of symbol k
+    # to each key (the unit factor k = 0 shifts by 0); each row gets a new map: no start mutates
     for letter, k in reversed(factors):
         unit = 1 << 8 * k >> 8
         for w, size, runs in steps.get(letter, ()):
             if size <= top:
                 total, shift = dict(acc[w]), 0
-                for c, _, v in runs:
+                for c, v in runs:
                     shift += unit
                     for m, x in acc[v].items():
                         m += shift
@@ -310,7 +309,7 @@ def _map_fresh(acc: list, factors: list, steps: dict) -> None:
         unit = 1 << 8 * k >> 8
         for w, _, runs in steps.get(letter, ()):
             total, shift = acc[w] or {}, 0
-            for c, _, v in runs:
+            for c, v in runs:
                 shift += unit
                 for m, x in acc[v].items():
                     total[m + shift] = c * x

@@ -265,13 +265,14 @@ def _check_words(x: NCSeries) -> None:
     raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
 
 
-def _horner(x: NCSeries, coefficients: list) -> NCSeries:
-    """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term."""
-    unit = NCSeries.unit(x.truncation, x.alphabet_size)
-    acc = NCSeries.zero(x.truncation, x.alphabet_size)
-    for k in range(x.truncation, -1, -1):
+def _horner(x: NCSeries, coefficient) -> NCSeries:
+    """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term, to
+    k = N // m, m the least length of x's words (0 for x = 0): x^k past it has no word to N."""
+    n = x.truncation
+    unit, acc = NCSeries.unit(n, x.alphabet_size), NCSeries.zero(n, x.alphabet_size)
+    for k in range(n // min(map(len, x.terms)) if x.terms else 0, -1, -1):
         # c_k + x(...) meets k more factors of x, so only its words to length N - k count
-        acc = unit.scale(coefficients[k]) + _product(x, acc, x.truncation - k)
+        acc = unit.scale(coefficient(k)) + _product(x, acc, n - k)
     return acc
 
 
@@ -282,7 +283,7 @@ def exp(g: NCSeries) -> NCSeries:
     if not g.constant_term.is_zero:
         raise NonzeroConstantTerm("exp() requires a series with zero constant term")
     _check_words(g)
-    return _horner(g, [Fraction(1, math.factorial(k)) for k in range(g.truncation + 1)])
+    return _horner(g, lambda k: Fraction(1, math.factorial(k)))
 
 
 def log(f: NCSeries) -> NCSeries:
@@ -292,8 +293,7 @@ def log(f: NCSeries) -> NCSeries:
     if f.constant_term != 1:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
     _check_words(x := f - NCSeries.unit(f.truncation, f.alphabet_size))
-    mercator = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, f.truncation + 1)]
-    return _horner(x, mercator)
+    return _horner(x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def _check_tree(leaves: Word) -> None:

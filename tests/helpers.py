@@ -104,10 +104,11 @@ def int_log_by_sweeps(acc: list, g: list, rows: list, p: int) -> int:
 
 
 def stage_log(ring: OracleRing) -> Callable:
-    """poly._map_log's contract by the old log over ring, F acc by ring.product, into acc."""
+    """poly._map_log's contract by the old log over ring, F acc by ring.product on the rows
+    each pass keeps, into acc."""
 
     def log(acc: list, factors: list, steps: dict, last, p: int) -> int:
-        times = lambda acc, top: ring.product(acc, factors, steps, top)
+        times = lambda acc, top: ring.product(acc, factors, rows_to(steps, top))
         big, acc[:] = _divided_log(ring, times, last, len(acc), p)
         return big
 
@@ -301,6 +302,17 @@ def splitting_product_by_exp(scheme: SymbolicScheme, truncation: int) -> NCSerie
 # for the library's tables over numbered slots, and for its lists indexed by slot
 
 
+def positioned(rows: list) -> list:
+    """A product's or the read's rows (w, |w|, [(c, v)]) as (w, |w|, [(c, j, v)]), j the run's
+    1-based position, which its n^j reads."""
+    return [(w, n, [(c, j, v) for j, (c, v) in enumerate(runs, 1)]) for w, n, runs in rows]
+
+
+def rows_to(steps: dict, top: int) -> dict:
+    """A product's steps at |w| <= top only, the rows a pass of the log runs."""
+    return {x: [row for row in rows if row[1] <= top] for x, rows in steps.items()}
+
+
 def product_steps_by_word(words) -> dict[int, list]:
     """Per first letter X, longest first, (w, [(C(|w|, j), j, v)]) over w = X^j v.
 
@@ -397,16 +409,17 @@ def map_sweep(acc: list, f: list[int], rows: list, top: int = MAX_EXPONENT, zero
 def ladder_product(sweep, power=pow):
     """The fused product kernels' contract by ladders: one sweep a factor, right to left.
 
-    A factor (X, x) sweeps the rows steps[X] by its ladder [power(x, 0) .. power(x, t)],
-    t the longest row kept by top; the int ring's power is pow, over ints or Poly, and the
-    map ring's j times the factor's packed unit monomial, map_ladder's.
+    A factor (X, x) sweeps the rows steps[X], each run at its position j, by its ladder
+    [power(x, 0) .. power(x, t)], t the most runs of a row; the int ring's power is pow,
+    over ints or Poly, and the map ring's j times the factor's packed unit monomial,
+    map_ladder's.
     """
 
-    def product(acc, factors, steps, top=MAX_EXPONENT):
+    def product(acc, factors, steps):
         for letter, x in reversed(factors):
-            rows = steps.get(letter, [])
-            longest = min(top, max((n for _, n, _ in rows), default=0))
-            sweep(acc, [power(x, j) for j in range(longest + 1)], rows, top)
+            rows = positioned(steps.get(letter, []))
+            longest = max((len(runs) for _, _, runs in rows), default=0)
+            sweep(acc, [power(x, j) for j in range(longest + 1)], rows)
 
     return product
 
@@ -685,7 +698,7 @@ def bracket_by_word(word: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], 
 
 def read_steps_by_word(tables, q: int, memo: dict) -> list:
     """The rows of tables.read_steps at degree q, over tuple words: per Lyndon slot w in order,
-    (w, q, [(-E_l[w], 0, l)]) over the Lyndon words l < w of w's letters whose E_l holds w."""
+    (w, q, [(-E_l[w], l)]) over the Lyndon words l < w of w's letters whose E_l holds w."""
     blocks, runs = {}, {i: [] for i in tables.lyndon[q].values()}
     for w, i in tables.lyndon[q].items():
         blocks.setdefault(tuple(sorted(w)), []).append((w, i))
@@ -694,7 +707,7 @@ def read_steps_by_word(tables, q: int, memo: dict) -> list:
             e = bracket_by_word(l, memo)
             for w, j in block[k + 1 :]:
                 if w in e:
-                    runs[j].append((-e[w], 0, i))
+                    runs[j].append((-e[w], i))
     return [(i, q, r) for i, r in runs.items() if r]
 
 

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -84,10 +85,12 @@ from helpers import (
     necklace_count,
     order1_witness,
     order2_witness,
+    positioned,
     product_steps_by_word,
     random_fraction,
     refine_witnesses,
     rows_by_word,
+    rows_to,
     splits_by_word,
     splitting_product_by_exp,
     stage_log,
@@ -216,7 +219,7 @@ def test_product_steps_equal_the_filter_over_all_splits():
 def steps_by_word(words):
     # _product_steps over the numbered words, read back through the slots
     slots = _numbered(words)
-    return {x: rows_by_word(rows, slots) for x, rows in _product_steps(slots).items()}
+    return {x: rows_by_word(positioned(rows), slots) for x, rows in _product_steps(slots).items()}
 
 
 @pytest.mark.parametrize("p,alphabet", [(1, 2), (2, 2), (4, 2), (6, 2), (8, 2), (4, 3)])
@@ -237,12 +240,36 @@ def test_slot_tables_read_back_equal_the_word_keyed_tables(p, alphabet):
     for q, slots in enumerate(tables.lyndon):  # each degree's words to their slots, in order
         assert list(slots) == sorted(slots) and all(len(w) == q for w in slots)
         assert [words[i] for i in slots.values()] == list(slots)
-    read = {x: rows_by_word(rows, words) for x, rows in tables.suffix_steps.items()}
+    read = {x: rows_by_word(positioned(rows), words) for x, rows in tables.suffix_steps.items()}
     assert read == product_steps_by_word(words)
-    read = {x: rows_by_word(rows, tables.factors) for x, rows in tables.factor_steps.items()}
+    read = {x: rows_by_word(positioned(rows), tables.factors)
+            for x, rows in tables.factor_steps.items()}
     assert read == product_steps_by_word(tables.factors)
     splits = splits_by_word(words)
     assert rows_by_word(tables.log_steps, words, tables.factors) == splits
+
+
+@pytest.mark.parametrize("p,alphabet", [(4, 2), (8, 2), (4, 3)])
+def test_product_and_read_runs_are_pairs_placed_by_their_position(p, alphabet):
+    # a product run is (C(|w|, j), v), its j the run's 1-based position, which the kernels'
+    # running n^j reads, and a read run (-E_l[w], l); the int kernel takes no top, as every
+    # caller runs a whole table
+    assert list(inspect.signature(_int_product).parameters) == ["acc", "factors", "steps"]
+    tables = _Tables.__wrapped__(p, alphabet)
+    for slots, steps in [(tables.suffixes, tables.suffix_steps),
+                         (tables.factors, tables.factor_steps)]:
+        words, oracle = list(slots), product_steps_by_word(slots)
+        assert sorted(steps) == sorted(oracle)
+        for x, rows in steps.items():
+            assert len(rows) == len(oracle[x])
+            for (w, n, runs), (word, expected) in zip(rows, oracle[x]):
+                assert words[w] == word and n == len(word)
+                assert all(len(run) == 2 for run in runs)
+                assert [(c, j, words[v]) for j, (c, v) in enumerate(runs, 1)] == expected
+    memo, reads = {}, []
+    for q in range(1, p + 1):
+        reads += [run for _, _, runs in tables.read_steps(q, memo, p) for run in runs]
+    assert all(len(run) == 2 for run in reads) and (reads or (p, alphabet) == (4, 2))
 
 
 # the derive grid of the benchmark (perfbench/inputs.GRID_FULL), and bch (4, 7)
@@ -281,10 +308,10 @@ BCH_CELLS = [(s, p) for s, p, route in DERIVE_GRID if route == "bch"]
 
 def stage_product(ring, point, steps):
     # F acc as one product kernel call over the stages' one-letter exponentials,
-    # e^{b_s B} first and e^{a_1 A} last, each over the words its letter leads; zero
-    # stages are kept
+    # e^{b_s B} first and e^{a_1 A} last, each over the words its letter leads, at the
+    # rows through top; zero stages are kept
     factors = [(i % 2, n) for i, n in enumerate(point)]
-    return lambda acc, top: ring.product(acc, factors, steps, top)
+    return lambda acc, top: ring.product(acc, factors, rows_to(steps, top))
 
 
 def int_ladders(values, p):
@@ -445,7 +472,7 @@ def test_int_sweep_equals_the_per_row_dot_loop():
         words = _numbered(closure)
         factors = _numbered({w[:i] for w in closure for i in range(len(w) + 1)})
         for f, rows in [
-            ([n**j for j in range(8)], _product_steps(words).get(rng.randrange(2), [])),
+            ([n**j for j in range(8)], positioned(_product_steps(words).get(rng.randrange(2), []))),
             ([rng.choice((0, rng.randint(-99, 99))) for u in factors], _splits(words, factors)),
         ]:
             acc = [rng.choice((0, rng.randint(-99, 99))) for w in words]
@@ -465,7 +492,7 @@ def test_map_sweep_equals_the_per_row_dot_loop():
         words = _numbered(closure)
         letter, k = rng.randrange(2), rng.randint(1, 3)
         steps = _product_steps(words)
-        rows, f = steps.get(letter, []), [map_ladder(k, j) for j in range(8)]
+        rows, f = positioned(steps.get(letter, [])), [map_ladder(k, j) for j in range(8)]
         acc = [random_map(rng) for w in words]
         for w, n, runs in rows:
             if rng.random() < 0.5:  # a start that cancels what the row adds
@@ -595,8 +622,9 @@ def test_fused_log_kernels_equal_the_log_they_replace(p):
 def test_fused_product_kernels_equal_the_ladder_oracle(p):
     # one kernel call over a whole factor word, n^j formed along each row's run, against
     # one ladder sweep per factor, the kernels these replace, at every slot of the suffix
-    # and factor tables through degree p, under top cut-offs, from G's start and from
-    # random values: over ints, with zero and negative stages scaled over large
+    # and factor tables through degree p, under top cut-offs (the int kernel, which has no
+    # top, on the rows a cut keeps, and the map kernel by its own top), from G's start and
+    # from random values: over ints, with zero and negative stages scaled over large
     # denominators, over Poly values, and over integer maps at the symbols' names
     rng = random.Random(2700 + p)
     tables = _Tables(p, 2)
@@ -605,6 +633,7 @@ def test_fused_product_kernels_equal_the_ladder_oracle(p):
                          (tables.factors, tables.factor_steps)]:
         size = len(slots)
         for top in sorted({0, rng.randint(1, p), p, MAX_EXPONENT}):
+            cut = rows_to(steps, top)
             letters = [rng.randrange(2) for _ in range(rng.randint(1, 6))]
             stages = [rng.choice((F(0), random_fraction(rng), F(rng.randint(-10**30, 10**30),
                                                                   rng.randint(1, 10**30))))
@@ -614,18 +643,20 @@ def test_fused_product_kernels_equal_the_ladder_oracle(p):
             polys = [Poly.symbol(rng.choice("ab"), rng.randint(1, 2)) * random_fraction(rng)
                      + rng.randint(-2, 2) for _ in letters[:3]]
             names = [rng.randint(1, 4) for _ in letters]
+            on_cut = lambda acc, factors: _int_product(acc, factors, cut)
             for kernel, oracle, factors, starts in [
-                (_int_product, ints, list(zip(letters, values)),
+                (on_cut, ints, list(zip(letters, values)),
                  [[0] * (size - 1) + [1], [rng.randint(-10**20, 10**20) for _ in slots]]),
-                (_int_product, ints, list(zip(letters, polys)),
+                (on_cut, ints, list(zip(letters, polys)),
                  [[Poly()] * (size - 1) + [Poly.const(1)]]),
-                (_map_product, maps, list(zip(letters, names)),
+                (lambda acc, factors: _map_product(acc, factors, steps, top), maps,
+                 list(zip(letters, names)),
                  [[{}] * (size - 1) + [{0: 1}], [random_map(rng) for _ in slots]]),
             ]:
                 for start in starts:
                     got, expected = list(start), list(start)
-                    kernel(got, factors, steps, top)
-                    oracle(expected, factors, steps, top)
+                    kernel(got, factors)
+                    oracle(expected, factors, cut)
                     assert got == expected
 
 
@@ -1630,31 +1661,34 @@ def test_verification_builds_no_symbolic_system(monkeypatch):
 
 def test_the_bch_read_builds_rows_only_at_the_degrees_that_do_not_vanish():
     # Strang is symmetric, so its log has odd degrees only: the read builds rows for
-    # degrees 5 and 7 and none for the even ones; degree 1 reads itself, and over two
-    # letters no degree through 4 has rows, which the table knows from its words alone
+    # degrees 3, 5 and 7 and none for the even ones; degree 1 reads itself, and over two
+    # letters no degree through 4 has rows, so degree 3's are the [] that records it
     _Tables.cache_clear()
     verify_scheme(STRANG, 8)
     reads = _Tables(8, 2)._reads
-    assert sorted(reads) == [0, 1, 2, 3, 4, 5, 7]
+    assert sorted(reads) == [3, 5, 7]
     assert [q for q in sorted(reads) if reads[q]] == [5, 7]
 
 
 def test_the_read_builds_no_rows_at_a_degree_that_has_none(monkeypatch):
     # through degree 4 no two Lyndon words over A and B share their letters, so no bracket
-    # holds another of them: the read skips those degrees from the table's words alone, and
-    # BCH verification through p = 4, the BCH system at (3, 4) and the leading terms of
-    # degree 4 build no rows, read after read
+    # holds another of them: BCH verification through p = 4, the BCH system at (3, 4) and
+    # the leading terms of degree 4 expand no bracket, read after read, and each degree read
+    # keeps the [] that records it
     def refuse(*args):
-        raise AssertionError("the read built rows at a degree that has none")
+        raise AssertionError("the read expanded a bracket at a degree that has no rows")
 
     _Tables.cache_clear()
-    monkeypatch.setattr(_Tables.__wrapped__, "read_steps", refuse)
+    monkeypatch.setattr("splitcond.lyndon._bracket", refuse)
     for scheme in [entry.scheme for entry in REGISTRY.values()] + random_concrete_schemes(7, 5):
         for p in (1, 2, 3, 4):
             verify_scheme(scheme, p, "bch")
     condition_system(3, 4, "bch")
     for scheme in (PAPER3, PAPER3.padded(5)):
         leading_error_term(scheme, 3)
+    reads = [_Tables(p, 2)._reads for p in (1, 2, 3, 4)]
+    assert {q for r in reads for q in r} == {2, 3, 4}
+    assert all(rows == [] for r in reads for rows in r.values())
     _Tables.cache_clear()
 
 
@@ -1668,7 +1702,7 @@ def test_a_read_after_another_on_one_table_equals_a_fresh_read():
         _Tables.cache_clear()
         verify_scheme(STRANG, p)
         reads = _Tables(p, 2)._reads  # odd degrees only, with rows from degree 5 on
-        assert sorted(reads) == [*range(5), *range(5, p, 2)]
+        assert sorted(reads) == [3, *range(5, p, 2)]
         assert [q for q in sorted(reads) if reads[q]] == list(range(5, p, 2))
         assert verify_scheme(PAPER3, p) == fresh
     for scheme, p in [(STRANG, 2), (PAPER3, 3), (PAPER3.padded(5), 3), (LIE_TROTTER, 1)]:

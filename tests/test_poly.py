@@ -226,6 +226,13 @@ def test_const_refuses_none():
         Poly.const(None)
 
 
+def test_a_foreign_operand_is_refused():
+    # + with an operand that is no Poly, int or Fraction raises; == with one is False
+    with pytest.raises(TypeError):
+        Poly() + "x"
+    assert (Poly() == "x") is False and (sym("a", 1) == "a1") is False
+
+
 def test_const_never_runs_the_constructor(monkeypatch):
     def refuse(self, terms=None):
         raise AssertionError("Poly.__init__ ran")

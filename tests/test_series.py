@@ -15,6 +15,7 @@ from splitcond import (
     log,
     word_str,
 )
+from splitcond import series
 from splitcond.lyndon import _numbered, _product_steps, _splits
 from splitcond.poly import Poly, sum_of_products
 
@@ -26,9 +27,11 @@ from helpers import (
     first_nonzero_degree,
     log_uncapped,
     oracle_series_str,
+    positioned,
     random_fraction,
     random_poly,
     random_series,
+    rows_to,
     sweep_by_dot,
 )
 
@@ -66,6 +69,20 @@ def test_product_mismatch_errors():
         unit(2) * unit(3)
     with pytest.raises(AlphabetMismatch):
         unit(2, 2) * unit(2, 3)
+
+
+def test_equal_series_hash_equal_and_foreign_operands_are_refused():
+    # series built in another order are equal and hash equal; a series equals none at another
+    # truncation and no number; +, - and * with an operand that is no series or scalar raise
+    f = unit(3) + letter(0, 3, coeff=Fraction(1, 2)) + letter(1, 3)
+    g = letter(1, 3) + letter(0, 3, coeff=Fraction(1, 2)) + unit(3)
+    assert list(f.terms) != list(g.terms)
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert unit(3) != unit(4)
+    assert (unit(3) == 1) is False
+    for operation in (lambda: f + 1, lambda: f - "x", lambda: f * "x", lambda: "x" * f):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_mul_associativity_random():
@@ -303,7 +320,9 @@ def test_constructor_validation():
 
 
 def test_capped_horner_matches_uncapped_oracle():
-    # polynomial coefficients in several symbols, so products mix monomials
+    # polynomial coefficients in several symbols, so products mix monomials; and sparse
+    # arguments, whose words all have length >= m, so that Horner's scheme stops at k = N // m:
+    # the powers it leaves out hold no word through N
     rng = random.Random(2024)
     for n in range(1, 7):
         for _ in range(3):
@@ -314,6 +333,41 @@ def test_capped_horner_matches_uncapped_oracle():
             h = g.scale(Poly.symbol("a", 1) + Poly.symbol("b", 2) * Fraction(1, 3))
             assert exp(h) == exp_uncapped(h)
             assert log(NCSeries.unit(n) + h) == log_uncapped(NCSeries.unit(n) + h)
+    for case in range(120):
+        n = rng.randint(2, 8)
+        m = rng.randint(2, n)
+        g = random_series(rng, n, symbolic=case % 3 == 0, density=0.15)
+        g = NCSeries(n, 2, {w: c for w, c in g.terms.items() if len(w) >= m})
+        assert exp(g) == exp_uncapped(g), (n, m, g)
+        assert log(NCSeries.unit(n) + g) == log_uncapped(NCSeries.unit(n) + g), (n, m, g)
+
+
+AB30 = (0, 1) * 30
+AB10 = AB30[:20]
+
+
+@pytest.mark.parametrize("call,arg,expected,passes", [
+    (exp, NCSeries.zero(10**18), NCSeries.unit(10**18), 1),
+    (log, NCSeries.unit(10**18), NCSeries.zero(10**18), 1),
+    (exp, NCSeries.zero(10**6), NCSeries.unit(10**6), 1),
+    (exp, NCSeries(60, 2, {AB30: 1}), NCSeries(60, 2, {(): 1, AB30: 1}), 2),
+    (log, NCSeries(60, 2, {(): 1, AB30: 1}), NCSeries(60, 2, {AB30: 1}), 2),
+    (exp, NCSeries(60, 2, {AB10: 2}),
+     NCSeries(60, 2, {(): 1, AB10: 2, AB10 * 2: 2, AB10 * 3: Fraction(4, 3)}), 4),
+])
+def test_exp_and_log_run_a_pass_per_power_that_reaches_the_truncation(
+    monkeypatch, call, arg, expected, passes
+):
+    # x^k holds no word shorter than k m, m the least length of x's words, so Horner's scheme
+    # runs k = N // m .. 0, and x = 0 one pass: a huge truncation costs nothing where no power
+    # of x reaches it; the oracle runs N passes, so it checks the small truncations only
+    calls = []
+    product = series._product
+    monkeypatch.setattr(series, "_product", lambda *args: calls.append(args) or product(*args))
+    assert call(arg) == expected
+    assert len(calls) == passes
+    if arg.truncation <= 60:
+        assert call(arg) == (exp_uncapped if call is exp else log_uncapped)(arg)
 
 
 @pytest.mark.parametrize("alphabet,max_truncation", [(2, 6), (3, 6)])
@@ -349,7 +403,7 @@ def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation)
             every = range(len(words) - 1)
             for f, times, expanded in [
                 (g, lambda acc, top: sweep(acc, divided, splits, top, True), True),
-                (product, lambda acc, top: stage_product(acc, stages, steps, top), False),
+                (product, lambda acc, top: stage_product(acc, stages, rows_to(steps, top)), False),
             ]:
                 log_ring = POLYS._replace(expanded=expanded)
                 big, got = _divided_log(log_ring, times, every, len(words), n)
@@ -381,9 +435,10 @@ def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
     full = log(product)
     for expanded in {False, len(letters) == 1}:
         if expanded:  # the one stage's rows from zero: e^{cX} acc - acc
-            times = lambda acc, top: sweep(acc, ladder, steps.get(letters[0], []), top, True)
+            rows = positioned(steps.get(letters[0], []))
+            times = lambda acc, top: sweep(acc, ladder, rows, top, True)
         else:
-            times = lambda acc, top: ladder_product(sweep)(acc, factors, steps, top)
+            times = lambda acc, top: ladder_product(sweep)(acc, factors, rows_to(steps, top))
         args = (times, range(len(words) - 1), len(words), n)
         big, got = _divided_log(POLYS._replace(expanded=expanded), *args)
         got = dict(zip(words, got))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .conditions import ROUTES, ConcreteScheme, check_cost, condition_system, verify_scheme
-from .lyndon import MAX_LYNDON_WORDS, bracket_str, bracketing, lyndon_count, lyndon_words, word_str
+from .lyndon import bracket_str, bracketing, lyndon_words, word_str
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
@@ -152,9 +152,10 @@ def cmd_lyndon(args: argparse.Namespace) -> int:
         return _fail("--max-len must be >= 1")
     if not 1 <= args.alphabet <= 26:
         return _fail("--alphabet must be between 1 and 26")
-    if lyndon_count(args.alphabet, args.max_len) > MAX_LYNDON_WORDS:
-        return _fail(f"the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len")
-    words = lyndon_words(args.alphabet, args.max_len)
+    try:
+        words = lyndon_words(args.alphabet, args.max_len)
+    except ValueError as exc:  # past the word budget
+        return _fail(str(exc))
     if args.format == "json":
         _write_records(dict(word=word_str(w), bracketing=bracket_str(bracketing(w)),
                             length=len(w)) for w in words)

@@ -29,14 +29,14 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lyndon import MAX_LYNDON_WORDS, LieDecomposition, Word, _Tables, lyndon_count, word_str
+from .lyndon import LieDecomposition, Word, _budget, _Tables, _witt, word_str
 from .poly import MAX_EXPONENT, Poly, Scalar, _int_log, _int_product, _map_fresh, _map_log
 from .poly import _map_product, _whole
 
 ROUTES = ("taylor", "bch")
 _NIL = Fraction(0)  # every vanishing residual
 
-# What check_cost lets a command plan past the word tables' MAX_LYNDON_WORDS: bytes of
+# What check_cost lets a command plan inside the word budget (lyndon._budget): bytes of
 # packed keys (2s a monomial, q a word of length q) in its output and tables.
 MAX_COST = 10**8
 
@@ -369,26 +369,21 @@ def leading_error_term(scheme: ConcreteScheme, p: int) -> LieDecomposition:
 def check_cost(p: int, route: str, stages: int | None = None) -> int:
     """Estimated bytes of an order-p command, enumerating no word; ValueError over budget.
 
-    Refuses an unknown route as the builders do, then as the word tables do, by lyndon_count.
-    Then counts the Lyndon words of each bidegree (i, j), each at its route's tables, q a word
-    of length q = i + j: the taylor product's q suffixes at 3q (both routes then peak at 1.5-2.3
-    bytes a counted byte at their edges), or the bch log's q(q+1)/2 splits and the C(q, i) words
-    of its bracket.  An s-stage system adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms an entry, 2s
-    bytes each.  Refuses over MAX_COST.  This byte guard is the CLI's: the library is bound by
-    the word budget only, so a call inside it, such as verify_scheme(strang, 23), may run long.
+    Refuses an unknown route as the builders do, then counts the Lyndon words of each bidegree
+    (i, j), lyndon._witt's at C(i+j, i) words, under lyndon._budget, as the word tables do.  Each
+    costs its route's tables, q = i + j: the taylor product's q suffixes at 3q (both routes then
+    peak at 1.5-2.3 bytes a counted byte at their edges), or the bch log's q(q+1)/2 splits and the
+    C(q, i) words of its bracket.  An s-stage system adds C(i+s-1, s-1) C(j+s-1, s-1) + 1 terms,
+    2s bytes each, an entry.  Refuses over MAX_COST.  This byte guard is the CLI's: the library
+    is bound by the word budget only, so verify_scheme(strang, 23), inside it, may run long.
     """
     _check_route(route)
     p = _whole(p, "order")
     if stages is not None and (stages := _whole(stages, "stage count")) < 0:
         raise ValueError("stage count must be >= 0")
-    if lyndon_count(2, p) > MAX_LYNDON_WORDS:
-        raise ValueError(f"order {p} may need over {MAX_LYNDON_WORDS} Lyndon words")
     count: dict[tuple[int, int], int] = {}
-    for q in range(1, p + 1):  # Witt's formula, by the identity it inverts: the C(q, i)
-        for i in range(q + 1):  # words are the q/d rotations of Lyndon words' d-th powers
-            g = math.gcd(i, q - i)
-            rest = sum(q // d * count[i // d, (q - i) // d] for d in range(2, g + 1) if g % d == 0)
-            count[i, q - i] = (math.comb(q, i) - rest) // q
+    _budget(f"order {p}", (sum(_witt(count, (i, q - i), math.comb(q, i)) for i in range(q + 1))
+                           for q in range(1, p + 1)))
     cost = 0
     for (i, j), n in count.items():
         q = i + j

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .poly import Poly, _whole
 
@@ -33,8 +33,7 @@ _LETTER_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # A bracket tree: a letter index at the leaves, or a commutator [left, right].
 BracketTree = Union[int, tuple["BracketTree", "BracketTree"]]
-# the Lyndon words a word table or the CLI's listing may hold, the words splitting_product and
-# exp_of_sum may list, and those a bracket tree may expand to
+# the word budget: the words any entry point may list, form or expand to; read by _budget alone
 MAX_LYNDON_WORDS = 10**6
 
 
@@ -99,37 +98,55 @@ def _lyndon_key(key: int, bits: int) -> bool:
     return all(body < (body << i | body >> n - i) & mask for i in range(bits, n, bits))
 
 
+def _budget(subject: str | None, *bounds: Iterable[int]) -> int:
+    # the one word budget: each bound on a call's words, its counts summed until past the budget,
+    # in turn, the first within it returned, and past all, ValueError "<subject> may need over
+    # 1000000 words", before any word is listed; with no subject, the first bound's sum
+    for counts in bounds:
+        total = 0
+        for n in counts:
+            if (total := total + n) > MAX_LYNDON_WORDS:
+                break
+        if total <= MAX_LYNDON_WORDS or subject is None:
+            return total
+    raise ValueError(f"{subject} may need over {MAX_LYNDON_WORDS} words")
+
+
+def _witt(counts: dict, grade: tuple, words: int) -> int:
+    # L(g), the Lyndon words of grade g, a length (n,) or letter counts (i, j), kept in counts by
+    # Witt's identity sum_{d | g} (|g|/d) L(g/d) = words (Reutenauer, Free Lie Algebras, 1993)
+    n, m = sum(grade), math.gcd(*grade)
+    rest = sum(n // d * counts[tuple(x // d for x in grade)] for d in range(2, m + 1) if m % d == 0)
+    counts[grade] = (words - rest) // n
+    return counts[grade]
+
+
 def lyndon_count(alphabet_size: int, max_degree: int) -> int:
-    """The number of Lyndon words of length <= max_degree over k letters, listing none: each
-    L(n) by Witt's identity sum_{d | n} d L(d) = k^n (Reutenauer, Free Lie Algebras, 1993), summed
-    until past MAX_LYNDON_WORDS (over one letter, to n = 1): a huge max_degree costs a few terms."""
-    counts = [0]  # counts[n] = L(n)
-    for n in range(1, max_degree + 1):
-        rest = sum(d * counts[d] for d in range(1, n) if n % d == 0)
-        counts.append((alphabet_size**n - rest) // n)
-        if sum(counts) > MAX_LYNDON_WORDS or alphabet_size == 1:
-            break
-    return sum(counts)
+    """The number of Lyndon words of length <= max_degree over k letters, listing none: L(n) by
+    _witt at k^n words, summed by _budget until past the budget (over one letter, to n = 1)."""
+    counts, degrees = {}, range(1, max_degree + 1)[: 1 if alphabet_size == 1 else None]
+    return _budget(None, (_witt(counts, (n,), alphabet_size**n) for n in degrees))
 
 
 def lyndon_words(alphabet_size: int, max_degree: int) -> list[Word]:
-    """All Lyndon words of length <= max_degree, in lexicographic order (Duval), counted first:
-    ValueError, listing none, past MAX_LYNDON_WORDS (over two letters, from degree 24 on)."""
+    """All Lyndon words of length <= max_degree, in lexicographic order (Duval), counted first and
+    refused by _budget (over two letters, from degree 24 on)."""
     if (alphabet_size := _whole(alphabet_size, "alphabet size")) < 1:
         raise ValueError("alphabet size must be >= 1")
     if (max_degree := _whole(max_degree, "max degree")) < 1:
         raise ValueError("max degree must be >= 1")
-    if lyndon_count(alphabet_size, max_degree) > MAX_LYNDON_WORDS:
-        raise ValueError(f"max degree {max_degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
-    if alphabet_size == 1:
-        max_degree = 1  # A is the one Lyndon word over one letter
-    out: list[Word] = []
-    w = [-1]
+    _budget(f"max degree {max_degree}", (lyndon_count(alphabet_size, max_degree),))
+    return _duval(alphabet_size, max_degree)
+
+
+def _duval(alphabet_size: int, max_degree: int) -> list[Word]:
+    # lyndon_words past its checks and budget: Duval's enumeration
+    top, out, w = max_degree if alphabet_size > 1 else 1, [], [-1]  # over one letter, A alone
     while w:
         w[-1] += 1
         out.append(tuple(w))
         m = len(w)
-        while len(w) < max_degree:
+        while len(w) < top:
             w.append(w[len(w) - m])
         while w and w[-1] == alphabet_size - 1:
             w.pop()
@@ -301,8 +318,8 @@ def _splits(slot: dict[Word, int], factor: dict[Word, int]) -> list:
 # one instance per (p, alphabet size); a process works at a few degrees only
 @functools.lru_cache(maxsize=16)
 class _Tables:
-    """Scheme-independent tables through degree p, each built on its first use; ValueError,
-    before any word is listed, over MAX_LYNDON_WORDS Lyndon words, every entry point's budget.
+    """Scheme-independent tables through degree p, each built on its first use; refused by
+    _budget, before any word is listed, past the budget in Lyndon words.
 
     The Lyndon words' suffixes are numbered once, longest first, () last (suffixes maps each
     to its slot, lyndon[q] degree q's Lyndon words, in order), and so are their factors; a
@@ -312,9 +329,8 @@ class _Tables:
     """
 
     def __init__(self, p: int, alphabet_size: int):
-        if lyndon_count(alphabet_size, p) > MAX_LYNDON_WORDS:
-            raise ValueError(f"order {p} may need over {MAX_LYNDON_WORDS} Lyndon words")
-        words = lyndon_words(alphabet_size, p)
+        _budget(f"order {p}", (lyndon_count(alphabet_size, p),))
+        words = _duval(alphabet_size, p)
         self.suffixes = _numbered({w[i:] for w in words for i in range(len(w) + 1)})
         self.lyndon = [{w: self.suffixes[w] for w in words if len(w) == q} for q in range(p + 1)]
         self._reads = {}
@@ -331,17 +347,17 @@ class _Tables:
         # nonempty rows (w, q, [(-E_l[w], l)]) of degree q's Lyndon slots, lexicographic, l < w
         # Lyndon of w's letters (E_l holds no other word), run by the unit factor: c_w -= E_l[w] c_l
         if q not in self._reads:
-            blocks, runs = {}, {i: [] for i in self.lyndon[q].values()}  # (w, key, slot)s
-            bits = _bits(len(self.lyndon[1]))  # by letter content, keys packed as _bracket's
-            for w, i in self.lyndon[q].items():
-                blocks.setdefault(tuple(sorted(w)), []).append((w, _pack(w, bits), i))
-            for block in blocks.values():
+            blocks, runs, bits = {}, {}, _bits(len(self.lyndon[1]))  # keys packed as _bracket's
+            for w, i in self.lyndon[q].items():  # (w, slot)s by letter content
+                blocks.setdefault(tuple(sorted(w)), []).append((w, i))
+            for block in (b for b in blocks.values() if len(b) > 1):  # one word reads no bracket
+                block = [(w, _pack(w, bits), i) for w, i in block]
                 for k, (l, _, i) in enumerate(block[:-1]):
                     e = _bracket(memo, l, top, bits)
                     for _, w, j in block[k + 1 :]:
                         if c := e.get(w):
-                            runs[j].append((-c, i))
-            self._reads[q] = [(i, q, r) for i, r in runs.items() if r]
+                            runs.setdefault(j, []).append((-c, i))
+            self._reads[q] = [(i, q, runs[i]) for i in self.lyndon[q].values() if i in runs]
         return self._reads[q]
 
     def read(self, product, unit, acc, degrees) -> None:

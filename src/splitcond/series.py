@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .conditions import _INTS, SymbolicScheme, _divided_product
-from .lyndon import _LETTER_NAMES, MAX_LYNDON_WORDS, BracketTree, LieDecomposition, Word, _bits
-from .lyndon import _bracket, _commutator, _is_letter, _lyndon_key, _numbered, _pack
+from .lyndon import _LETTER_NAMES, BracketTree, LieDecomposition, Word, _bits, _bracket, _budget
+from .lyndon import _commutator, _is_letter, _lyndon_key, _numbered, _pack
 from .lyndon import _product_steps, _unpack, _word, add_terms, foliage, lyndon_count, word_str
 from .poly import _ONE, _ZERO, Poly, Scalar, _signed_join, _whole, as_poly, sum_of_products
 
@@ -244,70 +244,61 @@ def _product(f: NCSeries, g: NCSeries, cap: int) -> NCSeries:
     return NCSeries._of(f.truncation, f.alphabet_size, out)
 
 
-def _check_words(x: NCSeries) -> None:
-    # the words through degree N that powers of x may form are at most the smaller of sum_{n<=N}
-    # k^n, k the letters of x's words, and sum_{n<=N} c[n], the concatenations of x's words:
-    # c[0] = 1, c[n] = sum_l m_l c[n - l], m_l the words of x of length l, and c[n] >= 1 at each
-    # multiple n of the least length; ValueError, listing no word, past MAX_LYNDON_WORDS
-    n, k = x.truncation, len({a for w in x.terms for a in w})
-    over_letters = n + 1 if k == 1 else (k ** min(n + 1, 64) - 1) // (k - 1) if k else 1
-    if over_letters <= MAX_LYNDON_WORDS:
-        return
-    lengths = collections.Counter(map(len, x.terms))  # x has no constant term: every length >= 1
-    if n // min(lengths) < MAX_LYNDON_WORDS:
-        c, total = [1], 1
-        for q in range(1, n + 1):
-            c.append(sum(m * c[q - size] for size, m in lengths.items() if size <= q))
-            if (total := total + c[q]) > MAX_LYNDON_WORDS:
-                break
-        else:
-            return
-    raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
+def _check_words(x: NCSeries, passes: int = 1) -> None:
+    # passes times the words through degree N that powers of x may form, by lyndon._budget: at
+    # most sum_{n<=N} k^n over x's k letters (k^64 caps it), and, counted only past that, the
+    # concatenations c[n] of x's words: c[0] = 1, c[n] = sum_l m_l c[n - l], m_l of length l
+    n, lengths, c = x.truncation, collections.Counter(map(len, x.terms)), []  # every length >= 1
+
+    def concatenations():
+        for q in range(n + 1):
+            c.append(sum(m * c[q - size] for size, m in lengths.items() if size <= q) if q else 1)
+            yield passes * c[q]
+
+    k = len({a for w in x.terms for a in w})
+    letters = n + 1 if k == 1 else (k ** min(n + 1, 64) - 1) // (k - 1) if k else 1
+    _budget(f"truncation degree {n}", (passes * letters,), concatenations())
 
 
 def _horner(x: NCSeries, coefficient) -> NCSeries:
     """c_0 + x(c_1 + x(c_2 + ...)) through the truncation N, for x with zero constant term, to
-    k = N // m, m the least length of x's words (0 for x = 0): x^k past it has no word to N."""
+    k = N // m, m the least length of x's words (0 for x = 0): x^k past it has no word to N.
+    Its passes are budgeted by _check_words: exp(A + B) is refused from N = 15 on, exp(A) 1000."""
     n = x.truncation
+    _check_words(x, passes := n // min(map(len, x.terms)) + 1 if x.terms else 1)
     unit, acc = NCSeries.unit(n, x.alphabet_size), NCSeries.zero(n, x.alphabet_size)
-    for k in range(n // min(map(len, x.terms)) if x.terms else 0, -1, -1):
+    for k in range(passes - 1, -1, -1):
         # c_k + x(...) meets k more factors of x, so only its words to length N - k count
         acc = unit.scale(coefficient(k)) + _product(x, acc, n - k)
     return acc
 
 
 def exp(g: NCSeries) -> NCSeries:
-    """Truncated exponential sum_{k<=N} g^k / k!; g needs a zero constant term.  ValueError,
-    listing no word, where the words its powers may form pass MAX_LYNDON_WORDS (see _check_words):
-    exp(A + B) from N = 19 on, as splitting_product."""
+    """Truncated exponential sum_{k<=N} g^k / k!; g needs a zero constant term (see _horner)."""
     if not g.constant_term.is_zero:
         raise NonzeroConstantTerm("exp() requires a series with zero constant term")
-    _check_words(g)
     return _horner(g, lambda k: Fraction(1, math.factorial(k)))
 
 
 def log(f: NCSeries) -> NCSeries:
-    """Truncated logarithm sum_{k>=1} (-1)^(k+1) (f-1)^k / k; f needs constant term 1.
-    ValueError, listing no word, where the words the powers of f - 1 may form pass
-    MAX_LYNDON_WORDS (see _check_words)."""
+    """Truncated logarithm sum_{k>=1} (-1)^(k+1) (f-1)^k / k, f of constant term 1 (see _horner)."""
     if f.constant_term != 1:
         raise ConstantTermNotOne("log() requires a series with constant term 1")
-    _check_words(x := f - NCSeries.unit(f.truncation, f.alphabet_size))
+    x = f - NCSeries.unit(f.truncation, f.alphabet_size)
     return _horner(x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 def _check_tree(leaves: Word) -> None:
-    # a bracket tree over these leaves expands to at most min(2^(d-1), d!/prod c_x!) words, d its
-    # degree and c_x its letter counts: ValueError, listing none, past MAX_LYNDON_WORDS
-    d = len(leaves)
-    if 2 ** (d - 1) > MAX_LYNDON_WORDS and math.factorial(d) // math.prod(
-            math.factorial(leaves.count(x)) for x in set(leaves)) > MAX_LYNDON_WORDS:
-        raise ValueError(f"bracket tree of degree {d} may need over {MAX_LYNDON_WORDS} words")
+    # a bracket tree over these leaves expands to at most 2^(d-1) and at most d!/prod c_x! words,
+    # d its degree and c_x its letter counts: refused by lyndon._budget past both, listing none
+    d, counts = len(leaves), map(leaves.count, set(leaves))
+    multinomial = math.factorial(d) // math.prod(map(math.factorial, counts))
+    _budget(f"bracket tree of degree {d}", (2 ** (d - 1),), (multinomial,))
 
 
 def expand(tree: BracketTree, truncation: int, alphabet_size: int = 2) -> NCSeries:
-    """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx; ValueError,
-    listing no word, where the tree may expand past MAX_LYNDON_WORDS words (see _check_tree)."""
+    """Expand nested commutators into a homogeneous word series, [x,y] = xy - yx; refused,
+    listing no word, where the tree may expand past the word budget (see _check_tree)."""
     leaves = foliage(tree)
     if (n := len(leaves)) > (truncation := _whole(truncation, "truncation degree")):
         raise DegreeBeyondTruncation(f"bracket tree of degree {n} exceeds truncation {truncation}")
@@ -339,9 +330,9 @@ def _dynkin(terms: dict[int, Poly], degree: int, bits: int) -> dict[int, Poly]:
 def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
     """Write a homogeneous degree-q series as a Lyndon-basis combination.
 
-    ValueError, before any other work, where the Lyndon words over one word's letters pass
-    MAX_LYNDON_WORDS (two letters fit through degree 23, seven through degree 8, eight at degree 8
-    do not): no element of degree 7 or less is refused, and one over it is, Lie element or not.
+    Refused by lyndon._budget, before any other work, where the Lyndon words over one word's
+    letters pass the word budget (two letters fit through degree 23, seven through degree 8, eight
+    at degree 8 do not): no element of degree 7 or less is refused, and one over it is.
     The Dynkin-Specht-Wever projection theta(f)/q, theta the right-nested bracketing, fixes the Lie
     elements of degree q and annihilates a complement.  Raises NotALieElement, carrying the
     residual f - theta(f)/q, when that residual is nonzero; for degree 2 the word AB alone leaves
@@ -356,8 +347,7 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
         raise ValueError(f"input is not homogeneous of degree {degree}")
     if degree > f.truncation:
         raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
-    if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
-        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
+    _budget(f"order {degree}", (lyndon_count(max(map(len, map(set, f.terms)), default=1), degree),))
     letters = sorted({x for w in f.terms for x in w})  # packed by rank, in order
     rank, bits = {x: i for i, x in enumerate(letters)}, _bits(len(letters))
 
@@ -386,18 +376,16 @@ def lie_decompose(f: NCSeries, degree: int) -> LieDecomposition:
 
 
 def _truncation(truncation: int) -> int:
-    # the truncation degree n as an int, refused before any word is listed where the 2^(n+1) - 1
-    # words through degree n over A and B pass MAX_LYNDON_WORDS (from n = 19 on)
-    if (n := _whole(truncation, "truncation degree")) < 0:
-        raise ValueError(f"truncation degree must be >= 0, got {n}")
-    if 2 ** min(n + 1, 64) - 1 > MAX_LYNDON_WORDS:
-        raise ValueError(f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words")
+    # the truncation degree n as a series checks it, refused before any word is listed where the
+    # words through degree n over A and B, as _check_words counts them, pass the budget (n >= 19)
+    n = NCSeries.zero(truncation).truncation
+    _check_words(NCSeries._of(n, 2, {(0,): _ONE, (1,): _ONE}))
     return n
 
 
 def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
-    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence; ValueError,
-    listing no word, past MAX_LYNDON_WORDS words (truncation 19 on), as for exp_of_sum."""
+    """e^{a_1 A} e^{b_1 B} ... e^{a_s A} e^{b_s B}, by the divided-power recurrence; refused,
+    listing no word, past the word budget (truncation 19 on), as exp_of_sum is."""
     truncation = _truncation(truncation)
     if len(scheme.a) != len(scheme.b):
         raise ValueError("coefficient lists a and b must have equal length")
@@ -410,7 +398,7 @@ def splitting_product(scheme: SymbolicScheme, truncation: int) -> NCSeries:
 
 def exp_of_sum(truncation: int) -> NCSeries:
     """The reference flow e^{A+B} as a truncated series, in closed form: 1/|w|! at every word;
-    ValueError, listing no word, past MAX_LYNDON_WORDS words (truncation 19 on)."""
+    refused by _truncation, listing no word, past the word budget (truncation 19 on)."""
     n = _truncation(truncation)
     return NCSeries(n, 2, {w: Fraction(1, math.factorial(q))
                            for q in range(n + 1) for w in itertools.product((0, 1), repeat=q)})

@@ -742,7 +742,7 @@ def lie_decompose_by_word(f: NCSeries, degree: int) -> LieDecomposition:
     if degree > f.truncation:
         raise DegreeBeyondTruncation(f"degree {degree} exceeds truncation degree {f.truncation}")
     if lyndon_count(max((len(set(w)) for w in f.terms), default=1), degree) > MAX_LYNDON_WORDS:
-        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} Lyndon words")
+        raise ValueError(f"order {degree} may need over {MAX_LYNDON_WORDS} words")
     lie_part = NCSeries._of(f.truncation, f.alphabet_size, dynkin_by_word(f.terms, degree))
     residual = f - lie_part.scale(Fraction(1, degree))
     if not residual.is_zero():

@@ -10,7 +10,6 @@ import pytest
 
 import splitcond
 from splitcond.cli import (
-    MAX_LYNDON_WORDS,
     REGISTRY,
     load_scheme_file,
     main,
@@ -18,7 +17,7 @@ from splitcond.cli import (
     scheme_to_json_dict,
 )
 from splitcond.conditions import condition_system, verify_scheme
-from splitcond.lyndon import bracket_str, bracketing, lyndon_words
+from splitcond.lyndon import MAX_LYNDON_WORDS, bracket_str, bracketing, lyndon_words
 from splitcond.series import word_str
 
 F = Fraction
@@ -64,10 +63,11 @@ LARGEST_MAX_LEN = dict(zip(range(2, 27), [23, 14, 11, 9, 8, 8, 7, 7, 6, 6, 6, 6,
 
 
 def test_lyndon_largest_admitted_max_len(capsys, monkeypatch):
-    # only the admission is read: the listing is stubbed, so no admitted listing is built
-    monkeypatch.setattr("splitcond.cli.lyndon_words", lambda *args: [])
-    refusal = f"error: the listing may hold over {MAX_LYNDON_WORDS} words; lower --max-len\n"
+    # only the admission is read: the listing below the budget is stubbed, so no admitted
+    # listing is built, and lyndon_words' own refusal is reported
+    monkeypatch.setattr("splitcond.lyndon._duval", lambda *args: [])
     for alphabet, top in LARGEST_MAX_LEN.items():
+        refusal = f"error: max degree {top + 1} may need over {MAX_LYNDON_WORDS} words\n"
         for max_len, expected in [(top, (0, "", "")), (top + 1, (2, "", refusal))]:
             argv = ["lyndon", "--alphabet", str(alphabet), "--max-len", str(max_len)]
             assert run(capsys, *argv) == expected, argv
@@ -418,7 +418,7 @@ def test_orders_past_the_word_table_guard_exit_2_before_any_work(capsys, monkeyp
 
     monkeypatch.setattr("splitcond.cli.condition_system", refuse)
     monkeypatch.setattr("splitcond.cli.verify_scheme", refuse)
-    message = "error: order 24 may need over 1000000 Lyndon words\n"
+    message = "error: order 24 may need over 1000000 words\n"
     assert run(capsys, "conditions", "-s", "2", "-p", "24") == (2, "", message)
     assert run(capsys, "verify", "strang", "-p", "24") == (2, "", message)
     assert run(capsys, "verify", "strang", "-p", "30")[0] == 2

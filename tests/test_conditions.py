@@ -37,7 +37,6 @@ from splitcond.conditions import (
     _INTS,
     _MAPS,
     MAX_COST,
-    MAX_LYNDON_WORDS,
     ROUTES,
     _NIL,
     _Ring,
@@ -47,7 +46,14 @@ from splitcond.conditions import (
     check_cost,
 )
 from splitcond.lyndon import (
-    _numbered, _product_steps, _splits, _Tables, is_lyndon, lyndon_count, lyndon_words
+    MAX_LYNDON_WORDS,
+    _numbered,
+    _product_steps,
+    _splits,
+    _Tables,
+    is_lyndon,
+    lyndon_count,
+    lyndon_words,
 )
 from splitcond.poly import (
     MAX_EXPONENT,
@@ -804,7 +810,7 @@ def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
     def refuse(*args):
         raise Refused
 
-    monkeypatch.setattr("splitcond.lyndon.lyndon_words", refuse)
+    monkeypatch.setattr("splitcond.lyndon._duval", refuse)
     for p in (128, 200):
         with pytest.raises(ValueError, match="^target order must be <= 127$"):
             condition_system(1, p, route)
@@ -813,7 +819,7 @@ def test_builders_reject_an_order_past_the_packed_exponent(monkeypatch, route):
     with pytest.raises(ValueError, match="^target order must be <= 127$"):
         leading_error_term(STRANG, 127)
     for p in (24, 127):  # the tables' top degree is the order, and the leading term's p + 1
-        words = f"^order {p} may need over 1000000 Lyndon words$"
+        words = f"^order {p} may need over 1000000 words$"
         with pytest.raises(ValueError, match=words):
             condition_system(1, p, route)
         with pytest.raises(ValueError, match=words):
@@ -1692,6 +1698,22 @@ def test_the_read_builds_no_rows_at_a_degree_that_has_none(monkeypatch):
     _Tables.cache_clear()
 
 
+def test_a_degree_without_rows_packs_no_word(monkeypatch):
+    # the letter contents alone show a degree without rows: BCH (3, 4) on a fresh table packs
+    # no word for its read, and reads the [] that records each degree
+    def refuse(*args):
+        raise AssertionError("the read packed a word at a degree that has no rows")
+
+    _Tables.cache_clear()
+    monkeypatch.setattr("splitcond.lyndon._pack", refuse)
+    system = condition_system(3, 4, "bch")
+    monkeypatch.undo()
+    _Tables.cache_clear()
+    assert system == condition_system(3, 4, "bch")
+    assert all(rows == [] for rows in _Tables(4, 2)._reads.values())
+    _Tables.cache_clear()
+
+
 def test_a_read_after_another_on_one_table_equals_a_fresh_read():
     # Strang's read skips its even degrees and keeps its brackets for that read only, so
     # paper-order3's read on the same table forms the even degrees' factors afresh; and
@@ -1809,13 +1831,13 @@ def test_word_table_guard_is_check_costs_lyndon_word_count():
     through = list(itertools.accumulate(necklace_count(2, q) for q in range(1, 25)))
     assert through[22] == lyndon_count(2, 23) == 766_150 <= MAX_LYNDON_WORDS
     assert through[23] == lyndon_count(2, 24) == 1_465_020 > MAX_LYNDON_WORDS
-    message = f"order 24 may need over {MAX_LYNDON_WORDS} Lyndon words"
+    message = f"order 24 may need over {MAX_LYNDON_WORDS} words"
     with pytest.raises(ValueError, match=f"^{message}$"):
         _Tables(24, 2)
     for route in ROUTES:
         with pytest.raises(ValueError) as caught:
             check_cost(23, route)
-        assert "Lyndon words" not in str(caught.value)  # over the byte budget only
+        assert "words" not in str(caught.value)  # over the byte budget only
         with pytest.raises(ValueError) as counted:
             check_cost(24, route)
         with pytest.raises(ValueError) as guarded:
@@ -1834,7 +1856,7 @@ def test_cost_estimate_on_extreme_values():
             check_cost(p, route, stages)
     for p in (24, 30, 127, 128, 10**18):
         for stages in (None, 1, 10**18):
-            with pytest.raises(ValueError, match=f"^order {p} may need over 1000000 Lyndon words$"):
+            with pytest.raises(ValueError, match=f"^order {p} may need over 1000000 words$"):
                 check_cost(p, "bch", stages)
     with pytest.raises(ValueError, match="bytes"):  # over the cost budget, under 24
         check_cost(23, "taylor", None)

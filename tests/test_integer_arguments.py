@@ -5,6 +5,8 @@ Any other value raises TypeError, and a value out of range ValueError, each nami
 argument; no value leaks an error from inside the engine.
 """
 
+import contextlib
+import io
 import random
 import time
 from fractions import Fraction
@@ -31,9 +33,10 @@ from splitcond import (
     splitting_product,
     verify_scheme,
 )
-from splitcond.cli import REGISTRY
-from splitcond.conditions import ROUTES, check_cost
-from splitcond.lyndon import MAX_LYNDON_WORDS
+from splitcond import lyndon
+from splitcond.cli import REGISTRY, main
+from splitcond.conditions import ROUTES, NotOrderP, check_cost
+from splitcond.lyndon import MAX_LYNDON_WORDS, _Tables
 from splitcond.series import _check_tree, _check_words, _truncation
 
 STRANG = REGISTRY["strang"].scheme
@@ -195,7 +198,67 @@ def test_the_lyndon_listings_refuse_past_the_word_budget(name, n):
     with pytest.raises(ValueError) as refused:
         REFUSED_LISTINGS[name](n)
     assert time.perf_counter() - start < 0.25
-    assert str(refused.value) == f"max degree {n} may need over {MAX_LYNDON_WORDS} Lyndon words"
+    assert str(refused.value) == f"max degree {n} may need over {MAX_LYNDON_WORDS} words"
+
+
+# exp and log of one letter run N + 1 Horner passes over up to N + 1 words: past the budget
+# from N = 1000 on, each is refused at once, where N = 1000 ran for about 12 s
+REFUSED_ONE_LETTER = {
+    "exp": lambda n: exp(NCSeries.letter(0, n)),
+    "log": lambda n: log(NCSeries.unit(n) + NCSeries.letter(0, n)),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_ONE_LETTER)
+@pytest.mark.parametrize("n", [1000, 2000, 999_999, 10**18])
+def test_exp_and_log_of_one_letter_refuse_past_the_word_budget(name, n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        REFUSED_ONE_LETTER[name](n)
+    assert time.perf_counter() - start < 0.25
+    assert str(refused.value) == f"truncation degree {n} may need over {MAX_LYNDON_WORDS} words"
+    assert _check_words(NCSeries.letter(0, 999), 1000) is None  # 1000 passes over 1000 words
+
+
+# every entry point the word budget binds, with a call it admits at 10^6 and the subject it
+# names when the budget is 100
+BUDGETED = {
+    "condition_system": (lambda: condition_system(1, 9, "bch"), "order 9"),
+    "verify_scheme": (lambda: verify_scheme(STRANG, 9), "order 9"),
+    "leading_error_term": (lambda: leading_error_term(STRANG, 8), "order 9"),
+    "check_cost": (lambda: check_cost(9, "bch"), "order 9"),
+    "lyndon_words": (lambda: lyndon_words(2, 9), "max degree 9"),
+    "lyndon_words_of_degree": (lambda: lyndon_words_of_degree(2, 9), "max degree 9"),
+    "lie_decompose": (lambda: lie_decompose(expand(bracketing((0,) * 8 + (1,)), 9), 9), "order 9"),
+    "expand": (lambda: expand(_alternating(9), 9), "bracket tree of degree 9"),
+    "LieDecomposition.reconstruct": (
+        lambda: LieDecomposition(9, {_balanced(9): 1}).reconstruct(9), "bracket tree of degree 9"
+    ),
+    "splitting_product": (lambda: splitting_product(GENERIC, 6), "truncation degree 6"),
+    "exp_of_sum": (lambda: exp_of_sum(6), "truncation degree 6"),
+    "exp": (lambda: exp(NCSeries.letter(0, 20)), "truncation degree 20"),
+    "log": (lambda: log(NCSeries.unit(20) + NCSeries.letter(0, 20)), "truncation degree 20"),
+}
+
+
+def test_every_entry_point_keeps_the_one_budget_of_lyndon(monkeypatch):
+    # the budget is read in lyndon alone: patched there, every entry point refuses by it, with
+    # the one message, and the CLI listing reports that refusal as its one error line
+    for call, _ in BUDGETED.values():
+        with contextlib.suppress(NotOrderP):  # strang is of order 2 only
+            call()
+    monkeypatch.setattr(lyndon, "MAX_LYNDON_WORDS", 100)
+    _Tables.cache_clear()
+    for name, (call, subject) in BUDGETED.items():
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"{subject} may need over 100 words", name
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        assert main(["lyndon", "--max-len", "9"]) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", "error: max degree 9 may need over 100 words\n")
+    monkeypatch.undo()
+    _Tables.cache_clear()
 
 
 def test_the_word_budget_takes_truncation_18():

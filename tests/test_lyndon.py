@@ -90,7 +90,7 @@ def _refuse_listing(*args):
 
 def test_lyndon_count_is_the_necklace_sum_listing_nothing(monkeypatch):
     # exact through the first degree past the budget, over every alphabet the letters name
-    monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
+    monkeypatch.setattr("splitcond.lyndon._duval", _refuse_listing)
     for alphabet in range(1, 27):
         total = 0
         for n in range(1, 30):
@@ -480,11 +480,11 @@ def test_lie_decompose_refuses_tables_over_the_word_budget(monkeypatch):
     # the Lyndon words over the eight distinct letters of a degree-8 bracket number about
     # 2.4e6: refused by their count, before any is listed
     f = expand(bracketing(tuple(range(8))), 8, 8)
-    monkeypatch.setattr("splitcond.lyndon.lyndon_words", _refuse_listing)
+    monkeypatch.setattr("splitcond.lyndon._duval", _refuse_listing)
     with pytest.raises(ValueError) as refused:
         lie_decompose(f, 8)
     assert type(refused.value) is ValueError
-    assert str(refused.value) == f"order 8 may need over {MAX_LYNDON_WORDS} Lyndon words"
+    assert str(refused.value) == f"order 8 may need over {MAX_LYNDON_WORDS} words"
     monkeypatch.undo()
     # a degree-6 element on all 26 letters, over which the Lyndon words would number about
     # 5e7, is five brackets on six increasing letters each: the budget counts one word's six
@@ -506,7 +506,7 @@ def test_lie_decompose_refuses_over_the_word_budget_before_any_other_work(monkey
     with pytest.raises(ValueError) as refused:
         lie_decompose(NCSeries(30, 2, {(A, B) * 15: 1}), 30)
     assert type(refused.value) is ValueError
-    assert str(refused.value) == f"order 30 may need over {MAX_LYNDON_WORDS} Lyndon words"
+    assert str(refused.value) == f"order 30 may need over {MAX_LYNDON_WORDS} words"
 
 
 def test_lie_decompose_builds_no_table(monkeypatch):

@@ -57,7 +57,10 @@ class ConcreteScheme(_SchemeFields):
     __slots__ = ()
 
     def __new__(cls, a: Iterable[Scalar], b: Iterable[Scalar], name: str | None = None):
-        a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+        try:  # inf, NaN, "1/0" and "abc" alike; a non-number stays Fraction's TypeError
+            a, b = (tuple(Fraction(c := x) for x in xs) for xs in (a, b))
+        except (ArithmeticError, ValueError):
+            raise ValueError(f"stage coefficient {c!r} is not a finite rational") from None
         if len(a) != len(b):
             raise ValueError("coefficient lists a and b must have equal length")
         if not a:

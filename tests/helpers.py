@@ -1,8 +1,14 @@
-"""Shared test oracles: independent implementations used to check the library.
+"""Shared test oracles: slow, word-keyed implementations the library is checked against.
 
-Everything here is deliberately written from first principles (brute force,
-closed forms, generic numerics) so the tests do not reuse the code paths they
-are checking.
+The oracles key coefficients by word tuples and build on the library's public layers: Poly and
+sum_of_products for coefficients, the NCSeries product, exp and log for series, and
+lyndon_words_of_degree and bracketing for words.  They share no kernel, ring or table with the
+engine that forms the condition systems (poly's product and log kernels, the rings of
+conditions, lyndon._Tables): test_api.py::test_helpers_import_no_engine_kernel_ring_or_table
+keeps it so.  Where a test checks one of those public layers itself, it takes an oracle that
+does not run that layer's code: the {monomial: Fraction} ring for Poly, uncapped Horner loops
+for the capped exp and log, series products for expand, brute force for the Lyndon words.
+leading_error_term_by_bch reads the other route's residuals through the public verify_scheme.
 """
 
 from __future__ import annotations
@@ -10,8 +16,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
-
 import numpy as np
 
 from splitcond import (
@@ -28,91 +32,8 @@ from splitcond import (
     lyndon_words_of_degree,
     verify_scheme,
 )
-from splitcond.lyndon import _Tables
-from splitcond.poly import (
-    _ONE, _ZERO, MAX_EXPONENT, Poly, _dot, _int_product, _map_product, sum_of_products
-)
-from splitcond.series import Word, word_str
-
-
-# ---------------------------------------------------------------------------
-# the recurrence's rings with a dot kernel start + sum c*x*y, which forms the log's
-# constants and its "- acc" step, and the log by Horner's scheme that drives one int
-# sweep by G or one product call a pass: the reference for poly._int_log and
-# poly._map_log, which run every pass in one call
-
-
-def _int_dot(terms: list[tuple[int, int, int]], start: int = 0) -> int:
-    for c, x, y in terms:
-        start += c * x * y
-    return start
-
-
-class OracleRing(NamedTuple):
-    """A ring with its dot kernel; zero is read as the library's _Ring reads it."""
-
-    one: Any
-    dot: Callable
-    product: Callable
-    unit: Any
-    expanded: bool
-
-    @property
-    def zero(self):
-        return self.dot([])
-
-
-INTS = OracleRing(1, _int_dot, _int_product, 1, True)
-MAPS = OracleRing({0: 1}, _dot, _map_product, 0, False)
-# the recurrence's ring over Poly values, kernels by Poly arithmetic: the oracle the
-# library's int and integer-map rings are checked against
-POLYS = OracleRing(_ONE, sum_of_products, _int_product, 1, False)
-
-
-def _int_sweep(acc: list, f, rows: list, top: int) -> None:
-    # acc[w] <- sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]) with |w| <= top, over ints:
-    # the int log's pass by G, from zero; rows longest first read the old acc[v]
-    for w, n, runs in rows:
-        if n <= top:
-            total = 0
-            for c, x, v in runs:
-                total += c * f[x] * acc[v]
-            acc[w] = total
-
-
-def _divided_log(ring, times: Callable, last, size: int, p: int) -> tuple:
-    # L |w|! D^|w| log(F)[w], L = lcm(1..p), at size suffix-closed slots, () last: Horner's scheme
-    # acc <- c_k + F acc - acc, c_k = L (-1)^(k+1) / k, at |w| <= p - k, times(acc, p - k) forming
-    # F acc in place (F acc - acc if expanded, subtracting nothing; else the last pass at last only)
-    one, dot, _, _, expanded = ring
-    big, acc = math.lcm(*range(1, p + 1)), [dot([])] * size
-    for k in range(p, -1, -1):
-        old = acc[:]
-        times(acc, p - k)
-        for w in () if expanded else range(size - 1) if k else last:  # less acc, but at ()
-            if old[w]:
-                acc[w] = dot([(-1, one, old[w])], acc[w])
-        acc[-1] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
-    return big, acc
-
-
-def int_log_by_sweeps(acc: list, g: list, rows: list, p: int) -> int:
-    """poly._int_log's contract by the old log: a sweep by G a pass, from zero, into acc."""
-    times = lambda acc, top: _int_sweep(acc, g, rows, top)
-    big, acc[:] = _divided_log(INTS, times, (), len(acc), p)
-    return big
-
-
-def stage_log(ring: OracleRing) -> Callable:
-    """poly._map_log's contract by the old log over ring, F acc by ring.product on the rows
-    each pass keeps, into acc."""
-
-    def log(acc: list, factors: list, steps: dict, last, p: int) -> int:
-        times = lambda acc, top: ring.product(acc, factors, rows_to(steps, top))
-        big, acc[:] = _divided_log(ring, times, last, len(acc), p)
-        return big
-
-    return log
+from splitcond.poly import _ONE, _ZERO, Poly, sum_of_products
+from splitcond.series import word_str
 
 
 def symbol_point(stages: int) -> list[Poly]:
@@ -298,227 +219,25 @@ def splitting_product_by_exp(scheme: SymbolicScheme, truncation: int) -> NCSerie
 
 
 # ---------------------------------------------------------------------------
-# the recurrence's tables and accumulators keyed by word tuples: the reference
-# for the library's tables over numbered slots, and for its lists indexed by slot
+# the Lyndon read as a word-keyed back-substitution over Poly: the reference for
+# the engine's read, which runs it in place at numbered slots
 
 
-def positioned(rows: list) -> list:
-    """A product's or the read's rows (w, |w|, [(c, v)]) as (w, |w|, [(c, j, v)]), j the run's
-    1-based position, which its n^j reads."""
-    return [(w, n, [(c, j, v) for j, (c, v) in enumerate(runs, 1)]) for w, n, runs in rows]
+def back_substitute_by_word(values: dict, degree: int, alphabet_size: int, memo=None) -> dict:
+    """The nonzero Lyndon coordinates of one degree at the values {Lyndon word: Poly}, by word.
 
-
-def rows_to(steps: dict, top: int) -> dict:
-    """A product's steps at |w| <= top only, the rows a pass of the log runs."""
-    return {x: [row for row in rows if row[1] <= top] for x, rows in steps.items()}
-
-
-def product_steps_by_word(words) -> dict[int, list]:
-    """Per first letter X, longest first, (w, [(C(|w|, j), j, v)]) over w = X^j v.
-
-    1 <= j <= the leading run of X: in divided powers, (e^{cX} G)[w] less G[w].
+    c_w = f[w] - sum_{l < w} E_l[w] c_l over the degree's Lyndon words in lexicographic order,
+    l of w's letters (E_l holds no other word), E_l from bracket_by_word, kept in memo.
+    Unchecked, so exact at any values, a Lie element's or not.
     """
-    steps: dict[int, list] = {}
-    for w in sorted((w for w in words if w), key=len, reverse=True):
-        run = next((j for j, x in enumerate(w) if x != w[0]), len(w))
-        rows = [(math.comb(len(w), j), j, w[j:]) for j in range(1, run + 1)]
-        steps.setdefault(w[0], []).append((w, rows))
-    return steps
-
-
-def splits_by_word(words) -> list:
-    """The nonempty words longest first, each with (C(|w|, i), w[:i], w[i:]), 1 <= i <= |w|."""
-    return [(w, [(math.comb(len(w), i), w[:i], w[i:]) for i in range(1, len(w) + 1)])
-            for w in sorted(filter(None, words), key=len, reverse=True)]
-
-
-def rows_by_word(rows, words, factors=None) -> list:
-    """Slot rows (w, |w|, [(c, x, v)]) read back as (w, [(c, x, v)]) over word tuples.
-
-    w and v are slots of words, numbered in order; x is a slot of factors when factors
-    is given, and is kept as it stands (a power of a ladder) otherwise.  Checks each
-    row's length.
-    """
-    words, factors, out = list(words), factors and list(factors), []
-    for w, n, runs in rows:
-        assert len(words[w]) == n, (words[w], n)
-        out.append((words[w], [(c, x if factors is None else factors[x], words[v])
-                               for c, x, v in runs]))
-    return out
-
-
-def sweep_by_dot(dot, lift=lambda x: x):
-    """acc[w] <- acc[w] + sum c lift(f[x]) acc[v] at each row (w, |w|, [(c, x, v)]), |w| <= top.
-
-    The per-row loop the sweep kernels replace: one dot call per row, over ints,
-    integer maps or Poly, acc a list indexed by slot.  Rows come longest first; with
-    zero each row starts from dot([]) instead of acc[w].  lift turns a factor into a
-    dot operand, such as a packed monomial m into {m: 1}.
-    """
-
-    def sweep(acc, f, rows, top=math.inf, zero=False):
-        for w, n, runs in rows:
-            if n <= top:
-                start = dot([]) if zero else acc[w]
-                acc[w] = dot([(c, lift(f[x]), acc[v]) for c, x, v in runs], start)
-
-    return sweep
-
-
-def monomial_map(mono: int) -> dict[int, int]:
-    """The packed monomial mono as the integer map {mono: 1}."""
-    return {mono: 1}
-
-
-# ---------------------------------------------------------------------------
-# the stage ladders and the sweep kernels the fused product kernels replace: the
-# reference for poly._int_product and poly._map_product
-
-
-def int_sweep(acc: list, f, rows: list, top: int = MAX_EXPONENT, zero: bool = False) -> None:
-    """acc[w] <- acc[w] (0 if zero) + sum c f[x] acc[v] at each row (w, |w|, [(c, x, v)]).
-
-    Over ints or Poly at |w| <= top: rows longest first read the old acc[v], and the
-    Lyndon read's rows, in lexicographic order, read solved values.
-    """
-    for w, n, runs in rows:
-        if n <= top:
-            total = 0 if zero else acc[w]
-            for c, x, v in runs:
-                total += c * f[x] * acc[v]
-            acc[w] = total
-
-
-def map_sweep(acc: list, f: list[int], rows: list, top: int = MAX_EXPONENT, zero=False) -> None:
-    """acc[w] <- acc[w] ({} if zero) + sum c x^f[j] acc[v] at each row (w, |w|, [(c, j, v)]).
-
-    Over integer maps at |w| <= top, f[j] a packed monomial added to each key; rows in
-    int_sweep's orders, and each row gets a new map, so no start is mutated.
-    """
-    for w, n, runs in rows:
-        if n <= top:
-            total = {} if zero else dict(acc[w])
-            for c, j, v in runs:
-                shift = f[j]
-                for m, x in acc[v].items():
-                    m += shift
-                    total[m] = total.get(m, 0) + c * x
-            acc[w] = {m: x for m, x in total.items() if x} if 0 in total.values() else total
-
-
-def ladder_product(sweep, power=pow):
-    """The fused product kernels' contract by ladders: one sweep a factor, right to left.
-
-    A factor (X, x) sweeps the rows steps[X], each run at its position j, by its ladder
-    [power(x, 0) .. power(x, t)], t the most runs of a row; the int ring's power is pow,
-    over ints or Poly, and the map ring's j times the factor's packed unit monomial,
-    map_ladder's.
-    """
-
-    def product(acc, factors, steps):
-        for letter, x in reversed(factors):
-            rows = positioned(steps.get(letter, []))
-            longest = max((len(runs) for _, _, runs in rows), default=0)
-            sweep(acc, [power(x, j) for j in range(longest + 1)], rows)
-
-    return product
-
-
-def map_ladder(k: int, j: int) -> int:
-    """x^j for the symbol x named k >= 1, index k - 1, as a packed monomial; 0 for k = 0."""
-    return j << 8 * k >> 8
-
-
-def divided_product_by_word(ring, a, b, words, lift=lambda x: x) -> dict:
-    """G[w] = |w|! D^|w| F[w] on the suffix-closed words, keyed by word.
-
-    Right to left over the nonzero stage ladders [n^0 .. n^top], one call of the
-    ring's dot per word and stage, from product_steps_by_word.
-    """
-    steps = product_steps_by_word(words)
-    g = dict.fromkeys(words, ring.dot([]))
-    g[()] = ring.one
-    ladders = [(x, n) for pair in zip(a, b) for x, n in enumerate(pair) if n[-1]]
-    for letter, powers in reversed(ladders):
-        for w, runs in steps.get(letter, []):
-            g[w] = ring.dot([(c, lift(powers[j]), g[v]) for c, j, v in runs], g[w])
-    return g
-
-
-# ---------------------------------------------------------------------------
-# the Lyndon read as a word-keyed back-substitution: the reference for the read's
-# slot rows, swept in place by the kernels
-
-
-def back_substitute_by_word(ring, values, degree: int, alphabet_size: int) -> dict:
-    """The nonzero Lyndon coordinates of one degree, keyed by word.
-
-    The solve the read's rows replace, with the ring's unit and dot, over every
-    earlier Lyndon word; E_l is the series expansion of l's standard bracketing, so
-    no bracket table of the library enters.
-    """
-    # c_w = f[w] - sum_{l<w} E_l[w] c_l over the Lyndon words of one degree, in lexicographic
-    # order, the values f[w] in that order; unchecked: exact for Lie elements
-    solved: list[tuple[dict[Word, int], Any]] = []
-    out = {}
-    for word, value in zip(lyndon_words_of_degree(alphabet_size, degree), values):
-        if coeff := ring.dot([(-e[word], c, ring.one) for e, c in solved if word in e], value):
+    solved, out, memo = {}, {}, {} if memo is None else memo
+    for word in lyndon_words_of_degree(alphabet_size, degree):
+        block = solved.setdefault(tuple(sorted(word)), [])
+        terms = [(-e[word], c, _ONE) for e, c in block if word in e]
+        if coeff := sum_of_products(terms, values.get(word, _ZERO)):
             out[word] = coeff
-            terms = expand_by_products(bracketing(word), degree, alphabet_size).terms
-            solved.append(({w: int(c.constant()) for w, c in terms.items()}, coeff))
+            block.append((bracket_by_word(word, memo), coeff))
     return out
-
-
-# ---------------------------------------------------------------------------
-# the logarithm of the splitting product by Horner's scheme over the expanded
-# product, keyed by word: the reference for the condition systems' log, which
-# multiplies by the stages' one-letter exponentials instead, and for the int
-# path's log over numbered slots
-
-
-def divided_log_by_expanded_product(ring, a, b, words, p: int, last, lift=lambda x: x):
-    """L |w|! D^|w| log(F)[w] at the words of last, L = lcm(1..p), over the expanded F.
-
-    The logarithm the stage sweeps replace: G = |w|! D^|w| F[w] is formed on every
-    factor of the suffix-closed words, then Horner's scheme multiplies by G - 1 at
-    every split w = uv, u != (), on the words of length <= p - k; the last pass forms
-    only last.  a and b are the stage ladders [n^0 .. n^p], over ints or, lifted to
-    integer maps by lift, packed monomials; only the ring's unit and dot are used.
-    Returns L and a map keyed by word.
-    """
-    factors = {w[:i] for w in words for i in range(len(w) + 1)}
-    g = divided_product_by_word(ring, a, b, factors, lift)
-    big, one, dot = math.lcm(*range(1, p + 1)), ring.one, ring.dot
-    acc = dict.fromkeys(words, dot([]))
-    for k in range(p, -1, -1):
-        for w, splits in splits_by_word(words):
-            if len(w) <= p - k and (k or w in last):
-                acc[w] = dot([(c, g[u], acc[v]) for c, u, v in splits])
-        acc[()] = dot([((-1) ** (k + 1) * big // k, one, one)] if k else [])
-    return big, acc
-
-
-def lyndon_slots(tables) -> list[int]:
-    """The slots of a _Tables's Lyndon words, every degree's, in degree then word order."""
-    return [i for words in tables.lyndon for i in words.values()]
-
-
-def divided_log_lyndon_last_pass(ring, sweep, g, tables, p: int) -> list:
-    """The expanded-G log whose last pass forms only the Lyndon words' slots.
-
-    Horner's scheme acc <- c_k + (G - 1) acc, each pass a sweep by G from zero over
-    tables.log_steps, as the library's int log runs it, except that the last pass
-    (k = 0) keeps to the log_steps rows at the Lyndon slots; the other slots keep the
-    previous pass's values.  sweep(acc, g, rows, top) starts each row from zero, and
-    the ring's unit and dot form the constants.  Over the slots of tables.suffixes.
-    """
-    slots = set(lyndon_slots(tables))
-    last_rows = [row for row in tables.log_steps if row[0] in slots]
-    big, acc = math.lcm(*range(1, p + 1)), [ring.dot([])] * len(tables.suffixes)
-    for k in range(p, -1, -1):
-        sweep(acc, g, tables.log_steps if k else last_rows, p - k)
-        acc[-1] = ring.dot([((-1) ** (k + 1) * big // k, ring.one, ring.one)] if k else [])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +353,6 @@ def expand_by_products(tree, truncation: int, alphabet_size: int = 2) -> NCSerie
     return ls * rs - rs * ls
 
 
-def lie_decompose_on_the_union_table(f: NCSeries, degree: int) -> LieDecomposition:
-    """The Lyndon read of a homogeneous Lie element on one table over every letter it uses.
-
-    The letters are relabelled in order onto 0..k-1, which keeps every row; the zero
-    series is read on one letter.  Unchecked: exact for Lie elements.
-    """
-    letters = sorted({x for w in f.terms for x in w}) or [0]
-    tables = _Tables(degree, len(letters))
-    words = {tuple(letters[x] for x in w): i for w, i in tables.lyndon[degree].items()}
-    acc = {i: f.terms.get(w, _ZERO) for w, i in words.items()}
-    tables.read(_int_product, 1, acc, [degree])
-    return LieDecomposition(degree, {w: acc[i] for w, i in words.items() if acc[i]})
-
-
 def lie_decompose_by_subtraction(f: NCSeries, degree: int) -> LieDecomposition:
     """Lyndon-basis coefficients of a homogeneous series by series subtraction.
 
@@ -694,21 +399,6 @@ def bracket_by_word(word: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], 
                     terms[y + x] = terms.get(y + x, 0) - cx * cy
             memo[word] = {w: c for w, c in terms.items() if c}
     return memo[word]
-
-
-def read_steps_by_word(tables, q: int, memo: dict) -> list:
-    """The rows of tables.read_steps at degree q, over tuple words: per Lyndon slot w in order,
-    (w, q, [(-E_l[w], l)]) over the Lyndon words l < w of w's letters whose E_l holds w."""
-    blocks, runs = {}, {i: [] for i in tables.lyndon[q].values()}
-    for w, i in tables.lyndon[q].items():
-        blocks.setdefault(tuple(sorted(w)), []).append((w, i))
-    for block in blocks.values():
-        for k, (l, i) in enumerate(block[:-1]):
-            e = bracket_by_word(l, memo)
-            for w, j in block[k + 1 :]:
-                if w in e:
-                    runs[j].append((-e[w], i))
-    return [(i, q, r) for i, r in runs.items() if r]
 
 
 def dynkin_by_word(terms: dict, degree: int) -> dict:

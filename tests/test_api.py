@@ -57,6 +57,21 @@ def test_removed_names_stay_removed():
     assert not any(hasattr(m, "MAX_LYNDON_WORDS") for m in (cli, conditions, series))
 
 
+def test_helpers_import_no_engine_kernel_ring_or_table():
+    # the oracles of helpers.py stay independent of the engine they check: no name of its
+    # kernels, rings or tables is imported or read there
+    import ast
+    from pathlib import Path
+
+    engine = {"_int_product", "_map_product", "_map_fresh", "_int_log", "_map_log", "_dot",
+              "_divided_product", "_INTS", "_MAPS", "_Tables"}
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & engine, sorted(names & engine)
+
+
 def test_exp_and_log_take_one_series():
     assert list(inspect.signature(splitcond.exp).parameters) == ["g"]
     assert list(inspect.signature(splitcond.log).parameters) == ["f"]

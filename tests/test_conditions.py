@@ -1,5 +1,3 @@
-import functools
-import inspect
 import itertools
 import math
 import random
@@ -39,69 +37,32 @@ from splitcond.conditions import (
     MAX_COST,
     ROUTES,
     _NIL,
-    _Ring,
     _divided_product,
-    _route,
-    _scaled,
     check_cost,
 )
 from splitcond.lyndon import (
     MAX_LYNDON_WORDS,
     _numbered,
     _product_steps,
-    _splits,
     _Tables,
-    is_lyndon,
     lyndon_count,
     lyndon_words,
 )
-from splitcond.poly import (
-    MAX_EXPONENT,
-    Poly,
-    _dot,
-    _int_log,
-    _int_product,
-    _map_fresh,
-    _map_log,
-    _map_product,
-    as_poly,
-    sum_of_products,
-)
+from splitcond.poly import Poly
 
 from helpers import (
-    INTS,
-    MAPS,
-    POLYS,
-    _divided_log,
-    _int_sweep,
     combine_log_coefficients,
     conditions_bch_dense,
-    divided_log_by_expanded_product,
-    divided_log_lyndon_last_pass,
     homogeneous_at_truncation,
-    int_log_by_sweeps,
-    int_sweep,
-    ladder_product,
     leading_error_term_by_bch,
     log_pair_coefficients,
-    lyndon_slots,
-    map_ladder,
-    map_sweep,
-    monomial_map,
     necklace_count,
     order1_witness,
     order2_witness,
-    positioned,
-    product_steps_by_word,
     random_fraction,
     refine_witnesses,
-    rows_by_word,
-    rows_to,
-    splits_by_word,
     splitting_product_by_exp,
-    stage_log,
     strang_composition,
-    sweep_by_dot,
     symbol_point,
     taylor_derivative,
 )
@@ -184,380 +145,17 @@ def test_restricted_product_equals_the_oracle_on_the_suffix_closure(stages, trun
     for _ in range(10):
         targets = rng.sample(words, rng.randint(1, 6))
         closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-        # the divided-power recurrence, G[w] = |w|! F[w] over Poly, at numbered slots
+        # the divided-power recurrence, G[w] = |w|! F[w], by the int ring over Poly values
         slots = _numbered(closure)
         steps = _product_steps(slots)
         symbols = enumerate(symbol_point(stages))
         factors = [(i % 2, n) for i, n in symbols]
-        divided = _divided_product(POLYS, factors, steps, len(slots))
+        divided = _divided_product(_INTS, factors, steps, len(slots))
         divided = dict(zip(slots, divided))
         assert set(divided) == closure
         for word in closure:
             expected = full.coefficient(word) * math.factorial(len(word))
             assert divided[word] == expected, word_str(word)
-
-
-def product_steps_by_splits(words):
-    # the table _product_steps replaces: every split w = uv, u != (), of every
-    # word, kept where u is a power of the first letter
-    steps = {}
-    for w, splits in splits_by_word(w for w in words if w):
-        runs = [(c, len(u), v) for c, u, v in splits if u == w[:1] * len(u)]
-        steps.setdefault(w[0], []).append((w, runs))
-    return steps
-
-
-def test_product_steps_equal_the_filter_over_all_splits():
-    rng = random.Random(1515)
-    for _ in range(60):
-        alphabet, top = rng.choice((2, 3)), rng.randint(1, 8)
-        targets = [
-            tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, top)))
-            for _ in range(rng.randint(1, 5))
-        ] + [(rng.randrange(alphabet),) * top]  # a word that is one run
-        closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-        assert steps_by_word(closure) == product_steps_by_splits(closure)
-    for p in (1, 4, 8):
-        tables = _Tables(p, 2)
-        assert steps_by_word(tables.suffixes) == product_steps_by_splits(tables.suffixes)
-
-
-def steps_by_word(words):
-    # _product_steps over the numbered words, read back through the slots
-    slots = _numbered(words)
-    return {x: rows_by_word(positioned(rows), slots) for x, rows in _product_steps(slots).items()}
-
-
-@pytest.mark.parametrize("p,alphabet", [(1, 2), (2, 2), (4, 2), (6, 2), (8, 2), (4, 3)])
-def test_slot_tables_read_back_equal_the_word_keyed_tables(p, alphabet):
-    # each table over numbered slots, read back through the slot map, equals the
-    # word-keyed table it replaces
-    tables = _Tables(p, alphabet)
-    words = list(tables.suffixes)
-    lyndon = {w for ws in tables.lyndon for w in ws}
-    suffixes = {w[i:] for w in lyndon for i in range(len(w) + 1)}
-    factors = {v[:i] for v in suffixes for i in range(len(v) + 1)}
-    for slot, closure in [(tables.suffixes, suffixes), (tables.factors, factors)]:
-        numbered = list(slot)
-        assert sorted(numbered) == sorted(closure) and numbered[-1] == ()
-        assert [len(w) for w in numbered] == sorted(map(len, numbered), reverse=True)
-        assert list(slot.values()) == list(range(len(slot)))
-    assert sorted(lyndon) == lyndon_words(alphabet, p)
-    for q, slots in enumerate(tables.lyndon):  # each degree's words to their slots, in order
-        assert list(slots) == sorted(slots) and all(len(w) == q for w in slots)
-        assert [words[i] for i in slots.values()] == list(slots)
-    read = {x: rows_by_word(positioned(rows), words) for x, rows in tables.suffix_steps.items()}
-    assert read == product_steps_by_word(words)
-    read = {x: rows_by_word(positioned(rows), tables.factors)
-            for x, rows in tables.factor_steps.items()}
-    assert read == product_steps_by_word(tables.factors)
-    splits = splits_by_word(words)
-    assert rows_by_word(tables.log_steps, words, tables.factors) == splits
-
-
-@pytest.mark.parametrize("p,alphabet", [(4, 2), (8, 2), (4, 3)])
-def test_product_and_read_runs_are_pairs_placed_by_their_position(p, alphabet):
-    # a product run is (C(|w|, j), v), its j the run's 1-based position, which the kernels'
-    # running n^j reads, and a read run (-E_l[w], l); the int kernel takes no top, as every
-    # caller runs a whole table
-    assert list(inspect.signature(_int_product).parameters) == ["acc", "factors", "steps"]
-    tables = _Tables.__wrapped__(p, alphabet)
-    for slots, steps in [(tables.suffixes, tables.suffix_steps),
-                         (tables.factors, tables.factor_steps)]:
-        words, oracle = list(slots), product_steps_by_word(slots)
-        assert sorted(steps) == sorted(oracle)
-        for x, rows in steps.items():
-            assert len(rows) == len(oracle[x])
-            for (w, n, runs), (word, expected) in zip(rows, oracle[x]):
-                assert words[w] == word and n == len(word)
-                assert all(len(run) == 2 for run in runs)
-                assert [(c, j, words[v]) for j, (c, v) in enumerate(runs, 1)] == expected
-    memo, reads = {}, []
-    for q in range(1, p + 1):
-        reads += [run for _, _, runs in tables.read_steps(q, memo, p) for run in runs]
-    assert all(len(run) == 2 for run in reads) and (reads or (p, alphabet) == (4, 2))
-
-
-# the derive grid of the benchmark (perfbench/inputs.GRID_FULL), and bch (4, 7)
-DERIVE_GRID = [
-    (3, 4, "taylor"), (2, 5, "taylor"), (4, 6, "taylor"), (5, 5, "taylor"),
-    (3, 4, "bch"), (2, 5, "bch"), (2, 4, "bch"), (4, 7, "bch"),
-]
-
-
-@pytest.mark.parametrize("stages,p,route", DERIVE_GRID)
-def test_condition_system_equals_the_route_over_poly(stages, p, route):
-    # the path the integer maps replace: the route over Poly, its products swept by
-    # ladders with sum_of_products per row, the offset and the scale applied by Poly
-    # arithmetic; its log is the one the map log replaced, over the ring, then the
-    # read by the ring's product, whose unit, the int 1, is lifted to a Poly
-    ring = POLYS._replace(product=ladder_product(sweep_by_dot(sum_of_products, as_poly)))
-
-    def log(factors, tables, p):
-        acc, last = [ring.zero] * len(tables.suffixes), lyndon_slots(tables)
-        big = stage_log(ring)(acc, factors, tables.suffix_steps, last, p)
-        tables.read(ring.product, ring.unit, acc, range(2, p + 1))
-        return acc, big
-
-    oracle_ring = _Ring(ring.zero, ring.one, ring.product, log)
-    routed = _route(oracle_ring, symbol_point(stages), 1, p, route)
-    oracle = [(q, w, n[i], offset, scale)
-              for q, words, n, offset, scale in routed for w, i in words.items()]
-    entries = condition_system(stages, p, route).entries
-    assert len(entries) == len(oracle)
-    for entry, (q, w, n, offset, scale) in zip(entries, oracle):
-        assert entry == ConditionEntry(q, w, (n - offset) * F(1, scale)), word_str(w)
-
-
-BCH_CELLS = [(s, p) for s, p, route in DERIVE_GRID if route == "bch"]
-
-
-def stage_product(ring, point, steps):
-    # F acc as one product kernel call over the stages' one-letter exponentials,
-    # e^{b_s B} first and e^{a_1 A} last, each over the words its letter leads, at the
-    # rows through top; zero stages are kept
-    factors = [(i % 2, n) for i, n in enumerate(point)]
-    return lambda acc, top: ring.product(acc, factors, rows_to(steps, top))
-
-
-def int_ladders(values, p):
-    # every power, a zero stage's too: the oracle's sweeps read n^j up to a run
-    return [[n**j for j in range(p + 1)] for n in values]
-
-
-def map_ladders(stages, p):
-    # the symbols a_j, b_j, named 2j-1 and 2j, as ladders of packed monomials
-    return [[map_ladder(k, j) for j in range(p + 1)] for k in range(1, 2 * stages + 1)]
-
-
-def rings(values, stages, p):
-    # (point, ladders, ring, lift) over ints at the values, and over integer maps at
-    # the symbols, named 1, 2, ..., whose ladders, for the oracle, hold packed monomials
-    return [
-        (values, int_ladders(values, p), INTS, lambda x: x),
-        (range(1, 2 * stages + 1), map_ladders(stages, p), MAPS, monomial_map),
-    ]
-
-
-def split_sweep(ring):
-    # the expanded-G log's pass, from zero: the int ring's kernel, and over maps, whose
-    # factors G[u] are whole maps, the per-row loop
-    return _int_sweep if ring is INTS else functools.partial(sweep_by_dot(ring.dot), zero=True)
-
-
-@pytest.mark.parametrize("stages,p", BCH_CELLS)
-def test_last_log_pass_at_the_lyndon_words_equals_the_full_pass(stages, p):
-    # the BCH route's log ends at the Lyndon words: a last sweep by the expanded product
-    # that forms only them (the helpers' oracle), and the stage sweeps' last pass, which
-    # subtracts acc only there, must agree there with the full pass at every suffix, over
-    # ints and over integer maps
-    tables = _Tables(p, 2)
-    lyndon_set = {w for ws in tables.lyndon for w in ws}
-    words, size = tables.suffixes, len(tables.suffixes)
-    rng = random.Random(100 * stages + p)
-    values = [rng.randint(-9, 9) for _ in range(2 * stages)]
-    for point, _, ring, lift in rings(values, stages, p):
-        # every value enters the factor word; a zero one's powers add nothing
-        factors = [(i % 2, n) for i, n in enumerate(point)]
-        g = _divided_product(ring, factors, tables.factor_steps, len(tables.factors))
-        lone = split_sweep(ring)
-        by_g, by_stage = ring._replace(expanded=True), ring._replace(expanded=False)
-        by_split = lambda acc, top: lone(acc, g, tables.log_steps, top)
-        staged, every = stage_product(ring, point, tables.suffix_steps), range(size - 1)
-        for full, last in [
-            (_divided_log(by_g, by_split, every, size, p)[1],
-             divided_log_lyndon_last_pass(by_g, lone, g, tables, p)),
-            (_divided_log(by_stage, staged, every, size, p)[1],
-             _divided_log(by_stage, staged, lyndon_slots(tables), size, p)[1]),
-        ]:
-            full, last = dict(zip(words, full)), dict(zip(words, last))
-            assert lyndon_set < set(full) == set(last)
-            for w in lyndon_set:
-                assert last[w] == full[w], word_str(w)
-
-
-def assert_stage_sweeps_equal_the_expanded_product(ring, point, ladders, words, p, lift, last):
-    # the stage-product log at the point against the log over the expanded product,
-    # by the stages' ladders, entry by entry at the words of last
-    a, b = ladders[::2], ladders[1::2]
-    expected_big, expected = divided_log_by_expanded_product(ring, a, b, words, p, last, lift)
-    slot = _numbered(words)
-    numbered = list(slot)
-    times = stage_product(ring, point, _product_steps(slot))  # the last pass runs it whole too
-    at = [i for i, w in enumerate(numbered) if w in last]
-    big, got = _divided_log(ring._replace(expanded=False), times, at, len(slot), p)
-    got = dict(zip(numbered, got))
-    assert big == expected_big
-    assert set(got) == set(expected) == set(words)
-    for w in last:
-        assert got[w] == expected[w], word_str(w)
-
-
-@pytest.mark.parametrize("stages,p", BCH_CELLS)
-def test_stage_sweep_log_equals_the_log_over_the_expanded_product(stages, p):
-    tables = _Tables(p, 2)
-    rng = random.Random(1600 + 10 * stages + p)
-    values = [rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))) for _ in range(2 * stages)]
-    lyndon_set = {w for ws in tables.lyndon for w in ws}
-    for point, ladders, ring, lift in rings(values, stages, p):
-        for last in (lyndon_set, tables.suffixes):
-            assert_stage_sweeps_equal_the_expanded_product(
-                ring, point, ladders, tables.suffixes, p, lift, last
-            )
-
-
-def test_stage_sweep_log_over_ints_with_zero_stages():
-    # zero stages are kept as factors whose powers vanish; with every b zero (or
-    # every a), F acc = acc at the words that letter leads
-    rng = random.Random(1601)
-    for stages, p in [(1, 4), (2, 5), (3, 4), (4, 6)]:
-        tables = _Tables(p, 2)
-        lyndon_set = {w for ws in tables.lyndon for w in ws}
-        draws = [
-            [rng.randint(-9, 9) for _ in range(stages)] + [0] * stages,  # every b zero
-            [0] * stages + [rng.randint(-9, 9) for _ in range(stages)],  # every a zero
-            [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)],
-            [0] * (2 * stages),
-        ]
-        for draw in draws:
-            point = [n for pair in zip(draw[:stages], draw[stages:]) for n in pair]
-            assert_stage_sweeps_equal_the_expanded_product(
-                INTS, point, int_ladders(point, p), tables.suffixes, p, lambda x: x, lyndon_set
-            )
-
-
-def test_stage_sweep_log_on_random_suffix_closed_sets():
-    rng = random.Random(1602)
-    for _ in range(40):
-        stages, p = rng.randint(1, 3), rng.randint(1, 6)
-        targets = [
-            tuple(rng.randrange(2) for _ in range(rng.randint(1, p)))
-            for _ in range(rng.randint(1, 5))
-        ]
-        closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-        last = set(targets) | set(rng.sample(sorted(closure), rng.randint(0, len(closure))))
-        values = [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * stages)]
-        for point, ladders, ring, lift in rings(values, stages, p):
-            assert_stage_sweeps_equal_the_expanded_product(
-                ring, point, ladders, closure, p, lift, last
-            )
-
-
-# -- the kernels against the per-row loop and the ladders they replace -----------
-
-
-def random_closure(rng, top=7):
-    targets = [
-        tuple(rng.randrange(2) for _ in range(rng.randint(1, top)))
-        for _ in range(rng.randint(1, 5))
-    ]
-    return {w[i:] for w in targets for i in range(len(w) + 1)}
-
-
-def random_map(rng):
-    # small monomials and coefficients, so that sums of shifted maps often cancel
-    monos = [0, 1, 2, 1 << 8, 1 << 16, (1 << 8) + 1]
-    return {m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monos, rng.randint(0, 4))}
-
-
-def sweep_cases(rng, count):
-    # random suffix-closed rows, with a top cut (sometimes none)
-    for _ in range(count):
-        closure = random_closure(rng)
-        yield closure, rng.choice((MAX_EXPONENT, rng.randint(0, 7)))
-
-
-def test_int_sweep_equals_the_per_row_dot_loop():
-    # the int log's sweep starts each row from zero
-    rng = random.Random(1701)
-    oracle = sweep_by_dot(INTS.dot)
-    for closure, top in sweep_cases(rng, 300):
-        # the expanded product's split rows by G, or a product's rows by a stage ladder,
-        # zero stages drawn
-        n = rng.choice((0, rng.randint(-9, 9)))
-        words = _numbered(closure)
-        factors = _numbered({w[:i] for w in closure for i in range(len(w) + 1)})
-        for f, rows in [
-            ([n**j for j in range(8)], positioned(_product_steps(words).get(rng.randrange(2), []))),
-            ([rng.choice((0, rng.randint(-99, 99))) for u in factors], _splits(words, factors)),
-        ]:
-            acc = [rng.choice((0, rng.randint(-99, 99))) for w in words]
-            expected = list(acc)
-            oracle(expected, f, rows, top, True)
-            _int_sweep(acc, f, rows, top)
-            assert acc == expected
-
-
-def test_map_sweep_equals_the_per_row_dot_loop():
-    # the map product kernel by one factor (X, k), the symbol named k: its running shift
-    # against a per-row dot by the ladder of k's packed monomials
-    rng = random.Random(1702)
-    oracle = sweep_by_dot(_dot, monomial_map)
-    cancelled = 0
-    for closure, top in sweep_cases(rng, 300):
-        words = _numbered(closure)
-        letter, k = rng.randrange(2), rng.randint(1, 3)
-        steps = _product_steps(words)
-        rows, f = positioned(steps.get(letter, [])), [map_ladder(k, j) for j in range(8)]
-        acc = [random_map(rng) for w in words]
-        for w, n, runs in rows:
-            if rng.random() < 0.5:  # a start that cancels what the row adds
-                added = _dot([(c, monomial_map(f[j]), acc[v]) for c, j, v in runs])
-                acc[w] = _dot([(-1, {0: 1}, added)], random_map(rng))
-        for w, n, runs in rows:  # count the sums that cancel, from the old values
-            if n <= top:
-                naive = dict(acc[w])
-                for c, j, v in runs:
-                    for m, n in acc[v].items():
-                        naive[m + f[j]] = naive.get(m + f[j], 0) + c * n
-                cancelled += 0 in naive.values()
-        expected = list(acc)
-        oracle(expected, f, rows, top)
-        _map_product(acc, [(letter, k)], steps, top)
-        assert acc == expected
-        assert all(0 not in y.values() for y in acc)
-    assert cancelled > 50
-
-
-def test_map_sweep_never_mutates_a_shared_start():
-    # _divided_product seeds every word with one ring.zero object, so the kernel must
-    # write a new map at each row, over a factor word of one to three factors
-    rng = random.Random(1703)
-    for closure, top in sweep_cases(rng, 100):
-        words = _numbered(closure)
-        steps = _product_steps(words)
-        factors = [(rng.randrange(2), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        shared = rng.choice(({}, random_map(rng)))
-        before = dict(shared)
-        acc = [shared] * len(words)
-        acc[-1] = {0: 1}
-        _map_product(acc, factors, steps, top)
-        assert shared == before
-        touched = [acc[w] for x in {x for x, _ in factors} for w, n, _ in steps.get(x, [])
-                   if n <= top]
-        assert all(y is not shared for y in touched)
-        assert len({id(y) for y in touched}) == len(touched)
-
-
-def test_map_fresh_equals_the_general_kernel_from_the_unit_start():
-    # the Taylor product over maps: from the shared {} and {0: 1} of _divided_product's
-    # start, over factors naming distinct symbols k >= 1 in random order, the kernel that
-    # stores fresh keys gives the general kernel's maps slot by slot, mutates neither
-    # start, and writes a map of its own at each slot a factor's rows reach
-    rng = random.Random(1704)
-    for closure, _ in sweep_cases(rng, 200):
-        words = _numbered(closure)
-        steps = _product_steps(words)
-        factors = [(rng.randrange(2), k) for k in rng.sample(range(1, 9), rng.randint(1, 8))]
-        empty, unit = {}, {0: 1}
-        got, expected = [empty] * (len(words) - 1) + [unit], [{}] * (len(words) - 1) + [{0: 1}]
-        _map_fresh(got, factors, steps)
-        _map_product(expected, factors, steps)
-        assert got == expected
-        assert empty == {} and unit == {0: 1}
-        touched = [got[w] for x in {x for x, _ in factors} for w, _, _ in steps.get(x, [])]
-        assert all(y is not empty and y is not unit for y in touched)
-        assert len({id(y) for y in touched}) == len(touched)
 
 
 def test_systems_own_their_maps_and_leave_the_ring_s_zero_and_one():
@@ -584,86 +182,6 @@ def test_a_slot_left_at_the_ring_s_zero_gets_a_map_of_its_own(monkeypatch):
     monkeypatch.setattr("splitcond.conditions._route", unwritten)
     (entry,) = condition_system(1, 1, "taylor").entries
     assert entry.polynomial == -1 and _MAPS.zero == {}
-
-
-@pytest.mark.parametrize("p", range(1, 9))
-def test_fused_log_kernels_equal_the_log_they_replace(p):
-    # _int_log and _map_log against the log that drove a sweep or a product a pass, on
-    # random suffix-closed tables reaching degree p: the int log by the expanded G over
-    # stages drawn zero, negative or over 30-digit denominators, and the map log over the
-    # symbols of s = 1..4 stages, whose last pass subtracts at the Lyndon slots only; a
-    # shared {} start comes back unmutated
-    rng = random.Random(2800 + p)
-    unread = 0  # cases where a slot the last pass leaves out holds a value
-    for case in range(6):
-        longest = tuple(rng.randrange(2) for _ in range(p))
-        closure = random_closure(rng, p) | {longest[i:] for i in range(p + 1)}
-        words = _numbered(closure)
-        size, steps = len(words), _product_steps(words)
-        factor_slots = _numbered({w[:i] for w in closure for i in range(len(w) + 1)})
-        splits = _splits(words, factor_slots)
-        big_den = rng.randint(10**29, 10**30)
-        stages = [rng.choice((0, rng.randint(-9, -1), rng.randint(1, 9),
-                              F(rng.randint(-10**6, 10**6), big_den)))
-                  for _ in range(2 * rng.randint(1, 4))]
-        values, _ = _scaled(ConcreteScheme(stages[::2], stages[1::2]))
-        factors = [(i % 2, n) for i, n in enumerate(values) if n]
-        g = _divided_product(_INTS, factors, _product_steps(factor_slots), len(factor_slots))
-        got, expected = [0] * size, [0] * size
-        assert _int_log(got, g, splits, p) == int_log_by_sweeps(expected, g, splits, p)
-        assert got == expected
-        stages = rng.randint(1, 4)
-        symbols = [(i % 2, k) for i, k in enumerate(range(1, 2 * stages + 1))]
-        last = [i for w, i in words.items() if is_lyndon(w)]
-        shared = {}
-        got, expected = [shared] * size, [{}] * size
-        big = _map_log(got, symbols, steps, last, p)
-        assert big == stage_log(MAPS)(expected, symbols, steps, last, p)
-        assert got == expected and shared == {}
-        unread += any(got[i] for i in range(size - 1) if i not in last)
-    assert unread or p == 1  # at p = 1 every word is one letter, a Lyndon word
-
-
-@pytest.mark.parametrize("p", range(1, 9))
-def test_fused_product_kernels_equal_the_ladder_oracle(p):
-    # one kernel call over a whole factor word, n^j formed along each row's run, against
-    # one ladder sweep per factor, the kernels these replace, at every slot of the suffix
-    # and factor tables through degree p, under top cut-offs (the int kernel, which has no
-    # top, on the rows a cut keeps, and the map kernel by its own top), from G's start and
-    # from random values: over ints, with zero and negative stages scaled over large
-    # denominators, over Poly values, and over integer maps at the symbols' names
-    rng = random.Random(2700 + p)
-    tables = _Tables(p, 2)
-    ints, maps = ladder_product(int_sweep), ladder_product(map_sweep, map_ladder)
-    for slots, steps in [(tables.suffixes, tables.suffix_steps),
-                         (tables.factors, tables.factor_steps)]:
-        size = len(slots)
-        for top in sorted({0, rng.randint(1, p), p, MAX_EXPONENT}):
-            cut = rows_to(steps, top)
-            letters = [rng.randrange(2) for _ in range(rng.randint(1, 6))]
-            stages = [rng.choice((F(0), random_fraction(rng), F(rng.randint(-10**30, 10**30),
-                                                                  rng.randint(1, 10**30))))
-                      for _ in letters]
-            den = math.lcm(*(c.denominator for c in stages))
-            values = [int(c * den) for c in stages]
-            polys = [Poly.symbol(rng.choice("ab"), rng.randint(1, 2)) * random_fraction(rng)
-                     + rng.randint(-2, 2) for _ in letters[:3]]
-            names = [rng.randint(1, 4) for _ in letters]
-            on_cut = lambda acc, factors: _int_product(acc, factors, cut)
-            for kernel, oracle, factors, starts in [
-                (on_cut, ints, list(zip(letters, values)),
-                 [[0] * (size - 1) + [1], [rng.randint(-10**20, 10**20) for _ in slots]]),
-                (on_cut, ints, list(zip(letters, polys)),
-                 [[Poly()] * (size - 1) + [Poly.const(1)]]),
-                (lambda acc, factors: _map_product(acc, factors, steps, top), maps,
-                 list(zip(letters, names)),
-                 [[{}] * (size - 1) + [{0: 1}], [random_map(rng) for _ in slots]]),
-            ]:
-                for start in starts:
-                    got, expected = list(start), list(start)
-                    kernel(got, factors)
-                    oracle(expected, factors, cut)
-                    assert got == expected
 
 
 def test_exp_of_sum_is_the_closed_form_at_every_truncation():

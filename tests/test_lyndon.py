@@ -23,20 +23,15 @@ from splitcond.poly import Poly, _int_product
 from splitcond.series import word_str
 
 from helpers import (
-    INTS,
-    MAPS,
-    POLYS,
     back_substitute_by_word,
     expand_by_products,
     homogeneous_at_truncation,
     lie_decompose_by_subtraction,
     lie_decompose_by_word,
-    lie_decompose_on_the_union_table,
     longest_lyndon_suffix_factorization,
     necklace_count,
     random_poly,
     random_series,
-    read_steps_by_word,
     strictly_smallest_rotation,
 )
 
@@ -513,20 +508,18 @@ def test_lie_decompose_builds_no_table(monkeypatch):
     # the coordinates are read off the input's own Lyndon words, so no word table is built
     # and the table cache is left as it was, however many letters the alphabet or the input
     # has: a series on the letters D and H (3 and 7) of a 12-letter alphabet reads the
-    # two-letter coordinates relabelled, and each input reads what the union table, the
-    # subtraction and the tuple-keyed solve read, repr included (ABCDEFG, whose union table
-    # holds 141,280 words, against the other two only)
+    # two-letter coordinates relabelled, and each input reads what the subtraction and the
+    # tuple-keyed solve read, repr included
     from splitcond import lyndon
 
     built, tables = [], lyndon._Tables
     monkeypatch.setattr(lyndon, "_Tables", lambda *args: built.append(args) or tables(*args))
 
-    def read(f, degree, oracles=(lie_decompose_on_the_union_table, lie_decompose_by_subtraction,
-                                 lie_decompose_by_word)):
+    def read(f, degree):
         cached = tables.cache_info()
         got = lie_decompose(f, degree)
         assert built == [] and tables.cache_info() == cached
-        for oracle in oracles:
+        for oracle in (lie_decompose_by_subtraction, lie_decompose_by_word):
             expected = oracle(f, degree)
             assert got == expected and repr(got) == repr(expected), oracle
         return got.coefficients
@@ -562,15 +555,16 @@ def test_lie_decompose_builds_no_table(monkeypatch):
     assert read(f, 5) == {(A, A, A, B, B): 1, (A, A, B, A, B): 2}
     word = tuple(range(7))  # one bracket on 7 distinct letters, 64 words
     f = expand(bracketing(word), 7, 7)
-    assert read(f, 7, [lie_decompose_by_subtraction, lie_decompose_by_word]) == {word: 1}
+    assert read(f, 7) == {word: 1}
 
 
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_lie_decompose_by_letter_set_equals_the_union_table_read(degree):
     # random Lie elements over up to 8 letters (6 at degree 6) whose brackets mix letter sets,
-    # one of them inside another: the solve over the input's own words reads what one table
-    # over all of the letters reads, and what subtracting expanded bracketings leaves, repr
-    # included
+    # one of them inside another: the solve over the input's own words reads what the
+    # tuple-keyed solve reads, and so what one table over all of the letters reads (the
+    # table's read equals that solve in test_engine_contracts.py), and what subtracting
+    # expanded bracketings leaves, repr included
     rng = random.Random(3301 + degree)
     for _ in range(8):
         alphabet, least = rng.randint(2, 8 if degree < 6 else 6), min(degree, 2)
@@ -587,9 +581,7 @@ def test_lie_decompose_by_letter_set_equals_the_union_table_read(degree):
                 weight = random_poly(rng, stages=2, degree=2, terms=2)
                 f = f + expand_by_products(tree, f.truncation, alphabet).scale(weight)
         got = lie_decompose(f, degree)
-        oracles = (lie_decompose_on_the_union_table, lie_decompose_by_subtraction,
-                   lie_decompose_by_word)
-        for oracle in oracles:
+        for oracle in (lie_decompose_by_subtraction, lie_decompose_by_word):
             expected = oracle(f, degree)
             assert got == expected and repr(got) == repr(expected), (oracle, sets)
 
@@ -637,25 +629,10 @@ def test_lie_decompose_equals_the_tuple_keyed_solve():
         assert isinstance(got, tuple) and got == _outcome(lie_decompose_by_word, f, degree)
 
 
-def test_the_packed_rows_equal_the_tuple_keyed_rows():
-    # the read's brackets run on packed keys, one bit a letter over two letters, two over
-    # three and four, three over five: on a fresh table of each top degree p, read on one
-    # memo top degree first at odd p and last at even p, the rows equal the tuple-keyed
-    # read's at every degree, over two letters through p = 14 and over 3-5 letters at small p;
-    # the tuple-keyed brackets are kept across the tables of an alphabet
-    cells = [(p, 2) for p in range(2, 15)] + [(p, 3) for p in range(2, 7)]
-    words = {}
-    for p, alphabet in cells + [(p, 4) for p in range(2, 6)] + [(p, 5) for p in range(2, 5)]:
-        tables, memo = _Tables.__wrapped__(p, alphabet), {}
-        for q in range(p, 1, -1) if p % 2 else range(2, p + 1):
-            rows = tables.read_steps(q, memo, p)
-            assert rows == read_steps_by_word(tables, q, words), (p, alphabet, q)
-
-
 def test_lie_check_expands_no_bracketing(monkeypatch):
     # the Dynkin projection checks membership, and the coordinate read uses
     # integer bracket expansions, so neither expands a bracketing as a series;
-    # the word-keyed back-substitution, over series expansions, reads the same weights
+    # the word-keyed back-substitution, over tuple-keyed brackets, reads the same weights
     from splitcond import series
 
     rng = random.Random(163)
@@ -673,52 +650,8 @@ def test_lie_check_expands_no_bracketing(monkeypatch):
     monkeypatch.setattr(series, "expand", counted)
     assert lie_decompose(combo, 5).coefficients == weights
     assert calls == []
-    values = [combo.terms.get(w, Poly()) for w in lyndon_words_of_degree(2, 5)]
-    assert back_substitute_by_word(POLYS, values, 5, 2) == weights
-
-
-def random_read_values(rng, count):
-    # one draw of Lyndon values per ring, zeros included: ints, Poly, and integer maps
-    # over small monomials, so that sums in the read often cancel
-    ints = [rng.choice((0, rng.randint(-99, 99))) for _ in range(count)]
-    polys = [random_poly(rng, stages=2, degree=2, terms=2) for _ in range(count)]
-    monos = (0, 1, 1 << 8, (1 << 8) + 1)
-    maps = [{m: rng.choice((-2, -1, 1, 2)) for m in rng.sample(monos, rng.randint(0, 3))}
-            for _ in range(count)]
-    return ints, polys, maps
-
-
-def test_read_rows_equal_the_word_keyed_back_substitution():
-    # the read is linear and unchecked, so at any values of the Lyndon slots, Lie
-    # element or not, the rows run in place give the old solve's coordinates exactly,
-    # through the product kernels by their unit factors, _int_product's 1 over ints and
-    # Poly and _map_product's 0 over integer maps, and
-    # leave every other slot as it was; on a fresh table of each top degree p, read through
-    # p on one memo, so that the degrees below p read memoized brackets and degree p forms
-    # its own and keeps none, over two letters and over three, whose Lyndon words share
-    # their letters from degree 3 on
-    rng = random.Random(1901)
-    for p, alphabet in [(p, 2) for p in range(2, 8)] + [(p, 3) for p in range(2, 6)]:
-        tables, memo = _Tables.__wrapped__(p, alphabet), {}
-        words = list(tables.suffixes)
-        for q in range(1, p + 1):
-            slots, rows = list(tables.lyndon[q].values()), tables.read_steps(q, memo, p)
-            assert [words[w] for w, n, runs in rows] == sorted(words[w] for w, n, runs in rows)
-            assert all(n == q and w in slots and runs for w, n, runs in rows)
-            for _ in range(6 if q == p else 2):
-                ints, polys, maps = random_read_values(rng, len(slots))
-                for values, ring, unit in [
-                    (ints, INTS, 1), (polys, POLYS, Poly.const(1)), (maps, MAPS, 0)
-                ]:
-                    acc = [ring.dot([])] * len(words)
-                    for i, value in zip(slots, values):
-                        acc[i] = value
-                    before = list(acc)
-                    ring.product(acc, [(A, unit)], {A: rows})
-                    read = {words[i]: acc[i] for i in slots if acc[i]}
-                    expected = back_substitute_by_word(ring, values, q, alphabet)
-                    assert read == expected, (p, alphabet, q, values)
-                    assert all(acc[i] is before[i] for i in range(len(words)) if i not in slots)
+    values = {w: combo.terms.get(w, Poly()) for w in lyndon_words_of_degree(2, 5)}
+    assert back_substitute_by_word(values, 5, 2) == weights
 
 
 def test_the_read_expands_only_the_brackets_its_rows_read():

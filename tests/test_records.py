@@ -126,6 +126,13 @@ def test_concrete_scheme_coerces_and_validates():
         ConcreteScheme((1, 2), (1,))
     with pytest.raises(ValueError, match="at least one stage"):
         ConcreteScheme((), ())
+    for bad in (float("inf"), "1/0", float("nan"), "abc"):  # one ValueError, naming the value
+        with pytest.raises(ValueError) as refused:
+            ConcreteScheme((1, bad), (1, 1))
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"stage coefficient {bad!r} is not a finite rational"
+    with pytest.raises(TypeError):
+        ConcreteScheme((None,), (1,))
     padded = STRANG.padded(3)
     assert type(padded) is ConcreteScheme
     assert padded == ConcreteScheme((F(1, 2), F(1, 2), 0), (1, 0, 0), "strang")

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -16,23 +15,15 @@ from splitcond import (
     word_str,
 )
 from splitcond import series
-from splitcond.lyndon import _numbered, _product_steps, _splits
-from splitcond.poly import Poly, sum_of_products
+from splitcond.poly import Poly
 
 from helpers import (
-    POLYS,
-    _divided_log,
     exp_uncapped,
-    ladder_product,
     first_nonzero_degree,
     log_uncapped,
     oracle_series_str,
-    positioned,
-    random_fraction,
     random_poly,
     random_series,
-    rows_to,
-    sweep_by_dot,
 )
 
 
@@ -368,80 +359,3 @@ def test_exp_and_log_run_a_pass_per_power_that_reaches_the_truncation(
     assert len(calls) == passes
     if arg.truncation <= 60:
         assert call(arg) == (exp_uncapped if call is exp else log_uncapped)(arg)
-
-
-@pytest.mark.parametrize("alphabet,max_truncation", [(2, 6), (3, 6)])
-def test_filtered_log_equals_log_on_the_suffix_closure(alphabet, max_truncation):
-    # the divided-power Horner loop kept to the suffixes of a few target
-    # words is exact there: it gives L |w|! log(f)[w], L = lcm(1..n); f - 1 is
-    # one sweep over every split, or, for a product of one-letter exponentials,
-    # one product over the factor word, here by the ladders' oracle
-    rng = random.Random(307 + alphabet)
-    for n in range(1, max_truncation + 1):
-        for _ in range(3):
-            g = NCSeries.unit(n, alphabet) + random_series(
-                rng, n, alphabet, symbolic=True, density=0.5
-            )
-            # every letter leads a factor, as in a splitting product
-            letters = rng.sample(range(alphabet), alphabet) + [rng.randrange(alphabet)]
-            coeffs = [Poly.symbol("a", j) * random_fraction(rng) for j in range(1, len(letters) + 1)]
-            stages = list(zip(letters, coeffs))
-            product = NCSeries.unit(n, alphabet)
-            for x, c in stages:
-                product = product * exp(letter(x, n, alphabet, c))
-            targets = [
-                tuple(rng.randrange(alphabet) for _ in range(rng.randint(1, n)))
-                for _ in range(rng.randint(1, 4))
-            ]
-            closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-            factors = {w[i:j] for w in targets for j in range(len(w) + 1) for i in range(j)}
-            words, factors = _numbered(closure), _numbered(factors)
-            divided = [g.coefficient(u) * math.factorial(len(u)) for u in factors]
-            steps, splits = _product_steps(words), _splits(words, factors)
-            sweep = sweep_by_dot(sum_of_products)
-            stage_product = ladder_product(sweep)
-            every = range(len(words) - 1)
-            for f, times, expanded in [
-                (g, lambda acc, top: sweep(acc, divided, splits, top, True), True),
-                (product, lambda acc, top: stage_product(acc, stages, rows_to(steps, top)), False),
-            ]:
-                log_ring = POLYS._replace(expanded=expanded)
-                big, got = _divided_log(log_ring, times, every, len(words), n)
-                filtered = dict(zip(words, got))
-                full = log(f)
-                assert set(filtered) == closure
-                for w in closure:
-                    scale = Fraction(1, big * math.factorial(len(w)))
-                    assert filtered[w] * scale == full.coefficient(w)
-
-
-@pytest.mark.parametrize("letters", [(0,), (1,), (0, 0), (1, 1, 1)])
-def test_log_of_a_one_letter_stage_list_keeps_the_other_letters_words(letters):
-    # no factor is led by the other letter, yet the log forms its words from the word
-    # set it is given; a single stage sweep, like the expanded product's, may also start
-    # from zero and subtract nothing, since its rows leave out the split u = ()
-    rng = random.Random(311 + len(letters))
-    n = 4
-    coeffs = [Poly.symbol("a", j) * random_fraction(rng) for j in range(1, len(letters) + 1)]
-    product = NCSeries.unit(n)
-    for x, c in zip(letters, coeffs):
-        product = product * exp(letter(x, n, 2, c))
-    targets = [(0, 0, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0, 0)]
-    closure = {w[i:] for w in targets for i in range(len(w) + 1)}
-    words = _numbered(closure)
-    steps = _product_steps(words)
-    sweep, factors = sweep_by_dot(sum_of_products), list(zip(letters, coeffs))
-    ladder = [coeffs[0] ** j for j in range(n + 1)]  # the one stage's, if one
-    full = log(product)
-    for expanded in {False, len(letters) == 1}:
-        if expanded:  # the one stage's rows from zero: e^{cX} acc - acc
-            rows = positioned(steps.get(letters[0], []))
-            times = lambda acc, top: sweep(acc, ladder, rows, top, True)
-        else:
-            times = lambda acc, top: ladder_product(sweep)(acc, factors, rows_to(steps, top))
-        args = (times, range(len(words) - 1), len(words), n)
-        big, got = _divided_log(POLYS._replace(expanded=expanded), *args)
-        got = dict(zip(words, got))
-        assert set(got) == closure
-        for w in closure:
-            assert got[w] * Fraction(1, big * math.factorial(len(w))) == full.coefficient(w), w
